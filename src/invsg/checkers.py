@@ -5,12 +5,14 @@ CheckReport.  "not-applicable" is a first-class verdict: laws with
 hypotheses (mirror, separate Scott-continuity, installed way-below oracles)
 must not report vacuous passes.
 
-Finite carriers are checked definitionally; quantification over subsets is
-exhaustive whenever the carrier is small enough and falls back to a bounded
-deterministic strategy (small subsets, principal ideals, seeded samples)
-beyond that.  Families are checked exactly on sampled instances and at
-bounded depth along their canonical chains; every fail carries a replayable
-counterexample.
+Finite carriers are checked exhaustively.  A directed subset of a finite
+poset contains its maximum, which is its sup, so each law over directed sets
+is checked on the comparable pairs d <= m (Gierz et al., Continuous Lattices
+and Domains, 2003); each law's docstring gives the argument.  ``sigma_sup``
+and ``conditional_distributivity`` quantify over arbitrary subsets and sample
+above ``_EXHAUSTIVE_SUBSET_LIMIT`` elements.  Families are checked exactly on
+sampled instances and at bounded depth along their canonical chains; every
+fail carries a replayable counterexample.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import combinations
 from typing import Callable, Optional
 
 from . import poset as _poset
-from .core import FiniteInvSemigroup, bits, idempotents
+from .core import FiniteInvSemigroup, bits, idempotents, sup_finite
 from .families.base import ChainWitness, SymbolicFamily, chain_members, iter_chain
 
 __all__ = ["CheckReport", "SUITES", "run_suite", "run_suites",
@@ -32,11 +34,14 @@ __all__ = ["CheckReport", "SUITES", "run_suite", "run_suites",
 
 DEFAULT_DEPTH = 64
 _EXHAUSTIVE_SUBSET_LIMIT = 12      # 2^12 subsets, matching the poset module
-_DIRECTED_COST_LIMIT = 1 << 16
 
 
 def default_budget() -> int:
-    return int(os.environ.get("INVSG_BUDGET", "10000"))
+    """The sampling budget: ``INVSG_BUDGET`` if set, else 10000."""
+    raw = os.environ.get("INVSG_BUDGET", "10000")
+    if not raw.strip().isdigit() or int(raw) <= 0:
+        raise ValueError(f"INVSG_BUDGET must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass
@@ -72,6 +77,13 @@ def _failed(suite, subject, budget, counterexample, notes="") -> CheckReport:
     return CheckReport(suite, subject, "fail", counterexample, budget, notes)
 
 
+def _verdict(suite, subject, budget, ok, counterexample, notes="") -> CheckReport:
+    """A pass with ``notes`` when ``ok``, else a fail with the counterexample."""
+    if ok:
+        return _passed(suite, subject, budget, notes)
+    return _failed(suite, subject, budget, counterexample)
+
+
 def _na(suite, subject, notes) -> CheckReport:
     return CheckReport(suite, subject, "not-applicable", None, 0, notes)
 
@@ -92,40 +104,11 @@ def _nonempty_subsets(S: FiniteInvSemigroup, rng: random.Random, extra: int = 80
         yield (s,)
     for a, b in combinations(range(n), 2):
         yield (a, b)
-    up = S.up_masks()
-    down = [0] * n
-    for s in range(n):
-        for t in bits(up[s]):
-            down[t] |= 1 << s
-    for s in range(n):
-        yield tuple(bits(down[s]))
+    for down in _poset.order_poset(S).down:
+        yield tuple(bits(down))
     for _ in range(extra):
         k = rng.randrange(3, 7)
         yield tuple(sorted(rng.sample(range(n), min(k, n))))
-
-
-def _directed_sets(P: _poset.FinitePoset, rng: random.Random, extra: int = 400):
-    """Directed subsets as (mask, max); exhaustive when affordable."""
-    try:
-        yield from _poset.directed_subsets(P, cost_limit=_DIRECTED_COST_LIMIT)
-        return
-    except _poset.TooLargeForDefinitionalCheck:
-        pass
-    n = P.n
-    for m in range(n):
-        yield (1 << m, m)
-        below = list(bits(P.down[m] & ~(1 << m)))
-        for x in below:
-            yield ((1 << m) | (1 << x), m)
-        yield (P.down[m], m)
-    for _ in range(extra):
-        m = rng.randrange(n)
-        below = list(bits(P.down[m] & ~(1 << m)))
-        mask = 1 << m
-        for x in below:
-            if rng.random() < 0.4:
-                mask |= 1 << x
-        yield (mask, m)
 
 
 def _sig_data(S: FiniteInvSemigroup):
@@ -135,74 +118,88 @@ def _sig_data(S: FiniteInvSemigroup):
     return PS, Psig, sig, sig_index
 
 
-def _finite_mirror(S: FiniteInvSemigroup, rng: random.Random):
-    """Directed subsets of Sigma with a sup in Sigma must have the same sup in S."""
-    PS, Psig, sig, _ = _sig_data(S)
+def _finite_mirror(S: FiniteInvSemigroup):
+    """Directed subsets of Sigma with a sup in Sigma must have the same sup in S.
+
+    A directed Delta has a maximum m, its sup in Sigma, and its upper bounds
+    in S are up[m], as are those of each pair {a, m} with a <= m in Sigma.
+    """
+    _PS, Psig, sig, _ = _sig_data(S)
     up = S.up_masks()
     examined = 0
-    for mask, _m in _directed_sets(Psig, rng):
-        members = [sig[i] for i in bits(mask)]
-        vs = _poset.sup(Psig, list(bits(mask)))
-        if vs is None:
-            continue
-        delta = sig[vs]
-        examined += 1
-        ub = (1 << S.n) - 1
-        for a in members:
-            ub &= up[a]
-        if not (ub >> delta) & 1:
-            return False, {"kind": "mirror-finite", "Delta": members,
-                           "sup_in_sigma": delta,
-                           "why": "sigma-sup is not an upper bound in S",
-                           "_raw": {"Delta": members, "delta": delta}}, examined
-        for u in bits(ub):
-            if not S.le(delta, u):
-                return False, {"kind": "mirror-finite", "Delta": members,
-                               "sup_in_sigma": delta, "upper_bound": u,
-                               "why": "upper bound in S not above the sigma-sup",
-                               "_raw": {"Delta": members, "delta": delta, "u": u}}, examined
-    return True, None, examined
-
-
-def _finite_ssc(S: FiniteInvSemigroup, rng: random.Random):
-    """sup(D s) = (sup D) s for directed D with sup, quantified over s."""
-    PS = _poset.order_poset(S)
-    examined = 0
-    for mask, _m in _directed_sets(PS, rng):
-        members = list(bits(mask))
-        v = _poset.sup(PS, members)
-        if v is None:
-            continue
-        for s in range(S.n):
+    for m in range(Psig.n):
+        delta = sig[m]
+        for a in bits(Psig.down[m]):
+            members = [sig[a], delta]
             examined += 1
-            translated = [S.mul(d, s) for d in members]
-            sv = _poset.sup(PS, translated)
-            if sv is None or sv != S.mul(v, s):
-                return False, {"kind": "ssc-finite", "D": members, "s": s,
-                               "sup_D": v, "sup_Ds": sv,
-                               "_raw": {"D": members, "s": s}}, examined
+            ub = up[sig[a]] & up[delta]
+            if not (ub >> delta) & 1:
+                return False, {"kind": "mirror-finite", "Delta": members,
+                               "sup_in_sigma": delta,
+                               "why": "sigma-sup is not an upper bound in S",
+                               "_raw": {"Delta": members, "delta": delta}}, examined
+            for u in bits(ub):
+                if not S.le(delta, u):
+                    return False, {"kind": "mirror-finite", "Delta": members,
+                                   "sup_in_sigma": delta, "upper_bound": u,
+                                   "why": "upper bound in S not above the sigma-sup",
+                                   "_raw": {"Delta": members, "delta": delta, "u": u}}, examined
     return True, None, examined
 
 
-def _finite_meet_continuous(S: FiniteInvSemigroup, rng: random.Random):
-    """eps meet sup(Delta) = sup(eps Delta) inside the idempotent semilattice."""
+def _finite_ssc(S: FiniteInvSemigroup):
+    """sup(D s) = (sup D) s for directed D with sup, quantified over s.
+
+    A directed D has a maximum m = sup D and m s is in D s, so the law holds
+    on D iff d s <= m s for each d in D; and {d, m} is directed for d <= m.
+    """
+    PS = _poset.order_poset(S)
+    up, table = PS.up, S.table
+    examined = 0
+    for m in range(S.n):
+        below = list(bits(PS.down[m]))
+        for s in range(S.n):
+            ms = table[m][s]
+            for d in below:
+                examined += 1
+                if not (up[table[d][s]] >> ms) & 1:
+                    return False, {"kind": "ssc-finite", "D": [d, m], "s": s,
+                                   "sup_D": m, "sup_Ds": _poset.sup(PS, [table[d][s], ms]),
+                                   "_raw": {"D": [d, m], "s": s}}, examined
+    return True, None, examined
+
+
+def _finite_meet_continuous(S: FiniteInvSemigroup):
+    """eps meet sup(Delta) = sup(eps Delta) inside the idempotent semilattice.
+
+    A directed Delta has a maximum m = sup Delta and eps m is in eps Delta,
+    so the law holds on Delta iff eps a <= eps m for each a in Delta; and
+    {a, m} is directed for a <= m in Sigma.
+    """
     _PS, Psig, sig, sig_index = _sig_data(S)
     examined = 0
-    for mask, _m in _directed_sets(Psig, rng):
-        members = [sig[i] for i in bits(mask)]
-        vs = _poset.sup(Psig, list(bits(mask)))
-        if vs is None:
-            continue
-        delta = sig[vs]
+    for m in range(Psig.n):
+        below = [sig[a] for a in bits(Psig.down[m])]
         for eps in sig:
-            examined += 1
-            translated = [sig_index[S.mul(eps, a)] for a in members]
-            sv = _poset.sup(Psig, translated)
-            if sv is None or sig[sv] != S.mul(eps, delta):
-                return False, {"kind": "meet-continuity-finite",
-                               "Delta": members, "eps": eps,
-                               "_raw": {"Delta": members, "eps": eps}}, examined
+            top = sig_index[S.mul(eps, sig[m])]
+            for a in below:
+                examined += 1
+                if not (Psig.up[sig_index[S.mul(eps, a)]] >> top) & 1:
+                    Delta = [a, sig[m]]
+                    return False, {"kind": "meet-continuity-finite",
+                                   "Delta": Delta, "eps": eps,
+                                   "_raw": {"Delta": Delta, "eps": eps}}, examined
     return True, None, examined
+
+
+def _finite_cdc(P: _poset.FinitePoset):
+    """Bounded directed sets have sups: a directed D is bounded by its
+    maximum m, which is its sup iff sup{d, m} = m for each d in D."""
+    for m in range(P.n):
+        for d in bits(P.down[m]):
+            if _poset.sup(P, [d, m]) != m:
+                return False, (d, m)
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +520,6 @@ def check_sigma_sup(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
     if isinstance(subject, FiniteInvSemigroup):
         S = subject
         rng = _rng(seed, "sigma_sup", sid)
-        from .core import sup_finite
         examined = 0
         for A in _nonempty_subsets(S, rng):
             v = sup_finite(S, A)
@@ -571,7 +567,6 @@ def check_conditional_distributivity(subject, subject_id=None, *, depth=DEFAULT_
     if isinstance(subject, FiniteInvSemigroup):
         S = subject
         rng = _rng(seed, "cond_distr", sid)
-        from .core import sup_finite
         examined = 0
         for A in _nonempty_subsets(S, rng):
             v = sup_finite(S, A)
@@ -632,27 +627,31 @@ def check_conditional_distributivity(subject, subject_id=None, *, depth=DEFAULT_
 
 def check_greatest_of_translate(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
                                 seed=0, budget=None) -> CheckReport:
-    """d is the greatest element of D d* d for directed D and d in D."""
+    """d is the greatest element of D d* d for directed D and d in D.
+
+    On a finite carrier a directed D lies below its maximum m, and any
+    x, d <= m form the directed set {x, d, m}; so x, d <= m are checked.
+    """
     sid = subject_id or _subject_name(subject)
     if isinstance(subject, FiniteInvSemigroup):
         S = subject
-        rng = _rng(seed, "greatest_translate", sid)
         P = _poset.order_poset(S)
         examined = 0
-        for mask, _m in _directed_sets(P, rng):
-            members = list(bits(mask))
-            for d in members:
+        for m in range(S.n):
+            below = list(bits(P.down[m]))
+            for d in below:
                 examined += 1
-                m = S.sigma[d]
-                if S.mul(d, m) != d:
+                e = S.sigma[d]
+                if S.mul(d, e) != d:
                     return _failed("greatest_of_translate", sid, examined,
-                                   {"kind": "d-not-in-translate", "D": members, "d": d,
-                                    "_raw": {"D": members, "d": d}})
-                for x in members:
-                    if not S.le(S.mul(x, m), d):
+                                   {"kind": "d-not-in-translate", "D": [d, m], "d": d,
+                                    "_raw": {"D": [d, m], "d": d}})
+                for x in below:
+                    if not S.le(S.mul(x, e), d):
+                        D = [x, d, m]
                         return _failed("greatest_of_translate", sid, examined,
-                                       {"kind": "translate-escapes-d", "D": members,
-                                        "d": d, "x": x, "_raw": {"D": members, "d": d, "x": x}})
+                                       {"kind": "translate-escapes-d", "D": D,
+                                        "d": d, "x": x, "_raw": {"D": D, "d": d, "x": x}})
         return _passed("greatest_of_translate", sid, examined)
     fam: SymbolicFamily = subject
     rng = _rng(seed, "greatest_translate", fam.name)
@@ -690,14 +689,11 @@ def check_mirror(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
     """Directed subsets of Sigma with a sup in Sigma keep that sup in S."""
     sid = subject_id or _subject_name(subject)
     if isinstance(subject, FiniteInvSemigroup):
-        rng = _rng(seed, "mirror", sid)
-        ok, ce, n = _finite_mirror(subject, rng)
-        return _passed("mirror", sid, n) if ok else _failed("mirror", sid, n, ce)
+        ok, ce, n = _finite_mirror(subject)
+        return _verdict("mirror", sid, n, ok, ce)
     fam: SymbolicFamily = subject
     ok, ce, n, _route = _mirror_cached(fam, depth, seed)
-    if ok:
-        return _passed("mirror", sid, n, notes="chain witnesses + reduced route agree")
-    return _failed("mirror", sid, n, ce)
+    return _verdict("mirror", sid, n, ok, ce, "chain witnesses + reduced route agree")
 
 
 def check_meet_continuity_mirror(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
@@ -706,20 +702,15 @@ def check_meet_continuity_mirror(subject, subject_id=None, *, depth=DEFAULT_DEPT
     sid = subject_id or _subject_name(subject)
     if isinstance(subject, FiniteInvSemigroup):
         S = subject
-        rng = _rng(seed, "meet_cont", sid)
-        ok, _ce, n0 = _finite_mirror(S, rng)
+        ok, _ce, n0 = _finite_mirror(S)
         if not ok:
             return _na("meet_continuity_mirror", sid, "subject is not mirror")
-        ssc_ok, ssc_ce, n1 = _finite_ssc(S, rng)
-        mc_ok, mc_ce, n2 = _finite_meet_continuous(S, rng)
-        n = n0 + n1 + n2
-        if ssc_ok == mc_ok:
-            return _passed("meet_continuity_mirror", sid, n,
-                           notes=f"ssc={ssc_ok}, meet-continuous={mc_ok}")
-        return _failed("meet_continuity_mirror", sid, n,
-                       {"kind": "meet-cont-biconditional", "ssc": ssc_ok,
-                        "meet_continuous": mc_ok,
-                        "_raw": {"ssc_ce": ssc_ce, "mc_ce": mc_ce}})
+        ssc_ok, ssc_ce, n1 = _finite_ssc(S)
+        mc_ok, mc_ce, n2 = _finite_meet_continuous(S)
+        return _verdict("meet_continuity_mirror", sid, n0 + n1 + n2, ssc_ok == mc_ok,
+                        {"kind": "meet-cont-biconditional", "ssc": ssc_ok,
+                         "meet_continuous": mc_ok, "_raw": {"ssc_ce": ssc_ce, "mc_ce": mc_ce}},
+                        f"ssc={ssc_ok}, meet-continuous={mc_ok}")
     fam: SymbolicFamily = subject
     rng = _rng(seed, "meet_cont", fam.name)
     ok, _ce, n0, _r = _mirror_cached(fam, depth, seed)
@@ -745,18 +736,15 @@ def check_meet_continuity_mirror(subject, subject_id=None, *, depth=DEFAULT_DEPT
                 break
         if not mc_ok:
             break
-    n = n0 + n1 + n2
-    if ssc_ok == mc_ok:
-        return _passed("meet_continuity_mirror", sid, n,
-                       notes=f"ssc={ssc_ok}, meet-continuous={mc_ok}")
-    return _failed("meet_continuity_mirror", sid, n,
-                   {"kind": "meet-cont-biconditional", "ssc": ssc_ok,
-                    "meet_continuous": mc_ok, "_raw": {"ssc_ce": ssc_ce, "mc_ce": mc_ce}})
+    return _verdict("meet_continuity_mirror", sid, n0 + n1 + n2, ssc_ok == mc_ok,
+                    {"kind": "meet-cont-biconditional", "ssc": ssc_ok,
+                     "meet_continuous": mc_ok, "_raw": {"ssc_ce": ssc_ce, "mc_ce": mc_ce}},
+                    f"ssc={ssc_ok}, meet-continuous={mc_ok}")
 
 
-def _finite_hypotheses(S: FiniteInvSemigroup, rng: random.Random):
-    mirror_ok, _c, n0 = _finite_mirror(S, rng)
-    ssc_ok, _c2, n1 = _finite_ssc(S, rng)
+def _finite_hypotheses(S: FiniteInvSemigroup):
+    mirror_ok, _c, n0 = _finite_mirror(S)
+    ssc_ok, _c2, n1 = _finite_ssc(S)
     return mirror_ok, ssc_ok, n0 + n1
 
 
@@ -766,8 +754,7 @@ def check_wb_characterization(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
     sid = subject_id or _subject_name(subject)
     if isinstance(subject, FiniteInvSemigroup):
         S = subject
-        rng = _rng(seed, "wb_char", sid)
-        mirror_ok, ssc_ok, n0 = _finite_hypotheses(S, rng)
+        mirror_ok, ssc_ok, n0 = _finite_hypotheses(S)
         if not (mirror_ok and ssc_ok):
             return _na("wb_characterization", sid, "not a ssc mirror subject")
         PS, Psig, sig, sig_index = _sig_data(S)
@@ -875,40 +862,19 @@ def check_multiplicativity_mirror(subject, subject_id=None, *, depth=DEFAULT_DEP
     sid = subject_id or _subject_name(subject)
     if isinstance(subject, FiniteInvSemigroup):
         S = subject
-        rng = _rng(seed, "mult", sid)
-        mirror_ok, ssc_ok, n0 = _finite_hypotheses(S, rng)
+        mirror_ok, ssc_ok, n0 = _finite_hypotheses(S)
         if not (mirror_ok and ssc_ok):
             return _na("multiplicativity_mirror", sid, "not a ssc mirror subject")
         PS, Psig, sig, sig_index = _sig_data(S)
-        wbS = _poset.way_below_matrix(PS)
-        wbSig = _poset.way_below_matrix(Psig)
-        pairsS = [(s, t) for s in range(S.n) for t in bits(wbS[s])]
-        multS, wit_s = True, None
-        for s, t in pairsS:
-            for s2, t2 in pairsS:
-                if not (wbS[S.mul(s, s2)] >> S.mul(t, t2)) & 1:
-                    multS, wit_s = False, (s, t, s2, t2)
-                    break
-            if not multS:
-                break
-        pairsE = [(i, j) for i in range(Psig.n) for j in bits(wbSig[i])]
-        multE, wit_e = True, None
-        for i, j in pairsE:
-            for i2, j2 in pairsE:
-                pi = sig_index[S.mul(sig[i], sig[i2])]
-                pj = sig_index[S.mul(sig[j], sig[j2])]
-                if not (wbSig[pi] >> pj) & 1:
-                    multE, wit_e = False, (i, j, i2, j2)
-                    break
-            if not multE:
-                break
-        n = n0 + len(pairsS) ** 2 + len(pairsE) ** 2
-        if multS == multE:
-            return _passed("multiplicativity_mirror", sid, n,
-                           notes=f"mult(S)={multS}, mult(Sigma)={multE}")
-        return _failed("multiplicativity_mirror", sid, n,
-                       {"kind": "mult-biconditional", "mult_S": multS,
-                        "mult_Sigma": multE, "_raw": {"wit_s": wit_s, "wit_e": wit_e}})
+        multS = _poset.way_below_multiplicative(PS, S.mul)
+        multE = _poset.way_below_multiplicative(
+            Psig, lambda i, j: sig_index[S.mul(sig[i], sig[j])])
+        # 4-tuples scanned: way-below is the order on a finite poset
+        n = n0 + sum(sum(bin(r).count("1") for r in P.up) ** 2 for P in (PS, Psig))
+        return _verdict("multiplicativity_mirror", sid, n, multS == multE,
+                        {"kind": "mult-biconditional", "mult_S": multS,
+                         "mult_Sigma": multE, "_raw": {}},
+                        f"mult(S)={multS}, mult(Sigma)={multE}")
     fam: SymbolicFamily = subject
     if fam.wb_s is None or fam.wb_sigma is None:
         return _na("multiplicativity_mirror", sid, "no way-below oracle installed")
@@ -947,12 +913,10 @@ def check_multiplicativity_mirror(subject, subject_id=None, *, depth=DEFAULT_DEP
             multE_wit = (e, d, e2, d2)
             break
     multS, multE = multS_wit is None, multE_wit is None
-    if multS == multE:
-        return _passed("multiplicativity_mirror", sid, examined,
-                       notes=f"mult(S)={multS}, mult(Sigma)={multE}")
-    return _failed("multiplicativity_mirror", sid, examined,
-                   {"kind": "mult-biconditional", "mult_S": multS, "mult_Sigma": multE,
-                    "_raw": {"wit_s": multS_wit, "wit_e": multE_wit}})
+    return _verdict("multiplicativity_mirror", sid, examined, multS == multE,
+                    {"kind": "mult-biconditional", "mult_S": multS, "mult_Sigma": multE,
+                     "_raw": {"wit_s": multS_wit, "wit_e": multE_wit}},
+                    f"mult(S)={multS}, mult(Sigma)={multE}")
 
 
 def _family_continuity(fam: SymbolicFamily, rng: random.Random, depth: int):
@@ -1026,20 +990,17 @@ def check_mirror_theorem(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
     sid = subject_id or _subject_name(subject)
     if isinstance(subject, FiniteInvSemigroup):
         S = subject
-        rng = _rng(seed, "mirror_thm", sid)
-        ok, _c, n0 = _finite_mirror(S, rng)
+        ok, _c, n0 = _finite_mirror(S)
         if not ok:
             return _na("mirror_theorem", sid, "subject is not mirror")
         PS, Psig, _sig, _i = _sig_data(S)
         contS, contE = _poset.is_continuous(PS), _poset.is_continuous(Psig)
         algS, algE = _poset.is_algebraic(PS), _poset.is_algebraic(Psig)
-        n = n0 + 2 * (S.n + Psig.n)
-        if contS == contE and algS == algE:
-            return _passed("mirror_theorem", sid, n,
-                           notes=f"continuous={contS}, algebraic={algS}")
-        return _failed("mirror_theorem", sid, n,
-                       {"kind": "mirror-theorem", "cont_S": contS, "cont_Sigma": contE,
-                        "alg_S": algS, "alg_Sigma": algE, "_raw": {}})
+        return _verdict("mirror_theorem", sid, n0 + 2 * (S.n + Psig.n),
+                        contS == contE and algS == algE,
+                        {"kind": "mirror-theorem", "cont_S": contS, "cont_Sigma": contE,
+                         "alg_S": algS, "alg_Sigma": algE, "_raw": {}},
+                        f"continuous={contS}, algebraic={algS}")
     fam: SymbolicFamily = subject
     if fam.wb_s is None or fam.wb_sigma is None:
         return _na("mirror_theorem", sid,
@@ -1051,13 +1012,11 @@ def check_mirror_theorem(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
     contS, contE, n1 = _family_continuity(fam, rng, depth)
     algS, _asw, n2 = _family_algebraic(fam, rng, depth)
     algE, n3 = _sigma_algebraic(fam, rng, depth)
-    n = n0 + n1 + n2 + n3
-    if contS == contE and algS == algE:
-        return _passed("mirror_theorem", sid, n,
-                       notes=f"continuous={contS}, algebraic={algS}")
-    return _failed("mirror_theorem", sid, n,
-                   {"kind": "mirror-theorem", "cont_S": contS, "cont_Sigma": contE,
-                    "alg_S": algS, "alg_Sigma": algE, "_raw": {}})
+    return _verdict("mirror_theorem", sid, n0 + n1 + n2 + n3,
+                    contS == contE and algS == algE,
+                    {"kind": "mirror-theorem", "cont_S": contS, "cont_Sigma": contE,
+                     "alg_S": algS, "alg_Sigma": algE, "_raw": {}},
+                    f"continuous={contS}, algebraic={algS}")
 
 
 def _sigma_algebraic(fam: SymbolicFamily, rng: random.Random, depth: int):
@@ -1089,7 +1048,6 @@ def check_separation_criterion(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
     sid = subject_id or _subject_name(subject)
     if isinstance(subject, FiniteInvSemigroup):
         S = subject
-        rng = _rng(seed, "separation", sid)
         PS, Psig, sig, sig_index = _sig_data(S)
         if not _poset.is_continuous(Psig):
             return _na("separation_criterion", sid, "Sigma is not continuous")
@@ -1107,14 +1065,11 @@ def check_separation_criterion(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
                     break
             if not criterion:
                 break
-        mirror_ok, _c, n0 = _finite_mirror(S, rng)
-        examined += n0
-        if criterion == mirror_ok:
-            return _passed("separation_criterion", sid, examined,
-                           notes=f"criterion={criterion}, mirror={mirror_ok}")
-        return _failed("separation_criterion", sid, examined,
-                       {"kind": "separation-biconditional", "criterion": criterion,
-                        "mirror": mirror_ok, "_raw": {"wit": wit}})
+        mirror_ok, _c, n0 = _finite_mirror(S)
+        return _verdict("separation_criterion", sid, examined + n0, criterion == mirror_ok,
+                        {"kind": "separation-biconditional", "criterion": criterion,
+                         "mirror": mirror_ok, "_raw": {"wit": wit}},
+                        f"criterion={criterion}, mirror={mirror_ok}")
     fam: SymbolicFamily = subject
     if fam.wb_sigma is None:
         return _na("separation_criterion", sid, "no sigma way-below oracle installed")
@@ -1139,14 +1094,10 @@ def check_separation_criterion(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
         if not criterion:
             break
     mirror_ok, _c, n0, _r = _mirror_cached(fam, depth, seed)
-    examined += n0
-    if criterion == mirror_ok:
-        return _passed("separation_criterion", sid, examined,
-                       notes=f"criterion={criterion}, mirror={mirror_ok}")
-    return _failed("separation_criterion", sid, examined,
-                   {"kind": "separation-biconditional", "criterion": criterion,
-                    "mirror": mirror_ok,
-                    "_raw": {"wit": wit}})
+    return _verdict("separation_criterion", sid, examined + n0, criterion == mirror_ok,
+                    {"kind": "separation-biconditional", "criterion": criterion,
+                     "mirror": mirror_ok, "_raw": {"wit": wit}},
+                    f"criterion={criterion}, mirror={mirror_ok}")
 
 
 def check_continuity_implies_ssc(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
@@ -1155,15 +1106,12 @@ def check_continuity_implies_ssc(subject, subject_id=None, *, depth=DEFAULT_DEPT
     sid = subject_id or _subject_name(subject)
     if isinstance(subject, FiniteInvSemigroup):
         S = subject
-        rng = _rng(seed, "cont_ssc", sid)
-        mirror_ok, _c, n0 = _finite_mirror(S, rng)
+        mirror_ok, _c, n0 = _finite_mirror(S)
         PS = _poset.order_poset(S)
         if not (mirror_ok and _poset.is_continuous(PS)):
             return _na("continuity_implies_ssc", sid, "not a continuous mirror subject")
-        ok, ce, n1 = _finite_ssc(S, rng)
-        if ok:
-            return _passed("continuity_implies_ssc", sid, n0 + n1)
-        return _failed("continuity_implies_ssc", sid, n0 + n1, ce)
+        ok, ce, n1 = _finite_ssc(S)
+        return _verdict("continuity_implies_ssc", sid, n0 + n1, ok, ce)
     fam: SymbolicFamily = subject
     rng = _rng(seed, "cont_ssc", fam.name)
     mirror_ok, _c, n0, _r = _mirror_cached(fam, depth, seed)
@@ -1175,9 +1123,7 @@ def check_continuity_implies_ssc(subject, subject_id=None, *, depth=DEFAULT_DEPT
     if not contS:
         return _na("continuity_implies_ssc", sid, "subject is not continuous")
     ok, ce, n2 = _ssc_cached(fam, depth, seed)
-    if ok:
-        return _passed("continuity_implies_ssc", sid, n0 + n1 + n2)
-    return _failed("continuity_implies_ssc", sid, n0 + n1 + n2, ce)
+    return _verdict("continuity_implies_ssc", sid, n0 + n1 + n2, ok, ce)
 
 
 def check_conditional_dcpo_mirror(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
@@ -1186,30 +1132,16 @@ def check_conditional_dcpo_mirror(subject, subject_id=None, *, depth=DEFAULT_DEP
     sid = subject_id or _subject_name(subject)
     if isinstance(subject, FiniteInvSemigroup):
         S = subject
-        rng = _rng(seed, "cdc", sid)
-        ok, _c, n0 = _finite_mirror(S, rng)
+        ok, _c, n0 = _finite_mirror(S)
         if not ok:
             return _na("conditional_dcpo_mirror", sid, "subject is not mirror")
-        PS, Psig, sig, _ = _sig_data(S)
-
-        def cdc(P: _poset.FinitePoset) -> tuple[bool, Optional[tuple]]:
-            cnt = 0
-            for mask, _m in _directed_sets(P, rng):
-                members = list(bits(mask))
-                bounded = any(all(P.leq(d, u) for d in members) for u in range(P.n))
-                cnt += 1
-                if bounded and _poset.sup(P, members) is None:
-                    return False, tuple(members)
-            return True, None
-
-        okS, witS = cdc(PS)
-        okE, witE = cdc(Psig)
-        if okS == okE:
-            return _passed("conditional_dcpo_mirror", sid, n0,
-                           notes=f"cdc(S)={okS}, cdc(Sigma)={okE}")
-        return _failed("conditional_dcpo_mirror", sid, n0,
-                       {"kind": "cdc-biconditional", "cdc_S": okS, "cdc_Sigma": okE,
-                        "_raw": {"witS": witS, "witE": witE}})
+        PS, Psig, _sig, _ = _sig_data(S)
+        okS, witS = _finite_cdc(PS)
+        okE, witE = _finite_cdc(Psig)
+        return _verdict("conditional_dcpo_mirror", sid, n0, okS == okE,
+                        {"kind": "cdc-biconditional", "cdc_S": okS, "cdc_Sigma": okE,
+                         "_raw": {"witS": witS, "witE": witE}},
+                        f"cdc(S)={okS}, cdc(Sigma)={okE}")
     fam: SymbolicFamily = subject
     ok, _c, n0, _r = _mirror_cached(fam, depth, seed)
     if not ok:
@@ -1287,7 +1219,6 @@ def replay_counterexample(subject, report: CheckReport) -> bool:
                 ub &= up[a]
             return not (ub >> delta) & 1
         if kind == "sigma-sup":
-            from .core import sup_finite
             A = raw["A"]
             v = sup_finite(S, A)
             sv = sup_finite(S, [S.sigma[a] for a in A])
@@ -1301,6 +1232,20 @@ def replay_counterexample(subject, report: CheckReport) -> bool:
             rhs = S.le(s, t) and bool(
                 (wbSig[sig_index[S.sigma[s]]] >> sig_index[S.sigma[t]]) & 1)
             return lhs != rhs
+        # the collapsed kinds: a directed set below its last member m, plus s or eps
+        if kind == "ssc-finite":
+            (d, m), s = raw["D"], raw["s"]
+            return S.le(d, m) and not S.le(S.mul(d, s), S.mul(m, s))
+        if kind == "meet-continuity-finite":
+            (a, m), eps = raw["Delta"], raw["eps"]
+            return (all(S.is_idempotent(x) for x in (a, m, eps)) and S.le(a, m)
+                    and not S.le(S.mul(eps, a), S.mul(eps, m)))
+        if kind in ("d-not-in-translate", "translate-escapes-d"):
+            *D, m = raw["D"]
+            d, e = raw["d"], S.sigma[raw["d"]]
+            broken = (S.mul(d, e) != d if kind == "d-not-in-translate"
+                      else not S.le(S.mul(raw["x"], e), d))
+            return all(S.le(x, m) for x in D) and broken
         return True  # other finite kinds carry their full data in the report
     fam: SymbolicFamily = subject
     if kind == "mirror-family":

@@ -90,6 +90,16 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _check_limits(args) -> None:
+    """Raise ValueError for a non-positive depth or budget, or a bad INVSG_BUDGET."""
+    for flag in ("depth", "budget"):
+        value = getattr(args, flag, None)
+        if value is not None and value <= 0:
+            raise ValueError(f"--{flag} must be a positive integer, got {value}")
+    if args.command == "check" and args.budget is None:
+        checkers.default_budget()
+
+
 def _cmd_classify(args) -> int:
     try:
         subject = get_family(args.family)
@@ -177,6 +187,11 @@ def _cmd_hasse(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        _check_limits(args)
+    except ValueError as exc:
+        print(f"invalid: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     handlers = {"validate": _cmd_validate, "enumerate": _cmd_enumerate,
                 "classify": _cmd_classify, "check": _cmd_check,
                 "hasse": _cmd_hasse}

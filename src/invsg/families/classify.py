@@ -2,7 +2,7 @@
 
 Every flag is produced by the corresponding checker machinery, never
 asserted bare; the evidence string records which route produced it and at
-what depth/budget.  Finite carriers are classified definitionally; symbolic
+what depth/budget.  Finite carriers are classified exhaustively; symbolic
 families via their oracles, canonical chains and refuters.  Families without
 way-below oracles get partial records (value None where no evidence exists).
 """
@@ -21,35 +21,22 @@ def _classify_finite(S: FiniteInvSemigroup, subject_id: str, depth: int,
                      seed: int) -> Classification:
     from .. import checkers, poset
 
-    rng = checkers._rng(seed, "classify", subject_id)
-    mirror_ok, mirror_ce, n_mirror = checkers._finite_mirror(S, rng)
+    mirror_ok, mirror_ce, n_mirror = checkers._finite_mirror(S)
     PS = poset.order_poset(S)
-    Psig, _sig = poset.sigma_poset(S)
     contS = poset.is_continuous(PS)
     algS = poset.is_algebraic(PS)
-    mult = poset.way_below_multiplicative(PS, S.mul) if S.n <= poset.DEFINITIONAL_LIMIT \
-        else _mult_via_collapse(S, PS)
+    mult = poset.way_below_multiplicative(PS, S.mul)
     return Classification(
         subject=subject_id, depth=depth, seed=seed,
         reduced=Flag(is_reduced(S), "exhaustive over all idempotent/up-set pairs", S.n),
-        mirror=Flag(mirror_ok, "definitional over directed idempotent subsets",
+        mirror=Flag(mirror_ok, "exhaustive over comparable idempotent pairs "
+                               "(a finite directed set has a maximum)",
                     n_mirror, mirror_ce),
         continuous=Flag(contS, "definitional on the finite order poset", S.n),
         algebraic=Flag(algS, "definitional on the finite order poset", S.n),
         stably_continuous=Flag(contS and mult,
                                "continuity plus way-below multiplicativity", S.n),
     )
-
-
-def _mult_via_collapse(S: FiniteInvSemigroup, PS) -> bool:
-    from ..core import bits
-    wb = PS.up  # the verified finite collapse
-    pairs = [(s, t) for s in range(S.n) for t in bits(wb[s])]
-    for s, t in pairs:
-        for s2, t2 in pairs:
-            if not (wb[S.mul(s, s2)] >> S.mul(t, t2)) & 1:
-                return False
-    return True
 
 
 def _sampled_multiplicative(fam: SymbolicFamily, rng, budget: int) -> tuple[bool, int]:

@@ -8,12 +8,9 @@ finite truncations of the non-mirror counterexample family.
 
 import time
 
-import pytest
-
 from invsg import checkers, core, pbij, poset
-from invsg.families import (FAMILY_BUILDERS, cex_family, cex_truncation,
-                            character_family, coset_monoid, cyclic_group,
-                            groups_of_order_at_most)
+from invsg.families import (FAMILY_BUILDERS, cex_family, character_family,
+                            cyclic_group)
 from invsg.pbij import (all_topologies, closed_set_adjunction,
                         pseudogroup_of_space)
 
@@ -23,22 +20,6 @@ DEPTH = 64
 def _line(number: int, ok: bool, text: str) -> None:
     print(f"[criterion {number}] {'PASS' if ok else 'FAIL'} - {text}")
     assert ok, f"criterion {number}: {text}"
-
-
-def _finite_corpus():
-    corpus = [(f"I2-sub-{i}(n={S.n})", S)
-              for i, S in enumerate(pbij.enumerate_inverse_subsemigroups(2, 7))]
-    corpus.append(("I_3", pbij.symmetric_inverse_monoid(3).carrier))
-    for name, G in sorted(groups_of_order_at_most(8).items()):
-        corpus.append((f"coset:{name}", coset_monoid(G)))
-    corpus.append(("cex-truncation-2", cex_truncation(2)))
-    corpus.append(("cex-truncation-4", cex_truncation(4)))
-    return corpus
-
-
-@pytest.fixture(scope="module")
-def finite_corpus():
-    return _finite_corpus()
 
 
 def test_criterion_1_axioms_and_basic_rules_under_10s():

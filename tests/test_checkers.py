@@ -8,6 +8,7 @@ from invsg.checkers import (SUITES, CheckReport, replay_counterexample,
                             run_suite, run_suites)
 from invsg.families import (cex_family, cex_truncation, coset_monoid,
                             group_by_name, rotation_family)
+from invsg.pbij import symmetric_inverse_monoid
 
 
 def test_suite_registry_is_stable():
@@ -41,6 +42,17 @@ def test_all_suites_pass_on_every_coset_monoid():
         M = coset_monoid(G)
         for r in run_suites(M, f"coset:{name}"):
             assert r.verdict == "pass", (name, r.suite, r.counterexample)
+
+
+@pytest.mark.parametrize("sid, build, n", [
+    ("coset:S4", lambda: coset_monoid(group_by_name("S4")), 234),
+    ("I_4", lambda: symmetric_inverse_monoid(4).carrier, 209),
+])
+def test_all_suites_pass_on_the_largest_carriers(sid, build, n):
+    S = build()
+    assert S.n == n
+    for r in run_suites(S, sid):
+        assert r.verdict == "pass", (sid, r.suite, r.counterexample)
 
 
 def test_all_suites_pass_on_every_small_pseudogroup():

@@ -105,3 +105,36 @@ def test_hasse_window_limit(tmp_path, capsys):
     p = tmp_path / "i3.json"
     p.write_text(json.dumps(core.to_json(pbij.symmetric_inverse_monoid(3).carrier)))
     assert main(["hasse", "--subject", str(p), "--window", "10"]) == 3
+
+
+def _assert_one_line_refusal(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_check_rejects_nonpositive_budget(budget, capsys):
+    assert main(["check", "--suite", "mirror", "--subject", "family:rotation",
+                 "--budget", budget]) == 2
+    _assert_one_line_refusal(capsys)
+
+
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_check_rejects_nonpositive_depth(depth, capsys):
+    assert main(["check", "--suite", "mirror", "--subject", "family:rotation",
+                 "--depth", depth]) == 2
+    _assert_one_line_refusal(capsys)
+
+
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_classify_rejects_nonpositive_depth(depth, capsys):
+    assert main(["classify", "--family", "rotation", "--depth", depth]) == 2
+    _assert_one_line_refusal(capsys)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-4", "1.5"])
+def test_check_rejects_bad_budget_env(value, monkeypatch, capsys):
+    monkeypatch.setenv("INVSG_BUDGET", value)
+    assert main(["check", "--suite", "mirror", "--subject", "family:rotation"]) == 2
+    _assert_one_line_refusal(capsys)
