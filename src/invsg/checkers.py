@@ -12,7 +12,8 @@ and Domains, 2003); each law's docstring gives the argument.  ``sigma_sup``
 and ``conditional_distributivity`` quantify over arbitrary subsets and sample
 above ``_EXHAUSTIVE_SUBSET_LIMIT`` elements.  Families are checked exactly on
 sampled instances and at bounded depth along their canonical chains; every
-fail carries a replayable counterexample.
+fail carries a replayable counterexample.  A law with an S side and a Sigma
+side is written once over a ``_Side`` record of that side's oracles.
 """
 
 from __future__ import annotations
@@ -229,6 +230,46 @@ def _idem_pool(fam: SymbolicFamily, rng: random.Random, k: int) -> list:
     return [e for e in pool if fam.is_idempotent(e)]
 
 
+@dataclass(frozen=True)
+class _Side:
+    """One side of a mirror law on a family: S, or its idempotents Sigma.
+
+    ``sample``/``pool`` draw one element, or k elements plus the canonical
+    witnesses; ``wb``, ``chains_to`` and ``refuter`` name the family's
+    oracles for this side and ``sup`` the ChainWitness field holding its
+    sup.  ``keys`` label a way-below pair in a counterexample and ``kinds``
+    name its refutations: claim refuted, refuter missing, refuter sup too
+    small, refuter does not kill.
+    """
+
+    sample: Callable
+    pool: Callable
+    wb: str
+    chains_to: str
+    sup: str
+    refuter: str
+    keys: tuple
+    kinds: tuple
+
+
+_S = _Side(lambda fam, rng: fam.sample(rng),
+           lambda fam, rng, k: [fam.sample(rng) for _ in range(k)] + _elem_pool(fam, rng, 3),
+           "wb_s", "chains_to", "sup_in_s", "wb_s_refuter", ("s", "t"),
+           ("wb-claim-refuted", "missing-refuter", "refuter-sup-too-small",
+            "refuter-does-not-kill"))
+_SIGMA = _Side(lambda fam, rng: fam.sample_idempotent(rng), _idem_pool,
+               "wb_sigma", "sigma_chains_to", "sup_in_sigma", "wb_sigma_refuter",
+               ("eps", "delta"),
+               ("wb-sigma-claim-refuted", "missing-sigma-refuter",
+                "sigma-refuter-sup-too-small", "sigma-refuter-does-not-kill"))
+
+
+def _oracles(subject) -> bool:
+    """Way-below is decidable: on a carrier always, on a family with both oracles."""
+    return isinstance(subject, FiniteInvSemigroup) or (
+        subject.wb_s is not None and subject.wb_sigma is not None)
+
+
 def _verify_chain(fam: SymbolicFamily, cw: ChainWitness, depth: int) -> Optional[dict]:
     """Depth-bounded verification of a chain witness's structural claims."""
     ms = chain_members(cw, depth)
@@ -264,28 +305,6 @@ def _dominates(fam: SymbolicFamily, u, cw: ChainWitness, depth: int) -> bool:
     return all(fam.nat_le(a, u) for a in chain_members(cw, depth))
 
 
-_GATE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _gate(fam: SymbolicFamily, kind: str, depth: int, seed: int, compute):
-    """Memoized hypothesis evidence; deterministic in (family, kind, depth, seed)."""
-    per = _GATE_CACHE.setdefault(fam, {})
-    key = (kind, depth, seed)
-    if key not in per:
-        per[key] = compute()
-    return per[key]
-
-
-def _mirror_cached(fam: SymbolicFamily, depth: int, seed: int):
-    return _gate(fam, "mirror", depth, seed,
-                 lambda: _family_mirror(fam, _rng(seed, "mirror-gate", fam.name), depth))
-
-
-def _ssc_cached(fam: SymbolicFamily, depth: int, seed: int):
-    return _gate(fam, "ssc", depth, seed,
-                 lambda: _family_ssc(fam, _rng(seed, "ssc-gate", fam.name), depth))
-
-
 def _family_mirror(fam: SymbolicFamily, rng: random.Random, depth: int):
     """Chain-witness route plus the reduced sufficient condition, compared."""
     examined = 0
@@ -298,7 +317,7 @@ def _family_mirror(fam: SymbolicFamily, rng: random.Random, depth: int):
         bad = _verify_chain(fam, cw, depth)
         examined += depth + 1
         if bad is not None:
-            return False, bad, examined, False
+            return False, bad, examined
         delta = cw.sup_in_sigma
         for u in cw.upper_bounds:
             examined += 1
@@ -315,11 +334,11 @@ def _family_mirror(fam: SymbolicFamily, rng: random.Random, depth: int):
         if failure:
             break
         # sampled elements that dominate the chain must lie above the sup;
-        # escalate the depth before trusting a sampled dominator
+        # confirm a sampled dominator no shallower than the replay depth
         for u in _elem_pool(fam, rng, 10):
             examined += 1
             if _dominates(fam, u, cw, depth) and not fam.nat_le(delta, u):
-                if _dominates(fam, u, cw, 3 * depth):
+                if _dominates(fam, u, cw, max(3 * depth, DEFAULT_DEPTH)):
                     failure = {"kind": "mirror-family", "chain": cw.name,
                                "sup_in_sigma": fam.describe(delta),
                                "bad_bound": fam.describe(u),
@@ -332,13 +351,12 @@ def _family_mirror(fam: SymbolicFamily, rng: random.Random, depth: int):
     examined += red_n
     if failure is None and not reduced_ok:
         # reduced is only sufficient; nothing to conclude
-        return True, None, examined, False
+        return True, None, examined
     if failure is not None and reduced_ok:
         # the two routes disagree: reduced implies mirror
         failure = dict(failure)
         failure["route_disagreement"] = "reduced test passed but a chain refutes mirror"
-        return False, failure, examined, True
-    return (failure is None), failure, examined, False
+    return (failure is None), failure, examined
 
 
 def _family_reduced(fam: SymbolicFamily, rng: random.Random, budget: int = 2000):
@@ -346,16 +364,10 @@ def _family_reduced(fam: SymbolicFamily, rng: random.Random, budget: int = 2000)
     examined = 0
     for _ in range(budget):
         s = fam.sample(rng)
-        phi = fam.sample_idempotent(rng)
-        eps = fam.op(s, phi)
+        eps = fam.op(s, fam.sample_idempotent(rng))
         examined += 1
-        if not fam.is_idempotent(eps):
-            continue
-        if fam.zero is not None and eps == fam.zero:
-            continue
-        if not fam.nat_le(eps, s):
-            continue
-        if not fam.is_idempotent(s):
+        if fam.is_idempotent(eps) and eps != fam.zero and fam.nat_le(eps, s) \
+                and not fam.is_idempotent(s):
             return False, {"kind": "not-reduced", "eps": fam.describe(eps),
                            "s": fam.describe(s), "_raw": {"eps": eps, "s": s}}, examined
     # also probe the canonical chains (their members sit below the sups)
@@ -365,8 +377,7 @@ def _family_reduced(fam: SymbolicFamily, rng: random.Random, budget: int = 2000)
                 continue
             for a in chain_members(cw, 8):
                 examined += 1
-                if fam.is_idempotent(a) and (fam.zero is None or a != fam.zero) \
-                        and fam.nat_le(a, u):
+                if fam.is_idempotent(a) and a != fam.zero and fam.nat_le(a, u):
                     return False, {"kind": "not-reduced", "eps": fam.describe(a),
                                    "s": fam.describe(u),
                                    "_raw": {"eps": a, "s": u}}, examined
@@ -392,9 +403,7 @@ def _family_ssc(fam: SymbolicFamily, rng: random.Random, depth: int, budget: int
     # finite directed sets carry their sup exactly: sup = max
     for _ in range(budget):
         t = fam.sample(rng)
-        eps1 = fam.sample_idempotent(rng)
-        eps2 = fam.sample_idempotent(rng)
-        A = [fam.op(t, eps1), fam.op(t, eps2), t]
+        A = [fam.op(t, fam.sample_idempotent(rng)) for _ in range(2)] + [t]
         s = fam.sample(rng)
         examined += 1
         top = fam.op(t, s)
@@ -404,6 +413,147 @@ def _family_ssc(fam: SymbolicFamily, rng: random.Random, depth: int, budget: int
                                "s": fam.describe(s), "a": fam.describe(a),
                                "_raw": {"t": t, "s": s, "a": a}}, examined
     return True, None, examined
+
+
+_GATE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _hypothesis(kind: str, finite, family):
+    """The accessor of one hypothesis: (ok, counterexample, examined), exhaustive
+    on a carrier; on a family, memoized and deterministic in (family, depth, seed)."""
+    def check(subject, depth: int, seed: int):
+        if isinstance(subject, FiniteInvSemigroup):
+            return finite(subject)
+        per = _GATE_CACHE.setdefault(subject, {})
+        if (kind, depth, seed) not in per:
+            per[kind, depth, seed] = family(subject, _rng(seed, f"{kind}-gate", subject.name), depth)
+        return per[kind, depth, seed]
+    return check
+
+
+_mirror = _hypothesis("mirror", _finite_mirror, _family_mirror)
+_ssc = _hypothesis("ssc", _finite_ssc, _family_ssc)
+
+
+def _family_meet_continuous(fam: SymbolicFamily, rng: random.Random, depth: int):
+    """Meet-continuity evidence on Sigma: idempotents translate sigma-chains
+    below the translated sup."""
+    examined = 0
+    for cw in fam.witnesses:
+        if cw.sup_in_sigma is None:
+            continue
+        for eps in _idem_pool(fam, rng, 6):
+            top = fam.op(eps, cw.sup_in_sigma)
+            for a in chain_members(cw, depth):
+                examined += 1
+                if not fam.nat_le(fam.op(eps, a), top):
+                    return False, {"kind": "meet-cont-chain", "chain": cw.name,
+                                   "eps": fam.describe(eps), "a": fam.describe(a),
+                                   "_raw": {"chain": cw, "eps": eps, "a": a}}, examined
+    return True, None, examined
+
+
+def _continuity(fam: SymbolicFamily, side: _Side, rng: random.Random, depth: int):
+    """Evidence that one side is continuous: each pooled x is the sup of a
+    canonical chain whose members are below and way below x."""
+    wb, chains_to = getattr(fam, side.wb), getattr(fam, side.chains_to)
+    examined = 0
+    for x in side.pool(fam, rng, 20):
+        for cw in chains_to(x):
+            if getattr(cw, side.sup) != x:
+                continue
+            ms = chain_members(cw, depth)
+            examined += len(ms)
+            if all(wb(a, x) and fam.nat_le(a, x) for a in ms):
+                break
+        else:
+            return False, examined
+    return True, examined
+
+
+def _algebraic(fam: SymbolicFamily, side: _Side, rng: random.Random):
+    """(ok, witness, examined) for 'every element of one side is a sup of
+    compacts below it', against sampled compacts x eps below each pooled x."""
+    wb, zero = getattr(fam, side.wb), fam.zero
+    examined = 0
+    for x in side.pool(fam, rng, 25):
+        examined += 1
+        if wb(x, x):
+            continue  # x itself is compact: it is the sup of {x}
+        compacts = []
+        for _ in range(40):
+            c = fam.op(x, fam.sample_idempotent(rng))
+            if fam.nat_le(c, x) and wb(c, c) and c not in compacts:
+                compacts.append(c)
+        if zero is not None and zero not in compacts and fam.is_idempotent(zero) \
+                and fam.nat_le(zero, x) and wb(zero, zero):
+            compacts.append(zero)
+        if not compacts:
+            return False, {"witness": fam.describe(x),
+                           "why": "no compact element below the witness"}, examined
+        if len(compacts) == 1 and compacts[0] != x:
+            return False, {"witness": fam.describe(x),
+                           "why": "the only compact below is "
+                                  f"{fam.describe(compacts[0])}, whose sup misses the witness"}, examined
+        # inconclusive for this x; keep scanning
+    return True, None, examined
+
+
+def _multiplicative(fam: SymbolicFamily, side: _Side, rng: random.Random, rounds: int):
+    """(ok, 4-tuple witness, examined) for sampled way-below multiplicativity
+    on one side: s << t and s2 << t2 give s s2 << t t2, on pairs s = t eps."""
+    wb = getattr(fam, side.wb)
+    pairs, examined = [], 0
+    while len(pairs) < 40 and examined < 4000:
+        t = side.sample(fam, rng)
+        s = fam.op(t, fam.sample_idempotent(rng))
+        examined += 1
+        if wb(s, t):
+            pairs.append((s, t))
+    for _ in range(rounds if pairs else 0):
+        s, t = pairs[rng.randrange(len(pairs))]
+        s2, t2 = pairs[rng.randrange(len(pairs))]
+        examined += 1
+        if not wb(fam.op(s, s2), fam.op(t, t2)):
+            return False, (s, t, s2, t2), examined
+    return True, None, examined
+
+
+def _wb_refutation(fam: SymbolicFamily, side: _Side, s, t, claimed: bool,
+                   depth: int) -> Optional[dict]:
+    """Chain evidence against one way-below answer on one side.
+
+    A claim s << t must survive each canonical chain with sup above t: some
+    member, scanned no shallower than the replay depth, lies above s.  A
+    denial needs the side's refuter: a chain with sup above t and no member
+    above s up to ``depth``.
+    """
+    claim_refuted, missing, too_small, no_kill = side.kinds
+    a, b = side.keys
+
+    def found(kind, cw=None):
+        head = {"kind": kind} if cw is None else {"kind": kind, "chain": cw.name}
+        return {**head, a: fam.describe(s), b: fam.describe(t),
+                "_raw": {"chain": cw, a: s, b: t}}
+
+    if claimed:
+        for cw in getattr(fam, side.chains_to)(t):
+            sup = getattr(cw, side.sup)
+            if sup is None or not fam.nat_le(t, sup):
+                continue
+            if not any(fam.nat_le(s, x) for x in iter_chain(cw, max(depth, DEFAULT_DEPTH))):
+                return found(claim_refuted, cw)
+        return None
+    refuter = getattr(fam, side.refuter)
+    cw = refuter(s, t) if refuter else None
+    if cw is None:
+        return found(missing)
+    sup = getattr(cw, side.sup)
+    if sup is None or not fam.nat_le(t, sup):
+        return found(too_small, cw)
+    if any(fam.nat_le(s, x) for x in iter_chain(cw, depth)):
+        return found(no_kill, cw)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +739,8 @@ def check_conditional_distributivity(subject, subject_id=None, *, depth=DEFAULT_
     examined = 0
     pool = _elem_pool(fam, rng, 10)
     for cw in fam.witnesses:
-        if cw.sup_in_sigma is None and cw.sup_in_s is None:
-            continue
-        d = cw.sup_in_s if cw.sup_in_s is not None else cw.sup_in_sigma
-        if cw.sup_in_s is None:
+        d = cw.sup_in_s
+        if d is None:
             continue  # no sup in S: the lemma's hypothesis fails
         ms = chain_members(cw, depth)
         for s in pool:
@@ -688,358 +836,153 @@ def check_mirror(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
                  seed=0, budget=None) -> CheckReport:
     """Directed subsets of Sigma with a sup in Sigma keep that sup in S."""
     sid = subject_id or _subject_name(subject)
-    if isinstance(subject, FiniteInvSemigroup):
-        ok, ce, n = _finite_mirror(subject)
-        return _verdict("mirror", sid, n, ok, ce)
-    fam: SymbolicFamily = subject
-    ok, ce, n, _route = _mirror_cached(fam, depth, seed)
-    return _verdict("mirror", sid, n, ok, ce, "chain witnesses + reduced route agree")
+    ok, ce, n = _mirror(subject, depth, seed)
+    notes = "" if isinstance(subject, FiniteInvSemigroup) else \
+        "chain witnesses + reduced route agree"
+    return _verdict("mirror", sid, n, ok, ce, notes)
 
 
 def check_meet_continuity_mirror(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
                                  seed=0, budget=None) -> CheckReport:
     """S separately Scott-continuous iff Sigma meet-continuous (mirror S)."""
     sid = subject_id or _subject_name(subject)
-    if isinstance(subject, FiniteInvSemigroup):
-        S = subject
-        ok, _ce, n0 = _finite_mirror(S)
-        if not ok:
-            return _na("meet_continuity_mirror", sid, "subject is not mirror")
-        ssc_ok, ssc_ce, n1 = _finite_ssc(S)
-        mc_ok, mc_ce, n2 = _finite_meet_continuous(S)
-        return _verdict("meet_continuity_mirror", sid, n0 + n1 + n2, ssc_ok == mc_ok,
-                        {"kind": "meet-cont-biconditional", "ssc": ssc_ok,
-                         "meet_continuous": mc_ok, "_raw": {"ssc_ce": ssc_ce, "mc_ce": mc_ce}},
-                        f"ssc={ssc_ok}, meet-continuous={mc_ok}")
-    fam: SymbolicFamily = subject
-    rng = _rng(seed, "meet_cont", fam.name)
-    ok, _ce, n0, _r = _mirror_cached(fam, depth, seed)
+    ok, _ce, n0 = _mirror(subject, depth, seed)
     if not ok:
         return _na("meet_continuity_mirror", sid, "subject is not mirror")
-    ssc_ok, ssc_ce, n1 = _ssc_cached(fam, depth, seed)
-    # meet-continuity evidence on Sigma: translate sigma-chains by idempotents
-    mc_ok, mc_ce, n2 = True, None, 0
-    for cw in fam.witnesses:
-        if cw.sup_in_sigma is None:
-            continue
-        for eps in _idem_pool(fam, rng, 6):
-            top = fam.op(eps, cw.sup_in_sigma)
-            for a in chain_members(cw, depth):
-                n2 += 1
-                if not fam.nat_le(fam.op(eps, a), top):
-                    mc_ok, mc_ce = False, {"kind": "meet-cont-chain", "chain": cw.name,
-                                           "eps": fam.describe(eps),
-                                           "a": fam.describe(a),
-                                           "_raw": {"chain": cw, "eps": eps, "a": a}}
-                    break
-            if not mc_ok:
-                break
-        if not mc_ok:
-            break
+    ssc_ok, ssc_ce, n1 = _ssc(subject, depth, seed)
+    if isinstance(subject, FiniteInvSemigroup):
+        mc_ok, mc_ce, n2 = _finite_meet_continuous(subject)
+    else:
+        mc_ok, mc_ce, n2 = _family_meet_continuous(
+            subject, _rng(seed, "meet_cont", subject.name), depth)
     return _verdict("meet_continuity_mirror", sid, n0 + n1 + n2, ssc_ok == mc_ok,
                     {"kind": "meet-cont-biconditional", "ssc": ssc_ok,
                      "meet_continuous": mc_ok, "_raw": {"ssc_ce": ssc_ce, "mc_ce": mc_ce}},
                     f"ssc={ssc_ok}, meet-continuous={mc_ok}")
 
 
-def _finite_hypotheses(S: FiniteInvSemigroup):
-    mirror_ok, _c, n0 = _finite_mirror(S)
-    ssc_ok, _c2, n1 = _finite_ssc(S)
-    return mirror_ok, ssc_ok, n0 + n1
+def _ssc_mirror_gate(suite: str, subject, sid, depth: int, seed: int):
+    """The hypotheses of the way-below suites: an oracle, mirror and ssc.
+    Returns (examined, None) when they hold, else (0, not-applicable report)."""
+    if not _oracles(subject):
+        return 0, _na(suite, sid, "no way-below oracle installed")
+    mirror_ok, _c, n0 = _mirror(subject, depth, seed)
+    ssc_ok, _c2, n1 = _ssc(subject, depth, seed)
+    if not (mirror_ok and ssc_ok):
+        return 0, _na(suite, sid, "not a ssc mirror subject")
+    return n0 + n1, None
 
 
 def check_wb_characterization(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
                               seed=0, budget=None) -> CheckReport:
     """s << t iff s <= t and sigma(s) way-below sigma(t), on ssc mirror subjects."""
     sid = subject_id or _subject_name(subject)
+    n0, na = _ssc_mirror_gate("wb_characterization", subject, sid, depth, seed)
+    if na:
+        return na
     if isinstance(subject, FiniteInvSemigroup):
-        S = subject
-        mirror_ok, ssc_ok, n0 = _finite_hypotheses(S)
-        if not (mirror_ok and ssc_ok):
-            return _na("wb_characterization", sid, "not a ssc mirror subject")
-        PS, Psig, sig, sig_index = _sig_data(S)
-        wbS = _poset.way_below_matrix(PS)
-        wbSig = _poset.way_below_matrix(Psig)
-        examined = n0
-        for s in range(S.n):
-            for t in range(S.n):
-                examined += 1
-                lhs = bool((wbS[s] >> t) & 1)
-                si, ti = sig_index[S.sigma[s]], sig_index[S.sigma[t]]
-                rhs = S.le(s, t) and bool((wbSig[si] >> ti) & 1)
-                if lhs != rhs:
-                    return _failed("wb_characterization", sid, examined,
-                                   {"kind": "wb-char", "s": s, "t": t,
-                                    "lhs": lhs, "rhs": rhs, "_raw": {"s": s, "t": t}})
-        return _passed("wb_characterization", sid, examined)
-    fam: SymbolicFamily = subject
-    if fam.wb_s is None or fam.wb_sigma is None:
-        return _na("wb_characterization", sid, "no way-below oracle installed")
-    rng = _rng(seed, "wb_char", fam.name)
-    mirror_ok, _c, n0, _r = _mirror_cached(fam, depth, seed)
-    ssc_ok, _c2, n1 = _ssc_cached(fam, depth, seed)
-    if not (mirror_ok and ssc_ok):
-        return _na("wb_characterization", sid, "not a ssc mirror subject")
-    examined = n0 + n1
-    n = budget or default_budget()
-    for _ in range(n):
+        n, ce = _finite_wb_characterization(subject)
+        notes = ""
+    else:
+        n, ce = _family_wb_characterization(subject, _rng(seed, "wb_char", subject.name),
+                                            budget or default_budget(), depth)
+        notes = "oracle biconditional + chain refutation"
+    return _verdict("wb_characterization", sid, n0 + n, ce is None, ce, notes)
+
+
+def _finite_wb_characterization(S: FiniteInvSemigroup):
+    """(examined, counterexample) over every pair, from the way-below matrices."""
+    PS, Psig, _sig, sig_index = _sig_data(S)
+    wbS = _poset.way_below_matrix(PS)
+    wbSig = _poset.way_below_matrix(Psig)
+    examined = 0
+    for s in range(S.n):
+        for t in range(S.n):
+            examined += 1
+            lhs = bool((wbS[s] >> t) & 1)
+            si, ti = sig_index[S.sigma[s]], sig_index[S.sigma[t]]
+            rhs = S.le(s, t) and bool((wbSig[si] >> ti) & 1)
+            if lhs != rhs:
+                return examined, {"kind": "wb-char", "s": s, "t": t,
+                                  "lhs": lhs, "rhs": rhs, "_raw": {"s": s, "t": t}}
+    return examined, None
+
+
+def _family_wb_characterization(fam: SymbolicFamily, rng: random.Random, n: int, depth: int):
+    """(examined, counterexample) over n sampled pairs: the oracle biconditional,
+    then chain refutation of each side's answer."""
+    for examined in range(1, n + 1):
         s, t = fam.sample(rng), fam.sample(rng)
         if rng.random() < 0.3:
             s = fam.op(t, fam.sample_idempotent(rng))  # force comparable pairs too
-        examined += 1
-        lhs = fam.wb_s(s, t)
-        rhs = fam.nat_le(s, t) and fam.wb_sigma(fam.sigma(s), fam.sigma(t))
+        e, d = fam.sigma(s), fam.sigma(t)
+        lhs, wb_e = fam.wb_s(s, t), fam.wb_sigma(e, d)
+        rhs = fam.nat_le(s, t) and wb_e
         if lhs != rhs:
-            return _failed("wb_characterization", sid, examined,
-                           {"kind": "wb-char", "s": fam.describe(s),
-                            "t": fam.describe(t), "lhs": lhs, "rhs": rhs,
-                            "_raw": {"s": s, "t": t}})
-        bad = _wb_refutation_round(fam, s, t, lhs, depth)
-        if bad is None:
-            e, d = fam.sigma(s), fam.sigma(t)
-            bad = _wb_sigma_refutation_round(fam, e, d, fam.wb_sigma(e, d), depth)
+            return examined, {"kind": "wb-char", "s": fam.describe(s),
+                              "t": fam.describe(t), "lhs": lhs, "rhs": rhs,
+                              "_raw": {"s": s, "t": t}}
+        bad = (_wb_refutation(fam, _S, s, t, lhs, depth)
+               or _wb_refutation(fam, _SIGMA, e, d, wb_e, depth))
         if bad is not None:
-            return _failed("wb_characterization", sid, examined, bad)
-    return _passed("wb_characterization", sid, examined,
-                   notes="oracle biconditional + chain refutation")
-
-
-def _wb_refutation_round(fam: SymbolicFamily, s, t, claimed: bool, depth: int) -> Optional[dict]:
-    """Survival of positive way-below claims; concrete kills for negatives."""
-    if claimed:
-        for cw in fam.chains_to(t):
-            if cw.sup_in_s is None or not fam.nat_le(t, cw.sup_in_s):
-                continue
-            if not any(fam.nat_le(s, a) for a in iter_chain(cw, depth)):
-                return {"kind": "wb-claim-refuted", "chain": cw.name,
-                        "s": fam.describe(s), "t": fam.describe(t),
-                        "_raw": {"chain": cw, "s": s, "t": t}}
-        return None
-    cw = fam.wb_s_refuter(s, t) if fam.wb_s_refuter else None
-    if cw is None:
-        return {"kind": "missing-refuter", "s": fam.describe(s), "t": fam.describe(t),
-                "_raw": {"s": s, "t": t}}
-    if cw.sup_in_s is None or not fam.nat_le(t, cw.sup_in_s):
-        return {"kind": "refuter-sup-too-small", "chain": cw.name,
-                "s": fam.describe(s), "t": fam.describe(t),
-                "_raw": {"chain": cw, "s": s, "t": t}}
-    if any(fam.nat_le(s, a) for a in chain_members(cw, depth)):
-        return {"kind": "refuter-does-not-kill", "chain": cw.name,
-                "s": fam.describe(s), "t": fam.describe(t),
-                "_raw": {"chain": cw, "s": s, "t": t}}
-    return None
-
-
-def _wb_sigma_refutation_round(fam: SymbolicFamily, e, d, claimed: bool,
-                               depth: int) -> Optional[dict]:
-    if claimed:
-        for cw in fam.sigma_chains_to(d):
-            if cw.sup_in_sigma is None or not fam.nat_le(d, cw.sup_in_sigma):
-                continue
-            if not any(fam.nat_le(e, a) for a in iter_chain(cw, depth)):
-                return {"kind": "wb-sigma-claim-refuted", "chain": cw.name,
-                        "eps": fam.describe(e), "delta": fam.describe(d),
-                        "_raw": {"chain": cw, "e": e, "d": d}}
-        return None
-    cw = fam.wb_sigma_refuter(e, d) if fam.wb_sigma_refuter else None
-    if cw is None:
-        return {"kind": "missing-sigma-refuter", "eps": fam.describe(e),
-                "delta": fam.describe(d), "_raw": {"e": e, "d": d}}
-    if cw.sup_in_sigma is None or not fam.nat_le(d, cw.sup_in_sigma):
-        return {"kind": "sigma-refuter-sup-too-small", "chain": cw.name,
-                "eps": fam.describe(e), "delta": fam.describe(d),
-                "_raw": {"chain": cw, "e": e, "d": d}}
-    if any(fam.nat_le(e, a) for a in chain_members(cw, depth)):
-        return {"kind": "sigma-refuter-does-not-kill", "chain": cw.name,
-                "eps": fam.describe(e), "delta": fam.describe(d),
-                "_raw": {"chain": cw, "e": e, "d": d}}
-    return None
+            return examined, bad
+    return n, None
 
 
 def check_multiplicativity_mirror(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
                                   seed=0, budget=None) -> CheckReport:
     """Way-below multiplicative on S iff multiplicative on Sigma."""
     sid = subject_id or _subject_name(subject)
+    n0, na = _ssc_mirror_gate("multiplicativity_mirror", subject, sid, depth, seed)
+    if na:
+        return na
     if isinstance(subject, FiniteInvSemigroup):
         S = subject
-        mirror_ok, ssc_ok, n0 = _finite_hypotheses(S)
-        if not (mirror_ok and ssc_ok):
-            return _na("multiplicativity_mirror", sid, "not a ssc mirror subject")
         PS, Psig, sig, sig_index = _sig_data(S)
         multS = _poset.way_below_multiplicative(PS, S.mul)
         multE = _poset.way_below_multiplicative(
             Psig, lambda i, j: sig_index[S.mul(sig[i], sig[j])])
         # 4-tuples scanned: way-below is the order on a finite poset
-        n = n0 + sum(sum(bin(r).count("1") for r in P.up) ** 2 for P in (PS, Psig))
-        return _verdict("multiplicativity_mirror", sid, n, multS == multE,
-                        {"kind": "mult-biconditional", "mult_S": multS,
-                         "mult_Sigma": multE, "_raw": {}},
-                        f"mult(S)={multS}, mult(Sigma)={multE}")
-    fam: SymbolicFamily = subject
-    if fam.wb_s is None or fam.wb_sigma is None:
-        return _na("multiplicativity_mirror", sid, "no way-below oracle installed")
-    rng = _rng(seed, "mult", fam.name)
-    mirror_ok, _c, n0, _r = _mirror_cached(fam, depth, seed)
-    ssc_ok, _c2, n1 = _ssc_cached(fam, depth, seed)
-    if not (mirror_ok and ssc_ok):
-        return _na("multiplicativity_mirror", sid, "not a ssc mirror subject")
-    n = (budget or default_budget()) // 4
-    examined = n0 + n1
-    multS_wit = multE_wit = None
-    wb_pairs, wbsig_pairs = [], []
-    while len(wb_pairs) < 40 or len(wbsig_pairs) < 40:
-        t = fam.sample(rng)
-        s = fam.op(t, fam.sample_idempotent(rng))
-        if fam.wb_s(s, t):
-            wb_pairs.append((s, t))
-        e, d = fam.sigma(s), fam.sigma(t)
-        if fam.wb_sigma(e, d):
-            wbsig_pairs.append((e, d))
-        examined += 1
-        if examined - n0 - n1 > 50 * 40:
-            break
-    for _ in range(n):
-        if not wb_pairs or not wbsig_pairs:
-            break
-        s, t = wb_pairs[rng.randrange(len(wb_pairs))]
-        s2, t2 = wb_pairs[rng.randrange(len(wb_pairs))]
-        examined += 1
-        if not fam.wb_s(fam.op(s, s2), fam.op(t, t2)):
-            multS_wit = (s, t, s2, t2)
-            break
-        e, d = wbsig_pairs[rng.randrange(len(wbsig_pairs))]
-        e2, d2 = wbsig_pairs[rng.randrange(len(wbsig_pairs))]
-        if not fam.wb_sigma(fam.op(e, e2), fam.op(d, d2)):
-            multE_wit = (e, d, e2, d2)
-            break
-    multS, multE = multS_wit is None, multE_wit is None
-    return _verdict("multiplicativity_mirror", sid, examined, multS == multE,
-                    {"kind": "mult-biconditional", "mult_S": multS, "mult_Sigma": multE,
-                     "_raw": {"wit_s": multS_wit, "wit_e": multE_wit}},
+        n = sum(sum(bin(r).count("1") for r in P.up) ** 2 for P in (PS, Psig))
+        raw = {}
+    else:
+        rng = _rng(seed, "mult", subject.name)
+        rounds = (budget or default_budget()) // 4
+        multS, witS, nS = _multiplicative(subject, _S, rng, rounds)
+        multE, witE, nE = _multiplicative(subject, _SIGMA, rng, rounds)
+        n, raw = nS + nE, {"wit_s": witS, "wit_e": witE}
+    return _verdict("multiplicativity_mirror", sid, n0 + n, multS == multE,
+                    {"kind": "mult-biconditional", "mult_S": multS,
+                     "mult_Sigma": multE, "_raw": raw},
                     f"mult(S)={multS}, mult(Sigma)={multE}")
-
-
-def _family_continuity(fam: SymbolicFamily, rng: random.Random, depth: int):
-    """Approximation-chain evidence for continuity of S and of Sigma."""
-    if fam.wb_s is None or fam.wb_sigma is None:
-        return None, None, 0
-    examined = 0
-    contS = True
-    for s in [fam.sample(rng) for _ in range(20)] + _elem_pool(fam, rng, 3):
-        chains = [cw for cw in fam.chains_to(s) if cw.sup_in_s == s]
-        good = False
-        for cw in chains:
-            ms = chain_members(cw, depth)
-            examined += len(ms)
-            if all(fam.wb_s(a, s) for a in ms) and all(
-                    fam.nat_le(a, s) for a in ms):
-                good = True
-                break
-        if not good:
-            contS = False
-            break
-    contSig = True
-    for e in _idem_pool(fam, rng, 20):
-        chains = [cw for cw in fam.sigma_chains_to(e) if cw.sup_in_sigma == e]
-        good = False
-        for cw in chains:
-            ms = chain_members(cw, depth)
-            examined += len(ms)
-            if all(fam.wb_sigma(a, e) for a in ms):
-                good = True
-                break
-        if not good:
-            contSig = False
-            break
-    return contS, contSig, examined
-
-
-def _family_algebraic(fam: SymbolicFamily, rng: random.Random, depth: int):
-    """True/False evidence for 'every element is a sup of compacts below it'."""
-    examined = 0
-    for s in [fam.sample(rng) for _ in range(25)] + _elem_pool(fam, rng, 3):
-        examined += 1
-        if fam.wb_s(s, s):
-            continue  # s itself is compact: it is the sup of {s}
-        # collect sampled compacts below s
-        compacts = []
-        for _ in range(40):
-            c = fam.op(s, fam.sample_idempotent(rng))
-            if fam.nat_le(c, s) and fam.wb_s(c, c):
-                compacts.append(c)
-        if fam.zero is not None and fam.nat_le(fam.zero, s) and fam.wb_s(fam.zero, fam.zero):
-            compacts.append(fam.zero)
-        distinct = []
-        for c in compacts:
-            if c not in distinct:
-                distinct.append(c)
-        if not distinct:
-            return False, {"witness": fam.describe(s),
-                           "why": "no compact element below the witness"}, examined
-        if len(distinct) == 1 and distinct[0] != s:
-            return False, {"witness": fam.describe(s),
-                           "why": "the only compact below is "
-                                  f"{fam.describe(distinct[0])}, whose sup misses the witness"}, examined
-        # inconclusive for this s; keep scanning
-    return True, None, examined
 
 
 def check_mirror_theorem(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
                          seed=0, budget=None) -> CheckReport:
     """Continuity and algebraicity hold for S iff they hold for Sigma."""
     sid = subject_id or _subject_name(subject)
-    if isinstance(subject, FiniteInvSemigroup):
-        S = subject
-        ok, _c, n0 = _finite_mirror(S)
-        if not ok:
-            return _na("mirror_theorem", sid, "subject is not mirror")
-        PS, Psig, _sig, _i = _sig_data(S)
-        contS, contE = _poset.is_continuous(PS), _poset.is_continuous(Psig)
-        algS, algE = _poset.is_algebraic(PS), _poset.is_algebraic(Psig)
-        return _verdict("mirror_theorem", sid, n0 + 2 * (S.n + Psig.n),
-                        contS == contE and algS == algE,
-                        {"kind": "mirror-theorem", "cont_S": contS, "cont_Sigma": contE,
-                         "alg_S": algS, "alg_Sigma": algE, "_raw": {}},
-                        f"continuous={contS}, algebraic={algS}")
-    fam: SymbolicFamily = subject
-    if fam.wb_s is None or fam.wb_sigma is None:
+    if not _oracles(subject):
         return _na("mirror_theorem", sid,
                    "no way-below oracle installed; continuity evidence is partial")
-    rng = _rng(seed, "mirror_thm", fam.name)
-    ok, _c, n0, _r = _mirror_cached(fam, depth, seed)
+    ok, _c, n0 = _mirror(subject, depth, seed)
     if not ok:
         return _na("mirror_theorem", sid, "subject is not mirror")
-    contS, contE, n1 = _family_continuity(fam, rng, depth)
-    algS, _asw, n2 = _family_algebraic(fam, rng, depth)
-    algE, n3 = _sigma_algebraic(fam, rng, depth)
-    return _verdict("mirror_theorem", sid, n0 + n1 + n2 + n3,
-                    contS == contE and algS == algE,
+    if isinstance(subject, FiniteInvSemigroup):
+        PS, Psig, _sig, _i = _sig_data(subject)
+        contS, contE = _poset.is_continuous(PS), _poset.is_continuous(Psig)
+        algS, algE = _poset.is_algebraic(PS), _poset.is_algebraic(Psig)
+        n = 2 * (subject.n + Psig.n)
+    else:
+        rng = _rng(seed, "mirror_thm", subject.name)
+        contS, n1 = _continuity(subject, _S, rng, depth)
+        contE, n2 = _continuity(subject, _SIGMA, rng, depth)
+        algS, _w, n3 = _algebraic(subject, _S, rng)
+        algE, _w2, n4 = _algebraic(subject, _SIGMA, rng)
+        n = n1 + n2 + n3 + n4
+    return _verdict("mirror_theorem", sid, n0 + n, contS == contE and algS == algE,
                     {"kind": "mirror-theorem", "cont_S": contS, "cont_Sigma": contE,
                      "alg_S": algS, "alg_Sigma": algE, "_raw": {}},
                     f"continuous={contS}, algebraic={algS}")
-
-
-def _sigma_algebraic(fam: SymbolicFamily, rng: random.Random, depth: int):
-    examined = 0
-    for e in _idem_pool(fam, rng, 25):
-        examined += 1
-        if fam.wb_sigma(e, e):
-            continue
-        compacts = []
-        for _ in range(40):
-            c = fam.op(e, fam.sample_idempotent(rng))
-            if fam.nat_le(c, e) and fam.wb_sigma(c, c):
-                compacts.append(c)
-        if fam.zero is not None and fam.is_idempotent(fam.zero) \
-                and fam.nat_le(fam.zero, e) and fam.wb_sigma(fam.zero, fam.zero):
-            compacts.append(fam.zero)
-        distinct = []
-        for c in compacts:
-            if c not in distinct:
-                distinct.append(c)
-        if not distinct or (len(distinct) == 1 and distinct[0] != e):
-            return False, examined
-    return True, examined
 
 
 def check_separation_criterion(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
@@ -1052,77 +995,64 @@ def check_separation_criterion(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
         if not _poset.is_continuous(Psig):
             return _na("separation_criterion", sid, "Sigma is not continuous")
         wbSig = _poset.way_below_matrix(Psig)
-        criterion = True
-        wit = None
-        examined = 0
-        for ei, eps in enumerate(sig):
-            H = [s for s in range(S.n) if S.sigma[s] == eps]
-            phis = [sig[pi] for pi in range(Psig.n) if (wbSig[pi] >> ei) & 1]
-            for a, b in combinations(H, 2):
-                examined += 1
-                if not any(S.mul(a, phi) != S.mul(b, phi) for phi in phis):
-                    criterion, wit = False, (eps, a, b)
-                    break
-            if not criterion:
-                break
-        mirror_ok, _c, n0 = _finite_mirror(S)
-        return _verdict("separation_criterion", sid, examined + n0, criterion == mirror_ok,
-                        {"kind": "separation-biconditional", "criterion": criterion,
-                         "mirror": mirror_ok, "_raw": {"wit": wit}},
-                        f"criterion={criterion}, mirror={mirror_ok}")
-    fam: SymbolicFamily = subject
-    if fam.wb_sigma is None:
-        return _na("separation_criterion", sid, "no sigma way-below oracle installed")
-    rng = _rng(seed, "separation", fam.name)
-    examined = 0
-    criterion = True
-    wit = None
-    for eps in _idem_pool(fam, rng, 12):
-        H = fam.h_class_sample(eps, rng, 6)
-        # candidate separators: canonical approximants of eps plus samples
-        phis = []
-        for cw in fam.sigma_chains_to(eps):
-            phis.extend(a for a in chain_members(cw, depth) if fam.wb_sigma(a, eps))
-        phis.extend(p for p in _idem_pool(fam, rng, 10) if fam.wb_sigma(p, eps))
+        op = S.mul
+        classes = ((eps, [s for s in range(S.n) if S.sigma[s] == eps],
+                    [sig[pi] for pi in range(Psig.n) if (wbSig[pi] >> ei) & 1])
+                   for ei, eps in enumerate(sig))
+    else:
+        fam: SymbolicFamily = subject
+        if fam.wb_sigma is None:
+            return _na("separation_criterion", sid, "no sigma way-below oracle installed")
+        rng = _rng(seed, "separation", fam.name)
+        op = fam.op
+        classes = (_family_h_class(fam, rng, eps, depth) for eps in _idem_pool(fam, rng, 12))
+    criterion, wit, examined = True, None, 0
+    for eps, H, phis in classes:
         for a, b in combinations(H, 2):
             if a == b:
                 continue
             examined += 1
-            if not any(fam.op(a, phi) != fam.op(b, phi) for phi in phis):
+            if not any(op(a, phi) != op(b, phi) for phi in phis):
                 criterion, wit = False, (eps, a, b)
                 break
         if not criterion:
             break
-    mirror_ok, _c, n0, _r = _mirror_cached(fam, depth, seed)
+    mirror_ok, _c, n0 = _mirror(subject, depth, seed)
     return _verdict("separation_criterion", sid, examined + n0, criterion == mirror_ok,
                     {"kind": "separation-biconditional", "criterion": criterion,
                      "mirror": mirror_ok, "_raw": {"wit": wit}},
                     f"criterion={criterion}, mirror={mirror_ok}")
 
 
+def _family_h_class(fam: SymbolicFamily, rng: random.Random, eps, depth: int):
+    """A sampled H-class of eps with its candidate separators: the canonical
+    approximants of eps plus sampled idempotents way below it."""
+    H = fam.h_class_sample(eps, rng, 6)
+    phis = []
+    for cw in fam.sigma_chains_to(eps):
+        phis.extend(a for a in chain_members(cw, depth) if fam.wb_sigma(a, eps))
+    phis.extend(p for p in _idem_pool(fam, rng, 10) if fam.wb_sigma(p, eps))
+    return eps, H, phis
+
+
 def check_continuity_implies_ssc(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
                                  seed=0, budget=None) -> CheckReport:
     """A continuous mirror subject must be separately Scott-continuous."""
     sid = subject_id or _subject_name(subject)
+    mirror_ok, _c, n0 = _mirror(subject, depth, seed)
+    n1 = 0
     if isinstance(subject, FiniteInvSemigroup):
-        S = subject
-        mirror_ok, _c, n0 = _finite_mirror(S)
-        PS = _poset.order_poset(S)
-        if not (mirror_ok and _poset.is_continuous(PS)):
+        if not (mirror_ok and _poset.is_continuous(_poset.order_poset(subject))):
             return _na("continuity_implies_ssc", sid, "not a continuous mirror subject")
-        ok, ce, n1 = _finite_ssc(S)
-        return _verdict("continuity_implies_ssc", sid, n0 + n1, ok, ce)
-    fam: SymbolicFamily = subject
-    rng = _rng(seed, "cont_ssc", fam.name)
-    mirror_ok, _c, n0, _r = _mirror_cached(fam, depth, seed)
-    if not mirror_ok:
-        return _na("continuity_implies_ssc", sid, "subject is not mirror")
-    if fam.wb_s is None:
-        return _na("continuity_implies_ssc", sid, "no way-below oracle installed")
-    contS, contE, n1 = _family_continuity(fam, rng, depth)
-    if not contS:
-        return _na("continuity_implies_ssc", sid, "subject is not continuous")
-    ok, ce, n2 = _ssc_cached(fam, depth, seed)
+    else:
+        if not mirror_ok:
+            return _na("continuity_implies_ssc", sid, "subject is not mirror")
+        if subject.wb_s is None:
+            return _na("continuity_implies_ssc", sid, "no way-below oracle installed")
+        contS, n1 = _continuity(subject, _S, _rng(seed, "cont_ssc", subject.name), depth)
+        if not contS:
+            return _na("continuity_implies_ssc", sid, "subject is not continuous")
+    ok, ce, n2 = _ssc(subject, depth, seed)
     return _verdict("continuity_implies_ssc", sid, n0 + n1 + n2, ok, ce)
 
 
@@ -1130,28 +1060,20 @@ def check_conditional_dcpo_mirror(subject, subject_id=None, *, depth=DEFAULT_DEP
                                   seed=0, budget=None) -> CheckReport:
     """Conditional directed-completeness of S iff of Sigma (mirror S)."""
     sid = subject_id or _subject_name(subject)
+    ok, _c, n0 = _mirror(subject, depth, seed)
+    if not ok:
+        return _na("conditional_dcpo_mirror", sid, "subject is not mirror")
     if isinstance(subject, FiniteInvSemigroup):
-        S = subject
-        ok, _c, n0 = _finite_mirror(S)
-        if not ok:
-            return _na("conditional_dcpo_mirror", sid, "subject is not mirror")
-        PS, Psig, _sig, _ = _sig_data(S)
+        PS, Psig, _sig, _ = _sig_data(subject)
         okS, witS = _finite_cdc(PS)
         okE, witE = _finite_cdc(Psig)
         return _verdict("conditional_dcpo_mirror", sid, n0, okS == okE,
                         {"kind": "cdc-biconditional", "cdc_S": okS, "cdc_Sigma": okE,
                          "_raw": {"witS": witS, "witE": witE}},
                         f"cdc(S)={okS}, cdc(Sigma)={okE}")
-    fam: SymbolicFamily = subject
-    ok, _c, n0, _r = _mirror_cached(fam, depth, seed)
-    if not ok:
-        return _na("conditional_dcpo_mirror", sid, "subject is not mirror")
     # evidence at finite scale only: bounded canonical chains carry sups
-    bad = None
-    for cw in fam.witnesses:
-        if cw.upper_bounds and cw.sup_in_s is None:
-            bad = cw
-            break
+    bad = next((cw for cw in subject.witnesses if cw.upper_bounds and cw.sup_in_s is None),
+               None)
     if bad is None:
         return _passed("conditional_dcpo_mirror", sid, n0,
                        notes="bounded canonical chains all carry sups (weak evidence)")
@@ -1260,8 +1182,9 @@ def replay_counterexample(subject, report: CheckReport) -> bool:
         lhs = fam.wb_s(s, t)
         rhs = fam.nat_le(s, t) and fam.wb_sigma(fam.sigma(s), fam.sigma(t))
         return lhs != rhs
-    if kind in ("wb-claim-refuted", "refuter-does-not-kill"):
-        cw, s = raw["chain"], raw["s"]
-        hits = any(fam.nat_le(s, a) for a in chain_members(cw, DEFAULT_DEPTH))
-        return hits == (kind == "refuter-does-not-kill")
+    for side in (_S, _SIGMA):
+        if kind in side.kinds:
+            s, t = (raw[k] for k in side.keys)
+            bad = _wb_refutation(fam, side, s, t, getattr(fam, side.wb)(s, t), DEFAULT_DEPTH)
+            return bad is not None and bad["kind"] == kind
     return True

@@ -56,7 +56,7 @@ class Flag:
     def to_json(self) -> dict:
         out: dict = {"value": self.value, "evidence": self.evidence, "budget": self.budget}
         if self.witness is not None:
-            out["witness"] = {k: str(v) for k, v in self.witness.items()}
+            out["witness"] = {k: str(v) for k, v in self.witness.items() if k != "_raw"}
         return out
 
 

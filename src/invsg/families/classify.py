@@ -21,7 +21,7 @@ def _classify_finite(S: FiniteInvSemigroup, subject_id: str, depth: int,
                      seed: int) -> Classification:
     from .. import checkers, poset
 
-    mirror_ok, mirror_ce, n_mirror = checkers._finite_mirror(S)
+    mirror_ok, mirror_ce, n_mirror = checkers._mirror(S, depth, seed)
     PS = poset.order_poset(S)
     contS = poset.is_continuous(PS)
     algS = poset.is_algebraic(PS)
@@ -39,27 +39,6 @@ def _classify_finite(S: FiniteInvSemigroup, subject_id: str, depth: int,
     )
 
 
-def _sampled_multiplicative(fam: SymbolicFamily, rng, budget: int) -> tuple[bool, int]:
-    """Direct 4-tuple sampling of way-below multiplicativity (no hypotheses)."""
-    pairs = []
-    examined = 0
-    while len(pairs) < 40 and examined < 4000:
-        t = fam.sample(rng)
-        s = fam.op(t, fam.sample_idempotent(rng))
-        examined += 1
-        if fam.wb_s(s, t):
-            pairs.append((s, t))
-    for _ in range(budget):
-        if not pairs:
-            break
-        s, t = pairs[rng.randrange(len(pairs))]
-        s2, t2 = pairs[rng.randrange(len(pairs))]
-        examined += 1
-        if not fam.wb_s(fam.op(s, s2), fam.op(t, t2)):
-            return False, examined
-    return True, examined
-
-
 def _classify_family(fam: SymbolicFamily, depth: int, seed: int,
                      budget) -> Classification:
     from .. import checkers
@@ -69,7 +48,7 @@ def _classify_family(fam: SymbolicFamily, depth: int, seed: int,
     red_note = "sampled pairs (idempotent below element)"
     if fam.zero is not None:
         red_note += "; the zero element is excluded, as the mirror route requires"
-    mirror_ok, mirror_ce, mir_n, _route = checkers._mirror_cached(fam, depth, seed)
+    mirror_ok, mirror_ce, mir_n = checkers._mirror(fam, depth, seed)
 
     if fam.wb_s is None or fam.wb_sigma is None:
         cont_claim = fam.claimed.get("continuous")
@@ -79,9 +58,12 @@ def _classify_family(fam: SymbolicFamily, depth: int, seed: int,
         alg = Flag(None, "not classified (partial family)", 0)
         stably = Flag(None, "not classified (partial family)", 0)
     else:
-        contS, contE, cont_n = checkers._family_continuity(fam, rng, depth)
-        algS, alg_wit, alg_n = checkers._family_algebraic(fam, rng, depth)
-        mult_ok, mult_n = _sampled_multiplicative(fam, rng, budget or 2000)
+        contS, nS = checkers._continuity(fam, checkers._S, rng, depth)
+        contE, nE = checkers._continuity(fam, checkers._SIGMA, rng, depth)
+        cont_n = nS + nE
+        algS, alg_wit, alg_n = checkers._algebraic(fam, checkers._S, rng)
+        mult_ok, _wit, mult_n = checkers._multiplicative(fam, checkers._S, rng,
+                                                         budget or 2000)
         cont = Flag(contS, f"approximation chains at depth {depth}; "
                            f"sigma side agrees ({contE})", cont_n)
         alg = Flag(algS, "compact approximants sampled against the way-below oracle",

@@ -19,8 +19,7 @@ def i2_subsemigroups():
     return list(pbij.enumerate_inverse_subsemigroups(2, 7))
 
 
-@pytest.fixture(scope="session")
-def finite_corpus():
+def acceptance_corpus():
     """The acceptance corpus: I_2's inverse subsemigroups, I_3, the coset
     monoids of every group of order <= 8 and two cex truncations."""
     corpus = [(f"I2-sub-{i}(n={S.n})", S)
@@ -31,3 +30,8 @@ def finite_corpus():
     corpus.append(("cex-truncation-2", cex_truncation(2)))
     corpus.append(("cex-truncation-4", cex_truncation(4)))
     return corpus
+
+
+@pytest.fixture(scope="session")
+def finite_corpus():
+    return acceptance_corpus()

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 
 import pytest
@@ -6,8 +8,9 @@ from invsg import checkers
 from invsg.core import validate as core_validate
 from invsg.checkers import (SUITES, CheckReport, replay_counterexample,
                             run_suite, run_suites)
-from invsg.families import (cex_family, cex_truncation, coset_monoid,
+from invsg.families import (bicyclic_dyadic, cex_family, cex_truncation, coset_monoid,
                             group_by_name, rotation_family)
+from invsg.families.base import finite_list_chain
 from invsg.pbij import symmetric_inverse_monoid
 
 
@@ -154,3 +157,41 @@ def test_check_report_dataclass_shape():
     r = CheckReport("mirror", "x", "pass", None, 3, "note")
     assert r.to_json() == {"suite": "mirror", "subject": "x", "verdict": "pass",
                            "counterexample": None, "budget": 3, "notes": "note"}
+
+
+_honest = functools.cache(lambda build: build())
+
+
+def _refuter_without_sup(in_sigma):
+    return lambda x, y: finite_list_chain("no-sup", [y], in_sigma)
+
+
+def _refuter_at(in_sigma):
+    # a chain whose sup is y itself: it kills nothing that lies below y
+    return lambda x, y: finite_list_chain("at-y", [y], in_sigma, sup_in_sigma=y, sup_in_s=y)
+
+
+@pytest.mark.parametrize("build, lie, kind", [
+    (rotation_family, lambda f: {"wb_s_refuter": None}, "missing-refuter"),
+    (rotation_family, lambda f: {"wb_sigma_refuter": None}, "missing-sigma-refuter"),
+    (rotation_family, lambda f: {"wb_s": f.nat_le, "wb_sigma": f.nat_le},
+     "wb-sigma-claim-refuted"),
+    (bicyclic_dyadic, lambda f: {"wb_s": f.nat_le, "wb_sigma": f.nat_le},
+     "wb-claim-refuted"),
+    (rotation_family, lambda f: {"wb_s_refuter": _refuter_without_sup(False)},
+     "refuter-sup-too-small"),
+    (rotation_family, lambda f: {"wb_sigma_refuter": _refuter_without_sup(True)},
+     "sigma-refuter-sup-too-small"),
+    (rotation_family, lambda f: {"wb_s_refuter": _refuter_at(False)},
+     "refuter-does-not-kill"),
+    (rotation_family, lambda f: {"wb_sigma_refuter": _refuter_at(True)},
+     "sigma-refuter-does-not-kill"),
+])
+def test_way_below_refutation_kinds_fail_and_replay(build, lie, kind):
+    honest = _honest(build)  # shared, so its memoized hypotheses are computed once
+    lying = dataclasses.replace(honest, **lie(honest))
+    r = run_suite("wb_characterization", lying, "lying", budget=300)
+    assert r.verdict == "fail" and r.counterexample["kind"] == kind
+    assert replay_counterexample(lying, r)
+    assert not replay_counterexample(honest, r)
+    assert run_suite("wb_characterization", honest, "honest", budget=300).verdict == "pass"

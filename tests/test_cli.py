@@ -138,3 +138,33 @@ def test_check_rejects_bad_budget_env(value, monkeypatch, capsys):
     monkeypatch.setenv("INVSG_BUDGET", value)
     assert main(["check", "--suite", "mirror", "--subject", "family:rotation"]) == 2
     _assert_one_line_refusal(capsys)
+
+
+@pytest.mark.parametrize("family, depth", [
+    (fam, depth) for fam in ("rotation", "bicyclic-nat", "bicyclic-dyadic")
+    for depth in (1, 2, 4)])
+def test_small_depth_gives_no_false_fail(family, depth, capsys):
+    # a fail that rests on a missing chain member is confirmed at depth >= 64;
+    # judged at the given depth alone, these cases failed mirror (depth 1) or
+    # a way-below claim (depths 2 and 4), and none replayed
+    assert main(["check", "--suite", "all", "--subject", f"family:{family}",
+                 "--depth", str(depth), "--budget", "1000", "--json"]) == 0, \
+        [r for r in json.loads(capsys.readouterr().out) if r["verdict"] == "fail"]
+
+
+def test_cex_still_fails_mirror_at_depth_one(capsys):
+    assert main(["check", "--suite", "all", "--subject", "family:cex",
+                 "--depth", "1", "--budget", "1000", "--json"]) == 1
+    fails = [r for r in json.loads(capsys.readouterr().out) if r["verdict"] == "fail"]
+    assert [r["suite"] for r in fails] == ["mirror"]
+    assert fails[0]["counterexample"]["chain"] == "unit-interval-chain"
+
+
+def test_classify_json_is_reproducible(capsys):
+    outs = []
+    for _ in range(2):
+        assert main(["classify", "--family", "cex", "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "_raw" not in outs[0]
+    assert json.loads(outs[0])["mirror"]["witness"]["chain"] == "unit-interval-chain"
