@@ -302,7 +302,7 @@ def _verify_chain(fam: SymbolicFamily, cw: ChainWitness, depth: int) -> Optional
 
 
 def _dominates(fam: SymbolicFamily, u, cw: ChainWitness, depth: int) -> bool:
-    return all(fam.nat_le(a, u) for a in chain_members(cw, depth))
+    return all(fam.nat_le(a, u) for a in iter_chain(cw, depth))
 
 
 def _family_mirror(fam: SymbolicFamily, rng: random.Random, depth: int):
@@ -717,15 +717,17 @@ def check_conditional_distributivity(subject, subject_id=None, *, depth=DEFAULT_
     if isinstance(subject, FiniteInvSemigroup):
         S = subject
         rng = _rng(seed, "cond_distr", sid)
+        up = S.up_masks()
         examined = 0
         for A in _nonempty_subsets(S, rng):
             v = sup_finite(S, A)
             if v is None:
                 continue
-            sources = [S.mul(a, S.inv[a]) for a in A]
+            hyp = -1  # bit t is set iff a a* <= t for every a in A
+            for a in A:
+                hyp &= up[S.mul(a, S.inv[a])]
             for s in range(S.n):
-                tgt = S.sigma[s]
-                if not all(S.le(src, tgt) for src in sources):
+                if not (hyp >> S.sigma[s]) & 1:
                     continue
                 examined += 1
                 sv = sup_finite(S, [S.mul(s, a) for a in A])

@@ -91,8 +91,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _check_limits(args) -> None:
-    """Raise ValueError for a non-positive depth or budget, or a bad INVSG_BUDGET."""
-    for flag in ("depth", "budget"):
+    """Raise ValueError for a non-positive depth, budget or window, or a bad
+    INVSG_BUDGET."""
+    for flag in ("depth", "budget", "window"):
         value = getattr(args, flag, None)
         if value is not None and value <= 0:
             raise ValueError(f"--{flag} must be a positive integer, got {value}")
@@ -129,7 +130,7 @@ def _cmd_check(args) -> int:
     except KeyError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (pbij.TooLarge, poset.TooLargeForDefinitionalCheck) as exc:
+    except pbij.TooLarge as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     reports.sort(key=lambda r: list(checkers.SUITES).index(r.suite))

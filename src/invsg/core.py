@@ -295,15 +295,29 @@ def to_json(S: FiniteInvSemigroup) -> dict:
 
 
 def from_json(obj) -> FiniteInvSemigroup:
-    """Build a carrier from ``{"n": int, "table": [[int]]}`` (+ optional names)."""
+    """Build a carrier from ``{"n": int, "table": [[int]]}`` (+ optional names).
+
+    This is the boundary for outside input, so the types are checked exactly:
+    a float entry or a JSON ``true`` is rejected, not converted to an int.
+    """
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "table" not in obj:
         raise ValueError("carrier JSON must be an object with a 'table' field")
-    table = obj["table"]
-    if "n" in obj and int(obj["n"]) != len(table):
+    table, names = obj["table"], obj.get("names")
+    if not (isinstance(table, list) and all(isinstance(row, list) for row in table)
+            and all(_is_int(x) for row in table for x in row)):
+        raise ValueError("carrier JSON: 'table' must be a list of lists of integers")
+    if names is not None and not (isinstance(names, list)
+                                  and all(isinstance(x, str) for x in names)):
+        raise ValueError("carrier JSON: 'names' must be a list of strings")
+    if "n" in obj and not (_is_int(obj["n"]) and obj["n"] == len(table)):
         raise ValueError("carrier JSON: 'n' does not match the table size")
-    return FiniteInvSemigroup(table, obj.get("names"))
+    return FiniteInvSemigroup(table, names)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def load_carrier(path: str) -> FiniteInvSemigroup:

@@ -26,14 +26,15 @@ def _classify_finite(S: FiniteInvSemigroup, subject_id: str, depth: int,
     contS = poset.is_continuous(PS)
     algS = poset.is_algebraic(PS)
     mult = poset.way_below_multiplicative(PS, S.mul)
+    on_order = "exhaustive on the finite order poset (way-below is the order)"
     return Classification(
         subject=subject_id, depth=depth, seed=seed,
         reduced=Flag(is_reduced(S), "exhaustive over all idempotent/up-set pairs", S.n),
         mirror=Flag(mirror_ok, "exhaustive over comparable idempotent pairs "
                                "(a finite directed set has a maximum)",
                     n_mirror, mirror_ce),
-        continuous=Flag(contS, "definitional on the finite order poset", S.n),
-        algebraic=Flag(algS, "definitional on the finite order poset", S.n),
+        continuous=Flag(contS, on_order, S.n),
+        algebraic=Flag(algS, on_order, S.n),
         stably_continuous=Flag(contS and mult,
                                "continuity plus way-below multiplicativity", S.n),
     )

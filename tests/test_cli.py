@@ -133,6 +133,35 @@ def test_classify_rejects_nonpositive_depth(depth, capsys):
     _assert_one_line_refusal(capsys)
 
 
+@pytest.mark.parametrize("window", ["0", "-1"])
+@pytest.mark.parametrize("subject", ["family:rotation", "coset:C2"])
+def test_hasse_rejects_nonpositive_window(subject, window, capsys):
+    assert main(["hasse", "--subject", subject, "--window", window]) == 2
+    _assert_one_line_refusal(capsys)
+
+
+# each would crash, or validate after int() truncated or converted an entry
+MALFORMED_CARRIERS = [
+    {"table": 5},
+    {"table": [[0]], "names": 5},
+    {"table": [[0.7]]},
+    {"table": [[0, 0], [0, 1.9]]},
+    {"table": [[0, 0], [0, True]]},
+    {"table": [[0]], "names": [7]},
+    {"n": [1], "table": [[0]]},
+]
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["check", "--subject"],
+                                  ["hasse", "--subject"]])
+@pytest.mark.parametrize("obj", MALFORMED_CARRIERS)
+def test_malformed_carrier_json_is_invalid(obj, argv, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    assert main(argv + [str(p)]) == 2
+    _assert_one_line_refusal(capsys)
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-4", "1.5"])
 def test_check_rejects_bad_budget_env(value, monkeypatch, capsys):
     monkeypatch.setenv("INVSG_BUDGET", value)

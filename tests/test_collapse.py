@@ -145,6 +145,8 @@ def test_collapse_agrees_with_enumeration_on_the_corpus(finite_corpus):
         checked += 1
         assert collapsed_verdicts(S) == reference_verdicts(S), sid
         assert checkers._finite_meet_continuous(S)[0] == ref_meet_continuous(S), sid
+        assert poset.is_meet_continuous(poset.sigma_poset(S)[0]) == \
+            ref_meet_continuous(S), sid
     assert checked == len(finite_corpus) - 1  # coset:C2xC2xC2 is too large
 
 

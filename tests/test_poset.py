@@ -5,8 +5,7 @@ from invsg.poset import (FinitePoset, NotAMeetSemilattice, NotAPartialOrder,
                          TooLargeForDefinitionalCheck, compacts, covers,
                          hasse_dot, is_algebraic, is_continuous, is_directed,
                          is_meet_continuous, sup, way_below_def,
-                         way_below_fast, way_below_matrix,
-                         way_below_multiplicative)
+                         way_below_matrix, way_below_multiplicative)
 
 
 def chain(n):
@@ -85,19 +84,35 @@ def test_way_below_def_equals_fast_on_corpus():
     for P in CORPUS:
         if P.n > 6:
             continue
+        wb = way_below_matrix(P)
         for x in range(P.n):
             for y in range(P.n):
-                assert way_below_def(P, x, y) == way_below_fast(P, x, y)
+                assert way_below_def(P, x, y) == bool((wb[x] >> y) & 1) == P.leq(x, y)
 
 
 def test_way_below_matrix_matches_pairwise():
     for P in CORPUS:
         if P.n > 6:
             continue
-        wb = way_below_matrix(P, exact=True)
+        wb = way_below_matrix(P)
         for x in range(P.n):
             for y in range(P.n):
                 assert bool((wb[x] >> y) & 1) == way_below_def(P, x, y)
+
+
+def test_way_below_matrix_matches_definition_on_the_corpus(finite_corpus):
+    # the audit the collapse replaced: every order poset with <= 12 elements
+    pairs = 0
+    for sid, S in finite_corpus:
+        for P in (poset.order_poset(S), poset.sigma_poset(S)[0]):
+            if P.n > poset.DEFINITIONAL_LIMIT:
+                continue
+            wb = way_below_matrix(P)
+            for x in range(P.n):
+                for y in range(P.n):
+                    pairs += 1
+                    assert bool((wb[x] >> y) & 1) == way_below_def(P, x, y), sid
+    assert pairs == 1156
 
 
 def test_way_below_guard():
@@ -107,19 +122,18 @@ def test_way_below_guard():
 
 
 def test_way_below_order_sandwich():
-    # x' <= x << y <= y' forces x' << y'
+    # x' <= x << y <= y' forces x' << y', with << from the definition
     for P in CORPUS:
         if P.n > 6:
             continue
-        wb = way_below_matrix(P, exact=True)
         for x in range(P.n):
             for y in range(P.n):
-                if (wb[x] >> y) & 1:
+                if way_below_def(P, x, y):
                     assert P.leq(x, y)
                     for x2 in range(P.n):
                         for y2 in range(P.n):
                             if P.leq(x2, x) and P.leq(y, y2):
-                                assert (wb[x2] >> y2) & 1
+                                assert way_below_def(P, x2, y2)
 
 
 def test_finite_posets_are_continuous_and_algebraic():
@@ -133,6 +147,8 @@ def test_meet_continuity():
     assert is_meet_continuous(chain(4))
     assert is_meet_continuous(m3())          # M3 is a lattice
     assert is_meet_continuous(b3())
+    assert is_meet_continuous(chain(13))     # no size limit: the collapse
+    assert is_meet_continuous(FinitePoset.from_relation(16, lambda x, y: (x & y) == x))
     with pytest.raises(NotAMeetSemilattice):
         is_meet_continuous(bowtie())
 
