@@ -91,12 +91,13 @@ def _cmd_enumerate(args) -> int:
 
 
 def _check_limits(args) -> None:
-    """Raise ValueError for a non-positive depth, budget or window, or a bad
-    INVSG_BUDGET."""
-    for flag in ("depth", "budget", "window"):
+    """Raise ValueError for a non-positive depth, budget, window, ground or
+    max order, or a bad INVSG_BUDGET."""
+    for flag in ("depth", "budget", "window", "ground", "max_order"):
         value = getattr(args, flag, None)
         if value is not None and value <= 0:
-            raise ValueError(f"--{flag} must be a positive integer, got {value}")
+            option = flag.replace("_", "-")
+            raise ValueError(f"--{option} must be a positive integer, got {value}")
     if args.command == "check" and args.budget is None:
         checkers.default_budget()
 

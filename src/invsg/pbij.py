@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import core
@@ -201,17 +202,37 @@ def _sorted_elements(elems: Iterable[PartialBijection]) -> list[PartialBijection
 
 
 def _build(elems: Iterable[PartialBijection]) -> GeneratedSemigroup:
+    """The validated carrier of a product-closed set of partial bijections.
+
+    Maps are composed only for ``x * a`` and ``a * z`` with ``a`` in the
+    right generators A of ``core.right_generators``: 2 n |A| products, not
+    n^2.  The first give the steps ``y = p * a``; the second are the rows of
+    the generators.  Every other row follows its step as ``y * z = p * (a *
+    z)``, the row of ``p`` read at the row of ``a``, which is exact because
+    composition of partial maps is associative.  A product that leaves the
+    set is still always found: every ``x * a`` is composed, and if none
+    escapes, neither does any ``x * y = ((x * a1) * ...) * ak``.
+    """
     rep = _sorted_elements(elems)
-    index = {f: i for i, f in enumerate(rep)}
-    table = []
-    for f in rep:
-        row = []
-        for g in rep:
-            p = f * g
-            if p not in index:
-                raise NotInverseClosed(f"{f} * {g} escapes the element set")
-            row.append(index[p])
-        table.append(row)
+    maps = [f.mapping for f in rep]
+    index = {m: i for i, m in enumerate(maps)}
+
+    def mul(x: int, y: int) -> int:
+        f = maps[x]
+        p = tuple(-1 if v == -1 else f[v] for v in maps[y])
+        try:
+            return index[p]
+        except KeyError:
+            raise NotInverseClosed(f"{rep[x]} * {rep[y]} escapes the element set") from None
+
+    n = len(rep)
+    gens, steps = core.right_generators(n, mul)
+    table: list = [None] * n
+    for a in gens:
+        table[a] = tuple(mul(a, z) for z in range(n))
+    times = {a: itemgetter(*table[a]) for a in gens}
+    for y, p, a in steps:
+        table[y] = times[a](table[p])
     carrier = FiniteInvSemigroup(table, names=[repr(f) for f in rep])
     return GeneratedSemigroup(carrier, tuple(rep))
 
@@ -223,7 +244,9 @@ def symmetric_inverse_monoid_size(n: int) -> int:
 
 def symmetric_inverse_monoid(n: int) -> GeneratedSemigroup:
     """Every partial bijection of an n-point set, as a validated carrier."""
-    if not 1 <= n <= 5:
+    if n < 1:
+        raise ValueError(f"symmetric inverse monoid ground must be positive, got {n}")
+    if n > 5:
         raise TooLarge("symmetric inverse monoid ground", 5)
     pts = list(range(n))
     elems = []

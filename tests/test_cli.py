@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +144,15 @@ def test_hasse_rejects_nonpositive_window(subject, window, capsys):
     _assert_one_line_refusal(capsys)
 
 
+# before: --ground exited 3 with a false size-limit message, --max-order
+# streamed nothing and exited 0
+@pytest.mark.parametrize("ground, max_order", [("0", "4"), ("-2", "4"),
+                                               ("2", "0"), ("2", "-3")])
+def test_enumerate_rejects_nonpositive_limits(ground, max_order, capsys):
+    assert main(["enumerate", "--ground", ground, "--max-order", max_order]) == 2
+    _assert_one_line_refusal(capsys)
+
+
 # each would crash, or validate after int() truncated or converted an entry
 MALFORMED_CARRIERS = [
     {"table": 5},
@@ -197,3 +210,22 @@ def test_classify_json_is_reproducible(capsys):
     assert outs[0] == outs[1]
     assert "_raw" not in outs[0]
     assert json.loads(outs[0])["mirror"]["witness"]["chain"] == "unit-interval-chain"
+
+
+NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None          # any import of numpy now raises ImportError
+from invsg import cli, core, pbij
+core.validate(pbij.symmetric_inverse_monoid(4).carrier.table)
+raise SystemExit(cli.main(["check", "--suite", "all", "--subject", "coset:D4", "--json"]))
+"""
+
+
+def test_runs_without_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", NO_NUMPY], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)

@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import product
 
 import pytest
 
@@ -61,6 +63,75 @@ def test_validate_rejects_nonassociative():
         validate(tbl)
     s, t, u = ei.value.triple
     assert tbl[tbl[s][t]][u] != tbl[s][tbl[t][u]]
+
+
+def associative_by_scan(tbl):
+    """The n^3 reference: (s*t)*u == s*(t*u) for every triple."""
+    n = len(tbl)
+    return all(tbl[tbl[s][t]][u] == tbl[s][tbl[t][u]]
+               for s in range(n) for t in range(n) for u in range(n))
+
+
+def light_agrees_with_scan(tbl):
+    """Light's test raises a genuine failing triple iff the scan finds one."""
+    tbl = tuple(map(tuple, tbl))
+    try:
+        core._check_associative(tbl)
+    except NotAssociative as exc:
+        s, t, u = exc.triple
+        assert tbl[tbl[s][t]][u] != tbl[s][tbl[t][u]]
+        return not associative_by_scan(tbl)
+    return associative_by_scan(tbl)
+
+
+def one_entry_tampers(table):
+    n = len(table)
+    for i in range(n):
+        for j in range(n):
+            for v in range(n):
+                if v != table[i][j]:
+                    tampered = [list(row) for row in table]
+                    tampered[i][j] = v
+                    yield tampered
+
+
+def test_light_test_agrees_with_scan_on_every_i2_tamper(I2):
+    tampers = list(one_entry_tampers(I2.carrier.table))
+    assert len(tampers) == 294
+    assert all(light_agrees_with_scan(t) for t in tampers)
+
+
+def test_light_test_agrees_with_scan_on_sampled_i3_tampers(I3):
+    tampers = list(one_entry_tampers(I3.carrier.table))
+    sample = random.Random(6).sample(tampers, 300)
+    assert all(light_agrees_with_scan(t) for t in sample)
+
+
+def test_light_test_agrees_with_scan_on_every_operation_on_three_points():
+    # includes associative tables with no identity, where A has several members
+    tables = [[list(ops[0:3]), list(ops[3:6]), list(ops[6:9])]
+              for ops in product(range(3), repeat=9)]
+    assert len(tables) == 3 ** 9
+    assert sum(associative_by_scan(t) for t in tables) == 113   # OEIS A023814
+    assert all(light_agrees_with_scan(t) for t in tables)
+
+
+def test_right_generators_cover_every_corpus_carrier(finite_corpus):
+    for label, S in finite_corpus:
+        calls = []
+
+        def mul(x, y):
+            calls.append((x, y))
+            return S.mul(x, y)
+
+        gens, steps = core.right_generators(S.n, mul)
+        # each x * a exactly once: what lets pbij._build see every escape
+        assert sorted(calls) == sorted((x, a) for x in range(S.n) for a in gens)
+        reached = set(gens)
+        for y, p, a in steps:
+            assert a in gens and p in reached and S.mul(p, a) == y, label
+            reached.add(y)
+        assert sorted(reached) == list(range(S.n)) == sorted(gens + [y for y, _, _ in steps])
 
 
 def test_validate_rejects_no_inverse():

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from invsg import core
 from invsg.pbij import (FiniteTopology, GroundMismatch, NotATopology,
-                        PartialBijection, TooLarge, all_topologies,
-                        canonical_table, closed_set_adjunction, closure,
-                        compose, enumerate_inverse_subsemigroups, invert,
-                        pseudogroup_of_space, symmetric_inverse_monoid)
+                        NotInverseClosed, PartialBijection, TooLarge, _build,
+                        all_topologies, canonical_table, closed_set_adjunction,
+                        closure, compose, enumerate_inverse_subsemigroups,
+                        invert, pseudogroup_of_space, symmetric_inverse_monoid)
 
 
 def pb(n, d):
@@ -100,11 +100,44 @@ def test_symmetric_inverse_monoid_counts():
         assert symmetric_inverse_monoid(n).carrier.n == expected
     with pytest.raises(TooLarge):
         symmetric_inverse_monoid(6)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            symmetric_inverse_monoid(n)
 
 
 def test_generated_semigroup_is_faithful(I2, I3):
     assert I2.verify_faithful()
     assert I3.verify_faithful()
+    assert symmetric_inverse_monoid(4).verify_faithful()
+    for T in all_topologies(3):
+        assert pseudogroup_of_space(T).verify_faithful()
+
+
+def test_generated_table_is_the_all_pairs_product_table():
+    for n in range(1, 5):
+        gs = symmetric_inverse_monoid(n)
+        index = {f: i for i, f in enumerate(gs.rep)}
+        direct = tuple(tuple(index[display_compose(g, f)] for g in gs.rep)
+                       for f in gs.rep)   # f * g applies g first
+        assert gs.carrier.table == direct
+
+
+def test_build_refuses_every_set_not_closed_under_products(I2, I3):
+    with pytest.raises(NotInverseClosed):
+        _build([pb(2, {0: 1}), pb(2, {1: 0})])
+    subsets = [[f for i, f in enumerate(I2.rep) if (mask >> i) & 1]
+               for mask in range(1, 1 << I2.carrier.n)]
+    subsets += [[f for f in I3.rep if f != g] for g in I3.rep]
+    for elems in subsets:
+        closed = all(f * g in elems for f in elems for g in elems)
+        try:
+            _build(elems)
+        except NotInverseClosed:
+            assert not closed
+        except core.NotInverseSemigroup:
+            assert closed
+        else:
+            assert closed
 
 
 def test_natural_order_is_restriction(I2):
