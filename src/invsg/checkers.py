@@ -306,7 +306,15 @@ def _dominates(fam: SymbolicFamily, u, cw: ChainWitness, depth: int) -> bool:
 
 
 def _family_mirror(fam: SymbolicFamily, rng: random.Random, depth: int):
-    """Chain-witness route plus the reduced sufficient condition, compared."""
+    """Chain-witness route plus the reduced sufficient condition, compared.
+
+    A sampled dominator is confirmed at the deepest index any check reads,
+    so a depth whose chains cannot be computed that far (``TooLarge``) is
+    refused before anything is scanned.
+    """
+    deepest = max(3 * depth, DEFAULT_DEPTH)
+    for cw in fam.witnesses:
+        cw.member(deepest)
     examined = 0
     failure = None
     sigma_chains = [cw for cw in fam.witnesses if cw.sup_in_sigma is not None]
@@ -338,7 +346,7 @@ def _family_mirror(fam: SymbolicFamily, rng: random.Random, depth: int):
         for u in _elem_pool(fam, rng, 10):
             examined += 1
             if _dominates(fam, u, cw, depth) and not fam.nat_le(delta, u):
-                if _dominates(fam, u, cw, max(3 * depth, DEFAULT_DEPTH)):
+                if _dominates(fam, u, cw, deepest):
                     failure = {"kind": "mirror-family", "chain": cw.name,
                                "sup_in_sigma": fam.describe(delta),
                                "bad_bound": fam.describe(u),
@@ -669,7 +677,7 @@ def check_sigma_sup(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
     sid = subject_id or _subject_name(subject)
     if isinstance(subject, FiniteInvSemigroup):
         S = subject
-        rng = _rng(seed, "sigma_sup", sid)
+        rng = _rng(seed, "sigma_sup")
         examined = 0
         for A in _nonempty_subsets(S, rng):
             v = sup_finite(S, A)
@@ -716,7 +724,7 @@ def check_conditional_distributivity(subject, subject_id=None, *, depth=DEFAULT_
     sid = subject_id or _subject_name(subject)
     if isinstance(subject, FiniteInvSemigroup):
         S = subject
-        rng = _rng(seed, "cond_distr", sid)
+        rng = _rng(seed, "cond_distr")
         up = S.up_masks()
         examined = 0
         for A in _nonempty_subsets(S, rng):

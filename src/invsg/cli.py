@@ -108,7 +108,11 @@ def _cmd_classify(args) -> int:
     except (KeyError, OSError, ValueError, NotInverseSemigroup) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    record = classify(subject, args.family, depth=args.depth, seed=args.seed)
+    try:
+        record = classify(subject, args.family, depth=args.depth, seed=args.seed)
+    except pbij.TooLarge as exc:
+        print(f"limit: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
     if args.json:
         print(json.dumps(record.to_json()))
     else:

@@ -2,8 +2,11 @@
 
 A family is an oracle bundle: exact closed-form product, inversion, order,
 way-below and sampling, plus canonical chain witnesses.  Elements are
-canonical immutable Python values (Fractions, tuples of Fractions, a
-sentinel), so equality is plain ``==`` and everything hashes.
+canonical immutable Python values, so equality is plain ``==`` and
+everything hashes: pairs of ints for the bicyclic and rotation families
+(rationals on a fixed grid, stored as exact integer multiples of its step,
+see ``SCALE_BITS``), tuples of such pairs for characters, and Fractions or
+a sentinel for ``cex``.  ``describe`` prints the rationals.
 
 Way-below on an infinite poset is not decidable by quantification, so each
 family ships a hand-derived closed form; trust comes from the consistency
@@ -17,9 +20,26 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-__all__ = ["ChainWitness", "SymbolicFamily", "Flag", "Classification", "DEFAULT_DEPTH"]
+from ..pbij import TooLarge
+
+__all__ = ["ChainWitness", "SymbolicFamily", "Flag", "Classification", "DEFAULT_DEPTH",
+           "MAX_CHAIN_INDEX", "SCALE_BITS", "check_chain_index"]
 
 DEFAULT_DEPTH = 64
+# The checks read chain members up to index max(3 * depth, DEFAULT_DEPTH), so
+# this supports every depth up to 1024.
+MAX_CHAIN_INDEX = 3 * 1024
+# K: the integer families store a dyadic step 2^-K exactly, so a chain member
+# at index k <= MAX_CHAIN_INDEX (a step of 2^-k) is exact.  The spare bits keep
+# a chain to an early member of another chain exact to the last index too (the
+# sample pools hold members up to index 3).
+SCALE_BITS = MAX_CHAIN_INDEX + 8
+
+
+def check_chain_index(k: int) -> None:
+    """Refuse a chain member past the exact scale instead of computing it."""
+    if k > MAX_CHAIN_INDEX:
+        raise TooLarge("chain index", MAX_CHAIN_INDEX)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,14 @@ numeric minimum exists), so way-below collapses to the order and everything
 is compact.  Over the dyadics the infimum may only be approached, so
 (a, a) is way below (b, b) exactly when a > b strictly and no element is
 compact.
+
+A dyadic coordinate x is stored as the int x 2^K (K = ``SCALE_BITS``).  The
+product, the order and way-below use only +, -, max, <= and ==, and each of
+them commutes with scaling by 2^K, so both cones share ``bicyclic_op``,
+``bicyclic_inv``, ``bicyclic_le`` and the way-below oracles on ints.  The
+sampled dyadics have denominators up to 8 and chain member k adds 2^-k with
+k <= ``MAX_CHAIN_INDEX`` < K, so every value is an exact integer; ``describe``
+prints x as the Fraction x / 2^K.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .base import ChainWitness, SymbolicFamily, finite_list_chain
+from .base import (SCALE_BITS as K, ChainWitness, SymbolicFamily, check_chain_index,
+                   finite_list_chain)
 
 __all__ = ["bicyclic_op", "bicyclic_le", "bicyclic_wb", "is_dyadic",
            "bicyclic_nat", "bicyclic_dyadic"]
@@ -55,7 +64,8 @@ def bicyclic_wb(cone: str, eps, delta) -> bool:
     a, aa = eps
     b, bb = delta
     if a != aa or b != bb:
-        raise NotIdempotent(repr(eps if a != aa else delta))
+        bad = eps if a != aa else delta
+        raise NotIdempotent(_describe_dyadic(bad) if cone == "dyadic" else repr(bad))
     if cone == "nat":
         return bicyclic_le(eps, delta)  # every idempotent is compact
     if cone == "dyadic":
@@ -73,9 +83,12 @@ def _wb_s(cone: str):
     return wb
 
 
-def _needs(cone: str, value):
-    if cone == "dyadic" and not is_dyadic(Fraction(value)):
-        raise ValueError(f"{value} is not a nonnegative dyadic")
+def _describe_nat(x) -> str:
+    return f"({x[0]},{x[1]})"
+
+
+def _describe_dyadic(x) -> str:
+    return f"({Fraction(x[0], 1 << K)},{Fraction(x[1], 1 << K)})"
 
 
 def _chains_to_nat(t):
@@ -94,14 +107,16 @@ def _chains_to_dyadic(t):
     a, b = t
 
     def member(k: int):
-        e = Fraction(1, 2 ** k)
+        check_chain_index(k)
+        e = 1 << (K - k)
         return (a + e, b + e)
 
-    asc = ChainWitness(name=f"dyadic-approach-({a},{b})", kind="omega-chain",
+    name = _describe_dyadic(t)
+    asc = ChainWitness(name=f"dyadic-approach-{name}", kind="omega-chain",
                        member=member, in_sigma=(a == b),
                        sup_in_sigma=t if a == b else None,
                        sup_in_s=t, upper_bounds=(t,))
-    const = finite_list_chain(f"constant-({a},{b})", [t], in_sigma=(a == b),
+    const = finite_list_chain(f"constant-{name}", [t], in_sigma=(a == b),
                               sup_in_sigma=t if a == b else None,
                               sup_in_s=t, upper_bounds=(t,))
     return (asc, const)
@@ -110,13 +125,14 @@ def _chains_to_dyadic(t):
 def _refuter(cone: str, in_sigma: bool):
     """Concrete chain killing a claimed non-way-below pair."""
     chains_to = _chains_to_nat if cone == "nat" else _chains_to_dyadic
+    describe = _describe_nat if cone == "nat" else _describe_dyadic
 
     def refute(x, y):
         wb = _wb_s(cone) if not in_sigma else (lambda e, d: bicyclic_wb(cone, e, d))
         if wb(x, y):
             return None
         if not bicyclic_le(x, y):
-            return finite_list_chain(f"singleton-{y}", [y], in_sigma=in_sigma,
+            return finite_list_chain(f"singleton-{describe(y)}", [y], in_sigma=in_sigma,
                                      sup_in_sigma=y if in_sigma else None,
                                      sup_in_s=y, upper_bounds=(y,))
         # x <= y but not way below: only possible over the dyadics, where the
@@ -132,7 +148,7 @@ def _sampler(cone: str):
     else:
         def sample(rng: random.Random):
             def coord():
-                return Fraction(rng.randrange(0, 65), 2 ** rng.randrange(0, 4))
+                return rng.randrange(0, 65) << (K - rng.randrange(0, 4))
             return (coord(), coord())
     return sample
 
@@ -160,15 +176,16 @@ def _h_class_sample(cone: str):
 
 
 def _family(cone: str) -> SymbolicFamily:
-    zero_pair = (0, 0) if cone == "nat" else (Fraction(0), Fraction(0))
     if cone == "nat":
-        witnesses = _chains_to_nat(zero_pair) + _chains_to_nat((2, 2)) + _chains_to_nat((5, 3))
+        witnesses = _chains_to_nat((0, 0)) + _chains_to_nat((2, 2)) + _chains_to_nat((5, 3))
         chains_to, sigma_chains_to = _chains_to_nat, _sigma_chains_to_nat
+        describe = _describe_nat
     else:
-        one = Fraction(1)
-        witnesses = (_chains_to_dyadic((one, one)) + _chains_to_dyadic((Fraction(3), Fraction(3)))
-                     + _chains_to_dyadic((Fraction(5, 2), Fraction(1, 2))))
+        one = 1 << K
+        witnesses = (_chains_to_dyadic((one, one)) + _chains_to_dyadic((3 * one, 3 * one))
+                     + _chains_to_dyadic((5 * one // 2, one // 2)))
         chains_to, sigma_chains_to = _chains_to_dyadic, _chains_to_dyadic
+        describe = _describe_dyadic
     claimed = {"reduced": True, "mirror": True, "continuous": True,
                "algebraic": cone == "nat", "stably_continuous": True}
     return SymbolicFamily(
@@ -177,7 +194,7 @@ def _family(cone: str) -> SymbolicFamily:
         inv=bicyclic_inv,
         nat_le=bicyclic_le,
         is_idempotent=lambda x: x[0] == x[1],
-        describe=lambda x: f"({x[0]},{x[1]})",
+        describe=describe,
         sample=_sampler(cone),
         sample_idempotent=_idem_sampler(cone),
         witnesses=witnesses,

@@ -6,6 +6,11 @@ with the involution then comes for free).  Characters multiply pointwise and
 form an inverse monoid themselves; a character is idempotent exactly when all
 its values have angle zero.
 
+Values are encoded rotation elements (pairs of ints, see ``rotation``): the
+family builds them through ``rot_canonical`` and ``rotation_approach``,
+multiplies them with the rotation oracles, and decodes them only in
+``describe``, so no Fraction arithmetic runs in its oracles.
+
 This family only claims structure, order, reducedness and mirror evidence;
 continuity classification is partial (the underlying argument is
 lattice-theoretic over the cube of idempotent values), so no way-below
@@ -20,13 +25,14 @@ from itertools import product as iproduct
 
 from ..core import FiniteInvSemigroup
 from .base import ChainWitness, SymbolicFamily, finite_list_chain
-from .rotation import rot_canonical, rotation_inv, rotation_le, rotation_op
+from .rotation import (rot_canonical, rot_describe, rotation_approach, rotation_inv,
+                       rotation_le, rotation_op)
 
 __all__ = ["NotACharacter", "is_character", "character_op",
            "enumerate_characters", "character_family", "trivial_character"]
 
-_ONE = (Fraction(1), Fraction(0))
-_ZERO = (Fraction(0), Fraction(0))
+_ONE = rot_canonical(1, 0)
+_ZERO = rot_canonical(0, 0)
 
 
 class NotACharacter(Exception):
@@ -101,10 +107,11 @@ def _units(S: FiniteInvSemigroup) -> list[int]:
     return [s for s in range(S.n) if S.sigma[s] == S.identity]
 
 
-def _damped(S: FiniteInvSemigroup, r: Fraction):
-    """1 on the units, the radius r elsewhere; always a character."""
+def _damped(S: FiniteInvSemigroup, radius):
+    """1 on the units, the encoded idempotent ``radius`` elsewhere; always a
+    character."""
     units = set(_units(S))
-    return tuple(_ONE if s in units else rot_canonical(r, 0) for s in range(S.n))
+    return tuple(_ONE if s in units else radius for s in range(S.n))
 
 
 def character_family(S: FiniteInvSemigroup, pool=None) -> SymbolicFamily:
@@ -137,7 +144,7 @@ def character_family(S: FiniteInvSemigroup, pool=None) -> SymbolicFamily:
         return all(v[1] == 0 for v in chi)
 
     def describe(chi) -> str:
-        return "[" + ", ".join(f"{S.name_of(i)}:({v[0]},{v[1]})"
+        return "[" + ", ".join(f"{S.name_of(i)}:{rot_describe(v)}"
                                for i, v in enumerate(chi)) + "]"
 
     def sample(rng: random.Random):
@@ -154,8 +161,8 @@ def character_family(S: FiniteInvSemigroup, pool=None) -> SymbolicFamily:
         idem = is_idem(chi)
 
         def member(k: int):
-            return tuple(rotation_op(v, rot_canonical(1 - Fraction(1, 2 ** k), 0))
-                         for v in chi)
+            damp = rotation_approach(_ONE, k)
+            return tuple(rotation_op(v, damp) for v in chi)
 
         asc = ChainWitness(name="damped-chain", kind="omega-chain",
                            member=member, in_sigma=idem,
@@ -174,12 +181,12 @@ def character_family(S: FiniteInvSemigroup, pool=None) -> SymbolicFamily:
         return out[: max(k, 2)] if out else []
 
     # the unit-indicator character is the zero element whenever it absorbs
-    zero_candidate = _damped(S, Fraction(0))
+    zero_candidate = _damped(S, _ZERO)
     is_zero = all(op(zero_candidate, chi) == zero_candidate for chi in pool)
 
     def main_witness() -> ChainWitness:
         def member(k: int):
-            return _damped(S, 1 - Fraction(1, 2 ** k))
+            return _damped(S, rotation_approach(_ONE, k))
 
         return ChainWitness(name="damped-to-trivial", kind="omega-chain",
                             member=member, in_sigma=True,

@@ -10,6 +10,17 @@ conjugation, idempotents are the radii (theta = 0), and z <= z' iff r = 0
 or (r <= r' and theta = theta').  The idempotent semilattice is [0, 1] with
 the numeric order; its only compact element is 0, so the semigroup is
 continuous but not algebraic.
+
+Every value is stored as a pair of ints.  Angles lie in (1/27720)Z, since
+27720 = lcm(1..12) covers every sampled denominator, the witness angle 1/3
+and the character palette, so theta is stored as theta 27720 mod 27720 and
+the angle sum is an int sum mod 27720.  Radii lie in (1/(27720 2^K))Z (K =
+``SCALE_BITS``) and are stored as r 27720 2^K; they are only compared and
+min'd.  A sampled or witness radius has r 27720 in Z, so the chain member
+r (1 - 2^-k), stored as r - (r >> k), is exact for k <= K; a member that
+would round (on a finer radius) raises ``TooLarge`` instead.
+``rot_canonical`` is the one constructor from rationals and ``rot_value``
+decodes.
 """
 
 from __future__ import annotations
@@ -17,13 +28,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .base import ChainWitness, SymbolicFamily, finite_list_chain
+from ..pbij import TooLarge
+from .base import SCALE_BITS, ChainWitness, SymbolicFamily, check_chain_index, finite_list_chain
 
-__all__ = ["OutOfRange", "rot_canonical", "rotation_op", "rotation_inv",
-           "rotation_le", "rotation_wb_sigma", "rotation_family"]
+__all__ = ["OutOfRange", "rot_canonical", "rot_value", "rot_describe", "rotation_op",
+           "rotation_inv", "rotation_le", "rotation_wb_sigma", "rotation_approach",
+           "rotation_family"]
 
-_ZERO = (Fraction(0), Fraction(0))
-_ONE = (Fraction(1), Fraction(0))
+_TURN = 27720                     # angle unit: lcm(1..12) per turn
+_UNIT = _TURN << SCALE_BITS       # radius unit: the encoding of radius 1
+_ZERO = (0, 0)
+_ONE = (_UNIT, 0)
 
 
 class OutOfRange(ValueError):
@@ -31,26 +46,34 @@ class OutOfRange(ValueError):
 
 
 def rot_canonical(r, theta):
-    if not isinstance(r, Fraction):
-        r = Fraction(r)
-    if not isinstance(theta, Fraction):
-        theta = Fraction(theta)
+    """The encoded element of radius r in [0, 1] and angle theta in turns
+    (rationals); OutOfRange off the grid, never a rounded value."""
+    r, theta = Fraction(r), Fraction(theta)
     if not 0 <= r <= 1:
         raise OutOfRange(f"radius {r} outside [0, 1]")
-    if theta < 0 or theta >= 1:
-        theta %= 1
-    return _ZERO if r == 0 else (r, theta)
+    ri, ti = r * _UNIT, theta * _TURN
+    if ri.denominator != 1 or ti.denominator != 1:
+        raise OutOfRange(f"({r},{theta}) is off the grid (1/{_TURN} 2^{SCALE_BITS})Z"
+                         f" x (1/{_TURN})Z")
+    return _ZERO if r == 0 else (int(ri), int(ti) % _TURN)
+
+
+def rot_value(z) -> tuple[Fraction, Fraction]:
+    """The rationals (r, theta) that z encodes."""
+    return Fraction(z[0], _UNIT), Fraction(z[1], _TURN)
+
+
+def rot_describe(z) -> str:
+    return "({},{})".format(*rot_value(z))
 
 
 def rotation_op(z, z1):
-    r, t = z
-    r1, t1 = z1
-    return rot_canonical(min(r, r1), t + t1)
+    r = min(z[0], z1[0])
+    return (r, (z[1] + z1[1]) % _TURN) if r else _ZERO
 
 
 def rotation_inv(z):
-    r, t = z
-    return rot_canonical(r, -t)
+    return (z[0], -z[1] % _TURN)
 
 
 def rotation_le(z, z1) -> bool:
@@ -75,6 +98,16 @@ def _wb_sigma(e, d) -> bool:
     return rotation_wb_sigma(e[0], d[0])
 
 
+def rotation_approach(z, k: int):
+    """Member k of the radius chain to z: radius r (1 - 2^-k), same angle."""
+    check_chain_index(k)
+    r, t = z
+    if r & ((1 << k) - 1):  # r >> k would round
+        raise TooLarge(f"exact radius chain to {rot_describe(z)}: index",
+                       (r & -r).bit_length() - 1)
+    return (r - (r >> k), t) if k else _ZERO
+
+
 def _chains_to(z) -> tuple[ChainWitness, ...]:
     r, t = z
     if r == 0:
@@ -82,14 +115,12 @@ def _chains_to(z) -> tuple[ChainWitness, ...]:
                                   sup_in_sigma=_ZERO, sup_in_s=_ZERO,
                                   upper_bounds=(_ZERO,)),)
 
-    def member(k: int):
-        return rot_canonical(r * (1 - Fraction(1, 2 ** k)), t)
-
-    asc = ChainWitness(name=f"radius-approach-({r},{t})", kind="omega-chain",
-                       member=member, in_sigma=(t == 0),
+    name = rot_describe(z)
+    asc = ChainWitness(name=f"radius-approach-{name}", kind="omega-chain",
+                       member=lambda k: rotation_approach(z, k), in_sigma=(t == 0),
                        sup_in_sigma=z if t == 0 else None,
                        sup_in_s=z, upper_bounds=(z,))
-    const = finite_list_chain(f"constant-({r},{t})", [z], in_sigma=(t == 0),
+    const = finite_list_chain(f"constant-{name}", [z], in_sigma=(t == 0),
                               sup_in_sigma=z if t == 0 else None,
                               sup_in_s=z, upper_bounds=(z,))
     return (asc, const)
@@ -107,7 +138,7 @@ def _refute(in_sigma: bool):
         if wb(x, y):
             return None
         if not le(x, y):
-            return finite_list_chain(f"singleton-({y[0]},{y[1]})", [y],
+            return finite_list_chain(f"singleton-{rot_describe(y)}", [y],
                                      in_sigma=in_sigma,
                                      sup_in_sigma=y if in_sigma else None,
                                      sup_in_s=y, upper_bounds=(y,))
@@ -117,44 +148,42 @@ def _refute(in_sigma: bool):
     return refuter
 
 
-def _rand_frac(rng: random.Random) -> Fraction:
+def _rand_radius(rng: random.Random) -> int:
     q = rng.randrange(1, 13)
-    p = rng.randrange(0, q + 1)
-    return Fraction(p, q)
+    return rng.randrange(0, q + 1) * (_UNIT // q)
+
+
+def _rand_angle(rng: random.Random) -> int:
+    q = rng.randrange(1, 13)
+    return rng.randrange(0, q) * (_TURN // q)
 
 
 def _sample(rng: random.Random):
-    r = _rand_frac(rng)
-    q = rng.randrange(1, 13)
-    theta = Fraction(rng.randrange(0, q), q)
-    return rot_canonical(r, theta)
+    r, theta = _rand_radius(rng), _rand_angle(rng)
+    return (r, theta) if r else _ZERO
 
 
 def _sample_idem(rng: random.Random):
-    return rot_canonical(_rand_frac(rng), 0)
+    return (_rand_radius(rng), 0)
 
 
 def _h_class_sample(eps, rng: random.Random, k: int) -> list:
     r = eps[0]
     if r == 0:
         return [_ZERO]
-    out = [eps]
-    for _ in range(k):
-        q = rng.randrange(1, 13)
-        out.append(rot_canonical(r, Fraction(rng.randrange(0, q), q)))
-    return out
+    return [eps] + [(r, _rand_angle(rng)) for _ in range(k)]
 
 
 def rotation_family() -> SymbolicFamily:
-    witnesses = (_chains_to(_ONE) + _chains_to((Fraction(1, 2), Fraction(0)))
-                 + _chains_to((Fraction(3, 4), Fraction(1, 3))))
+    witnesses = (_chains_to(_ONE) + _chains_to(rot_canonical(Fraction(1, 2), 0))
+                 + _chains_to(rot_canonical(Fraction(3, 4), Fraction(1, 3))))
     return SymbolicFamily(
         name="rotation",
         op=rotation_op,
         inv=rotation_inv,
         nat_le=rotation_le,
         is_idempotent=lambda z: z[1] == 0,
-        describe=lambda z: f"({z[0]},{z[1]})",
+        describe=rot_describe,
         sample=_sample,
         sample_idempotent=_sample_idem,
         witnesses=witnesses,

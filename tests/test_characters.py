@@ -7,11 +7,12 @@ from invsg import checkers, core
 from invsg.families import (NotACharacter, character_family, character_op,
                             cyclic_group, enumerate_characters, is_character,
                             trivial_character)
+from invsg.families.rotation import rot_canonical, rot_value
 
-ONE = (Fraction(1), Fraction(0))
-HALF = (Fraction(1, 2), Fraction(0))
-ZERO = (Fraction(0), Fraction(0))
-MINUS = (Fraction(1), Fraction(1, 2))
+ONE = rot_canonical(Fraction(1), Fraction(0))
+HALF = rot_canonical(Fraction(1, 2), Fraction(0))
+ZERO = rot_canonical(Fraction(0), Fraction(0))
+MINUS = rot_canonical(Fraction(1), Fraction(1, 2))
 
 
 def two_chain():
@@ -43,7 +44,7 @@ def test_two_chain_characters_are_radii():
     # chi(e) may be any idempotent value; the palette carries three radii
     assert sorted(c[1] for c in chars) == [ZERO, HALF, ONE]
     # a non-palette radius still works: chi(e) = 1/3
-    chi = (ONE, (Fraction(1, 3), Fraction(0)))
+    chi = (ONE, rot_canonical(Fraction(1, 3), Fraction(0)))
     assert is_character(S, chi)
     assert character_op(S, chi, chi) == chi  # idempotent
 
@@ -62,7 +63,7 @@ def test_characters_on_groups_are_circle_valued():
     chars = enumerate_characters(G)
     assert len(chars) == 2
     for chi in chars:
-        assert all(v[0] == 1 for v in chi)  # no zero values on a group
+        assert all(rot_value(v)[0] == 1 for v in chi)  # no zero values on a group
     assert sorted(c[1] for c in chars) == [ONE, MINUS]
 
 

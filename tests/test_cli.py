@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from invsg import core
+from invsg import core, pbij
 from invsg.cli import main
 
 
@@ -229,3 +229,17 @@ def test_runs_without_numpy():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)
+
+
+def test_carrier_reports_do_not_depend_on_the_file_path(tmp_path, capsys):
+    # I_3 has 34 elements, so sigma_sup and conditional_distributivity sample
+    # subsets; the sample is seeded by the seed and the suite, not the path
+    blob = json.dumps(core.to_json(pbij.symmetric_inverse_monoid(3).carrier))
+    reports = []
+    for path in (tmp_path / "I_3.json", tmp_path / "elsewhere" / "copy.json"):
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(blob)
+        assert main(["check", "--suite", "all", "--subject", str(path), "--json"]) == 0
+        reports.append([{k: v for k, v in r.items() if k != "subject"}
+                        for r in json.loads(capsys.readouterr().out)])
+    assert reports[0] == reports[1]

@@ -1,0 +1,289 @@
+"""The integer encodings of the dyadic bicyclic, rotation and character
+families against Fraction references, and their exact-scale depth limit.
+
+The references restate each closed form on Fractions; the encoded oracles
+must agree with them after decoding, and no oracle may hand back anything
+but ints.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from invsg import core
+from invsg.cli import main
+from invsg.families import bicyclic_dyadic, bicyclic_nat, character_family, rotation_family
+from invsg.families.base import MAX_CHAIN_INDEX, SCALE_BITS
+from invsg.families.rotation import rot_canonical, rot_value
+from invsg.pbij import TooLarge
+
+# -- Fraction references ------------------------------------------------------
+
+
+def ref_bicyclic_op(x, y):
+    (a, b), (c, d) = x, y
+    m = max(b, c)
+    return (a - b + m, d - c + m)
+
+
+def ref_bicyclic_le(x, y):
+    (a, b), (c, d) = x, y
+    return c == d + a - b and d <= b
+
+
+def ref_bicyclic_wb_s(x, y):
+    return ref_bicyclic_le(x, y) and x[1] > y[1]
+
+
+def ref_bicyclic_wb_sigma(e, d):
+    return e[0] > d[0]
+
+
+def ref_rot_op(z, w):
+    r = min(z[0], w[0])
+    return (r, (z[1] + w[1]) % 1) if r else (Fraction(0), Fraction(0))
+
+
+def ref_rot_le(z, w):
+    return z[0] == 0 or (z[0] <= w[0] and z[1] == w[1])
+
+
+def ref_rot_wb_s(z, w):
+    return z[0] == 0 or (z[0] < w[0] and z[1] == w[1])
+
+
+def ref_rot_wb_sigma(e, d):
+    return e[0] == 0 or e[0] < d[0]
+
+
+def dyadic_value(x):
+    return (Fraction(x[0], 1 << SCALE_BITS), Fraction(x[1], 1 << SCALE_BITS))
+
+
+def dyadic_member(t, k):
+    """Member k of the approach chain to t: both coordinates plus 2^-k."""
+    e = Fraction(1, 2 ** k)
+    return (t[0] + e, t[1] + e)
+
+
+def radius_member(z, k):
+    """Member k of the radius chain to z: radius r (1 - 2^-k), same angle."""
+    r = z[0] * (1 - Fraction(1, 2 ** k))
+    return (r, z[1]) if r else (Fraction(0), Fraction(0))
+
+
+REFERENCES = {
+    # name: (build, decode, op, inv, le, wb_s, wb_sigma, chain member)
+    "bicyclic-dyadic": (bicyclic_dyadic, dyadic_value, ref_bicyclic_op,
+                        lambda x: (x[1], x[0]), ref_bicyclic_le, ref_bicyclic_wb_s,
+                        ref_bicyclic_wb_sigma, dyadic_member),
+    "rotation": (rotation_family, rot_value, ref_rot_op, lambda z: (z[0], -z[1] % 1),
+                 ref_rot_le, ref_rot_wb_s, ref_rot_wb_sigma, radius_member),
+}
+CHAIN_INDICES = (0, 1, 2, 63, 192)
+
+
+def mixed3():
+    # C2 with an external identity: 0 = 1, 1 = e, 2 = a with a*a = e
+    return core.validate([[0, 1, 2], [1, 1, 2], [2, 2, 1]])
+
+
+def _pool(fam, rng, k):
+    """k sampled elements, k constructed ones below them, and every witness
+    sup and upper bound."""
+    pool = [fam.sample(rng) for _ in range(k)]
+    pool += [fam.op(x, fam.sample_idempotent(rng)) for x in pool]
+    for cw in fam.witnesses:
+        pool += [v for v in (cw.sup_in_s, cw.sup_in_sigma) if v is not None]
+        pool += list(cw.upper_bounds)
+    return pool
+
+
+@pytest.fixture(scope="module")
+def families():
+    return {name: ref[0]() for name, ref in REFERENCES.items()}
+
+
+# -- the oracles agree with the references --------------------------------------
+
+
+@pytest.mark.parametrize("name", REFERENCES)
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_oracles_agree_with_the_fraction_reference(families, name, seed):
+    _build, value, op, inv, le, wb_s, wb_sigma, _member = REFERENCES[name]
+    fam = families[name]
+    pool = _pool(fam, random.Random(seed), 4)
+    values = [value(s) for s in pool]
+    for s, vs in zip(pool, values):
+        assert value(fam.inv(s)) == inv(vs)
+        assert fam.describe(s) == "({},{})".format(*vs)
+        e, ve = fam.sigma(s), value(fam.sigma(s))
+        for t, vt in zip(pool, values):
+            assert value(fam.op(s, t)) == op(vs, vt)
+            assert fam.nat_le(s, t) == le(vs, vt)
+            assert fam.wb_s(s, t) == wb_s(vs, vt)
+            assert fam.wb_sigma(e, fam.sigma(t)) == wb_sigma(ve, value(fam.sigma(t)))
+
+
+@pytest.mark.parametrize("name", REFERENCES)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_chain_members_agree_with_the_fraction_reference(families, name, seed):
+    _build, value, *_ops, member = REFERENCES[name]
+    fam = families[name]
+    pool = _pool(fam, random.Random(seed), 3)
+    chains = list(fam.witnesses)
+    for x in pool:
+        chains += fam.chains_to(x) + fam.sigma_chains_to(fam.sigma(x))
+    for cw in chains:
+        if cw.length is not None:
+            continue  # a finite list holds its members literally
+        sup = value(cw.sup_in_s)
+        for k in CHAIN_INDICES:
+            assert value(cw.member(k)) == member(sup, k), (cw.name, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_character_oracles_agree_with_the_fraction_reference(seed):
+    S = mixed3()
+    fam = character_family(S)
+    rng = random.Random(seed)
+
+    def value(chi):
+        return tuple(rot_value(v) for v in chi)
+
+    pool = [fam.sample(rng) for _ in range(4)] + [fam.sample_idempotent(rng)]
+    for chi in pool:
+        assert value(fam.inv(chi)) == tuple((r, -t % 1) for r, t in value(chi))
+        assert fam.describe(chi) == "[" + ", ".join(
+            f"{S.name_of(i)}:({r},{t})" for i, (r, t) in enumerate(value(chi))) + "]"
+        for psi in pool:
+            assert value(fam.op(chi, psi)) == tuple(
+                ref_rot_op(a, b) for a, b in zip(value(chi), value(psi)))
+            assert fam.nat_le(chi, psi) == all(
+                ref_rot_le(a, b) for a, b in zip(value(chi), value(psi)))
+        damped, _const = fam.chains_to(chi)
+        for k in CHAIN_INDICES:
+            damp = (1 - Fraction(1, 2 ** k), Fraction(0))
+            assert value(damped.member(k)) == tuple(ref_rot_op(v, damp) for v in value(chi))
+
+
+def test_character_main_witness_agrees_with_the_fraction_reference():
+    S = mixed3()
+    cw = character_family(S).witnesses[0]
+    units = [s for s in range(S.n) if S.sigma[s] == S.identity]
+    for k in CHAIN_INDICES + (MAX_CHAIN_INDEX,):
+        damp = radius_member((Fraction(1), Fraction(0)), k)
+        assert tuple(rot_value(v) for v in cw.member(k)) == tuple(
+            (Fraction(1), Fraction(0)) if s in units else damp for s in range(S.n))
+
+
+# -- the exact scale ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", REFERENCES)
+def test_the_largest_chain_index_is_exact_and_the_next_is_refused(families, name):
+    _build, value, *_ops, member = REFERENCES[name]
+    fam = families[name]
+    for cw in fam.witnesses:
+        if cw.length is not None:
+            continue
+        assert value(cw.member(MAX_CHAIN_INDEX)) == member(value(cw.sup_in_s), MAX_CHAIN_INDEX)
+        with pytest.raises(TooLarge):
+            cw.member(MAX_CHAIN_INDEX + 1)
+
+
+def test_a_rounding_radius_chain_member_is_refused():
+    fam = rotation_family()
+    # radius 1/2^(K+3) is stored as the odd int 27720 / 8, so its chain member
+    # at index 1, half of it, would round
+    z = rot_canonical(Fraction(1, 2 ** (SCALE_BITS + 3)), 0)
+    assert z[0] == 3465
+    cw = fam.chains_to(z)[0]
+    assert cw.member(0) == (0, 0)
+    with pytest.raises(TooLarge):
+        cw.member(1)
+
+
+def test_a_non_idempotent_dyadic_is_named_as_describe_prints_it():
+    from invsg.core import NotIdempotent
+    fam = bicyclic_dyadic()
+    one = 1 << SCALE_BITS
+    s = (17 * one, 65 * one // 2)
+    assert fam.describe(s) == "(17,65/2)"
+    with pytest.raises(NotIdempotent, match=r"^element \(17,65/2\) is not idempotent$"):
+        fam.wb_sigma(s, fam.sigma(s))
+
+
+def test_off_grid_values_are_refused_not_rounded():
+    from invsg.families import OutOfRange
+    for r, theta in ((Fraction(1, 2), Fraction(1, 13)),
+                     (Fraction(1, 2 ** (SCALE_BITS + 4)), 0),
+                     (Fraction(1, 13), 0)):
+        with pytest.raises(OutOfRange):
+            rot_canonical(r, theta)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--subject", "family:rotation"],
+    ["check", "--subject", "family:bicyclic-dyadic"],
+    ["classify", "--family", "rotation"],
+    ["classify", "--family", "bicyclic-dyadic"],
+])
+def test_a_depth_past_the_exact_scale_exits_3(argv, capsys):
+    # checks read chains to index max(3 * depth, 64); 3 * 1025 > MAX_CHAIN_INDEX
+    assert main(argv + ["--depth", "1025"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("limit: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family", ["rotation", "bicyclic-dyadic"])
+def test_the_largest_depth_still_runs(family, capsys):
+    assert 3 * 1024 == MAX_CHAIN_INDEX
+    assert main(["check", "--suite", "mirror", "--subject", f"family:{family}",
+                 "--depth", "1024"]) == 0
+
+
+@pytest.mark.parametrize("family, code", [("bicyclic-nat", 0), ("cex", 1)])
+def test_the_depth_limit_leaves_other_families_alone(family, code, capsys):
+    assert main(["check", "--suite", "mirror", "--subject", f"family:{family}",
+                 "--depth", "1025"]) == code
+    assert main(["classify", "--family", family, "--depth", "1025"]) == 0
+
+
+# -- no Fraction on the hot path -------------------------------------------------
+
+
+def _coords(x):
+    for c in x:
+        if isinstance(c, tuple):
+            yield from _coords(c)
+        else:
+            yield c
+
+
+@pytest.mark.parametrize("build", [bicyclic_nat, bicyclic_dyadic, rotation_family,
+                                   lambda: character_family(mixed3())],
+                         ids=["bicyclic-nat", "bicyclic-dyadic", "rotation", "characters"])
+def test_every_oracle_value_is_a_plain_int(build):
+    fam = build()
+    rng = random.Random(29)
+    seen = []
+    for _ in range(300):
+        s, t = fam.sample(rng), fam.sample(rng)
+        eps = fam.sample_idempotent(rng)
+        seen += [s, t, eps, fam.op(s, t), fam.op(s, eps), fam.inv(s), fam.sigma(s)]
+        seen += fam.h_class_sample(fam.sigma(s), rng, 2)
+    for x in seen[:60]:
+        for cw in fam.chains_to(x) + fam.sigma_chains_to(fam.sigma(x)):
+            seen += [cw.member(k) for k in CHAIN_INDICES]
+    for cw in fam.witnesses:
+        seen += [cw.member(k) for k in CHAIN_INDICES] + list(cw.upper_bounds)
+        seen += [v for v in (cw.sup_in_s, cw.sup_in_sigma) if v is not None]
+    bad = [x for x in seen if not all(type(c) is int for c in _coords(x))]
+    assert not bad, fam.describe(bad[0])

@@ -12,7 +12,7 @@ from invsg.families import (OMEGA, bicyclic_dyadic, bicyclic_le, bicyclic_nat,
                             classify, is_dyadic, rotation_family, rotation_le,
                             rotation_op, rotation_wb_sigma)
 from invsg.families.base import chain_members
-from invsg.families.rotation import OutOfRange, rot_canonical
+from invsg.families.rotation import OutOfRange, rot_canonical, rot_value
 
 ALL_FAMILIES = [bicyclic_nat, bicyclic_dyadic, rotation_family, cex_family]
 
@@ -73,41 +73,48 @@ def test_is_dyadic():
 # -- rotation ----------------------------------------------------------------
 
 def test_rotation_op_examples():
-    assert rotation_op((Fraction(1, 2), Fraction(1, 3)),
-                       (Fraction(3, 4), Fraction(1, 2))) == \
-        (Fraction(1, 2), Fraction(5, 6))
-    z = (Fraction(2, 3), Fraction(1, 7))
-    assert rotation_op(z, (Fraction(1), Fraction(0))) == z
+    assert rotation_op(rot_canonical(Fraction(1, 2), Fraction(1, 3)),
+                       rot_canonical(Fraction(3, 4), Fraction(1, 2))) == \
+        rot_canonical(Fraction(1, 2), Fraction(5, 6))
+    z = rot_canonical(Fraction(2, 3), Fraction(1, 7))
+    assert rotation_op(z, rot_canonical(Fraction(1), Fraction(0))) == z
     # inversion is conjugation and squares to the identity map
     fam = rotation_family()
-    assert fam.inv(z) == (Fraction(2, 3), Fraction(6, 7))
+    assert fam.inv(z) == rot_canonical(Fraction(2, 3), Fraction(6, 7))
     assert fam.inv(fam.inv(z)) == z
 
 
 def test_rotation_canonical_and_range():
-    assert rot_canonical(0, Fraction(1, 3)) == (Fraction(0), Fraction(0))
-    assert rot_canonical(Fraction(1, 2), Fraction(7, 3)) == (Fraction(1, 2), Fraction(1, 3))
+    assert rot_value(rot_canonical(0, Fraction(1, 3))) == (Fraction(0), Fraction(0))
+    assert rot_value(rot_canonical(Fraction(1, 2), Fraction(7, 3))) == \
+        (Fraction(1, 2), Fraction(1, 3))
     with pytest.raises(OutOfRange):
         rot_canonical(Fraction(3, 2), 0)
 
 
 def test_rotation_le_examples():
-    anything = (Fraction(9, 11), Fraction(3, 5))
-    assert rotation_le((Fraction(0), Fraction(0)), anything)
-    assert rotation_le((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 4), Fraction(1, 3)))
-    assert not rotation_le((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 4), Fraction(1, 2)))
+    anything = rot_canonical(Fraction(9, 11), Fraction(3, 5))
+    assert rotation_le(rot_canonical(Fraction(0), Fraction(0)), anything)
+    assert rotation_le(rot_canonical(Fraction(1, 2), Fraction(1, 3)),
+                       rot_canonical(Fraction(3, 4), Fraction(1, 3)))
+    assert not rotation_le(rot_canonical(Fraction(1, 2), Fraction(1, 3)),
+                           rot_canonical(Fraction(3, 4), Fraction(1, 2)))
 
 
 def test_rotation_wb_sigma_examples():
-    assert rotation_wb_sigma(Fraction(0), Fraction(0))
-    assert not rotation_wb_sigma(Fraction(1), Fraction(1))
-    assert rotation_wb_sigma(Fraction(1, 2), Fraction(3, 4))
+    def radius(r):
+        return rot_canonical(r, 0)[0]
+
+    assert rotation_wb_sigma(radius(Fraction(0)), radius(Fraction(0)))
+    assert not rotation_wb_sigma(radius(Fraction(1)), radius(Fraction(1)))
+    assert rotation_wb_sigma(radius(Fraction(1, 2)), radius(Fraction(3, 4)))
     # witness chain kills the false claim 1 << 1
     fam = rotation_family()
-    cw = fam.wb_sigma_refuter((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0)))
+    one = rot_canonical(Fraction(1), Fraction(0))
+    cw = fam.wb_sigma_refuter(one, one)
     members = chain_members(cw, 64)
-    assert cw.sup_in_sigma == (Fraction(1), Fraction(0))
-    assert not any(fam.nat_le((Fraction(1), Fraction(0)), m) for m in members)
+    assert cw.sup_in_sigma == one
+    assert not any(fam.nat_le(one, m) for m in members)
 
 
 # -- cex ---------------------------------------------------------------------
