@@ -186,8 +186,12 @@ def _cmd_hasse(args) -> int:
     if args.out == "-":
         sys.stdout.write(dot)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(dot)
+        except OSError as exc:
+            print(f"invalid: {exc}", file=sys.stderr)
+            return EXIT_INVALID
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
 from ..pbij import TooLarge
 
@@ -51,10 +51,12 @@ class ChainWitness:
     suprema, None when the sup does not exist in that poset.  Claims are
     verified by sampling k up to the chain depth; for a missing sup the
     listed upper bounds certify the failure (an upper bound u with
-    sup_in_sigma not below u refutes any supremum in S).
+    sup_in_sigma not below u refutes any supremum in S).  ``label`` is the
+    name, or a function that builds it when ``name`` is read: most chains are
+    never named in a report.
     """
 
-    name: str
+    label: Union[str, Callable[[], str]]
     kind: str  # "finite-list" | "omega-chain"
     member: Callable[[int], Any]
     in_sigma: bool
@@ -62,6 +64,10 @@ class ChainWitness:
     sup_in_s: Any = None
     upper_bounds: tuple = ()
     length: Optional[int] = None  # finite-list only
+
+    @property
+    def name(self) -> str:
+        return self.label() if callable(self.label) else self.label
 
 
 @dataclass
@@ -152,14 +158,14 @@ def iter_chain(cw: ChainWitness, depth: int):
         yield cw.member(k)
 
 
-def finite_list_chain(name: str, items: list, in_sigma: bool,
+def finite_list_chain(name: Union[str, Callable[[], str]], items: list, in_sigma: bool,
                       sup_in_sigma=None, sup_in_s=None, upper_bounds=()) -> ChainWitness:
     items = list(items)
 
     def member(k: int):
         return items[min(k, len(items) - 1)]
 
-    return ChainWitness(name=name, kind="finite-list", member=member,
+    return ChainWitness(label=name, kind="finite-list", member=member,
                         in_sigma=in_sigma, sup_in_sigma=sup_in_sigma,
                         sup_in_s=sup_in_s, upper_bounds=tuple(upper_bounds),
                         length=len(items))

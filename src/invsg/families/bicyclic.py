@@ -111,12 +111,12 @@ def _chains_to_dyadic(t):
         e = 1 << (K - k)
         return (a + e, b + e)
 
-    name = _describe_dyadic(t)
-    asc = ChainWitness(name=f"dyadic-approach-{name}", kind="omega-chain",
-                       member=member, in_sigma=(a == b),
+    asc = ChainWitness(label=lambda: f"dyadic-approach-{_describe_dyadic(t)}",
+                       kind="omega-chain", member=member, in_sigma=(a == b),
                        sup_in_sigma=t if a == b else None,
                        sup_in_s=t, upper_bounds=(t,))
-    const = finite_list_chain(f"constant-{name}", [t], in_sigma=(a == b),
+    const = finite_list_chain(lambda: f"constant-{_describe_dyadic(t)}", [t],
+                              in_sigma=(a == b),
                               sup_in_sigma=t if a == b else None,
                               sup_in_s=t, upper_bounds=(t,))
     return (asc, const)
@@ -132,7 +132,8 @@ def _refuter(cone: str, in_sigma: bool):
         if wb(x, y):
             return None
         if not bicyclic_le(x, y):
-            return finite_list_chain(f"singleton-{describe(y)}", [y], in_sigma=in_sigma,
+            return finite_list_chain(lambda: f"singleton-{describe(y)}", [y],
+                                     in_sigma=in_sigma,
                                      sup_in_sigma=y if in_sigma else None,
                                      sup_in_s=y, upper_bounds=(y,))
         # x <= y but not way below: only possible over the dyadics, where the

@@ -14,6 +14,8 @@ everything needed for the order <= 8 corpus plus S4 for headroom.
 from __future__ import annotations
 
 from itertools import permutations
+from operator import and_
+from typing import Callable
 
 from ..core import FiniteInvSemigroup
 
@@ -178,38 +180,61 @@ def all_cosets(G: FiniteInvSemigroup) -> list[frozenset[int]]:
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
+def _product_rows(G: FiniteInvSemigroup, cosets: list[frozenset[int]]
+                  ) -> Callable[[frozenset[int]], list[int]]:
+    """``row(C)``: for each j, the index in ``cosets`` of the smallest coset
+    containing the setwise product C*C_j, C_j = ``cosets[j]``.
+
+    Every set of cosets is a bitmask over their indices.  ``containing[x]``
+    holds the cosets that contain the element x, so ``up[j]``, the AND of
+    ``containing`` over the elements of C_j, holds the cosets that contain
+    C_j.  A left translate a*(K*g) = (a*K*a^-1)*(a*g) is again a right coset,
+    so a*C_j = C_k for some k, and ``translate_up[a][j]`` is ``up[k]``.  C*C_j
+    is the union of the a*C_j over a in C, so the cosets that contain it are
+    M, the AND of ``translate_up[a][j]`` over a in C.  M is nonempty (G is in
+    it), and the intersection of its members is a nonempty intersection of
+    cosets, hence a coset, that contains C*C_j: it is the least member of M
+    by inclusion.  Every other member of M strictly contains it and so is
+    larger; ``all_cosets`` sorts by size first, so the least member is the
+    lowest set bit of M.
+    """
+    index = {c: i for i, c in enumerate(cosets)}
+    containing = [0] * G.n
+    for j, C in enumerate(cosets):
+        for x in C:
+            containing[x] |= 1 << j
+    up = []
+    for C in cosets:
+        m = -1
+        for x in C:
+            m &= containing[x]
+        up.append(m)
+    translate_up = [[up[index[frozenset(a_times[x] for x in C)]] for C in cosets]
+                    for a_times in G.table]
+
+    def row(C: frozenset[int]) -> list[int]:
+        a, *rest = C
+        acc = translate_up[a]
+        for a in rest:
+            acc = list(map(and_, acc, translate_up[a]))
+        return [(m & -m).bit_length() - 1 for m in acc]
+
+    return row
+
+
 def coset_product(G: FiniteInvSemigroup, C: frozenset[int], C1: frozenset[int]) -> frozenset[int]:
     """The smallest coset containing the setwise product C*C1."""
-    cosets = set(all_cosets(G))
-    if frozenset(C) not in cosets:
-        raise NotACoset(f"{sorted(C)} is not a coset of this group")
-    if frozenset(C1) not in cosets:
-        raise NotACoset(f"{sorted(C1)} is not a coset of this group")
-    prod = {G.table[a][b] for a in C for b in C1}
-    containing = [D for D in cosets if prod <= D]
-    best = containing[0]
-    for D in containing[1:]:
-        best = best & D
-    # a nonempty intersection of cosets is a coset, so this is the minimum
-    if frozenset(best) not in cosets:
-        raise NotACoset("internal error: intersection of cosets not a coset")
-    return frozenset(best)
+    cosets = all_cosets(G)
+    index = {c: i for i, c in enumerate(cosets)}
+    for D in (C, C1):
+        if frozenset(D) not in index:
+            raise NotACoset(f"{sorted(D)} is not a coset of this group")
+    return cosets[_product_rows(G, cosets)(frozenset(C))[index[frozenset(C1)]]]
 
 
 def coset_monoid(G: FiniteInvSemigroup) -> FiniteInvSemigroup:
     """The validated coset monoid; element i is ``all_cosets(G)[i]``."""
     cosets = all_cosets(G)
-    index = {c: i for i, c in enumerate(cosets)}
-    csets = set(cosets)
-
-    def prod(C, C1):
-        p = {G.table[a][b] for a in C for b in C1}
-        containing = [D for D in csets if p <= D]
-        best = containing[0]
-        for D in containing[1:]:
-            best = best & D
-        return frozenset(best)
-
-    table = [[index[prod(C, C1)] for C1 in cosets] for C in cosets]
+    row = _product_rows(G, cosets)
     names = ["{" + ",".join(G.name_of(x) for x in sorted(C)) + "}" for C in cosets]
-    return FiniteInvSemigroup(table, names=names)
+    return FiniteInvSemigroup([row(C) for C in cosets], names=names)

@@ -115,12 +115,12 @@ def _chains_to(z) -> tuple[ChainWitness, ...]:
                                   sup_in_sigma=_ZERO, sup_in_s=_ZERO,
                                   upper_bounds=(_ZERO,)),)
 
-    name = rot_describe(z)
-    asc = ChainWitness(name=f"radius-approach-{name}", kind="omega-chain",
-                       member=lambda k: rotation_approach(z, k), in_sigma=(t == 0),
-                       sup_in_sigma=z if t == 0 else None,
+    asc = ChainWitness(label=lambda: f"radius-approach-{rot_describe(z)}",
+                       kind="omega-chain", member=lambda k: rotation_approach(z, k),
+                       in_sigma=(t == 0), sup_in_sigma=z if t == 0 else None,
                        sup_in_s=z, upper_bounds=(z,))
-    const = finite_list_chain(f"constant-{name}", [z], in_sigma=(t == 0),
+    const = finite_list_chain(lambda: f"constant-{rot_describe(z)}", [z],
+                              in_sigma=(t == 0),
                               sup_in_sigma=z if t == 0 else None,
                               sup_in_s=z, upper_bounds=(z,))
     return (asc, const)
@@ -138,7 +138,7 @@ def _refute(in_sigma: bool):
         if wb(x, y):
             return None
         if not le(x, y):
-            return finite_list_chain(f"singleton-{rot_describe(y)}", [y],
+            return finite_list_chain(lambda: f"singleton-{rot_describe(y)}", [y],
                                      in_sigma=in_sigma,
                                      sup_in_sigma=y if in_sigma else None,
                                      sup_in_s=y, upper_bounds=(y,))

@@ -117,6 +117,12 @@ def _assert_one_line_refusal(capsys):
     assert "Traceback" not in err
 
 
+def test_hasse_unwritable_out_is_invalid(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "x.dot"
+    assert main(["hasse", "--subject", "coset:C2", "--out", str(out)]) == 2
+    _assert_one_line_refusal(capsys)
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_check_rejects_nonpositive_budget(budget, capsys):
     assert main(["check", "--suite", "mirror", "--subject", "family:rotation",
@@ -229,6 +235,16 @@ def test_runs_without_numpy():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "invsg", "check", "--subject", "coset:S5"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("invalid: ") and "Traceback" not in done.stderr
 
 
 def test_carrier_reports_do_not_depend_on_the_file_path(tmp_path, capsys):

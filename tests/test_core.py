@@ -56,6 +56,26 @@ def test_validate_rejects_nonsquare():
         validate([[0, 1], [1]])
 
 
+@pytest.mark.parametrize("table", [
+    [[0, 1], [1, 1.0]],        # a float that int() used to convert
+    [[0, 1], [1, True]],       # a bool is an int subclass
+])
+def test_constructor_rejects_non_int_entries(table):
+    with pytest.raises(ValueError, match="table entries must be ints"):
+        core.FiniteInvSemigroup(table)
+
+
+def test_constructor_reports_the_first_out_of_range_entry():
+    with pytest.raises(ValueError, match=r"table entry 5 out of range \[0, 2\)"):
+        validate([[0, 5], [1, -3]])
+
+
+def test_constructor_keeps_tuple_rows_without_a_copy(I2):
+    rows = [tuple(row) for row in I2.carrier.table]
+    S = core.FiniteInvSemigroup(rows)
+    assert all(S.table[i] is rows[i] for i in range(S.n))
+
+
 def test_validate_rejects_nonassociative():
     # subtraction mod 3 is not associative
     tbl = [[(i - j) % 3 for j in range(3)] for i in range(3)]

@@ -83,3 +83,28 @@ def test_coset_monoids_validate_and_mirror(name):
     idem = [cs[i] for i in core.idempotents(M)]
     assert sorted(map(sorted, idem)) == sorted(map(sorted, subgroups(G)))
     assert checkers.check_mirror(M, f"coset:{name}").verdict == "pass"
+
+
+def containment_scan_monoid(G):
+    """The reference fill: intersect every coset that contains C*C1."""
+    cosets = all_cosets(G)
+    index = {c: i for i, c in enumerate(cosets)}
+
+    def prod(C, C1):
+        p = {G.table[a][b] for a in C for b in C1}
+        best = frozenset(range(G.n))
+        for D in cosets:
+            if p <= D:
+                best &= D
+        return index[best]
+
+    table = tuple(tuple(prod(C, C1) for C1 in cosets) for C in cosets)
+    names = tuple("{" + ",".join(G.name_of(x) for x in sorted(C)) + "}" for C in cosets)
+    return table, names
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_coset_monoid_matches_containment_scan(name):
+    G = group_by_name(name)
+    M = coset_monoid(G)
+    assert (M.table, M.names) == containment_scan_monoid(G)
