@@ -262,14 +262,15 @@ def is_meet_continuous(P: FinitePoset) -> bool:
 
 
 def way_below_multiplicative(P: FinitePoset, mul: Callable[[int, int], int]) -> bool:
-    """x << y and x' << y' imply xx' << yy' (quantified over all 4-tuples)."""
+    """x << y and x' << y' imply xx' << yy'.
+
+    Way-below is the order, so the law with x' = y' = u, or x = y = u, says
+    that x <= y gives xu <= yu and ux <= uy; conversely, these give
+    xx' <= yx' <= yy'.  So it is checked on pairs x <= y and elements u.
+    """
     wb = way_below_matrix(P)
-    pairs = [(x, y) for x in range(P.n) for y in bits(wb[x])]
-    for x, y in pairs:
-        for x2, y2 in pairs:
-            if not (wb[mul(x, x2)] >> mul(y, y2)) & 1:
-                return False
-    return True
+    return all((wb[mul(x, u)] >> mul(y, u)) & 1 and (wb[mul(u, x)] >> mul(u, y)) & 1
+               for x in range(P.n) for y in bits(wb[x]) for u in range(P.n))
 
 
 # -- Hasse diagrams ----------------------------------------------------------

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from invsg import poset
@@ -6,6 +8,8 @@ from invsg.poset import (FinitePoset, NotAMeetSemilattice, NotAPartialOrder,
                          hasse_dot, is_algebraic, is_continuous, is_directed,
                          is_meet_continuous, sup, way_below_def,
                          way_below_matrix, way_below_multiplicative)
+
+from test_collapse import tampered
 
 
 def chain(n):
@@ -164,6 +168,27 @@ def test_way_below_multiplicative_on_i2(I2):
     S = I2.carrier
     P = poset.order_poset(S)
     assert way_below_multiplicative(P, S.mul)
+
+
+def ref_multiplicative(P, mul):
+    """The definition: x <= y and x' <= y' give xx' <= yy', on all 4-tuples."""
+    pairs = [(x, y) for x in range(P.n) for y in range(P.n) if P.leq(x, y)]
+    return all(P.leq(mul(x, x2), mul(y, y2)) for x, y in pairs for x2, y2 in pairs)
+
+
+def test_way_below_multiplicative_agrees_with_the_4_tuple_law(I2):
+    C = chain(3)
+    held = 0
+    for table in product(range(3), repeat=9):
+        def mul(a, b):
+            return table[3 * a + b]
+        got = way_below_multiplicative(C, mul)
+        assert got == ref_multiplicative(C, mul), table
+        held += got
+    assert held == 175  # the monotone maps from the 3 x 3 grid to the chain
+    for T in tampered(I2.carrier):
+        P = poset.order_poset(T)
+        assert way_below_multiplicative(P, T.mul) == ref_multiplicative(P, T.mul), T.table
 
 
 def test_covers_and_dot():
