@@ -18,6 +18,7 @@ is written once over a ``_Side`` record of that side's oracles.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import weakref
@@ -27,7 +28,7 @@ from itertools import combinations, product
 from typing import Callable, Optional
 
 from . import poset as _poset
-from .core import FiniteInvSemigroup, bits, idempotents, sup_finite
+from .core import FiniteInvSemigroup, bits, idempotents, mask_of, sup_finite
 from .families.base import ChainWitness, SymbolicFamily, chain_members, iter_chain
 
 __all__ = ["CheckReport", "SUITES", "run_suite", "run_suites",
@@ -143,11 +144,26 @@ def _sup_instances(S: FiniteInvSemigroup):
                 stack.append((A, ub & up[c], free & ~comparable[c] & ~((2 << c) - 1)))
 
 
+# The order posets and gates of each subject, keyed by identity: a shallow copy
+# with a tampered table gets its own entry, and an entry goes with its subject.
+_GATE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _memo(subject, key, compute):
+    """``compute()``, once per subject and key."""
+    per = _GATE_CACHE.setdefault(subject, {})
+    if key not in per:
+        per[key] = compute()
+    return per[key]
+
+
 def _sig_data(S: FiniteInvSemigroup):
-    PS = _poset.order_poset(S)
-    Psig, sig = _poset.sigma_poset(S)
-    sig_index = {e: i for i, e in enumerate(sig)}
-    return PS, Psig, sig, sig_index
+    """(order poset, Sigma poset, Sigma ids, id -> Sigma index), once per carrier."""
+    def build():
+        PS = _poset.order_poset(S)
+        Psig, sig = _poset.sigma_poset(S)
+        return PS, Psig, sig, {e: i for i, e in enumerate(sig)}
+    return _memo(S, "sig_data", build)
 
 
 def _finite_mirror(S: FiniteInvSemigroup):
@@ -185,7 +201,7 @@ def _finite_ssc(S: FiniteInvSemigroup):
     A directed D has a maximum m = sup D and m s is in D s, so the law holds
     on D iff d s <= m s for each d in D; and {d, m} is directed for d <= m.
     """
-    PS = _poset.order_poset(S)
+    PS = _sig_data(S)[0]
     up, table = PS.up, S.table
     examined = 0
     for m in range(S.n):
@@ -444,19 +460,14 @@ def _family_ssc(fam: SymbolicFamily, rng: random.Random, depth: int, budget: int
     return True, None, examined
 
 
-_GATE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def _hypothesis(kind: str, finite, family):
-    """The accessor of one hypothesis: (ok, counterexample, examined), exhaustive
-    on a carrier; on a family, memoized and deterministic in (family, depth, seed)."""
+    """The accessor of one hypothesis: (ok, counterexample, examined), memoized;
+    exhaustive on a carrier, on a family deterministic in (family, depth, seed)."""
     def check(subject, depth: int, seed: int):
         if isinstance(subject, FiniteInvSemigroup):
-            return finite(subject)
-        per = _GATE_CACHE.setdefault(subject, {})
-        if (kind, depth, seed) not in per:
-            per[kind, depth, seed] = family(subject, _rng(seed, f"{kind}-gate", subject.name), depth)
-        return per[kind, depth, seed]
+            return _memo(subject, kind, lambda: finite(subject))
+        return _memo(subject, (kind, depth, seed), lambda: family(
+            subject, _rng(seed, f"{kind}-gate", subject.name), depth))
     return check
 
 
@@ -590,33 +601,42 @@ def _wb_refutation(fam: SymbolicFamily, side: _Side, s, t, claimed: bool,
 # ---------------------------------------------------------------------------
 
 
+_BASIC_KINDS = ("ss*-not-idempotent", "s*s-not-idempotent", "star-not-involution",
+                "antihomomorphism", "idempotent-not-self-inverse")
+
+
+def _basic_rules_broken(op, inv, is_idem, s, t) -> list:
+    """The kinds of the basic rules that fail at (s, t), in the suite's order."""
+    holds = (is_idem(op(s, inv(s))), is_idem(op(inv(s), s)), inv(inv(s)) == s,
+             inv(op(s, t)) == op(inv(t), inv(s)), not is_idem(s) or inv(s) == s)
+    return [kind for kind, ok in zip(_BASIC_KINDS, holds) if not ok]
+
+
+def _order_values(S: FiniteInvSemigroup, s: int, t: int, p_def, p_eps_left) -> tuple:
+    """The five forms of s <= t, given s in tE (p_def) and s in Et (p_eps_left)."""
+    return (p_def, S.mul(S.inv[t], S.mul(s, S.inv[s])) == S.inv[s],
+            S.mul(t, S.sigma[s]) == s, p_eps_left, S.mul(S.mul(s, S.inv[s]), t) == s)
+
+
 def check_basic_rules(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
                       seed=0, budget=None) -> CheckReport:
     """s s* and s* s idempotent; (s*)* = s; (s t)* = t* s*; s* = s on idempotents."""
     sid = subject_id or _subject_name(subject)
     if isinstance(subject, FiniteInvSemigroup):
-        S = subject
+        S, inv, table = subject, subject.inv, subject.table
         examined = 0
         for s in range(S.n):
+            row, inv_s = table[s], inv[s]
             for t in range(S.n):
                 examined += 1
-                if not S.is_idempotent(S.mul(s, S.inv[s])):
+                # only (st)* = t* s* reads t: the other rules are read at t = 0
+                if t and inv[row[t]] == table[inv[t]][inv_s]:
+                    continue
+                broken = _basic_rules_broken(S.mul, inv.__getitem__, S.is_idempotent, s, t)
+                if broken:
+                    raw = {"s": s, "t": t} if broken[0] == "antihomomorphism" else {"s": s}
                     return _failed("basic_rules", sid, examined,
-                                   {"kind": "ss*-not-idempotent", "s": s, "_raw": {"s": s}})
-                if not S.is_idempotent(S.mul(S.inv[s], s)):
-                    return _failed("basic_rules", sid, examined,
-                                   {"kind": "s*s-not-idempotent", "s": s, "_raw": {"s": s}})
-                if S.inv[S.inv[s]] != s:
-                    return _failed("basic_rules", sid, examined,
-                                   {"kind": "star-not-involution", "s": s, "_raw": {"s": s}})
-                if S.inv[S.mul(s, t)] != S.mul(S.inv[t], S.inv[s]):
-                    return _failed("basic_rules", sid, examined,
-                                   {"kind": "antihomomorphism", "s": s, "t": t,
-                                    "_raw": {"s": s, "t": t}})
-                if S.is_idempotent(s) and S.inv[s] != s:
-                    return _failed("basic_rules", sid, examined,
-                                   {"kind": "idempotent-not-self-inverse", "s": s,
-                                    "_raw": {"s": s}})
+                                   {"kind": broken[0], **raw, "_raw": raw})
         return _passed("basic_rules", sid, examined)
     fam: SymbolicFamily = subject
     rng = _rng(seed, "basic_rules", fam.name)
@@ -625,20 +645,11 @@ def check_basic_rules(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
     for _ in range(n):
         s, t = fam.sample(rng), fam.sample(rng)
         examined += 1
-        checksums = [
-            ("ss*-not-idempotent", fam.is_idempotent(fam.op(s, fam.inv(s)))),
-            ("s*s-not-idempotent", fam.is_idempotent(fam.op(fam.inv(s), s))),
-            ("star-not-involution", fam.inv(fam.inv(s)) == s),
-            ("antihomomorphism",
-             fam.inv(fam.op(s, t)) == fam.op(fam.inv(t), fam.inv(s))),
-        ]
-        if fam.is_idempotent(s):
-            checksums.append(("idempotent-not-self-inverse", fam.inv(s) == s))
-        for kind, ok in checksums:
-            if not ok:
-                return _failed("basic_rules", sid, examined,
-                               {"kind": kind, "s": fam.describe(s), "t": fam.describe(t),
-                                "_raw": {"s": s, "t": t}})
+        broken = _basic_rules_broken(fam.op, fam.inv, fam.is_idempotent, s, t)
+        if broken:
+            return _failed("basic_rules", sid, examined,
+                           {"kind": broken[0], "s": fam.describe(s), "t": fam.describe(t),
+                            "_raw": {"s": s, "t": t}})
     return _passed("basic_rules", sid, examined)
 
 
@@ -649,16 +660,13 @@ def check_order_characterizations(subject, subject_id=None, *, depth=DEFAULT_DEP
     if isinstance(subject, FiniteInvSemigroup):
         S = subject
         idem = idempotents(S)
+        tE = [mask_of(row[e] for e in idem) for row in S.table]
+        Et = [mask_of(S.table[e][t] for e in idem) for t in range(S.n)]
         examined = 0
         for s in range(S.n):
             for t in range(S.n):
                 examined += 1
-                p_def = any(S.mul(t, e) == s for e in idem)
-                p_star = S.mul(S.inv[t], S.mul(s, S.inv[s])) == S.inv[s]
-                p_tss = S.mul(t, S.sigma[s]) == s
-                p_eps_left = any(S.mul(e, t) == s for e in idem)
-                p_sst = S.mul(S.mul(s, S.inv[s]), t) == s
-                vals = (p_def, p_star, p_tss, p_eps_left, p_sst)
+                vals = _order_values(S, s, t, (tE[t] >> s) & 1 == 1, (Et[t] >> s) & 1 == 1)
                 if len(set(vals)) != 1:
                     return _failed("order_characterizations", sid, examined,
                                    {"kind": "characterizations-disagree", "s": s, "t": t,
@@ -741,13 +749,14 @@ def check_conditional_distributivity(subject, subject_id=None, *, depth=DEFAULT_
     if isinstance(subject, FiniteInvSemigroup):
         S, up = subject, subject.up_masks()
         examined = 0
+        sup_of = functools.cache(lambda image: sup_finite(S, bits(image)))  # by mask
         for A, v in _sup_instances(S):
             hyp = -1  # bit t is set iff a a* <= t for every a in A
             for a in A:
                 hyp &= up[S.mul(a, S.inv[a])]
             for s in (s for s in range(S.n) if (hyp >> S.sigma[s]) & 1):
                 examined += 1
-                if sup_finite(S, [S.mul(s, a) for a in A]) != S.mul(s, v):
+                if sup_of(mask_of(S.table[s][a] for a in A)) != S.mul(s, v):
                     return _failed("conditional_distributivity", sid, examined,
                                    {"kind": "cond-distr", "A": list(A), "s": s,
                                     "_raw": {"A": list(A), "s": s}})
@@ -801,7 +810,7 @@ def check_greatest_of_translate(subject, subject_id=None, *, depth=DEFAULT_DEPTH
     sid = subject_id or _subject_name(subject)
     if isinstance(subject, FiniteInvSemigroup):
         S = subject
-        P = _poset.order_poset(S)
+        P = _sig_data(S)[0]
         examined = 0
         for m in range(S.n):
             below = list(bits(P.down[m]))
@@ -986,10 +995,9 @@ def check_mirror_theorem(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
     if not ok:
         return _na("mirror_theorem", sid, "subject is not mirror")
     if isinstance(subject, FiniteInvSemigroup):
-        PS, Psig, _sig, _i = _sig_data(subject)
-        contS, contE = _poset.is_continuous(PS), _poset.is_continuous(Psig)
-        algS, algE = _poset.is_algebraic(PS), _poset.is_algebraic(Psig)
-        n = 2 * (subject.n + Psig.n)
+        # both hold on any finite poset (see poset.is_continuous, is_algebraic)
+        contS = contE = algS = algE = True
+        n = 2 * (subject.n + len(idempotents(subject)))
     else:
         rng = _rng(seed, "mirror_thm", subject.name)
         contS, n1 = _continuity(subject, _S, rng, depth)
@@ -1009,9 +1017,7 @@ def check_separation_criterion(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
     sid = subject_id or _subject_name(subject)
     if isinstance(subject, FiniteInvSemigroup):
         S = subject
-        PS, Psig, sig, sig_index = _sig_data(S)
-        if not _poset.is_continuous(Psig):
-            return _na("separation_criterion", sid, "Sigma is not continuous")
+        _PS, Psig, sig, _i = _sig_data(S)
         wbSig = _poset.way_below_matrix(Psig)
         op = S.mul
         classes = ((eps, [s for s in range(S.n) if S.sigma[s] == eps],
@@ -1060,7 +1066,8 @@ def check_continuity_implies_ssc(subject, subject_id=None, *, depth=DEFAULT_DEPT
     mirror_ok, _c, n0 = _mirror(subject, depth, seed)
     n1 = 0
     if isinstance(subject, FiniteInvSemigroup):
-        if not (mirror_ok and _poset.is_continuous(_poset.order_poset(subject))):
+        # a finite poset is continuous (see poset.is_continuous)
+        if not mirror_ok:
             return _na("continuity_implies_ssc", sid, "not a continuous mirror subject")
     else:
         if not mirror_ok:
@@ -1145,7 +1152,12 @@ def replay_counterexample(subject, report: CheckReport) -> bool:
     ce = report.counterexample
     raw = ce.get("_raw", {})
     kind = ce.get("kind", "")
-    if isinstance(subject, FiniteInvSemigroup):
+    finite = isinstance(subject, FiniteInvSemigroup)
+    if kind in _BASIC_KINDS:
+        ops = ((subject.mul, subject.inv.__getitem__) if finite else (subject.op, subject.inv))
+        return kind in _basic_rules_broken(*ops, subject.is_idempotent, raw["s"],
+                                           raw.get("t", raw["s"]))
+    if finite:
         S = subject
         if kind == "mirror-finite":
             delta, u = raw.get("delta"), raw.get("u")
@@ -1175,6 +1187,10 @@ def replay_counterexample(subject, report: CheckReport) -> bool:
             broken = (S.mul(d, e) != d if kind == "d-not-in-translate"
                       else not S.le(S.mul(raw["x"], e), d))
             return all(S.le(x, m) for x in D) and broken
+        if kind == "characterizations-disagree":
+            s, t, idem = raw["s"], raw["t"], idempotents(S)
+            return len(set(_order_values(S, s, t, any(S.mul(t, e) == s for e in idem),
+                                         any(S.mul(e, t) == s for e in idem)))) != 1
         return True  # other finite kinds carry their full data in the report
     fam: SymbolicFamily = subject
     if kind == "mirror-family":

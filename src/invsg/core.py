@@ -37,6 +37,7 @@ __all__ = [
     "from_json",
     "load_carrier",
     "bits",
+    "mask_of",
     "right_generators",
 ]
 
@@ -88,6 +89,14 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def mask_of(ids: Iterable[int]) -> int:
+    """The Python-int bitmask with the given bit positions set."""
+    m = 0
+    for x in ids:
+        m |= 1 << x
+    return m
 
 
 def right_generators(n: int, mul: Callable[[int, int], int]

@@ -22,10 +22,8 @@ def _classify_finite(S: FiniteInvSemigroup, subject_id: str, depth: int,
     from .. import checkers, poset
 
     mirror_ok, mirror_ce, n_mirror = checkers._mirror(S, depth, seed)
-    PS = poset.order_poset(S)
-    contS = poset.is_continuous(PS)
-    algS = poset.is_algebraic(PS)
-    mult = poset.way_below_multiplicative(PS, S.mul)
+    # a finite poset is continuous and algebraic (see poset.is_continuous)
+    mult = poset.way_below_multiplicative(checkers._sig_data(S)[0], S.mul)
     on_order = "exhaustive on the finite order poset (way-below is the order)"
     return Classification(
         subject=subject_id, depth=depth, seed=seed,
@@ -33,9 +31,9 @@ def _classify_finite(S: FiniteInvSemigroup, subject_id: str, depth: int,
         mirror=Flag(mirror_ok, "exhaustive over comparable idempotent pairs "
                                "(a finite directed set has a maximum)",
                     n_mirror, mirror_ce),
-        continuous=Flag(contS, on_order, S.n),
-        algebraic=Flag(algS, on_order, S.n),
-        stably_continuous=Flag(contS and mult,
+        continuous=Flag(True, on_order, S.n),
+        algebraic=Flag(True, on_order, S.n),
+        stably_continuous=Flag(mult,
                                "continuity plus way-below multiplicativity", S.n),
     )
 

@@ -103,35 +103,33 @@ def symmetric_group(n: int) -> FiniteInvSemigroup:
     return _group_from_mul(elems, lambda p, q: tuple(p[q[i]] for i in range(n)))
 
 
-def _registry() -> dict[str, FiniteInvSemigroup]:
-    c2 = cyclic_group(2)
-    c4 = cyclic_group(4)
-    reg = {
-        "C1": cyclic_group(1), "C2": c2, "C3": cyclic_group(3),
-        "C4": c4, "C2xC2": direct_product(c2, c2),
-        "C5": cyclic_group(5), "C6": cyclic_group(6), "S3": symmetric_group(3),
-        "C7": cyclic_group(7), "C8": cyclic_group(8),
-        "C4xC2": direct_product(c4, c2),
-        "C2xC2xC2": direct_product(direct_product(c2, c2), c2),
-        "D4": dihedral_group(4), "Q8": quaternion_group(),
-        "S4": symmetric_group(4),
-    }
-    return reg
+# Each group is built only when it is asked for.
+_BUILDERS: dict[str, Callable[[], FiniteInvSemigroup]] = {
+    "C1": lambda: cyclic_group(1), "C2": lambda: cyclic_group(2),
+    "C3": lambda: cyclic_group(3), "C4": lambda: cyclic_group(4),
+    "C2xC2": lambda: direct_product(cyclic_group(2), cyclic_group(2)),
+    "C5": lambda: cyclic_group(5), "C6": lambda: cyclic_group(6),
+    "S3": lambda: symmetric_group(3), "C7": lambda: cyclic_group(7),
+    "C8": lambda: cyclic_group(8),
+    "C4xC2": lambda: direct_product(cyclic_group(4), cyclic_group(2)),
+    "C2xC2xC2": lambda: direct_product(direct_product(cyclic_group(2), cyclic_group(2)),
+                                       cyclic_group(2)),
+    "D4": lambda: dihedral_group(4), "Q8": lambda: quaternion_group(),
+    "S4": lambda: symmetric_group(4),
+}
 
-
-GROUP_NAMES = tuple(_registry().keys())
+GROUP_NAMES = tuple(_BUILDERS)
 
 
 def group_by_name(name: str) -> FiniteInvSemigroup:
-    reg = _registry()
-    for k, v in reg.items():
+    for k, build in _BUILDERS.items():
         if k.lower() == name.lower():
-            return v
-    raise KeyError(f"unknown group {name!r}; known: {', '.join(reg)}")
+            return build()
+    raise KeyError(f"unknown group {name!r}; known: {', '.join(GROUP_NAMES)}")
 
 
 def groups_of_order_at_most(k: int) -> dict[str, FiniteInvSemigroup]:
-    return {n: g for n, g in _registry().items() if g.n <= k}
+    return {name: g for name, build in _BUILDERS.items() if (g := build()).n <= k}
 
 
 def _identity(G: FiniteInvSemigroup) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import bits
+from .core import bits, mask_of
 
 __all__ = [
     "NotAPartialOrder",
@@ -104,16 +104,9 @@ class FinitePoset:
         return f"FinitePoset(n={self.n})"
 
 
-def _mask_of(A: Iterable[int]) -> int:
-    m = 0
-    for a in A:
-        m |= 1 << a
-    return m
-
-
 def is_directed(P: FinitePoset, A: Iterable[int]) -> bool:
     """Nonempty, and every pair has an upper bound inside the subset."""
-    mask = _mask_of(A)
+    mask = mask_of(A)
     if mask == 0:
         return False
     members = list(bits(mask))
@@ -126,7 +119,7 @@ def is_directed(P: FinitePoset, A: Iterable[int]) -> bool:
 
 def sup(P: FinitePoset, A: Iterable[int]) -> Optional[int]:
     """Least upper bound of a nonempty subset, or None."""
-    mask = _mask_of(A)
+    mask = mask_of(A)
     if mask == 0:
         raise ValueError("sup of the empty set is not defined here")
     ub = P.full_mask()
@@ -200,7 +193,9 @@ def compacts(P: FinitePoset) -> tuple[int, ...]:
 
 
 def is_continuous(P: FinitePoset) -> bool:
-    """Every element is the directed sup of the elements way-below it."""
+    """Every element is the directed sup of the elements way-below it; true on
+    a finite poset, where way-below is the order and the approximants of s form
+    its down-set, directed with maximum s.  Kept as a test reference."""
     wb = way_below_matrix(P)
     for s in range(P.n):
         approx = [x for x in range(P.n) if (wb[x] >> s) & 1]
@@ -212,7 +207,8 @@ def is_continuous(P: FinitePoset) -> bool:
 
 
 def is_algebraic(P: FinitePoset) -> bool:
-    """Every element is the directed sup of the compact elements below it."""
+    """Every element is the directed sup of the compact elements below it; true
+    on a finite poset, where every element is compact.  Kept as a test reference."""
     wb = way_below_matrix(P)
     kmask = 0
     for x in range(P.n):

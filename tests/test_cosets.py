@@ -1,6 +1,7 @@
 import pytest
 
 from invsg import core
+from invsg.families import cosets, get_family
 from invsg.families import (GROUP_NAMES, NotACoset, all_cosets, coset_monoid,
                             coset_product, cyclic_group, dihedral_group,
                             direct_product, group_by_name,
@@ -13,10 +14,26 @@ def test_group_registry():
     assert group_by_name("s3").n == 6
     with pytest.raises(KeyError):
         group_by_name("monster")
+    orders = {"C1": 1, "C2": 2, "C3": 3, "C4": 4, "C2xC2": 4, "C5": 5, "C6": 6,
+              "S3": 6, "C7": 7, "C8": 8, "C4xC2": 8, "C2xC2xC2": 8, "D4": 8,
+              "Q8": 8, "S4": 24}
+    assert GROUP_NAMES == tuple(orders)
     for name in GROUP_NAMES:
         G = group_by_name(name)
+        assert G.n == orders[name]
         assert G.identity is not None
         assert core.idempotents(G) == (G.identity,)
+
+
+def test_a_lookup_builds_only_the_named_group(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"built S{n} for another group")
+
+    monkeypatch.setattr(cosets, "symmetric_group", refuse)
+    assert group_by_name("C2").n == 2
+    assert get_family("coset:D4").n == 35
+    with pytest.raises(AssertionError):
+        group_by_name("S3")
 
 
 def test_subgroup_counts():
