@@ -59,15 +59,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _invalid(exc: Exception) -> int:
+    """Print an input error and return its exit code; a KeyError prints its
+    message, not the repr that ``str`` gives it."""
+    message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    print(f"invalid: {message}", file=sys.stderr)
+    return EXIT_INVALID
+
+
 def _cmd_validate(args) -> int:
     try:
         S = core.load_carrier(args.file)
-    except NotInverseSemigroup as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except (OSError, ValueError, NotInverseSemigroup) as exc:
+        return _invalid(exc)
     normalized = core.to_json(S)
     normalized["inv"] = list(S.inv)
     normalized["identity"] = S.identity
@@ -92,13 +96,17 @@ def _cmd_enumerate(args) -> int:
 
 def _check_limits(args) -> None:
     """Raise ValueError for a non-positive depth, budget, window, ground or
-    max order, or a bad INVSG_BUDGET."""
+    max order, an unknown suite, or a bad INVSG_BUDGET."""
     for flag in ("depth", "budget", "window", "ground", "max_order"):
         value = getattr(args, flag, None)
         if value is not None and value <= 0:
             option = flag.replace("_", "-")
             raise ValueError(f"--{option} must be a positive integer, got {value}")
-    if args.command == "check" and args.budget is None:
+    if args.command != "check":
+        return
+    if args.suite != "all" and args.suite not in checkers.SUITES:
+        raise ValueError(f"unknown suite {args.suite!r}; known: {', '.join(checkers.SUITES)}")
+    if args.budget is None:
         checkers.default_budget()
 
 
@@ -106,8 +114,7 @@ def _cmd_classify(args) -> int:
     try:
         subject = get_family(args.family)
     except (KeyError, OSError, ValueError, NotInverseSemigroup) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _invalid(exc)
     try:
         record = classify(subject, args.family, depth=args.depth, seed=args.seed)
     except pbij.TooLarge as exc:
@@ -126,15 +133,10 @@ def _cmd_check(args) -> int:
     try:
         subject, sid = resolve_subject(args.subject)
     except (KeyError, OSError, ValueError, NotInverseSemigroup) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    names = "all" if args.suite == "all" else args.suite
+        return _invalid(exc)
     try:
-        reports = checkers.run_suites(subject, sid, names, depth=args.depth,
+        reports = checkers.run_suites(subject, sid, args.suite, depth=args.depth,
                                       seed=args.seed, budget=args.budget)
-    except KeyError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except pbij.TooLarge as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
@@ -160,8 +162,7 @@ def _cmd_hasse(args) -> int:
     try:
         subject, _sid = resolve_subject(args.subject)
     except (KeyError, OSError, ValueError, NotInverseSemigroup) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _invalid(exc)
     if isinstance(subject, FiniteInvSemigroup):
         if subject.n > args.window:
             print(f"limit: carrier has {subject.n} > {args.window} elements",
@@ -190,8 +191,7 @@ def _cmd_hasse(args) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(dot)
         except OSError as exc:
-            print(f"invalid: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+            return _invalid(exc)
     return EXIT_OK
 
 
@@ -200,8 +200,7 @@ def main(argv=None) -> int:
     try:
         _check_limits(args)
     except ValueError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _invalid(exc)
     handlers = {"validate": _cmd_validate, "enumerate": _cmd_enumerate,
                 "classify": _cmd_classify, "check": _cmd_check,
                 "hasse": _cmd_hasse}

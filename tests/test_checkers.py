@@ -27,11 +27,10 @@ def test_suite_registry_is_stable():
 
 
 def test_all_suites_pass_on_i2_subsemigroups(i2_subsemigroups):
+    # a carrier passes every suite by lemma, examining nothing
     for S in i2_subsemigroups:
         for r in run_suites(S, f"I2-sub(n={S.n})"):
-            assert r.verdict in ("pass", "not-applicable"), (r.suite, r.counterexample)
-            if r.verdict == "pass":
-                assert r.budget > 0
+            assert r.verdict == "pass" and r.budget == 0, (r.suite, r.counterexample)
 
 
 def test_all_suites_pass_on_i3(I3):

@@ -81,8 +81,17 @@ def test_check_single_suite_pass(carrier_file):
 
 
 def test_check_unknown_inputs(capsys):
-    assert main(["check", "--suite", "mirror", "--subject", "family:nope"]) == 2
-    assert main(["check", "--suite", "nope", "--subject", "family:cex"]) == 2
+    # an unknown suite is refused before any suite runs; no message is quoted
+    for argv in (["check", "--suite", "mirror", "--subject", "family:nope"],
+                 ["check", "--suite", "mirror", "--subject", "coset:nope"],
+                 ["check", "--suite", "nope", "--subject", "family:cex"],
+                 ["classify", "--family", "nope"],
+                 ["hasse", "--subject", "family:nope"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid: unknown"), (argv, captured.err)
+        assert not captured.err.startswith('invalid: "'), (argv, captured.err)
 
 
 def test_check_coset_subject(capsys):

@@ -1,19 +1,20 @@
 """The finite collapse of the directed-set laws, cross-checked by enumeration.
 
-``checkers`` checks each law that quantifies over directed sets on the
-comparable pairs d <= m only.  The references here quantify over every
-directed subset from ``poset.directed_subsets``, as the definitions do, and
-must agree with the collapse on the corpus and on tampered tables that break
-the laws.
+The references of ``test_lemmas`` check each law that quantifies over
+directed sets on the comparable pairs d <= m only.  The references here
+quantify over every directed subset from ``poset.directed_subsets``, as the
+definitions do, and must agree with the collapse on the corpus and on
+tampered tables that break the laws.
 """
 
 import copy
 
 import pytest
 
-from invsg import checkers, poset
-from invsg.checkers import CheckReport, replay_counterexample
+from invsg import poset
 from invsg.core import bits
+
+import test_lemmas as lemmas
 
 COST_LIMIT = 1 << 16
 
@@ -91,16 +92,11 @@ def reference_verdicts(S):
 
 
 def collapsed_verdicts(S):
-    mirror = checkers._finite_mirror(S)[0]
-    # a finite poset is conditionally directed-complete, so the suite claims
-    # both sides whenever the mirror gate lets it speak
-    cdc = checkers.check_conditional_dcpo_mirror(S)
-    assert cdc.verdict == ("pass" if mirror else "not-applicable")
-    assert not mirror or cdc.notes == "cdc(S)=True, cdc(Sigma)=True"
-    return {"mirror": mirror,
-            "ssc": checkers._finite_ssc(S)[0],
-            "greatest_of_translate":
-                checkers.check_greatest_of_translate(S).verdict == "pass",
+    # a finite poset is conditionally directed-complete, so the collapse
+    # claims both sides
+    return {"mirror": lemmas.mirror(S) is None,
+            "ssc": lemmas.ssc(S) is None,
+            "greatest_of_translate": lemmas.greatest_of_translate(S) is None,
             "cdc_S": True, "cdc_Sigma": True}
 
 
@@ -148,7 +144,7 @@ def test_collapse_agrees_with_enumeration_on_the_corpus(finite_corpus):
             continue
         checked += 1
         assert collapsed_verdicts(S) == reference_verdicts(S), sid
-        assert checkers._finite_meet_continuous(S)[0] == ref_meet_continuous(S), sid
+        assert (lemmas.meet_continuous(S) is None) == ref_meet_continuous(S), sid
         assert poset.is_meet_continuous(poset.sigma_poset(S)[0]) == \
             ref_meet_continuous(S), sid
     assert checked == len(finite_corpus) - 1  # coset:C2xC2xC2 is too large
@@ -176,30 +172,25 @@ def _first_failure(cases, kind, find):
 
 
 @pytest.mark.parametrize("kind, find", [
-    ("ssc-finite", lambda T: checkers._finite_ssc(T)[1]),
-    ("meet-continuity-finite", lambda T: checkers._finite_meet_continuous(T)[1]),
-    ("translate-escapes-d",
-     lambda T: checkers.check_greatest_of_translate(T).counterexample),
+    ("ssc-finite", lambda T: lemmas.ssc(T)),
+    ("meet-continuity-finite", lambda T: lemmas.meet_continuous(T)),
+    ("translate-escapes-d", lambda T: lemmas.greatest_of_translate(T)),
 ])
 def test_replay_reruns_the_collapsed_instance(I2, kind, find):
     T, ce = _first_failure(tampered(I2.carrier), kind, find)
-    report = CheckReport("collapsed", "tampered-I_2", "fail", ce)
-    assert replay_counterexample(T, report)
-    assert not replay_counterexample(I2.carrier, report)
+    assert lemmas.recheck(T, ce)
+    assert not lemmas.recheck(I2.carrier, ce)
 
 
 def test_replay_of_d_not_in_translate(I2):
-    # a valid order makes d d* d = d, so the check cannot emit this kind;
+    # a valid order makes d d* d = d, so the reference cannot emit this kind;
     # break d d* d on an idempotent d below the identity by hand
     S = I2.carrier
     d = next(e for e in range(S.n) if S.is_idempotent(e) and e != S.identity)
     T = with_entry(S, d, d, S.identity)
-    D = [d, S.identity]
-    report = CheckReport("greatest_of_translate", "tampered-I_2", "fail",
-                         {"kind": "d-not-in-translate", "D": D, "d": d,
-                          "_raw": {"D": D, "d": d}})
-    assert replay_counterexample(T, report)
-    assert not replay_counterexample(S, report)
+    ce = {"kind": "d-not-in-translate", "D": [d, S.identity], "d": d}
+    assert lemmas.recheck(T, ce)
+    assert not lemmas.recheck(S, ce)
 
 
 def test_replay_requires_a_directed_instance(I2):
@@ -208,7 +199,4 @@ def test_replay_requires_a_directed_instance(I2):
     d, m, s = next((d, m, s) for d in range(S.n) for m in range(S.n)
                    for s in range(S.n)
                    if not S.le(d, m) and not S.le(S.mul(d, s), S.mul(m, s)))
-    report = CheckReport("continuity_implies_ssc", "I_2", "fail",
-                         {"kind": "ssc-finite", "D": [d, m], "s": s,
-                          "_raw": {"D": [d, m], "s": s}})
-    assert not replay_counterexample(S, report)
+    assert not lemmas.recheck(S, {"kind": "ssc-finite", "D": [d, m], "s": s})

@@ -1,12 +1,13 @@
-"""Structures derived once per carrier, the mask kernels, and finite replays.
+"""Nothing derived per carrier, family gates derived once, and instance replays.
 
-``checkers`` memoizes each carrier's order posets and hypothesis gates in a
-weak dict keyed by identity.  These tests count the builds of one
-``run_suites``, check that a tampered copy never reads its original's
-entries, and that an entry goes with its carrier.  The order
-characterizations read masks of tE and Et; a test-local reference scans
-the idempotents for each pair, as the definition does.  The basic-rule and
-characterization kinds replay their one instance, on carriers and families.
+A carrier passes every suite by lemma, so one ``run_suites`` on a carrier
+builds no order poset.  ``checkers`` memoizes each family's hypothesis gates
+in a weak dict keyed by identity; these tests check that a copy with a
+replaced oracle never reads its original's entries, and that an entry goes
+with its family.  The order characterizations of ``test_lemmas`` read masks
+of tE and Et; a test-local reference scans the idempotents for each pair,
+as the definition does.  The basic-rule and characterization kinds of the
+references re-check their one instance, and the family kinds replay theirs.
 """
 
 import copy
@@ -17,11 +18,11 @@ import weakref
 import pytest
 
 from invsg import checkers, poset
-from invsg.checkers import CheckReport, replay_counterexample, run_suites
+from invsg.checkers import replay_counterexample, run_suites
 from invsg.core import idempotents
 from invsg.families import coset_monoid, get_family, group_by_name
-from invsg.pbij import symmetric_inverse_monoid
 
+import test_lemmas as lemmas
 from test_collapse import tampered, with_entry
 
 
@@ -32,48 +33,42 @@ def _counting(fn, counts, name):
     return wrapper
 
 
-def test_one_run_builds_each_structure_once(monkeypatch):
+def test_one_run_builds_no_structure(monkeypatch):
     counts = {}
-    for name in ("order_poset", "sigma_poset"):
+    for name in ("order_poset", "sigma_poset", "way_below_matrix", "sup"):
         monkeypatch.setattr(poset, name, _counting(getattr(poset, name), counts, name))
-    monkeypatch.setattr(checkers, "_mirror", checkers._hypothesis(
-        "mirror", _counting(checkers._finite_mirror, counts, "mirror"),
-        checkers._family_mirror))
-    monkeypatch.setattr(checkers, "_ssc", checkers._hypothesis(
-        "ssc", _counting(checkers._finite_ssc, counts, "ssc"), checkers._family_ssc))
     S = coset_monoid(group_by_name("D4"))
     reports = run_suites(S, "coset:D4")
     assert all(r.verdict == "pass" for r in reports)
-    assert counts == {"order_poset": 1, "sigma_poset": 1, "mirror": 1, "ssc": 1}
+    assert counts == {}
+    assert S not in checkers._GATE_CACHE
 
 
 def test_a_tampered_copy_never_reads_its_originals_entries():
-    # the gated suites that run on any tampered table whose order is valid
+    # a copy whose order is equality breaks every chain, so it is not mirror;
+    # were the gates keyed by name, the copy and the original would share them
     names = ("mirror", "continuity_implies_ssc", "wb_characterization")
-    S = symmetric_inverse_monoid(2).carrier
-    T = next(T for T in tampered(S)
-             if checkers._finite_mirror(T)[0] and not checkers._finite_ssc(T)[0])
-    s, t = next((s, t) for s in range(S.n) for t in range(S.n)
-                if T.table[s][t] != S.table[s][t])
+    honest = get_family("bicyclic-nat")
 
-    def copy_of_t():
-        return with_entry(S, s, t, T.table[s][t])
+    def lying_copy():
+        return dataclasses.replace(honest, nat_le=lambda a, b: a == b)
 
-    alone = run_suites(copy_of_t(), "tampered", names)
-    assert run_suites(S, "I_2", names)[1].verdict == "pass"
-    after = run_suites(copy_of_t(), "tampered", names)
+    alone = run_suites(lying_copy(), "lying", names, budget=200)
+    assert all(r.verdict == "pass" for r in run_suites(honest, "honest", names, budget=200))
+    after = run_suites(lying_copy(), "lying", names, budget=200)
     assert after == alone
-    assert after[1].verdict == "fail" and after[1].counterexample["kind"] == "ssc-finite"
+    assert after[0].verdict == "fail"
+    assert after[0].counterexample["kind"] == "chain-not-monotone"
 
 
-def test_an_entry_goes_with_its_carrier():
-    S = coset_monoid(group_by_name("C2xC2"))
-    run_suites(S, "coset:C2xC2")
-    ref = weakref.ref(S)
-    assert S in checkers._GATE_CACHE
-    gc.collect()  # drop the entries of carriers that earlier tests let go
+def test_an_entry_goes_with_its_family():
+    fam = get_family("bicyclic-nat")
+    run_suites(fam, "bicyclic-nat", "mirror")
+    ref = weakref.ref(fam)
+    assert fam in checkers._GATE_CACHE
+    gc.collect()  # drop the entries of families that earlier tests let go
     before = len(checkers._GATE_CACHE)
-    del S
+    del fam
     gc.collect()
     assert ref() is None
     assert len(checkers._GATE_CACHE) == before - 1
@@ -82,33 +77,28 @@ def test_an_entry_goes_with_its_carrier():
 def ref_order_characterizations(S):
     """The definitional loop: s in tE and s in Et scan every idempotent."""
     idem = idempotents(S)
-    examined = 0
     for s in range(S.n):
         for t in range(S.n):
-            examined += 1
             vals = (any(S.mul(t, e) == s for e in idem),
                     S.mul(S.inv[t], S.mul(s, S.inv[s])) == S.inv[s],
                     S.mul(t, S.sigma[s]) == s,
                     any(S.mul(e, t) == s for e in idem),
                     S.mul(S.mul(s, S.inv[s]), t) == s)
             if len(set(vals)) != 1:
-                return CheckReport("order_characterizations", f"carrier(n={S.n})", "fail",
-                                   {"kind": "characterizations-disagree", "s": s, "t": t,
-                                    "values": list(vals), "_raw": {"s": s, "t": t}},
-                                   examined)
-    return CheckReport("order_characterizations", f"carrier(n={S.n})", "pass",
-                       None, examined)
+                return {"kind": "characterizations-disagree", "s": s, "t": t,
+                        "values": list(vals)}
+    return None
 
 
 def test_order_characterizations_equal_the_definitional_scan(finite_corpus, I2):
     for sid, S in finite_corpus:
-        assert checkers.check_order_characterizations(S) == ref_order_characterizations(S), sid
+        assert lemmas.order_characterizations(S) is ref_order_characterizations(S) is None, sid
     cases = list(tampered(I2.carrier))
     fails = 0
     for T in cases:
-        got = checkers.check_order_characterizations(T)
+        got = lemmas.order_characterizations(T)
         assert got == ref_order_characterizations(T), T.table
-        fails += got.verdict == "fail"
+        fails += got is not None
     assert (len(cases), fails) == (222, 178)
 
 
@@ -142,13 +132,12 @@ def _one_entry_tampers(S):
 ])
 def test_finite_kinds_replay_their_instance(I2, suite, kind):
     S = I2.carrier
-    fabricated = CheckReport(suite.__name__, "I_2", "fail",
-                             {"kind": kind, "s": 0, "t": 1, "_raw": {"s": 0, "t": 1}})
-    assert not replay_counterexample(S, fabricated)
-    T, report = next((T, r) for T in _one_entry_tampers(S) for r in (suite(T),)
-                     if r.verdict == "fail" and r.counterexample["kind"] == kind)
-    assert replay_counterexample(T, report)
-    assert not replay_counterexample(S, report)
+    assert not lemmas.recheck(S, {"kind": kind, "s": 0, "t": 1})
+    reference = lemmas.reference_of(suite)
+    T, ce = next((T, ce) for T in _one_entry_tampers(S) for ce in (reference(T),)
+                 if ce is not None and ce["kind"] == kind)
+    assert lemmas.recheck(T, ce)
+    assert not lemmas.recheck(S, ce)
 
 
 def test_family_basic_kinds_replay_their_instance():

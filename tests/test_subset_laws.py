@@ -1,8 +1,9 @@
 """The arbitrary-subset laws on bounded pairs, cross-checked by enumeration.
 
 ``sigma_sup`` and ``conditional_distributivity`` quantify over every subset A
-that has a sup.  ``checkers`` checks them on the bounded pairs, and also on
-the bounded antichains when some bounded pair has no sup.  The references
+that has a sup.  Their references in ``test_lemmas`` check them on the
+bounded pairs, and also on the bounded antichains when some bounded pair has
+no sup.  The references
 here quantify over every subset, or over every bounded antichain, and must
 give the same verdicts: on the corpus, on tampered tables that break the
 laws, and on a Clifford carrier where a bounded pair has no sup.
@@ -11,30 +12,13 @@ laws, and on a Clifford carrier where a bounded pair has no sup.
 import pytest
 
 from invsg import checkers, core, pbij
-from invsg.checkers import CheckReport, replay_counterexample, run_suites
+from invsg.checkers import run_suites
 from invsg.core import bits, sup_finite
 from invsg.families import coset_monoid, group_by_name
 
+import test_lemmas as lemmas
 from test_collapse import tampered
-
-# 0 < x, y < 1 with x y = 0, and C2 = {1, g} over 1: g e = e below 1.
-# {x, y} is bounded by 1 and by g, which are incomparable, so has no sup.
-CLIFFORD = [[0, 0, 0, 0, 0],
-            [0, 1, 0, 1, 1],
-            [0, 0, 2, 2, 2],
-            [0, 1, 2, 3, 4],
-            [0, 1, 2, 4, 3]]
-
-# x, y, w < z with pairwise meets 0, C2 = {w, w'} over w and C2 = {z, h} over
-# z, with h w = w'.  {x, y} is bounded by z and by h but has no sup, while
-# the antichains {x, y, w} and {x, y, w'} have the sups z and h.
-CLIFFORD_7 = [[0, 0, 0, 0, 0, 0, 0],
-              [0, 1, 0, 0, 0, 1, 1],
-              [0, 0, 2, 0, 0, 2, 2],
-              [0, 0, 0, 3, 4, 3, 4],
-              [0, 0, 0, 4, 3, 4, 3],
-              [0, 1, 2, 3, 4, 5, 6],
-              [0, 1, 2, 4, 3, 6, 5]]
+from test_lemmas import CLIFFORD, CLIFFORD_7
 
 
 def ref_laws(S, subsets):
@@ -70,8 +54,7 @@ def bounded_antichains(S):
 
 
 def pair_verdicts(S):
-    return (checkers.check_sigma_sup(S).verdict == "pass",
-            checkers.check_conditional_distributivity(S).verdict == "pass")
+    return (lemmas.sigma_sup(S) is None, lemmas.conditional_distributivity(S) is None)
 
 
 def bounded_pairs_have_sups(S):
@@ -131,7 +114,7 @@ def test_fallback_yields_the_pairs_and_the_bounded_antichains():
     assert ((1, 2), None) in pairs
     antichains = {(tuple(A), sup_finite(S, A)) for A in bounded_antichains(S) if len(A) > 2}
     assert antichains == {((1, 2, 3), 5), ((1, 2, 4), 6)}
-    got = list(checkers._sup_instances(S))
+    got = list(lemmas.sup_instances(S))
     assert len(got) == len(set(got))
     assert set(got) == {(A, v) for A, v in pairs if v is not None} | antichains
     assert pair_verdicts(S) == ref_laws(S, all_subsets(S)) == (True, True)
@@ -139,12 +122,12 @@ def test_fallback_yields_the_pairs_and_the_bounded_antichains():
         assert pair_verdicts(T) == ref_laws(T, all_subsets(T)), T.table
 
 
-def _first_failure(cases, suite):
+def _first_failure(cases, reference):
     for T in cases:
-        report = suite(T)
-        if report.verdict == "fail":
-            return T, report
-    raise AssertionError(f"no tampered table fails {suite.__name__}")
+        ce = reference(T)
+        if ce is not None:
+            return T, ce
+    raise AssertionError(f"no tampered table fails {reference.__name__}")
 
 
 @pytest.mark.parametrize("suite, kind", [
@@ -152,11 +135,11 @@ def _first_failure(cases, suite):
     (checkers.check_conditional_distributivity, "cond-distr"),
 ])
 def test_replay_reruns_the_failing_pair(I2, suite, kind):
-    T, report = _first_failure(tampered(I2.carrier), suite)
-    assert report.counterexample["kind"] == kind
-    assert len(report.counterexample["A"]) <= 2
-    assert replay_counterexample(T, report)
-    assert not replay_counterexample(I2.carrier, report)
+    T, ce = _first_failure(tampered(I2.carrier), lemmas.reference_of(suite))
+    assert ce["kind"] == kind
+    assert len(ce["A"]) <= 2
+    assert lemmas.recheck(T, ce)
+    assert not lemmas.recheck(I2.carrier, ce)
 
 
 def test_replay_checks_the_hypothesis(I2):
@@ -164,9 +147,7 @@ def test_replay_checks_the_hypothesis(I2):
     up = S.up_masks()
     # a pair with no upper bound has no sup: the sigma-law says nothing of it
     a, b = next((a, b) for a in range(S.n) for b in range(S.n) if not up[a] & up[b])
-    report = CheckReport("sigma_sup", "I_2", "fail",
-                         {"kind": "sigma-sup", "A": [a, b], "_raw": {"A": [a, b]}})
-    assert not replay_counterexample(S, report)
+    assert not lemmas.recheck(S, {"kind": "sigma-sup", "A": [a, b]})
     # a tampered table where sup(sA) != s sup A, but some a a* is not below s* s
     T, A, s = next((T, [a, b], s) for T in tampered(S) for a in range(S.n)
                    for b in range(a, S.n) for s in range(S.n)
@@ -174,10 +155,7 @@ def test_replay_checks_the_hypothesis(I2):
                    and sup_finite(T, [T.mul(s, a), T.mul(s, b)])
                    != T.mul(s, sup_finite(T, [a, b]))
                    and not all(T.le(T.mul(x, T.inv[x]), T.sigma[s]) for x in (a, b)))
-    report = CheckReport("conditional_distributivity", "tampered-I_2", "fail",
-                         {"kind": "cond-distr", "A": A, "s": s,
-                          "_raw": {"A": A, "s": s}})
-    assert not replay_counterexample(T, report)
+    assert not lemmas.recheck(T, {"kind": "cond-distr", "A": A, "s": s})
 
 
 def test_no_finite_suite_samples(monkeypatch):
@@ -185,7 +163,7 @@ def test_no_finite_suite_samples(monkeypatch):
         raise AssertionError("a finite suite drew a random sample")
 
     monkeypatch.setattr(checkers, "_rng", no_rng)
-    # fresh carriers: the gates that checkers memoizes are computed here
+    # a carrier passes each suite by lemma, with nothing drawn
     for sid, S in (("I_3", pbij.symmetric_inverse_monoid(3).carrier),
                    ("coset:C2xC2xC2", coset_monoid(group_by_name("C2xC2xC2")))):
         assert S.n in (34, 51)
