@@ -13,7 +13,7 @@ import sys
 from . import checkers, core, pbij, poset
 from .core import FiniteInvSemigroup, NotInverseSemigroup
 from .families import classify, get_family, resolve_subject
-from .families.base import SymbolicFamily
+from .families.base import DEFAULT_DEPTH, SymbolicFamily
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -38,14 +38,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("classify", help="classification record with evidence")
     c.add_argument("--family", required=True)
-    c.add_argument("--depth", type=int, default=64)
+    c.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--json", action="store_true")
 
     k = sub.add_parser("check", help="run property suites against a subject")
     k.add_argument("--suite", default="all")
     k.add_argument("--subject", required=True)
-    k.add_argument("--depth", type=int, default=64)
+    k.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     k.add_argument("--seed", type=int, default=0)
     k.add_argument("--budget", type=int, default=None)
     k.add_argument("--json", action="store_true")
@@ -96,7 +96,7 @@ def _cmd_enumerate(args) -> int:
 
 def _check_limits(args) -> None:
     """Raise ValueError for a non-positive depth, budget, window, ground or
-    max order, an unknown suite, or a bad INVSG_BUDGET."""
+    max order, or an unknown suite."""
     for flag in ("depth", "budget", "window", "ground", "max_order"):
         value = getattr(args, flag, None)
         if value is not None and value <= 0:
@@ -106,8 +106,6 @@ def _check_limits(args) -> None:
         return
     if args.suite != "all" and args.suite not in checkers.SUITES:
         raise ValueError(f"unknown suite {args.suite!r}; known: {', '.join(checkers.SUITES)}")
-    if args.budget is None:
-        checkers.default_budget()
 
 
 def _cmd_classify(args) -> int:

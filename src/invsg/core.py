@@ -362,7 +362,10 @@ def from_json(obj) -> FiniteInvSemigroup:
     JSON ``true`` is rejected, not converted to an int.
     """
     if isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except RecursionError:
+            raise ValueError("carrier JSON is nested too deeply") from None
     if not isinstance(obj, dict) or "table" not in obj:
         raise ValueError("carrier JSON must be an object with a 'table' field")
     table, names = obj["table"], obj.get("names")
@@ -382,4 +385,4 @@ def _is_int(x) -> bool:
 
 def load_carrier(path: str) -> FiniteInvSemigroup:
     with open(path, "r", encoding="utf-8") as fh:
-        return from_json(json.load(fh))
+        return from_json(fh.read())

@@ -57,13 +57,12 @@ class ChainWitness:
     """
 
     label: Union[str, Callable[[], str]]
-    kind: str  # "finite-list" | "omega-chain"
     member: Callable[[int], Any]
     in_sigma: bool
     sup_in_sigma: Any = None
     sup_in_s: Any = None
     upper_bounds: tuple = ()
-    length: Optional[int] = None  # finite-list only
+    length: Optional[int] = None  # None for an omega chain
 
     @property
     def name(self) -> str:
@@ -143,9 +142,6 @@ class SymbolicFamily:
     def sigma(self, s) -> Any:
         return self.op(self.inv(s), s)
 
-    def eq(self, a, b) -> bool:
-        return a == b
-
 
 def chain_members(cw: ChainWitness, depth: int) -> list:
     return list(iter_chain(cw, depth))
@@ -165,7 +161,7 @@ def finite_list_chain(name: Union[str, Callable[[], str]], items: list, in_sigma
     def member(k: int):
         return items[min(k, len(items) - 1)]
 
-    return ChainWitness(label=name, kind="finite-list", member=member,
+    return ChainWitness(label=name, member=member,
                         in_sigma=in_sigma, sup_in_sigma=sup_in_sigma,
                         sup_in_s=sup_in_s, upper_bounds=tuple(upper_bounds),
                         length=len(items))

@@ -112,7 +112,7 @@ def _chains_to_dyadic(t):
         return (a + e, b + e)
 
     asc = ChainWitness(label=lambda: f"dyadic-approach-{_describe_dyadic(t)}",
-                       kind="omega-chain", member=member, in_sigma=(a == b),
+                       member=member, in_sigma=(a == b),
                        sup_in_sigma=t if a == b else None,
                        sup_in_s=t, upper_bounds=(t,))
     const = finite_list_chain(lambda: f"constant-{_describe_dyadic(t)}", [t],

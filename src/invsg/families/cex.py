@@ -85,8 +85,7 @@ def cex_mirror_witness() -> ChainWitness:
     def member(k: int):
         return 1 - Fraction(1, 2 ** k)
 
-    return ChainWitness(label="unit-interval-chain", kind="omega-chain",
-                        member=member, in_sigma=True,
+    return ChainWitness(label="unit-interval-chain", member=member, in_sigma=True,
                         sup_in_sigma=_ONE, sup_in_s=None,
                         upper_bounds=(_ONE, OMEGA))
 
@@ -110,8 +109,7 @@ def _chains_to(y) -> tuple[ChainWitness, ...]:
     def member(k: int):
         return y * (1 - Fraction(1, 2 ** k))
 
-    asc = ChainWitness(label=f"interval-approach-{y}", kind="omega-chain",
-                       member=member, in_sigma=True,
+    asc = ChainWitness(label=f"interval-approach-{y}", member=member, in_sigma=True,
                        sup_in_sigma=y, sup_in_s=y,
                        upper_bounds=(y, OMEGA))
     return (asc,)
@@ -138,8 +136,7 @@ def _refute(in_sigma: bool):
         def member(k: int):
             return y * (1 - Fraction(1, 2 ** k))
 
-        return ChainWitness(label=f"interval-approach-{y}", kind="omega-chain",
-                            member=member, in_sigma=True,
+        return ChainWitness(label=f"interval-approach-{y}", member=member, in_sigma=True,
                             sup_in_sigma=y, sup_in_s=y,
                             upper_bounds=(y, OMEGA))
     return refuter

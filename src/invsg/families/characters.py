@@ -164,8 +164,7 @@ def character_family(S: FiniteInvSemigroup, pool=None) -> SymbolicFamily:
             damp = rotation_approach(_ONE, k)
             return tuple(rotation_op(v, damp) for v in chi)
 
-        asc = ChainWitness(label="damped-chain", kind="omega-chain",
-                           member=member, in_sigma=idem,
+        asc = ChainWitness(label="damped-chain", member=member, in_sigma=idem,
                            sup_in_sigma=chi if idem else None,
                            sup_in_s=chi, upper_bounds=(chi,))
         const = finite_list_chain("constant", [chi], in_sigma=idem,
@@ -188,8 +187,7 @@ def character_family(S: FiniteInvSemigroup, pool=None) -> SymbolicFamily:
         def member(k: int):
             return _damped(S, rotation_approach(_ONE, k))
 
-        return ChainWitness(label="damped-to-trivial", kind="omega-chain",
-                            member=member, in_sigma=True,
+        return ChainWitness(label="damped-to-trivial", member=member, in_sigma=True,
                             sup_in_sigma=triv, sup_in_s=triv,
                             upper_bounds=(triv,))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Union
 
 from ..core import FiniteInvSemigroup, is_reduced
-from .base import Classification, Flag, SymbolicFamily
+from .base import DEFAULT_DEPTH, Classification, Flag, SymbolicFamily
 
 __all__ = ["classify"]
 
@@ -54,8 +54,8 @@ def _classify_family(fam: SymbolicFamily, depth: int, seed: int,
         alg = Flag(None, "not classified (partial family)", 0)
         stably = Flag(None, "not classified (partial family)", 0)
     else:
-        contS, nS = checkers._continuity(fam, checkers._S, rng, depth)
-        contE, nE = checkers._continuity(fam, checkers._SIGMA, rng, depth)
+        contS, _x, nS = checkers._continuity(fam, checkers._S, rng, depth)
+        contE, _xE, nE = checkers._continuity(fam, checkers._SIGMA, rng, depth)
         cont_n = nS + nE
         algS, alg_wit, alg_n = checkers._algebraic(fam, checkers._S, rng)
         mult_ok, _wit, mult_n = checkers._multiplicative(fam, checkers._S, rng,
@@ -78,7 +78,7 @@ def _classify_family(fam: SymbolicFamily, depth: int, seed: int,
 
 
 def classify(subject: Union[FiniteInvSemigroup, SymbolicFamily],
-             subject_id: str | None = None, *, depth: int = 64, seed: int = 0,
+             subject_id: str | None = None, *, depth: int = DEFAULT_DEPTH, seed: int = 0,
              budget=None) -> Classification:
     """Classification record {reduced, mirror, continuous, algebraic, stably
     continuous}, each flag carrying the evidence that produced it."""

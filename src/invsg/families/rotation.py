@@ -116,7 +116,7 @@ def _chains_to(z) -> tuple[ChainWitness, ...]:
                                   upper_bounds=(_ZERO,)),)
 
     asc = ChainWitness(label=lambda: f"radius-approach-{rot_describe(z)}",
-                       kind="omega-chain", member=lambda k: rotation_approach(z, k),
+                       member=lambda k: rotation_approach(z, k),
                        in_sigma=(t == 0), sup_in_sigma=z if t == 0 else None,
                        sup_in_s=z, upper_bounds=(z,))
     const = finite_list_chain(lambda: f"constant-{rot_describe(z)}", [z],

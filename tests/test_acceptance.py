@@ -136,8 +136,8 @@ def test_criterion_5_continuity_algebraicity_biconditional(finite_corpus):
     for name, mk in FAMILY_BUILDERS.items():
         fam = mk()
         rng = checkers._rng(0, "acceptance-cont", name)
-        contS, _n = checkers._continuity(fam, checkers._S, rng, DEPTH)
-        contE, _n1 = checkers._continuity(fam, checkers._SIGMA, rng, DEPTH)
+        contS, _x, _n = checkers._continuity(fam, checkers._S, rng, DEPTH)
+        contE, _x1, _n1 = checkers._continuity(fam, checkers._SIGMA, rng, DEPTH)
         algS, _w, _n2 = checkers._algebraic(fam, checkers._S, rng)
         algE, _w2, _n3 = checkers._algebraic(fam, checkers._SIGMA, rng)
         if contS != contE or algS != algE:

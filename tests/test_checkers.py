@@ -137,12 +137,10 @@ def test_reports_are_deterministic_across_runs():
     assert a == b
 
 
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("INVSG_BUDGET", "123")
-    assert checkers.default_budget() == 123
+def test_budget_sets_the_sampled_pairs():
     fam = rotation_family()
-    r = checkers.check_basic_rules(fam, "family:rotation")
-    assert r.budget == 123
+    assert checkers.check_basic_rules(fam, "family:rotation", budget=123).budget == 123
+    assert checkers.check_basic_rules(fam, "family:rotation").budget == 10000
 
 
 def test_wb_characterization_counts_enough_pairs():

@@ -190,10 +190,14 @@ def test_malformed_carrier_json_is_invalid(obj, argv, tmp_path, capsys):
     _assert_one_line_refusal(capsys)
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-4", "1.5"])
-def test_check_rejects_bad_budget_env(value, monkeypatch, capsys):
-    monkeypatch.setenv("INVSG_BUDGET", value)
-    assert main(["check", "--suite", "mirror", "--subject", "family:rotation"]) == 2
+@pytest.mark.parametrize("argv", [["validate", "{}"], ["check", "--subject", "{}"],
+                                  ["check", "--subject", "characters:{}"]])
+def test_deeply_nested_carrier_json_is_invalid(argv, tmp_path, capsys):
+    # json raises RecursionError on this, which must not escape as a traceback
+    # with exit 1, the code for a failed law
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200000 + "]" * 200000)
+    assert main([a.format(p) for a in argv]) == 2
     _assert_one_line_refusal(capsys)
 
 

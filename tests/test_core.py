@@ -363,3 +363,5 @@ def test_json_roundtrip(I2):
     assert S2.table == S.table and S2.names == S.names
     with pytest.raises(ValueError):
         core.from_json({"n": 3, "table": [[0]]})
+    with pytest.raises(ValueError, match="nested too deeply"):
+        core.from_json("[" * 200000 + "]" * 200000)

@@ -16,6 +16,7 @@ dict with the ``kind`` and the instance, which ``recheck`` re-runs.
 import json
 import random
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -55,7 +56,10 @@ def sig_data(S):
 
 
 def basic_rules_broken(S, s, t):
-    return checkers._basic_rules_broken(S.mul, S.inv.__getitem__, S.is_idempotent, s, t)
+    """The basic-rule kinds that fail at (s, t), tested by the families' laws
+    on the carrier's product, inverse and idempotents."""
+    ops = SimpleNamespace(op=S.mul, inv=S.inv.__getitem__, is_idempotent=S.is_idempotent)
+    return [k for k in checkers._BASIC_KINDS if checkers._VIOLATED[k](ops, s=s, t=t)]
 
 
 def basic_rules(S):
