@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from ..core import NotIdempotent
 from .base import (SCALE_BITS as K, ChainWitness, SymbolicFamily, check_chain_index,
                    finite_list_chain)
 
@@ -59,8 +60,6 @@ def is_dyadic(q: Fraction) -> bool:
 
 def bicyclic_wb(cone: str, eps, delta) -> bool:
     """Way-below between idempotents (a,a) and (b,b) over the given cone."""
-    from ..core import NotIdempotent
-
     a, aa = eps
     b, bb = delta
     if a != aa or b != bb:
