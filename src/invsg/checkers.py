@@ -28,8 +28,8 @@ from itertools import combinations, product
 from typing import Callable, Optional
 
 from .core import FiniteInvSemigroup
-from .families.base import (DEFAULT_DEPTH, ChainWitness, SymbolicFamily, chain_members,
-                            iter_chain)
+from .families.base import (DEFAULT_DEPTH, ChainWitness, SymbolicFamily, below,
+                            chain_members, iter_chain)
 
 __all__ = ["CheckReport", "SUITES", "run_suite", "run_suites",
            "replay_counterexample", "DEFAULT_BUDGET", "DEFAULT_DEPTH"]
@@ -372,8 +372,8 @@ def _multiplicative(fam: SymbolicFamily, side: _Side, rng: random.Random, rounds
         if wb(s, t):
             pairs.append((s, t))
     for _ in range(rounds if pairs else 0):
-        s, t = pairs[rng.randrange(len(pairs))]
-        s2, t2 = pairs[rng.randrange(len(pairs))]
+        s, t = pairs[below(rng, len(pairs))]
+        s2, t2 = pairs[below(rng, len(pairs))]
         examined += 1
         if _unmultiplicative(fam, side, s, t, s2, t2):
             return False, (s, t, s2, t2), examined

@@ -23,7 +23,7 @@ from typing import Any, Callable, Optional, Union
 from ..pbij import TooLarge
 
 __all__ = ["ChainWitness", "SymbolicFamily", "Flag", "Classification", "DEFAULT_DEPTH",
-           "MAX_CHAIN_INDEX", "SCALE_BITS", "check_chain_index"]
+           "MAX_CHAIN_INDEX", "SCALE_BITS", "below", "check_chain_index"]
 
 DEFAULT_DEPTH = 64
 # The checks read chain members up to index max(3 * depth, DEFAULT_DEPTH), so
@@ -36,13 +36,30 @@ MAX_CHAIN_INDEX = 3 * 1024
 SCALE_BITS = MAX_CHAIN_INDEX + 8
 
 
+def below(rng: random.Random, n: int) -> int:
+    """A uniform int in [0, n), n > 0, drawn as ``Random.randrange`` draws it.
+
+    This is CPython's ``_randbelow_with_getrandbits`` (the same in 3.10 to
+    3.13): ``getrandbits(k)`` with k = n.bit_length() until the result is
+    below n.  So it consumes the Mersenne Twister stream exactly as
+    ``randrange`` with stop n does, and ``a + below(rng, b - a)`` is its draw
+    with start a and stop b, without the argument checks.  The samplers draw
+    their ints through it, so reports stay the same at every seed.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def check_chain_index(k: int) -> None:
     """Refuse a chain member past the exact scale instead of computing it."""
     if k > MAX_CHAIN_INDEX:
         raise TooLarge("chain index", MAX_CHAIN_INDEX)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)  # identity semantics
 class ChainWitness:
     """A canonical countable directed subset with its supremum claims.
 
@@ -54,6 +71,11 @@ class ChainWitness:
     sup_in_sigma not below u refutes any supremum in S).  ``label`` is the
     name, or a function that builds it when ``name`` is read: most chains are
     never named in a report.
+
+    A chain equals only itself.  Every constructor makes a fresh ``member``
+    closure, so comparing fields would also come down to identity.  It is not
+    frozen: a frozen dataclass costs about three times as much to build, and
+    a pass builds tens of thousands of chains.
     """
 
     label: Union[str, Callable[[], str]]
@@ -149,9 +171,8 @@ def chain_members(cw: ChainWitness, depth: int) -> list:
 
 def iter_chain(cw: ChainWitness, depth: int):
     """Lazily yield members up to the depth (cheap when callers exit early)."""
-    ks = range(depth + 1) if cw.length is None else range(min(cw.length, depth + 1))
-    for k in ks:
-        yield cw.member(k)
+    n = depth + 1 if cw.length is None else min(cw.length, depth + 1)
+    return map(cw.member, range(n))
 
 
 def finite_list_chain(name: Union[str, Callable[[], str]], items: list, in_sigma: bool,

@@ -29,8 +29,8 @@ import random
 from fractions import Fraction
 
 from ..core import NotIdempotent
-from .base import (SCALE_BITS as K, ChainWitness, SymbolicFamily, check_chain_index,
-                   finite_list_chain)
+from .base import (SCALE_BITS as K, ChainWitness, SymbolicFamily, below,
+                   check_chain_index, finite_list_chain)
 
 __all__ = ["bicyclic_op", "bicyclic_le", "bicyclic_wb", "is_dyadic",
            "bicyclic_nat", "bicyclic_dyadic"]
@@ -125,9 +125,9 @@ def _refuter(cone: str, in_sigma: bool):
     """Concrete chain killing a claimed non-way-below pair."""
     chains_to = _chains_to_nat if cone == "nat" else _chains_to_dyadic
     describe = _describe_nat if cone == "nat" else _describe_dyadic
+    wb = _wb_s(cone) if not in_sigma else (lambda e, d: bicyclic_wb(cone, e, d))
 
     def refute(x, y):
-        wb = _wb_s(cone) if not in_sigma else (lambda e, d: bicyclic_wb(cone, e, d))
         if wb(x, y):
             return None
         if not bicyclic_le(x, y):
@@ -141,15 +141,22 @@ def _refuter(cone: str, in_sigma: bool):
     return refute
 
 
+# The sampled dyadic coordinates m / 2^j (m < 65, j < 4), stored: _DYADIC[m][j]
+# is m << (K - j).  A draw picks m, then j.
+_DYADIC = tuple(tuple(m << (K - j) for j in range(4)) for m in range(65))
+
+
+def _dyadic_coord(rng: random.Random) -> int:
+    return _DYADIC[below(rng, 65)][below(rng, 4)]
+
+
 def _sampler(cone: str):
     if cone == "nat":
         def sample(rng: random.Random):
-            return (rng.randrange(0, 9), rng.randrange(0, 9))
+            return (below(rng, 9), below(rng, 9))
     else:
         def sample(rng: random.Random):
-            def coord():
-                return rng.randrange(0, 65) << (K - rng.randrange(0, 4))
-            return (coord(), coord())
+            return (_dyadic_coord(rng), _dyadic_coord(rng))
     return sample
 
 

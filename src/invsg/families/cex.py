@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 
 from ..core import FiniteInvSemigroup
-from .base import ChainWitness, SymbolicFamily, finite_list_chain
+from .base import ChainWitness, SymbolicFamily, below, finite_list_chain
 
 __all__ = ["OMEGA", "cex_op", "cex_inv", "cex_le", "cex_mirror_witness",
            "cex_family", "cex_truncation"]
@@ -142,16 +142,21 @@ def _refute(in_sigma: bool):
     return refuter
 
 
+# The sampled interior points m/q (0 < m < q), for q = 2..16, stored as
+# _INTERIOR[q - 2][m - 1].  A draw picks q, then m.
+_INTERIOR = tuple(tuple(Fraction(m, q) for m in range(1, q)) for q in range(2, 17))
+
+
 def _sample(rng: random.Random):
-    roll = rng.randrange(8)
+    roll = below(rng, 8)
     if roll == 0:
         return OMEGA
     if roll == 1:
         return _ONE
     if roll == 2:
         return _ZERO
-    q = rng.randrange(2, 17)
-    return Fraction(rng.randrange(1, q), q)
+    points = _INTERIOR[below(rng, 15)]
+    return points[below(rng, len(points))]
 
 
 def _sample_idem(rng: random.Random):

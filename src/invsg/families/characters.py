@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from ..core import FiniteInvSemigroup
-from .base import ChainWitness, SymbolicFamily, finite_list_chain
+from .base import ChainWitness, SymbolicFamily, below, finite_list_chain
 from .rotation import (rot_canonical, rot_describe, rotation_approach, rotation_inv,
                        rotation_le, rotation_op)
 
@@ -148,9 +148,11 @@ def character_family(S: FiniteInvSemigroup, pool=None) -> SymbolicFamily:
                                for i, v in enumerate(chi)) + "]"
 
     def sample(rng: random.Random):
-        chi = rng.choice(pool)
-        for _ in range(rng.randrange(0, 3)):
-            chi = op(chi, rng.choice(pool))
+        # a product of one to three pool members; pool[below(rng, len(pool))]
+        # is the draw of ``choice`` on the pool
+        chi = pool[below(rng, len(pool))]
+        for _ in range(below(rng, 3)):
+            chi = op(chi, pool[below(rng, len(pool))])
         return chi
 
     def sample_idem(rng: random.Random):

@@ -29,7 +29,8 @@ import random
 from fractions import Fraction
 
 from ..pbij import TooLarge
-from .base import SCALE_BITS, ChainWitness, SymbolicFamily, check_chain_index, finite_list_chain
+from .base import (SCALE_BITS, ChainWitness, SymbolicFamily, below, check_chain_index,
+                   finite_list_chain)
 
 __all__ = ["OutOfRange", "rot_canonical", "rot_value", "rot_describe", "rotation_op",
            "rotation_inv", "rotation_le", "rotation_wb_sigma", "rotation_approach",
@@ -148,14 +149,20 @@ def _refute(in_sigma: bool):
     return refuter
 
 
+# The sampled radii m/q (m <= q) and angles m/q (m < q), stored, for q = 1..12:
+# _RADII[q - 1][m] and _ANGLES[q - 1][m].  A draw picks q, then m.
+_RADII = tuple(tuple(m * (_UNIT // q) for m in range(q + 1)) for q in range(1, 13))
+_ANGLES = tuple(tuple(m * (_TURN // q) for m in range(q)) for q in range(1, 13))
+
+
 def _rand_radius(rng: random.Random) -> int:
-    q = rng.randrange(1, 13)
-    return rng.randrange(0, q + 1) * (_UNIT // q)
+    radii = _RADII[below(rng, 12)]
+    return radii[below(rng, len(radii))]
 
 
 def _rand_angle(rng: random.Random) -> int:
-    q = rng.randrange(1, 13)
-    return rng.randrange(0, q) * (_TURN // q)
+    angles = _ANGLES[below(rng, 12)]
+    return angles[below(rng, len(angles))]
 
 
 def _sample(rng: random.Random):

@@ -7,16 +7,39 @@ each registry family, and for the families also the value, evidence and
 witness of every ``classify(..., budget=400)`` flag.  A refactor must leave
 the file byte-identical.  Re-record it, when a verdict is meant to change,
 with ``PYTHONPATH=src python tests/test_golden.py``.
+
+The budgets, the examined counts, are pinned apart: ``EXAMINED`` holds every
+suite's and every classify flag's count on the registry families at the
+default budget and seed 3, so a draw sequence that drifts while the verdicts
+hold still fails.
 """
 
 import json
 from pathlib import Path
+
+import pytest
 
 from invsg.checkers import run_suites
 from invsg.families import FAMILY_BUILDERS, classify
 
 GOLDEN = Path(__file__).with_name("golden_reports.jsonl")
 BUDGET = 400
+
+# name: (the budget of each suite in registry order, of each classify flag in
+# Classification.flags() order)
+EXAMINED = {
+    "bicyclic-nat": ((10000, 20000, 1012, 338, 912, 3732, 4496, 14368, 9448, 4107, 4138,
+                      4540, 3732),
+                     (2004, 3732, 292, 48, 2040)),
+    "bicyclic-dyadic": ((10000, 20000, 1198, 4707, 954, 6718, 17380, 24740, 19926, 12440,
+                         7261, 18250, 6718),
+                        (2010, 6718, 5720, 1, 2084)),
+    "rotation": ((10000, 20000, 1198, 3717, 954, 6330, 17190, 24550, 19671, 11157, 6732,
+                  17421, 6330),
+                 (2010, 6330, 5081, 1, 2050)),
+    "cex": ((10000, 20000, 1067, 1358, 936, 71, 0, 0, 0, 0, 72, 0, 0),
+            (19, 71, 3539, 3, 2057)),
+}
 
 
 def _reports(subject, sid) -> list:
@@ -49,6 +72,14 @@ def test_reports_match_the_golden_file(finite_corpus):
         [json.loads(x)["subject"] for x in expected]
     for g, e in zip(got, expected):
         assert g == e
+
+
+@pytest.mark.parametrize("name", sorted(EXAMINED))
+def test_family_examined_counts_at_seed_3(name):
+    fam = FAMILY_BUILDERS[name]()
+    suites, flags = EXAMINED[name]
+    assert tuple(r.budget for r in run_suites(fam, name, seed=3)) == suites
+    assert tuple(f.budget for f in classify(fam, seed=3).flags().values()) == flags
 
 
 if __name__ == "__main__":
