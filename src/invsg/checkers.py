@@ -139,29 +139,27 @@ def _idem_pool(fam: SymbolicFamily, rng: random.Random, k: int) -> list:
 class _Side:
     """One side of a mirror law on a family, S or its idempotents Sigma, so
     that the law is written once: ``sample``/``pool`` draw one element, or k
-    plus the canonical witnesses; ``wb``, ``chains_to``, ``refuter`` and
-    ``sup`` name the family's oracles and ChainWitness field for the side;
-    ``keys`` label a way-below pair, and ``kinds`` name its refutations:
-    claim refuted, refuter missing, refuter sup too small, does not kill."""
+    plus the canonical witnesses; ``wb``, ``chains_to`` and ``sup`` name the
+    family's oracles and ChainWitness field for the side; ``keys`` label a
+    way-below pair, and ``kinds`` name its refutations: claim refuted,
+    refuter missing, refuter sup too small, does not kill."""
 
     sample: Callable
     pool: Callable
     wb: str
     chains_to: str
     sup: str
-    refuter: str
     keys: tuple
     kinds: tuple
 
 
 _S = _Side(lambda fam, rng: fam.sample(rng),
            lambda fam, rng, k: [fam.sample(rng) for _ in range(k)] + _elem_pool(fam, rng, 3),
-           "wb_s", "chains_to", "sup_in_s", "wb_s_refuter", ("s", "t"),
+           "wb_s", "chains_to", "sup_in_s", ("s", "t"),
            ("wb-claim-refuted", "missing-refuter", "refuter-sup-too-small",
             "refuter-does-not-kill"))
 _SIGMA = _Side(lambda fam, rng: fam.sample_idempotent(rng), _idem_pool,
-               "wb_sigma", "sigma_chains_to", "sup_in_sigma", "wb_sigma_refuter",
-               ("eps", "delta"),
+               "wb_sigma", "sigma_chains_to", "sup_in_sigma", ("eps", "delta"),
                ("wb-sigma-claim-refuted", "missing-sigma-refuter",
                 "sigma-refuter-sup-too-small", "sigma-refuter-does-not-kill"))
 
@@ -385,24 +383,27 @@ def _wb_refutation(fam: SymbolicFamily, side: _Side, x, y, depth: int) -> Option
 
     A claim x << y must survive each canonical chain with sup above y: some
     member, scanned no shallower than the replay depth, lies above x.  A
-    denial needs the side's refuter: a chain with sup above y and no member
-    above x up to ``depth``.
+    denial is refuted by a directed set with sup above y and no member above
+    x (Gierz et al., 2003, I-1.1): the singleton {y} when x is not below y,
+    else the side's first canonical chain to y, scanned up to ``depth``.
     """
     claim_refuted, missing, too_small, no_kill = side.kinds
 
     def found(kind, cw=None):
         return _fail(fam, kind, chain=cw, **dict(zip(side.keys, (x, y))), _depth=depth)
 
+    chains = getattr(fam, side.chains_to)
     if getattr(fam, side.wb)(x, y):
-        for cw in getattr(fam, side.chains_to)(y):
+        for cw in chains(y):
             sup = getattr(cw, side.sup)
             if sup is None or not fam.nat_le(y, sup):
                 continue
             if not any(fam.nat_le(x, m) for m in iter_chain(cw, max(depth, DEFAULT_DEPTH))):
                 return found(claim_refuted, cw)
         return None
-    refuter = getattr(fam, side.refuter)
-    cw = refuter(x, y) if refuter else None
+    if not fam.nat_le(x, y):
+        return None
+    cw = next(iter(chains(y)), None)
     if cw is None:
         return found(missing)
     sup = getattr(cw, side.sup)
@@ -758,7 +759,7 @@ def check_multiplicativity_mirror(fam: SymbolicFamily, depth, seed, budget):
     if na:
         return na
     rng = _rng(seed, "mult", fam.name)
-    rounds = (budget or DEFAULT_BUDGET) // 4
+    rounds = -(-(budget or DEFAULT_BUDGET) // 4)
     multS, witS, nS = _multiplicative(fam, _S, rng, rounds)
     multE, witE, nE = _multiplicative(fam, _SIGMA, rng, rounds)
     return _verdict(n0 + nS + nE, multS == multE,

@@ -138,7 +138,13 @@ class Classification:
 
 @dataclass(frozen=True, eq=False)  # identity semantics: an oracle bundle
 class SymbolicFamily:
-    """Oracle bundle for one infinite parametric inverse semigroup."""
+    """Oracle bundle for one infinite parametric inverse semigroup.
+
+    ``chains_to(y)`` gives the canonical chains to y, and the chains of
+    Sigma and of way-below refutation come from it: ``sigma_chains_to``
+    keeps the chains in Sigma, and a denied x << y with x <= y is refuted by
+    the first chain to y on its side (see ``checkers._wb_refutation``).
+    """
 
     name: str
     op: Callable[[Any, Any], Any]
@@ -150,19 +156,20 @@ class SymbolicFamily:
     sample_idempotent: Callable[[random.Random], Any]
     witnesses: tuple[ChainWitness, ...]
     chains_to: Callable[[Any], tuple[ChainWitness, ...]]
-    sigma_chains_to: Callable[[Any], tuple[ChainWitness, ...]]
     h_class_sample: Callable[[Any, random.Random, int], list]
     # way-below oracles; None when the family only supports partial evidence
     wb_s: Optional[Callable[[Any, Any], bool]] = None
     wb_sigma: Optional[Callable[[Any, Any], bool]] = None
-    wb_s_refuter: Optional[Callable[[Any, Any], Optional[ChainWitness]]] = None
-    wb_sigma_refuter: Optional[Callable[[Any, Any], Optional[ChainWitness]]] = None
     zero: Any = None
     # documented expectations, asserted against computed evidence in tests
     claimed: dict = field(default_factory=dict)
 
     def sigma(self, s) -> Any:
         return self.op(self.inv(s), s)
+
+    def sigma_chains_to(self, eps) -> tuple[ChainWitness, ...]:
+        """The canonical chains to eps that lie in Sigma."""
+        return tuple(cw for cw in self.chains_to(eps) if cw.in_sigma)
 
 
 def chain_members(cw: ChainWitness, depth: int) -> list:

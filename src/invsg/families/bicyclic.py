@@ -98,10 +98,6 @@ def _chains_to_nat(t):
                               sup_in_s=t, upper_bounds=(t,)),)
 
 
-def _sigma_chains_to_nat(eps):
-    return _chains_to_nat(eps)
-
-
 def _chains_to_dyadic(t):
     a, b = t
 
@@ -119,26 +115,6 @@ def _chains_to_dyadic(t):
                               sup_in_sigma=t if a == b else None,
                               sup_in_s=t, upper_bounds=(t,))
     return (asc, const)
-
-
-def _refuter(cone: str, in_sigma: bool):
-    """Concrete chain killing a claimed non-way-below pair."""
-    chains_to = _chains_to_nat if cone == "nat" else _chains_to_dyadic
-    describe = _describe_nat if cone == "nat" else _describe_dyadic
-    wb = _wb_s(cone) if not in_sigma else (lambda e, d: bicyclic_wb(cone, e, d))
-
-    def refute(x, y):
-        if wb(x, y):
-            return None
-        if not bicyclic_le(x, y):
-            return finite_list_chain(lambda: f"singleton-{describe(y)}", [y],
-                                     in_sigma=in_sigma,
-                                     sup_in_sigma=y if in_sigma else None,
-                                     sup_in_s=y, upper_bounds=(y,))
-        # x <= y but not way below: only possible over the dyadics, where the
-        # strictly descending approach chain to y has sup y and never reaches x
-        return chains_to(y)[0]
-    return refute
 
 
 # The sampled dyadic coordinates m / 2^j (m < 65, j < 4), stored: _DYADIC[m][j]
@@ -185,13 +161,13 @@ def _h_class_sample(cone: str):
 def _family(cone: str) -> SymbolicFamily:
     if cone == "nat":
         witnesses = _chains_to_nat((0, 0)) + _chains_to_nat((2, 2)) + _chains_to_nat((5, 3))
-        chains_to, sigma_chains_to = _chains_to_nat, _sigma_chains_to_nat
+        chains_to = _chains_to_nat
         describe = _describe_nat
     else:
         one = 1 << K
         witnesses = (_chains_to_dyadic((one, one)) + _chains_to_dyadic((3 * one, 3 * one))
                      + _chains_to_dyadic((5 * one // 2, one // 2)))
-        chains_to, sigma_chains_to = _chains_to_dyadic, _chains_to_dyadic
+        chains_to = _chains_to_dyadic
         describe = _describe_dyadic
     claimed = {"reduced": True, "mirror": True, "continuous": True,
                "algebraic": cone == "nat", "stably_continuous": True}
@@ -206,12 +182,9 @@ def _family(cone: str) -> SymbolicFamily:
         sample_idempotent=_idem_sampler(cone),
         witnesses=witnesses,
         chains_to=chains_to,
-        sigma_chains_to=sigma_chains_to,
         h_class_sample=_h_class_sample(cone),
         wb_s=_wb_s(cone),
         wb_sigma=lambda e, d: bicyclic_wb(cone, e, d),
-        wb_s_refuter=_refuter(cone, in_sigma=False),
-        wb_sigma_refuter=_refuter(cone, in_sigma=True),
         zero=None,  # the bicyclic monoid has no zero element
         claimed=claimed,
     )

@@ -115,33 +115,6 @@ def _chains_to(y) -> tuple[ChainWitness, ...]:
     return (asc,)
 
 
-def _sigma_chains_to(eps) -> tuple[ChainWitness, ...]:
-    return tuple(c for c in _chains_to(eps) if c.in_sigma)
-
-
-def _refute(in_sigma: bool):
-    wb = _wb_sigma if in_sigma else _wb_s
-
-    def refuter(x, y):
-        if wb(x, y):
-            return None
-        if not cex_le(x, y):
-            return finite_list_chain(f"singleton-{y}", [y], in_sigma=in_sigma,
-                                     sup_in_sigma=y if (y is not OMEGA) else None,
-                                     sup_in_s=y, upper_bounds=(y,))
-        # x <= y but not way below: x = y in (0,1), or sigma-level x = y = 1
-        if in_sigma and y == 1:
-            return cex_mirror_witness()
-
-        def member(k: int):
-            return y * (1 - Fraction(1, 2 ** k))
-
-        return ChainWitness(label=f"interval-approach-{y}", member=member, in_sigma=True,
-                            sup_in_sigma=y, sup_in_s=y,
-                            upper_bounds=(y, OMEGA))
-    return refuter
-
-
 # The sampled interior points m/q (0 < m < q), for q = 2..16, stored as
 # _INTERIOR[q - 2][m - 1].  A draw picks q, then m.
 _INTERIOR = tuple(tuple(Fraction(m, q) for m in range(1, q)) for q in range(2, 17))
@@ -183,12 +156,9 @@ def cex_family() -> SymbolicFamily:
         sample_idempotent=_sample_idem,
         witnesses=witnesses,
         chains_to=_chains_to,
-        sigma_chains_to=_sigma_chains_to,
         h_class_sample=_h_class_sample,
         wb_s=_wb_s,
         wb_sigma=_wb_sigma,
-        wb_s_refuter=_refute(in_sigma=False),
-        wb_sigma_refuter=_refute(in_sigma=True),
         zero=_ZERO,
         claimed={"reduced": False, "mirror": False, "continuous": True,
                  "algebraic": False, "stably_continuous": True},

@@ -174,9 +174,6 @@ def character_family(S: FiniteInvSemigroup, pool=None) -> SymbolicFamily:
                                   sup_in_s=chi, upper_bounds=(chi,))
         return (asc, const)
 
-    def sigma_chains_to(eps) -> tuple[ChainWitness, ...]:
-        return chains_to(eps)
-
     def h_class_sample(eps, rng: random.Random, k: int) -> list:
         out = [chi for chi in pool if sigma(chi) == eps]
         return out[: max(k, 2)] if out else []
@@ -204,12 +201,9 @@ def character_family(S: FiniteInvSemigroup, pool=None) -> SymbolicFamily:
         sample_idempotent=sample_idem,
         witnesses=(main_witness(),) + chains_to(triv),
         chains_to=chains_to,
-        sigma_chains_to=sigma_chains_to,
         h_class_sample=h_class_sample,
         wb_s=None,
         wb_sigma=None,
-        wb_s_refuter=None,
-        wb_sigma_refuter=None,
         zero=zero_candidate if is_zero else None,
         claimed={"reduced": True, "mirror": True, "continuous": True,
                  "algebraic": None, "stably_continuous": None},

@@ -4,9 +4,8 @@ Every flag carries its evidence: the route that produced it and at what
 depth/budget.  On a finite carrier reducedness is scanned, as a property of
 the table; the other four flags hold on every finite inverse semigroup, and
 their evidence names the lemma (see ``invsg.checkers``).  Symbolic families
-are classified via their oracles, canonical chains and refuters.  Families
-without way-below oracles get partial records (value None where no evidence
-exists).
+are classified via their oracles and canonical chains.  Families without
+way-below oracles get partial records (value None where no evidence exists).
 """
 
 from __future__ import annotations

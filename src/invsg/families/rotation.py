@@ -127,28 +127,6 @@ def _chains_to(z) -> tuple[ChainWitness, ...]:
     return (asc, const)
 
 
-def _sigma_chains_to(eps) -> tuple[ChainWitness, ...]:
-    return _chains_to(eps)
-
-
-def _refute(in_sigma: bool):
-    wb = _wb_sigma if in_sigma else _wb_s
-    le = rotation_le
-
-    def refuter(x, y):
-        if wb(x, y):
-            return None
-        if not le(x, y):
-            return finite_list_chain(lambda: f"singleton-{rot_describe(y)}", [y],
-                                     in_sigma=in_sigma,
-                                     sup_in_sigma=y if in_sigma else None,
-                                     sup_in_s=y, upper_bounds=(y,))
-        # x <= y, not way below: forces radius(x) = radius(y) > 0, and the
-        # strictly ascending radius chain to y has sup y with no member >= x
-        return _chains_to(y)[0]
-    return refuter
-
-
 # The sampled radii m/q (m <= q) and angles m/q (m < q), stored, for q = 1..12:
 # _RADII[q - 1][m] and _ANGLES[q - 1][m].  A draw picks q, then m.
 _RADII = tuple(tuple(m * (_UNIT // q) for m in range(q + 1)) for q in range(1, 13))
@@ -195,12 +173,9 @@ def rotation_family() -> SymbolicFamily:
         sample_idempotent=_sample_idem,
         witnesses=witnesses,
         chains_to=_chains_to,
-        sigma_chains_to=_sigma_chains_to,
         h_class_sample=_h_class_sample,
         wb_s=_wb_s,
         wb_sigma=_wb_sigma,
-        wb_s_refuter=_refute(in_sigma=False),
-        wb_sigma_refuter=_refute(in_sigma=True),
         zero=_ZERO,
         claimed={"reduced": True, "mirror": True, "continuous": True,
                  "algebraic": False, "stably_continuous": True},

@@ -138,12 +138,6 @@ class PartialBijection:
                 out[x] = self.mapping[v]
         return PartialBijection(self.ground, out)
 
-    def restricted_to(self, points: Iterable[int]) -> "PartialBijection":
-        pts = set(points)
-        return PartialBijection(
-            self.ground,
-            tuple(v if i in pts else -1 for i, v in enumerate(self.mapping)))
-
     def le(self, other: "PartialBijection") -> bool:
         """Natural order: restriction of the bigger map."""
         if self.ground != other.ground:

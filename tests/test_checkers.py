@@ -8,8 +8,8 @@ from invsg import checkers
 from invsg.core import validate as core_validate
 from invsg.checkers import (SUITES, CheckReport, replay_counterexample,
                             run_suite, run_suites)
-from invsg.families import (bicyclic_dyadic, cex_family, cex_truncation, coset_monoid,
-                            group_by_name, rotation_family)
+from invsg.families import (bicyclic_dyadic, bicyclic_nat, cex_family, cex_truncation,
+                            coset_monoid, group_by_name, rotation_family)
 from invsg.families.base import finite_list_chain
 from invsg.pbij import symmetric_inverse_monoid
 
@@ -143,6 +143,19 @@ def test_budget_sets_the_sampled_pairs():
     assert checkers.check_basic_rules(fam, "family:rotation").budget == 10000
 
 
+@pytest.mark.parametrize("budget", [1, 3, 4])
+def test_multiplicativity_tests_a_tuple_at_every_budget(budget):
+    # a copy whose way-below in S needs y = (c, d) with c + d odd: the product
+    # of two such y has c + d even, so every tested S-side 4-tuple fails
+    honest = bicyclic_nat()
+    lying = dataclasses.replace(
+        honest, wb_s=lambda x, y: honest.nat_le(x, y) and sum(y) % 2 == 1)
+    r = run_suite("multiplicativity_mirror", lying, "lying", budget=budget)
+    assert r.verdict == "fail" and r.counterexample["kind"] == "mult-biconditional"
+    assert r.counterexample["mult_S"] is False and r.counterexample["mult_Sigma"] is True
+    assert replay_counterexample(lying, r)
+
+
 def test_wb_characterization_counts_enough_pairs():
     fam = rotation_family()
     r = checkers.check_wb_characterization(fam, "family:rotation", budget=500)
@@ -159,30 +172,43 @@ def test_check_report_dataclass_shape():
 _honest = functools.cache(lambda build: build())
 
 
-def _refuter_without_sup(in_sigma):
-    return lambda x, y: finite_list_chain("no-sup", [y], in_sigma)
+def _refuting(fam, in_sigma, bad=None):
+    """The replaced ``chains_to`` of a copy whose refuting chain to y on one
+    side is ``bad(y, in_sigma)``, or none when ``bad`` is None; the other side
+    keeps an honest one.  Sigma reads the first chain in Sigma, so the honest
+    first chain comes first, taken out of Sigma.  S reads the first chain,
+    so the lie is told at the y that Sigma never reads: the non-idempotents."""
+    honest = fam.chains_to
+
+    def chains_to(y):
+        lie = () if bad is None else (bad(y, in_sigma),)
+        if in_sigma:
+            return (dataclasses.replace(honest(y)[0], in_sigma=False),) + lie
+        return honest(y) if fam.is_idempotent(y) else lie
+    return {"chains_to": chains_to}
 
 
-def _refuter_at(in_sigma):
+def _without_sup(y, in_sigma):
+    return finite_list_chain("no-sup", [y], in_sigma)
+
+
+def _at(y, in_sigma):
     # a chain whose sup is y itself: it kills nothing that lies below y
-    return lambda x, y: finite_list_chain("at-y", [y], in_sigma, sup_in_sigma=y, sup_in_s=y)
+    return finite_list_chain("at-y", [y], in_sigma, sup_in_sigma=y, sup_in_s=y)
 
 
 @pytest.mark.parametrize("build, lie, kind", [
-    (rotation_family, lambda f: {"wb_s_refuter": None}, "missing-refuter"),
-    (rotation_family, lambda f: {"wb_sigma_refuter": None}, "missing-sigma-refuter"),
+    (rotation_family, lambda f: _refuting(f, False), "missing-refuter"),
+    (rotation_family, lambda f: _refuting(f, True), "missing-sigma-refuter"),
     (rotation_family, lambda f: {"wb_s": f.nat_le, "wb_sigma": f.nat_le},
      "wb-sigma-claim-refuted"),
     (bicyclic_dyadic, lambda f: {"wb_s": f.nat_le, "wb_sigma": f.nat_le},
      "wb-claim-refuted"),
-    (rotation_family, lambda f: {"wb_s_refuter": _refuter_without_sup(False)},
-     "refuter-sup-too-small"),
-    (rotation_family, lambda f: {"wb_sigma_refuter": _refuter_without_sup(True)},
+    (rotation_family, lambda f: _refuting(f, False, _without_sup), "refuter-sup-too-small"),
+    (rotation_family, lambda f: _refuting(f, True, _without_sup),
      "sigma-refuter-sup-too-small"),
-    (rotation_family, lambda f: {"wb_s_refuter": _refuter_at(False)},
-     "refuter-does-not-kill"),
-    (rotation_family, lambda f: {"wb_sigma_refuter": _refuter_at(True)},
-     "sigma-refuter-does-not-kill"),
+    (rotation_family, lambda f: _refuting(f, False, _at), "refuter-does-not-kill"),
+    (rotation_family, lambda f: _refuting(f, True, _at), "sigma-refuter-does-not-kill"),
 ])
 def test_way_below_refutation_kinds_fail_and_replay(build, lie, kind):
     honest = _honest(build)  # shared, so its memoized hypotheses are computed once

@@ -87,13 +87,19 @@ def swap(fam, oracle, at, value):
     return {oracle: lambda *xs: value if xs == at else honest(*xs)}
 
 
-def _refuter_without_sup(in_sigma):
-    return lambda x, y: finite_list_chain("no-sup", [y], in_sigma)
+def chains(bad=None, in_sigma=False):
+    """The replaced ``chains_to`` of a copy whose one chain to each y is
+    ``bad(y, in_sigma)``, or that has none when ``bad`` is None."""
+    return {"chains_to": lambda y: () if bad is None else (bad(y, in_sigma),)}
 
 
-def _refuter_at(in_sigma):
+def without_sup(y, in_sigma):
+    return finite_list_chain("no-sup", [y], in_sigma)
+
+
+def at(y, in_sigma):
     # a chain whose sup is y itself: it kills nothing that lies below y
-    return lambda x, y: finite_list_chain("at-y", [y], in_sigma, sup_in_sigma=y, sup_in_s=y)
+    return finite_list_chain("at-y", [y], in_sigma, sup_in_sigma=y, sup_in_s=y)
 
 
 # a bounded chain that claims no sup in S, known only to the perturbed family
@@ -108,8 +114,7 @@ def to_53(f):  # bicyclic-nat: (8,6), (7,5), (6,4), (5,3), sup in S (5,3)
     return f.witnesses[2]
 
 
-S_PAIR = dict(chain=None, s=(0, 1), t=(0, 0), _depth=64)         # (0,1) is not below (0,0)
-SIGMA_PAIR = dict(chain=None, eps=(0, 0), delta=(1, 1), _depth=64)
+# (1,1) <= (1,1) but not way below: the approach chain to (1,1) refutes it
 DYADIC_S = dict(chain=None, s=(ONE, ONE), t=(ONE, ONE), _depth=64)
 DYADIC_SIGMA = dict(chain=None, eps=(ONE, ONE), delta=(ONE, ONE), _depth=64)
 
@@ -175,17 +180,15 @@ CASES = {
                          lambda f: {"wb_s": f.nat_le}),
     "wb-sigma-claim-refuted": (bicyclic_dyadic, lambda f: DYADIC_SIGMA,
                                lambda f: {"wb_sigma": f.nat_le}),
-    "missing-refuter": (bicyclic_nat, lambda f: S_PAIR, lambda f: {"wb_s_refuter": None}),
-    "missing-sigma-refuter": (bicyclic_nat, lambda f: SIGMA_PAIR,
-                              lambda f: {"wb_sigma_refuter": None}),
-    "refuter-sup-too-small": (bicyclic_nat, lambda f: S_PAIR,
-                              lambda f: {"wb_s_refuter": _refuter_without_sup(False)}),
-    "sigma-refuter-sup-too-small": (bicyclic_nat, lambda f: SIGMA_PAIR,
-                                    lambda f: {"wb_sigma_refuter": _refuter_without_sup(True)}),
-    "refuter-does-not-kill": (bicyclic_dyadic, lambda f: DYADIC_S,
-                              lambda f: {"wb_s_refuter": _refuter_at(False)}),
+    "missing-refuter": (bicyclic_dyadic, lambda f: DYADIC_S, lambda f: chains()),
+    "missing-sigma-refuter": (bicyclic_dyadic, lambda f: DYADIC_SIGMA, lambda f: chains()),
+    "refuter-sup-too-small": (bicyclic_dyadic, lambda f: DYADIC_S,
+                              lambda f: chains(without_sup)),
+    "sigma-refuter-sup-too-small": (bicyclic_dyadic, lambda f: DYADIC_SIGMA,
+                                    lambda f: chains(without_sup, True)),
+    "refuter-does-not-kill": (bicyclic_dyadic, lambda f: DYADIC_S, lambda f: chains(at)),
     "sigma-refuter-does-not-kill": (bicyclic_dyadic, lambda f: DYADIC_SIGMA,
-                                    lambda f: {"wb_sigma_refuter": _refuter_at(True)}),
+                                    lambda f: chains(at, True)),
     # biconditionals: the instance is the failing side's witness
     "meet-cont-biconditional": (
         bicyclic_nat, lambda f: dict(ssc=False, meet_continuous=True, _witness=checkers._fail(
