@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 from .core import FiniteInvSemigroup
 from .families.base import (DEFAULT_DEPTH, ChainWitness, SymbolicFamily, below,
-                            chain_members, iter_chain)
+                            chain_limit, chain_members, iter_chain, require_positive)
 
 __all__ = ["CheckReport", "SUITES", "run_suite", "run_suites",
            "replay_counterexample", "DEFAULT_BUDGET", "DEFAULT_DEPTH"]
@@ -195,7 +195,7 @@ def _family_mirror(fam: SymbolicFamily, rng: random.Random, depth: int):
     so a depth whose chains cannot be computed that far (``TooLarge``) is
     refused before anything is scanned.
     """
-    deepest = max(3 * depth, DEFAULT_DEPTH)
+    deepest = chain_limit(depth)
     for cw in fam.witnesses:
         cw.member(deepest)
     mirror_fails = _VIOLATED["mirror-family"]
@@ -513,12 +513,16 @@ def _lemma(notes: str = ""):
     """Make a family check a suite, registered in SUITES, whose carrier
     verdict is its lemma: pass, with ``notes`` and nothing examined, as
     validation makes each carrier an inverse semigroup on which the law
-    holds."""
+    holds.  A budget or depth below 1 is refused with ValueError, and no
+    budget means ``DEFAULT_BUDGET``."""
     def suite(family_check):
         name = family_check.__name__.removeprefix("check_")
 
         def check(subject, subject_id=None, *, depth=DEFAULT_DEPTH,
                   seed=0, budget=None) -> CheckReport:
+            require_positive(depth=depth, budget=budget)
+            if budget is None:
+                budget = DEFAULT_BUDGET
             if isinstance(subject, FiniteInvSemigroup):
                 sid = subject_id or f"carrier(n={subject.n})"
                 return CheckReport(name, sid, *_passed(0, notes))
@@ -540,7 +544,7 @@ def check_basic_rules(fam: SymbolicFamily, depth, seed, budget):
     """
     rng = _rng(seed, "basic_rules", fam.name)
     examined = 0
-    for _ in range(budget or DEFAULT_BUDGET):
+    for _ in range(budget):
         s, t = fam.sample(rng), fam.sample(rng)
         examined += 1
         for kind in _BASIC_KINDS:
@@ -559,7 +563,7 @@ def check_order_characterizations(fam: SymbolicFamily, depth, seed, budget):
     """
     rng = _rng(seed, "order_characterizations", fam.name)
     examined, ce = 0, None
-    for _ in range(budget or DEFAULT_BUDGET):
+    for _ in range(budget):
         s, t = fam.sample(rng), fam.sample(rng)
         examined += 1
         if _VIOLATED["characterizations-disagree"](fam, s, t):
@@ -583,7 +587,7 @@ def check_sigma_sup(fam: SymbolicFamily, depth, seed, budget):
     """
     rng = _rng(seed, "sigma_sup", fam.name)
     examined = 0
-    for _ in range(max((budget or DEFAULT_BUDGET) // 10, 200)):
+    for _ in range(max(budget // 10, 200)):
         t = fam.sample(rng)
         A = [fam.op(t, fam.sample_idempotent(rng)) for _ in range(3)] + [t]
         examined += 1
@@ -731,7 +735,7 @@ def check_wb_characterization(fam: SymbolicFamily, depth, seed, budget):
         return na
     # the oracle biconditional on sampled pairs, then chain refutation of each
     # side's answer
-    rng, n = _rng(seed, "wb_char", fam.name), budget or DEFAULT_BUDGET
+    rng, n = _rng(seed, "wb_char", fam.name), budget
     for examined in range(n0 + 1, n0 + n + 1):
         s, t = fam.sample(rng), fam.sample(rng)
         if rng.random() < 0.3:
@@ -759,7 +763,7 @@ def check_multiplicativity_mirror(fam: SymbolicFamily, depth, seed, budget):
     if na:
         return na
     rng = _rng(seed, "mult", fam.name)
-    rounds = -(-(budget or DEFAULT_BUDGET) // 4)
+    rounds = -(-budget // 4)
     multS, witS, nS = _multiplicative(fam, _S, rng, rounds)
     multE, witE, nE = _multiplicative(fam, _SIGMA, rng, rounds)
     return _verdict(n0 + nS + nE, multS == multE,

@@ -67,6 +67,12 @@ def _invalid(exc: Exception) -> int:
     return EXIT_INVALID
 
 
+def _limit(exc: pbij.TooLarge) -> int:
+    """Print a budget or size limit and return its exit code."""
+    print(f"limit: {exc}", file=sys.stderr)
+    return EXIT_LIMIT
+
+
 def _cmd_validate(args) -> int:
     try:
         S = core.load_carrier(args.file)
@@ -89,8 +95,7 @@ def _cmd_enumerate(args) -> int:
         for S in pbij.enumerate_inverse_subsemigroups(args.ground, args.max_order):
             print(json.dumps(core.to_json(S)))
     except pbij.TooLarge as exc:
-        print(f"limit: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+        return _limit(exc)
     return EXIT_OK
 
 
@@ -110,14 +115,15 @@ def _check_limits(args) -> None:
 
 def _cmd_classify(args) -> int:
     try:
-        subject = get_family(args.family)
+        subject = get_family(args.family, args.depth)
     except (KeyError, OSError, ValueError, NotInverseSemigroup) as exc:
         return _invalid(exc)
+    except pbij.TooLarge as exc:
+        return _limit(exc)
     try:
         record = classify(subject, args.family, depth=args.depth, seed=args.seed)
     except pbij.TooLarge as exc:
-        print(f"limit: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+        return _limit(exc)
     if args.json:
         print(json.dumps(record.to_json()))
     else:
@@ -129,15 +135,16 @@ def _cmd_classify(args) -> int:
 
 def _cmd_check(args) -> int:
     try:
-        subject, sid = resolve_subject(args.subject)
+        subject, sid = resolve_subject(args.subject, args.depth)
     except (KeyError, OSError, ValueError, NotInverseSemigroup) as exc:
         return _invalid(exc)
+    except pbij.TooLarge as exc:
+        return _limit(exc)
     try:
         reports = checkers.run_suites(subject, sid, args.suite, depth=args.depth,
                                       seed=args.seed, budget=args.budget)
     except pbij.TooLarge as exc:
-        print(f"limit: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+        return _limit(exc)
     reports.sort(key=lambda r: list(checkers.SUITES).index(r.suite))
     failed = False
     if args.json:

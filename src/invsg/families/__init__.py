@@ -8,7 +8,8 @@ The registry names match the CLI surface: ``bicyclic-nat``,
 from __future__ import annotations
 
 from ..core import load_carrier
-from .base import ChainWitness, Classification, Flag, SymbolicFamily, chain_members
+from .base import (DEFAULT_DEPTH, ChainWitness, Classification, Flag, SymbolicFamily,
+                   chain_members)
 from .bicyclic import (bicyclic_dyadic, bicyclic_le, bicyclic_nat, bicyclic_op,
                        bicyclic_wb, is_dyadic)
 from .cex import (OMEGA, cex_family, cex_le, cex_mirror_witness, cex_op,
@@ -49,28 +50,31 @@ FAMILY_BUILDERS = {
 }
 
 
-def get_family(name: str):
-    """Resolve a registry name to a family or a finite carrier.
+def get_family(name: str, depth: int = DEFAULT_DEPTH):
+    """Resolve a registry name to a family, built for ``depth``, or a finite
+    carrier.
 
     ``coset:<group>`` builds the (finite) coset monoid of a named group;
     ``characters:<path>`` builds the character family over a carrier file.
+    A family whose exact scale cannot reach ``depth`` raises ``TooLarge``.
     """
     if name in FAMILY_BUILDERS:
-        return FAMILY_BUILDERS[name]()
+        return FAMILY_BUILDERS[name](depth)
     if name.startswith("coset:"):
         return coset_monoid(group_by_name(name.split(":", 1)[1]))
     if name.startswith("characters:"):
-        return character_family(load_carrier(name.split(":", 1)[1]))
+        return character_family(load_carrier(name.split(":", 1)[1]), depth=depth)
     raise KeyError(
         f"unknown family {name!r}; known: {', '.join(FAMILY_BUILDERS)}, "
         "coset:<group>, characters:<carrier-file>")
 
 
-def resolve_subject(spec: str):
-    """Uniform subject grammar: ``family:<name>`` or a carrier file path."""
+def resolve_subject(spec: str, depth: int = DEFAULT_DEPTH):
+    """Uniform subject grammar: ``family:<name>`` or a carrier file path; a
+    family is built for ``depth``."""
     if spec.startswith("family:"):
         name = spec.split(":", 1)[1]
-        return get_family(name), spec
+        return get_family(name, depth), spec
     if spec.startswith(("coset:", "characters:")):
-        return get_family(spec), f"family:{spec}"
+        return get_family(spec, depth), f"family:{spec}"
     return load_carrier(spec), spec

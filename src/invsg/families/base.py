@@ -4,9 +4,16 @@ A family is an oracle bundle: exact closed-form product, inversion, order,
 way-below and sampling, plus canonical chain witnesses.  Elements are
 canonical immutable Python values, so equality is plain ``==`` and
 everything hashes: pairs of ints for the bicyclic and rotation families
-(rationals on a fixed grid, stored as exact integer multiples of its step,
-see ``SCALE_BITS``), tuples of such pairs for characters, and Fractions or
-a sentinel for ``cex``.  ``describe`` prints the rationals.
+(rationals on a grid, stored as exact integer multiples of its step), tuples
+of such pairs for characters, and Fractions or a sentinel for ``cex``.
+``describe`` prints the rationals.
+
+The grid step is 2^-K, with K sized to the depth a family is built for
+(``family_scale``): the checks at depth d read chain members up to index
+``chain_limit(d)`` = max(3 d, DEFAULT_DEPTH), and K is that limit plus 8
+spare bits, so K = 200 at the default depth and 3,080 at ``MAX_DEPTH``.
+The oracles use only +, -, max, min and comparisons, which commute with the
+scaling, so the verdicts do not depend on K; only the width of the ints does.
 
 Way-below on an infinite poset is not decidable by quantification, so each
 family ships a hand-derived closed form; trust comes from the consistency
@@ -18,22 +25,51 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 from ..pbij import TooLarge
 
-__all__ = ["ChainWitness", "SymbolicFamily", "Flag", "Classification", "DEFAULT_DEPTH",
-           "MAX_CHAIN_INDEX", "SCALE_BITS", "below", "check_chain_index"]
+__all__ = ["ChainWitness", "SymbolicFamily", "Flag", "Classification", "Scale",
+           "DEFAULT_DEPTH", "MAX_DEPTH", "MAX_CHAIN_INDEX", "below", "chain_limit",
+           "family_scale", "require_positive"]
 
 DEFAULT_DEPTH = 64
-# The checks read chain members up to index max(3 * depth, DEFAULT_DEPTH), so
-# this supports every depth up to 1024.
-MAX_CHAIN_INDEX = 3 * 1024
-# K: the integer families store a dyadic step 2^-K exactly, so a chain member
-# at index k <= MAX_CHAIN_INDEX (a step of 2^-k) is exact.  The spare bits keep
-# a chain to an early member of another chain exact to the last index too (the
-# sample pools hold members up to index 3).
-SCALE_BITS = MAX_CHAIN_INDEX + 8
+MAX_DEPTH = 1024  # the deepest depth an integer family is built for
+
+
+def chain_limit(depth: int) -> int:
+    """The deepest chain index the checks at ``depth`` read."""
+    return max(3 * depth, DEFAULT_DEPTH)
+
+
+MAX_CHAIN_INDEX = chain_limit(MAX_DEPTH)
+
+
+class Scale(NamedTuple):
+    """The exact integer scale of a family built for one depth.
+
+    Values are stored as integer multiples of 2^-bits, so a chain member at
+    index k <= ``limit`` (a step of 2^-k) is exact; ``check`` refuses a
+    deeper one instead of computing it.
+    """
+
+    limit: int
+    bits: int
+
+    def check(self, k: int) -> None:
+        if k > self.limit:
+            raise TooLarge("chain index", self.limit)
+
+
+def family_scale(depth: int) -> Scale:
+    """The scale of an integer family built for ``depth``; ``TooLarge`` past
+    ``MAX_DEPTH``.  The 8 spare bits keep a chain to an early member of
+    another chain exact to the last index too (the sample pools hold members
+    up to index 3)."""
+    if depth > MAX_DEPTH:
+        raise TooLarge("depth", MAX_DEPTH)
+    limit = chain_limit(depth)
+    return Scale(limit, limit + 8)
 
 
 def below(rng: random.Random, n: int) -> int:
@@ -53,10 +89,11 @@ def below(rng: random.Random, n: int) -> int:
     return r
 
 
-def check_chain_index(k: int) -> None:
-    """Refuse a chain member past the exact scale instead of computing it."""
-    if k > MAX_CHAIN_INDEX:
-        raise TooLarge("chain index", MAX_CHAIN_INDEX)
+def require_positive(**counts) -> None:
+    """Refuse a depth, budget or other count below 1; None passes."""
+    for name, value in counts.items():
+        if value is not None and value <= 0:
+            raise ValueError(f"{name} must be a positive integer, got {value}")
 
 
 @dataclass(eq=False, slots=True)  # identity semantics

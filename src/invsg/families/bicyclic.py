@@ -14,23 +14,25 @@ is compact.  Over the dyadics the infimum may only be approached, so
 (a, a) is way below (b, b) exactly when a > b strictly and no element is
 compact.
 
-A dyadic coordinate x is stored as the int x 2^K (K = ``SCALE_BITS``).  The
-product, the order and way-below use only +, -, max, <= and ==, and each of
-them commutes with scaling by 2^K, so both cones share ``bicyclic_op``,
-``bicyclic_inv``, ``bicyclic_le`` and the way-below oracles on ints.  The
-sampled dyadics have denominators up to 8 and chain member k adds 2^-k with
-k <= ``MAX_CHAIN_INDEX`` < K, so every value is an exact integer; ``describe``
-prints x as the Fraction x / 2^K.
+A dyadic coordinate x is stored as the int x 2^K, where K is the scale
+``base.family_scale`` sizes to the depth the family is built for (200 bits
+at the default depth).  The product, the order and way-below use only +, -,
+max, <= and ==, and each of them commutes with scaling by 2^K, so both cones
+share ``bicyclic_op``, ``bicyclic_inv``, ``bicyclic_le`` and the way-below
+oracles on ints, at every K.  The sampled dyadics have denominators up to 8
+and chain member k adds 2^-k with k up to the scale's limit < K, so every
+value is an exact integer; ``describe`` prints x as the Fraction x / 2^K.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from ..core import NotIdempotent
-from .base import (SCALE_BITS as K, ChainWitness, SymbolicFamily, below,
-                   check_chain_index, finite_list_chain)
+from .base import (DEFAULT_DEPTH, ChainWitness, Scale, SymbolicFamily, below,
+                   family_scale, finite_list_chain)
 
 __all__ = ["bicyclic_op", "bicyclic_le", "bicyclic_wb", "is_dyadic",
            "bicyclic_nat", "bicyclic_dyadic"]
@@ -58,13 +60,13 @@ def is_dyadic(q: Fraction) -> bool:
     return q >= 0 and (q.denominator & (q.denominator - 1)) == 0
 
 
-def bicyclic_wb(cone: str, eps, delta) -> bool:
-    """Way-below between idempotents (a,a) and (b,b) over the given cone."""
+def bicyclic_wb(cone: str, eps, delta, describe=repr) -> bool:
+    """Way-below between idempotents (a,a) and (b,b) over the given cone;
+    ``describe`` names a non-idempotent argument."""
     a, aa = eps
     b, bb = delta
     if a != aa or b != bb:
-        bad = eps if a != aa else delta
-        raise NotIdempotent(_describe_dyadic(bad) if cone == "dyadic" else repr(bad))
+        raise NotIdempotent(describe(eps if a != aa else delta))
     if cone == "nat":
         return bicyclic_le(eps, delta)  # every idempotent is compact
     if cone == "dyadic":
@@ -86,10 +88,6 @@ def _describe_nat(x) -> str:
     return f"({x[0]},{x[1]})"
 
 
-def _describe_dyadic(x) -> str:
-    return f"({Fraction(x[0], 1 << K)},{Fraction(x[1], 1 << K)})"
-
-
 def _chains_to_nat(t):
     a, b = t
     items = [(a + j, b + j) for j in (3, 2, 1, 0)]
@@ -98,56 +96,60 @@ def _chains_to_nat(t):
                               sup_in_s=t, upper_bounds=(t,)),)
 
 
-def _chains_to_dyadic(t):
-    a, b = t
+class _Dyadic:
+    """The dyadic cone at one exact scale: x is stored as the int x 2^bits."""
 
-    def member(k: int):
-        check_chain_index(k)
-        e = 1 << (K - k)
-        return (a + e, b + e)
+    def __init__(self, scale: Scale):
+        self.scale = scale
+        self.one = 1 << scale.bits
+        # The sampled coordinates m / 2^j (m < 65, j < 4), stored: table[m][j]
+        # is m << (bits - j).  A draw picks m, then j.
+        self.table = tuple(tuple(m << (scale.bits - j) for j in range(4))
+                           for m in range(65))
 
-    asc = ChainWitness(label=lambda: f"dyadic-approach-{_describe_dyadic(t)}",
-                       member=member, in_sigma=(a == b),
-                       sup_in_sigma=t if a == b else None,
-                       sup_in_s=t, upper_bounds=(t,))
-    const = finite_list_chain(lambda: f"constant-{_describe_dyadic(t)}", [t],
-                              in_sigma=(a == b),
-                              sup_in_sigma=t if a == b else None,
-                              sup_in_s=t, upper_bounds=(t,))
-    return (asc, const)
+    def describe(self, x) -> str:
+        one = self.one
+        return f"({Fraction(x[0], one)},{Fraction(x[1], one)})"
+
+    def sample(self, rng: random.Random):
+        table = self.table
+        return (table[below(rng, 65)][below(rng, 4)], table[below(rng, 65)][below(rng, 4)])
+
+    def chains_to(self, t):
+        a, b = t
+        bits, check = self.scale.bits, self.scale.check
+
+        def member(k: int):
+            check(k)
+            e = 1 << (bits - k)
+            return (a + e, b + e)
+
+        asc = ChainWitness(label=lambda: f"dyadic-approach-{self.describe(t)}",
+                           member=member, in_sigma=(a == b),
+                           sup_in_sigma=t if a == b else None,
+                           sup_in_s=t, upper_bounds=(t,))
+        const = finite_list_chain(lambda: f"constant-{self.describe(t)}", [t],
+                                  in_sigma=(a == b),
+                                  sup_in_sigma=t if a == b else None,
+                                  sup_in_s=t, upper_bounds=(t,))
+        return (asc, const)
 
 
-# The sampled dyadic coordinates m / 2^j (m < 65, j < 4), stored: _DYADIC[m][j]
-# is m << (K - j).  A draw picks m, then j.
-_DYADIC = tuple(tuple(m << (K - j) for j in range(4)) for m in range(65))
+_dyadic_at = lru_cache(maxsize=16)(_Dyadic)  # one cone, and its tables, per scale in use
 
 
-def _dyadic_coord(rng: random.Random) -> int:
-    return _DYADIC[below(rng, 65)][below(rng, 4)]
+def _sample_nat(rng: random.Random):
+    return (below(rng, 9), below(rng, 9))
 
 
-def _sampler(cone: str):
-    if cone == "nat":
-        def sample(rng: random.Random):
-            return (below(rng, 9), below(rng, 9))
-    else:
-        def sample(rng: random.Random):
-            return (_dyadic_coord(rng), _dyadic_coord(rng))
-    return sample
-
-
-def _idem_sampler(cone: str):
-    pick = _sampler(cone)
-
+def _idem_sampler(pick):
     def sample(rng: random.Random):
         a, _ = pick(rng)
         return (a, a)
     return sample
 
 
-def _h_class_sample(cone: str):
-    pick = _sampler(cone)
-
+def _h_class_sample(pick):
     def hs(eps, rng: random.Random, k: int) -> list:
         e = eps[0]
         out = [eps]
@@ -158,17 +160,19 @@ def _h_class_sample(cone: str):
     return hs
 
 
-def _family(cone: str) -> SymbolicFamily:
+def _family(cone: str, depth: int) -> SymbolicFamily:
     if cone == "nat":
         witnesses = _chains_to_nat((0, 0)) + _chains_to_nat((2, 2)) + _chains_to_nat((5, 3))
         chains_to = _chains_to_nat
         describe = _describe_nat
+        sample = _sample_nat
+        named = repr
     else:
-        one = 1 << K
-        witnesses = (_chains_to_dyadic((one, one)) + _chains_to_dyadic((3 * one, 3 * one))
-                     + _chains_to_dyadic((5 * one // 2, one // 2)))
-        chains_to = _chains_to_dyadic
-        describe = _describe_dyadic
+        dyadic = _dyadic_at(family_scale(depth))
+        one, chains_to, describe = dyadic.one, dyadic.chains_to, dyadic.describe
+        witnesses = (chains_to((one, one)) + chains_to((3 * one, 3 * one))
+                     + chains_to((5 * one // 2, one // 2)))
+        sample, named = dyadic.sample, describe
     claimed = {"reduced": True, "mirror": True, "continuous": True,
                "algebraic": cone == "nat", "stably_continuous": True}
     return SymbolicFamily(
@@ -178,21 +182,25 @@ def _family(cone: str) -> SymbolicFamily:
         nat_le=bicyclic_le,
         is_idempotent=lambda x: x[0] == x[1],
         describe=describe,
-        sample=_sampler(cone),
-        sample_idempotent=_idem_sampler(cone),
+        sample=sample,
+        sample_idempotent=_idem_sampler(sample),
         witnesses=witnesses,
         chains_to=chains_to,
-        h_class_sample=_h_class_sample(cone),
+        h_class_sample=_h_class_sample(sample),
         wb_s=_wb_s(cone),
-        wb_sigma=lambda e, d: bicyclic_wb(cone, e, d),
+        wb_sigma=lambda e, d: bicyclic_wb(cone, e, d, named),
         zero=None,  # the bicyclic monoid has no zero element
         claimed=claimed,
     )
 
 
-def bicyclic_nat() -> SymbolicFamily:
-    return _family("nat")
+def bicyclic_nat(depth: int = DEFAULT_DEPTH) -> SymbolicFamily:
+    """The bicyclic monoid over N; its values are exact at every depth, so
+    ``depth`` is ignored."""
+    return _family("nat", depth)
 
 
-def bicyclic_dyadic() -> SymbolicFamily:
-    return _family("dyadic")
+def bicyclic_dyadic(depth: int = DEFAULT_DEPTH) -> SymbolicFamily:
+    """The bicyclic monoid over the dyadics, on the exact scale for ``depth``
+    (``TooLarge`` past ``base.MAX_DEPTH``)."""
+    return _family("dyadic", depth)

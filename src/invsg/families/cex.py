@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 
 from ..core import FiniteInvSemigroup
-from .base import ChainWitness, SymbolicFamily, below, finite_list_chain
+from .base import DEFAULT_DEPTH, ChainWitness, SymbolicFamily, below, finite_list_chain
 
 __all__ = ["OMEGA", "cex_op", "cex_inv", "cex_le", "cex_mirror_witness",
            "cex_family", "cex_truncation"]
@@ -143,7 +143,9 @@ def _h_class_sample(eps, rng: random.Random, k: int) -> list:
     return [eps]
 
 
-def cex_family() -> SymbolicFamily:
+def cex_family(depth: int = DEFAULT_DEPTH) -> SymbolicFamily:
+    """The counterexample family; its Fraction values are exact at every
+    depth, so ``depth`` is ignored."""
     witnesses = (cex_mirror_witness(),) + _chains_to(Fraction(1, 2)) + _chains_to(OMEGA)
     return SymbolicFamily(
         name="cex",

@@ -6,10 +6,12 @@ with the involution then comes for free).  Characters multiply pointwise and
 form an inverse monoid themselves; a character is idempotent exactly when all
 its values have angle zero.
 
-Values are encoded rotation elements (pairs of ints, see ``rotation``): the
-family builds them through ``rot_canonical`` and ``rotation_approach``,
+Values are encoded rotation elements (pairs of ints, see ``rotation``), on
+the rotation scale for the depth the family is built for: the family builds
+them through that ``RotationScale``'s ``canonical`` and ``approach``,
 multiplies them with the rotation oracles, and decodes them only in
-``describe``, so no Fraction arithmetic runs in its oracles.
+``describe``, so no Fraction arithmetic runs in its oracles.  Every function
+here that builds or recognizes a character takes that depth.
 
 This family only claims structure, order, reducedness and mirror evidence;
 continuity classification is partial (the underlying argument is
@@ -24,15 +26,13 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from ..core import FiniteInvSemigroup
-from .base import ChainWitness, SymbolicFamily, below, finite_list_chain
-from .rotation import (rot_canonical, rot_describe, rotation_approach, rotation_inv,
-                       rotation_le, rotation_op)
+from .base import DEFAULT_DEPTH, ChainWitness, SymbolicFamily, below, finite_list_chain
+from .rotation import rotation_inv, rotation_le, rotation_op, rotation_scale
 
 __all__ = ["NotACharacter", "is_character", "character_op",
            "enumerate_characters", "character_family", "trivial_character"]
 
-_ONE = rot_canonical(1, 0)
-_ZERO = rot_canonical(0, 0)
+_ZERO = (0, 0)  # radius 0 at every scale
 
 
 class NotACharacter(Exception):
@@ -59,15 +59,16 @@ def _violating_pair(S: FiniteInvSemigroup, chi) -> tuple[int, int] | None:
     return None
 
 
-def is_character(S: FiniteInvSemigroup, chi) -> bool:
-    return (len(chi) == S.n and chi[S.identity] == _ONE
+def is_character(S: FiniteInvSemigroup, chi, depth: int = DEFAULT_DEPTH) -> bool:
+    return (len(chi) == S.n and chi[S.identity] == rotation_scale(depth).one
             and _violating_pair(S, chi) is None)
 
 
-def character_op(S: FiniteInvSemigroup, chi, psi):
+def character_op(S: FiniteInvSemigroup, chi, psi, depth: int = DEFAULT_DEPTH):
     """Pointwise rotation product of two characters of S."""
+    one = rotation_scale(depth).one
     for c in (chi, psi):
-        if len(c) != S.n or c[S.identity] != _ONE:
+        if len(c) != S.n or c[S.identity] != one:
             raise NotACharacter((S.identity, S.identity), " (identity value)")
         bad = _violating_pair(S, c)
         if bad is not None:
@@ -75,8 +76,8 @@ def character_op(S: FiniteInvSemigroup, chi, psi):
     return tuple(rotation_op(a, b) for a, b in zip(chi, psi))
 
 
-def trivial_character(S: FiniteInvSemigroup):
-    return (_ONE,) * S.n
+def trivial_character(S: FiniteInvSemigroup, depth: int = DEFAULT_DEPTH):
+    return (rotation_scale(depth).one,) * S.n
 
 
 _PALETTE_R = (Fraction(0), Fraction(1, 2), Fraction(1))
@@ -84,17 +85,18 @@ _PALETTE_TH = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
 def enumerate_characters(S: FiniteInvSemigroup, radii=_PALETTE_R,
-                         angles=_PALETTE_TH) -> list[tuple]:
+                         angles=_PALETTE_TH, depth: int = DEFAULT_DEPTH) -> list[tuple]:
     """All characters with values on a rational palette (brute force)."""
     e = _require_commutative_monoid(S)
     if S.n > 5:
         raise ValueError("palette enumeration is meant for carriers of order <= 5")
-    values = [_ZERO] + [rot_canonical(r, th) for r in radii if r != 0 for th in angles]
+    enc = rotation_scale(depth)
+    values = [_ZERO] + [enc.canonical(r, th) for r in radii if r != 0 for th in angles]
     slots = [i for i in range(S.n) if i != e]
     found = []
     for pick in iproduct(values, repeat=len(slots)):
         chi = [None] * S.n
-        chi[e] = _ONE
+        chi[e] = enc.one
         for i, v in zip(slots, pick):
             chi[i] = v
         chi = tuple(chi)
@@ -107,20 +109,23 @@ def _units(S: FiniteInvSemigroup) -> list[int]:
     return [s for s in range(S.n) if S.sigma[s] == S.identity]
 
 
-def _damped(S: FiniteInvSemigroup, radius):
-    """1 on the units, the encoded idempotent ``radius`` elsewhere; always a
-    character."""
+def _damped(S: FiniteInvSemigroup, one, radius):
+    """``one`` on the units, the encoded idempotent ``radius`` elsewhere;
+    always a character."""
     units = set(_units(S))
-    return tuple(_ONE if s in units else radius for s in range(S.n))
+    return tuple(one if s in units else radius for s in range(S.n))
 
 
-def character_family(S: FiniteInvSemigroup, pool=None) -> SymbolicFamily:
-    """The character monoid of a finite commutative inverse monoid."""
+def character_family(S: FiniteInvSemigroup, pool=None,
+                     depth: int = DEFAULT_DEPTH) -> SymbolicFamily:
+    """The character monoid of a finite commutative inverse monoid, on the
+    rotation scale for ``depth``; a given ``pool`` must be encoded on it."""
     _require_commutative_monoid(S)
+    enc = rotation_scale(depth)
     if pool is None:
-        pool = enumerate_characters(S)
+        pool = enumerate_characters(S, depth=depth)
     pool = list(pool)
-    triv = trivial_character(S)
+    triv = trivial_character(S, depth)
     if triv not in pool:
         pool.append(triv)
 
@@ -144,7 +149,7 @@ def character_family(S: FiniteInvSemigroup, pool=None) -> SymbolicFamily:
         return all(v[1] == 0 for v in chi)
 
     def describe(chi) -> str:
-        return "[" + ", ".join(f"{S.name_of(i)}:{rot_describe(v)}"
+        return "[" + ", ".join(f"{S.name_of(i)}:{enc.describe(v)}"
                                for i, v in enumerate(chi)) + "]"
 
     def sample(rng: random.Random):
@@ -163,7 +168,7 @@ def character_family(S: FiniteInvSemigroup, pool=None) -> SymbolicFamily:
         idem = is_idem(chi)
 
         def member(k: int):
-            damp = rotation_approach(_ONE, k)
+            damp = enc.approach(enc.one, k)
             return tuple(rotation_op(v, damp) for v in chi)
 
         asc = ChainWitness(label="damped-chain", member=member, in_sigma=idem,
@@ -179,12 +184,12 @@ def character_family(S: FiniteInvSemigroup, pool=None) -> SymbolicFamily:
         return out[: max(k, 2)] if out else []
 
     # the unit-indicator character is the zero element whenever it absorbs
-    zero_candidate = _damped(S, _ZERO)
+    zero_candidate = _damped(S, enc.one, _ZERO)
     is_zero = all(op(zero_candidate, chi) == zero_candidate for chi in pool)
 
     def main_witness() -> ChainWitness:
         def member(k: int):
-            return _damped(S, rotation_approach(_ONE, k))
+            return _damped(S, enc.one, enc.approach(enc.one, k))
 
         return ChainWitness(label="damped-to-trivial", member=member, in_sigma=True,
                             sup_in_sigma=triv, sup_in_s=triv,

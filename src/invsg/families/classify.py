@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Union
 
 from ..core import FiniteInvSemigroup, is_reduced
-from .base import DEFAULT_DEPTH, Classification, Flag, SymbolicFamily
+from .base import DEFAULT_DEPTH, Classification, Flag, SymbolicFamily, require_positive
 
 __all__ = ["classify"]
 
@@ -57,8 +57,7 @@ def _classify_family(fam: SymbolicFamily, depth: int, seed: int,
         contE, _xE, nE = checkers._continuity(fam, checkers._SIGMA, rng, depth)
         cont_n = nS + nE
         algS, alg_wit, alg_n = checkers._algebraic(fam, checkers._S, rng)
-        mult_ok, _wit, mult_n = checkers._multiplicative(fam, checkers._S, rng,
-                                                         budget or 2000)
+        mult_ok, _wit, mult_n = checkers._multiplicative(fam, checkers._S, rng, budget)
         cont = Flag(contS, f"approximation chains at depth {depth}; "
                            f"sigma side agrees ({contE})", cont_n)
         alg = Flag(algS, "compact approximants sampled against the way-below oracle",
@@ -80,8 +79,10 @@ def classify(subject: Union[FiniteInvSemigroup, SymbolicFamily],
              subject_id: str | None = None, *, depth: int = DEFAULT_DEPTH, seed: int = 0,
              budget=None) -> Classification:
     """Classification record {reduced, mirror, continuous, algebraic, stably
-    continuous}, each flag carrying the evidence that produced it."""
+    continuous}, each flag carrying the evidence that produced it.  A budget
+    or depth below 1 is refused with ValueError."""
+    require_positive(depth=depth, budget=budget)
     if isinstance(subject, FiniteInvSemigroup):
         return _classify_finite(subject, subject_id or f"carrier(n={subject.n})",
                                 depth, seed)
-    return _classify_family(subject, depth, seed, budget)
+    return _classify_family(subject, depth, seed, 2000 if budget is None else budget)

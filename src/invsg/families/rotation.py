@@ -14,58 +14,36 @@ continuous but not algebraic.
 Every value is stored as a pair of ints.  Angles lie in (1/27720)Z, since
 27720 = lcm(1..12) covers every sampled denominator, the witness angle 1/3
 and the character palette, so theta is stored as theta 27720 mod 27720 and
-the angle sum is an int sum mod 27720.  Radii lie in (1/(27720 2^K))Z (K =
-``SCALE_BITS``) and are stored as r 27720 2^K; they are only compared and
-min'd.  A sampled or witness radius has r 27720 in Z, so the chain member
-r (1 - 2^-k), stored as r - (r >> k), is exact for k <= K; a member that
-would round (on a finer radius) raises ``TooLarge`` instead.
-``rot_canonical`` is the one constructor from rationals and ``rot_value``
-decodes.
+the angle sum is an int sum mod 27720.  Radii lie in (1/(27720 2^K))Z, where
+K is the scale ``base.family_scale`` sizes to the depth the family is built
+for (200 bits at the default depth), and are stored as r 27720 2^K; they are
+only compared and min'd, so the oracles are the same at every K.  A sampled
+or witness radius has r 27720 in Z, so the chain member r (1 - 2^-k), stored
+as r - (r >> k), is exact for k up to the scale's limit < K; a member that
+would round (on a finer radius) raises ``TooLarge`` instead.  A
+``RotationScale`` is the encoding at one scale: its ``canonical`` is the one
+constructor from rationals and its ``value`` decodes.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from ..pbij import TooLarge
-from .base import (SCALE_BITS, ChainWitness, SymbolicFamily, below, check_chain_index,
-                   finite_list_chain)
+from .base import (DEFAULT_DEPTH, ChainWitness, Scale, SymbolicFamily, below,
+                   family_scale, finite_list_chain)
 
-__all__ = ["OutOfRange", "rot_canonical", "rot_value", "rot_describe", "rotation_op",
-           "rotation_inv", "rotation_le", "rotation_wb_sigma", "rotation_approach",
-           "rotation_family"]
+__all__ = ["OutOfRange", "RotationScale", "rotation_scale", "rotation_op",
+           "rotation_inv", "rotation_le", "rotation_wb_sigma", "rotation_family"]
 
 _TURN = 27720                     # angle unit: lcm(1..12) per turn
-_UNIT = _TURN << SCALE_BITS       # radius unit: the encoding of radius 1
 _ZERO = (0, 0)
-_ONE = (_UNIT, 0)
 
 
 class OutOfRange(ValueError):
     pass
-
-
-def rot_canonical(r, theta):
-    """The encoded element of radius r in [0, 1] and angle theta in turns
-    (rationals); OutOfRange off the grid, never a rounded value."""
-    r, theta = Fraction(r), Fraction(theta)
-    if not 0 <= r <= 1:
-        raise OutOfRange(f"radius {r} outside [0, 1]")
-    ri, ti = r * _UNIT, theta * _TURN
-    if ri.denominator != 1 or ti.denominator != 1:
-        raise OutOfRange(f"({r},{theta}) is off the grid (1/{_TURN} 2^{SCALE_BITS})Z"
-                         f" x (1/{_TURN})Z")
-    return _ZERO if r == 0 else (int(ri), int(ti) % _TURN)
-
-
-def rot_value(z) -> tuple[Fraction, Fraction]:
-    """The rationals (r, theta) that z encodes."""
-    return Fraction(z[0], _UNIT), Fraction(z[1], _TURN)
-
-
-def rot_describe(z) -> str:
-    return "({},{})".format(*rot_value(z))
 
 
 def rotation_op(z, z1):
@@ -99,57 +77,14 @@ def _wb_sigma(e, d) -> bool:
     return rotation_wb_sigma(e[0], d[0])
 
 
-def rotation_approach(z, k: int):
-    """Member k of the radius chain to z: radius r (1 - 2^-k), same angle."""
-    check_chain_index(k)
-    r, t = z
-    if r & ((1 << k) - 1):  # r >> k would round
-        raise TooLarge(f"exact radius chain to {rot_describe(z)}: index",
-                       (r & -r).bit_length() - 1)
-    return (r - (r >> k), t) if k else _ZERO
-
-
-def _chains_to(z) -> tuple[ChainWitness, ...]:
-    r, t = z
-    if r == 0:
-        return (finite_list_chain("constant-zero", [_ZERO], in_sigma=True,
-                                  sup_in_sigma=_ZERO, sup_in_s=_ZERO,
-                                  upper_bounds=(_ZERO,)),)
-
-    asc = ChainWitness(label=lambda: f"radius-approach-{rot_describe(z)}",
-                       member=lambda k: rotation_approach(z, k),
-                       in_sigma=(t == 0), sup_in_sigma=z if t == 0 else None,
-                       sup_in_s=z, upper_bounds=(z,))
-    const = finite_list_chain(lambda: f"constant-{rot_describe(z)}", [z],
-                              in_sigma=(t == 0),
-                              sup_in_sigma=z if t == 0 else None,
-                              sup_in_s=z, upper_bounds=(z,))
-    return (asc, const)
-
-
-# The sampled radii m/q (m <= q) and angles m/q (m < q), stored, for q = 1..12:
-# _RADII[q - 1][m] and _ANGLES[q - 1][m].  A draw picks q, then m.
-_RADII = tuple(tuple(m * (_UNIT // q) for m in range(q + 1)) for q in range(1, 13))
+# The sampled angles m/q (m < q), stored, for q = 1..12: _ANGLES[q - 1][m].
+# A draw picks q, then m.
 _ANGLES = tuple(tuple(m * (_TURN // q) for m in range(q)) for q in range(1, 13))
-
-
-def _rand_radius(rng: random.Random) -> int:
-    radii = _RADII[below(rng, 12)]
-    return radii[below(rng, len(radii))]
 
 
 def _rand_angle(rng: random.Random) -> int:
     angles = _ANGLES[below(rng, 12)]
     return angles[below(rng, len(angles))]
-
-
-def _sample(rng: random.Random):
-    r, theta = _rand_radius(rng), _rand_angle(rng)
-    return (r, theta) if r else _ZERO
-
-
-def _sample_idem(rng: random.Random):
-    return (_rand_radius(rng), 0)
 
 
 def _h_class_sample(eps, rng: random.Random, k: int) -> list:
@@ -159,20 +94,98 @@ def _h_class_sample(eps, rng: random.Random, k: int) -> list:
     return [eps] + [(r, _rand_angle(rng)) for _ in range(k)]
 
 
-def rotation_family() -> SymbolicFamily:
-    witnesses = (_chains_to(_ONE) + _chains_to(rot_canonical(Fraction(1, 2), 0))
-                 + _chains_to(rot_canonical(Fraction(3, 4), Fraction(1, 3))))
+class RotationScale:
+    """The encoding of the rotation values at one exact scale."""
+
+    def __init__(self, scale: Scale):
+        self.scale = scale
+        self.unit = _TURN << scale.bits   # the encoding of radius 1
+        self.one = (self.unit, 0)
+        # The sampled radii m/q (m <= q), stored, for q = 1..12: radii[q - 1][m].
+        # A draw picks q, then m.
+        self.radii = tuple(tuple(m * (self.unit // q) for m in range(q + 1))
+                           for q in range(1, 13))
+
+    def canonical(self, r, theta):
+        """The encoded element of radius r in [0, 1] and angle theta in turns
+        (rationals); OutOfRange off the grid, never a rounded value."""
+        r, theta = Fraction(r), Fraction(theta)
+        if not 0 <= r <= 1:
+            raise OutOfRange(f"radius {r} outside [0, 1]")
+        ri, ti = r * self.unit, theta * _TURN
+        if ri.denominator != 1 or ti.denominator != 1:
+            raise OutOfRange(f"({r},{theta}) is off the grid "
+                             f"(1/{_TURN} 2^{self.scale.bits})Z x (1/{_TURN})Z")
+        return _ZERO if r == 0 else (int(ri), int(ti) % _TURN)
+
+    def value(self, z) -> tuple[Fraction, Fraction]:
+        """The rationals (r, theta) that z encodes."""
+        return Fraction(z[0], self.unit), Fraction(z[1], _TURN)
+
+    def describe(self, z) -> str:
+        return "({},{})".format(*self.value(z))
+
+    def approach(self, z, k: int):
+        """Member k of the radius chain to z: radius r (1 - 2^-k), same angle."""
+        self.scale.check(k)
+        r, t = z
+        if r & ((1 << k) - 1):  # r >> k would round
+            raise TooLarge(f"exact radius chain to {self.describe(z)}: index",
+                           (r & -r).bit_length() - 1)
+        return (r - (r >> k), t) if k else _ZERO
+
+    def chains_to(self, z) -> tuple[ChainWitness, ...]:
+        r, t = z
+        if r == 0:
+            return (finite_list_chain("constant-zero", [_ZERO], in_sigma=True,
+                                      sup_in_sigma=_ZERO, sup_in_s=_ZERO,
+                                      upper_bounds=(_ZERO,)),)
+
+        asc = ChainWitness(label=lambda: f"radius-approach-{self.describe(z)}",
+                           member=lambda k: self.approach(z, k),
+                           in_sigma=(t == 0), sup_in_sigma=z if t == 0 else None,
+                           sup_in_s=z, upper_bounds=(z,))
+        const = finite_list_chain(lambda: f"constant-{self.describe(z)}", [z],
+                                  in_sigma=(t == 0),
+                                  sup_in_sigma=z if t == 0 else None,
+                                  sup_in_s=z, upper_bounds=(z,))
+        return (asc, const)
+
+    def sample(self, rng: random.Random):
+        radii = self.radii[below(rng, 12)]
+        r, theta = radii[below(rng, len(radii))], _rand_angle(rng)
+        return (r, theta) if r else _ZERO
+
+    def sample_idempotent(self, rng: random.Random):
+        radii = self.radii[below(rng, 12)]
+        return (radii[below(rng, len(radii))], 0)
+
+
+_scale_at = lru_cache(maxsize=16)(RotationScale)  # one encoding per scale in use
+
+
+def rotation_scale(depth: int = DEFAULT_DEPTH) -> RotationScale:
+    """The encoding of a rotation family built for ``depth`` (``TooLarge``
+    past ``base.MAX_DEPTH``)."""
+    return _scale_at(family_scale(depth))
+
+
+def rotation_family(depth: int = DEFAULT_DEPTH) -> SymbolicFamily:
+    """The rotation semigroup on the exact scale for ``depth``."""
+    enc = rotation_scale(depth)
+    witnesses = (enc.chains_to(enc.one) + enc.chains_to(enc.canonical(Fraction(1, 2), 0))
+                 + enc.chains_to(enc.canonical(Fraction(3, 4), Fraction(1, 3))))
     return SymbolicFamily(
         name="rotation",
         op=rotation_op,
         inv=rotation_inv,
         nat_le=rotation_le,
         is_idempotent=lambda z: z[1] == 0,
-        describe=rot_describe,
-        sample=_sample,
-        sample_idempotent=_sample_idem,
+        describe=enc.describe,
+        sample=enc.sample,
+        sample_idempotent=enc.sample_idempotent,
         witnesses=witnesses,
-        chains_to=_chains_to,
+        chains_to=enc.chains_to,
         h_class_sample=_h_class_sample,
         wb_s=_wb_s,
         wb_sigma=_wb_sigma,

@@ -7,7 +7,12 @@ from invsg import checkers, core
 from invsg.families import (NotACharacter, character_family, character_op,
                             cyclic_group, enumerate_characters, is_character,
                             trivial_character)
-from invsg.families.rotation import rot_canonical, rot_value
+from invsg.families.base import DEFAULT_DEPTH
+from invsg.families.rotation import rotation_scale
+
+# the rotation encoding at the default depth, the one the character functions use
+rot_canonical, rot_value = (rotation_scale(DEFAULT_DEPTH).canonical,
+                            rotation_scale(DEFAULT_DEPTH).value)
 
 ONE = rot_canonical(Fraction(1), Fraction(0))
 HALF = rot_canonical(Fraction(1, 2), Fraction(0))

@@ -9,7 +9,7 @@ from invsg.core import validate as core_validate
 from invsg.checkers import (SUITES, CheckReport, replay_counterexample,
                             run_suite, run_suites)
 from invsg.families import (bicyclic_dyadic, bicyclic_nat, cex_family, cex_truncation,
-                            coset_monoid, group_by_name, rotation_family)
+                            classify, coset_monoid, group_by_name, rotation_family)
 from invsg.families.base import finite_list_chain
 from invsg.pbij import symmetric_inverse_monoid
 
@@ -154,6 +154,19 @@ def test_multiplicativity_tests_a_tuple_at_every_budget(budget):
     assert r.verdict == "fail" and r.counterexample["kind"] == "mult-biconditional"
     assert r.counterexample["mult_S"] is False and r.counterexample["mult_Sigma"] is True
     assert replay_counterexample(lying, r)
+
+
+@pytest.mark.parametrize("bad", [{"budget": 0}, {"budget": -5}, {"depth": 0}, {"depth": -3}],
+                         ids=["budget=0", "budget=-5", "depth=0", "depth=-3"])
+@pytest.mark.parametrize("subject", [rotation_family, lambda: cex_truncation(2)],
+                         ids=["rotation", "carrier"])
+def test_non_positive_budgets_and_depths_are_refused(subject, bad):
+    subject = subject()
+    for name in SUITES:
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            run_suite(name, subject, **bad)
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        classify(subject, **bad)
 
 
 def test_wb_characterization_counts_enough_pairs():

@@ -14,8 +14,11 @@ import pytest
 
 from invsg import core
 from invsg.families import FAMILY_BUILDERS, OMEGA, character_family, enumerate_characters
-from invsg.families.base import SCALE_BITS as K, below
-from invsg.families.rotation import _TURN, _UNIT
+from invsg.families.base import DEFAULT_DEPTH, below, family_scale
+from invsg.families.rotation import _TURN
+
+K = family_scale(DEFAULT_DEPTH).bits  # the scale FAMILY_BUILDERS build at by default
+_UNIT = _TURN << K
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "invsg"
 

@@ -1,5 +1,6 @@
 """The integer encodings of the dyadic bicyclic, rotation and character
-families against Fraction references, and their exact-scale depth limit.
+families against Fraction references, and their exact scale, which follows
+the depth a family is built for.
 
 The references restate each closed form on Fractions; the encoded oracles
 must agree with them after decoding, and no oracle may hand back anything
@@ -14,11 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invsg import core
+from invsg.checkers import run_suites
 from invsg.cli import main
-from invsg.families import bicyclic_dyadic, bicyclic_nat, character_family, rotation_family
-from invsg.families.base import MAX_CHAIN_INDEX, SCALE_BITS
-from invsg.families.rotation import rot_canonical, rot_value
+from invsg.families import (bicyclic_dyadic, bicyclic_nat, character_family, classify,
+                            rotation_family)
+from invsg.families.base import DEFAULT_DEPTH, MAX_CHAIN_INDEX, MAX_DEPTH, family_scale
+from invsg.families.rotation import rotation_scale
 from invsg.pbij import TooLarge
+
+K = family_scale(DEFAULT_DEPTH).bits  # the scale of a family built at the default depth
+rot_canonical, rot_value = (rotation_scale(DEFAULT_DEPTH).canonical,
+                            rotation_scale(DEFAULT_DEPTH).value)
 
 # -- Fraction references ------------------------------------------------------
 
@@ -59,8 +66,15 @@ def ref_rot_wb_sigma(e, d):
     return e[0] == 0 or e[0] < d[0]
 
 
-def dyadic_value(x):
-    return (Fraction(x[0], 1 << SCALE_BITS), Fraction(x[1], 1 << SCALE_BITS))
+def dyadic_decoder(depth):
+    """The decoder of a dyadic family built for ``depth``."""
+    one = 1 << family_scale(depth).bits
+    return lambda x: (Fraction(x[0], one), Fraction(x[1], one))
+
+
+def rotation_decoder(depth):
+    """The decoder of a rotation family built for ``depth``."""
+    return rotation_scale(depth).value
 
 
 def dyadic_member(t, k):
@@ -76,11 +90,11 @@ def radius_member(z, k):
 
 
 REFERENCES = {
-    # name: (build, decode, op, inv, le, wb_s, wb_sigma, chain member)
-    "bicyclic-dyadic": (bicyclic_dyadic, dyadic_value, ref_bicyclic_op,
+    # name: (build, decoder at a depth, op, inv, le, wb_s, wb_sigma, chain member)
+    "bicyclic-dyadic": (bicyclic_dyadic, dyadic_decoder, ref_bicyclic_op,
                         lambda x: (x[1], x[0]), ref_bicyclic_le, ref_bicyclic_wb_s,
                         ref_bicyclic_wb_sigma, dyadic_member),
-    "rotation": (rotation_family, rot_value, ref_rot_op, lambda z: (z[0], -z[1] % 1),
+    "rotation": (rotation_family, rotation_decoder, ref_rot_op, lambda z: (z[0], -z[1] % 1),
                  ref_rot_le, ref_rot_wb_s, ref_rot_wb_sigma, radius_member),
 }
 CHAIN_INDICES = (0, 1, 2, 63, 192)
@@ -114,8 +128,8 @@ def families():
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_oracles_agree_with_the_fraction_reference(families, name, seed):
-    _build, value, op, inv, le, wb_s, wb_sigma, _member = REFERENCES[name]
-    fam = families[name]
+    _build, decoder, op, inv, le, wb_s, wb_sigma, _member = REFERENCES[name]
+    fam, value = families[name], decoder(DEFAULT_DEPTH)
     pool = _pool(fam, random.Random(seed), 4)
     values = [value(s) for s in pool]
     for s, vs in zip(pool, values):
@@ -133,8 +147,8 @@ def test_oracles_agree_with_the_fraction_reference(families, name, seed):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_chain_members_agree_with_the_fraction_reference(families, name, seed):
-    _build, value, *_ops, member = REFERENCES[name]
-    fam = families[name]
+    _build, decoder, *_ops, member = REFERENCES[name]
+    fam, value = families[name], decoder(DEFAULT_DEPTH)
     pool = _pool(fam, random.Random(seed), 3)
     chains = list(fam.witnesses)
     for x in pool:
@@ -175,11 +189,12 @@ def test_character_oracles_agree_with_the_fraction_reference(seed):
 
 def test_character_main_witness_agrees_with_the_fraction_reference():
     S = mixed3()
-    cw = character_family(S).witnesses[0]
+    cw = character_family(S, depth=MAX_DEPTH).witnesses[0]
+    value = rotation_decoder(MAX_DEPTH)
     units = [s for s in range(S.n) if S.sigma[s] == S.identity]
     for k in CHAIN_INDICES + (MAX_CHAIN_INDEX,):
         damp = radius_member((Fraction(1), Fraction(0)), k)
-        assert tuple(rot_value(v) for v in cw.member(k)) == tuple(
+        assert tuple(value(v) for v in cw.member(k)) == tuple(
             (Fraction(1), Fraction(0)) if s in units else damp for s in range(S.n))
 
 
@@ -187,22 +202,48 @@ def test_character_main_witness_agrees_with_the_fraction_reference():
 
 
 @pytest.mark.parametrize("name", REFERENCES)
-def test_the_largest_chain_index_is_exact_and_the_next_is_refused(families, name):
-    _build, value, *_ops, member = REFERENCES[name]
+def test_the_largest_chain_index_is_exact_and_the_next_is_refused(name):
+    build, decoder, *_ops, member = REFERENCES[name]
+    for depth in (1, 64, 1024):
+        fam, value = build(depth), decoder(depth)
+        deepest = max(3 * depth, 64)  # the deepest index the checks at this depth read
+        for cw in fam.witnesses:
+            if cw.length is not None:
+                continue
+            assert value(cw.member(deepest)) == member(value(cw.sup_in_s), deepest)
+            with pytest.raises(TooLarge):
+                cw.member(deepest + 1)
+
+
+@pytest.mark.parametrize("name", REFERENCES)
+def test_sampled_values_are_as_wide_as_the_default_scale(families, name):
     fam = families[name]
-    for cw in fam.witnesses:
-        if cw.length is not None:
-            continue
-        assert value(cw.member(MAX_CHAIN_INDEX)) == member(value(cw.sup_in_s), MAX_CHAIN_INDEX)
-        with pytest.raises(TooLarge):
-            cw.member(MAX_CHAIN_INDEX + 1)
+    assert K == 200
+    rng = random.Random(3)
+    seen = []
+    for _ in range(2000):
+        eps = fam.sample_idempotent(rng)
+        seen += [fam.sample(rng), eps] + fam.h_class_sample(eps, rng, 2)
+    # a dyadic coordinate m / 2^j is m 2^(K - j) with m < 65; a radius is at
+    # most 27720 2^K < 2^(K + 15)
+    assert max(c.bit_length() for x in seen for c in x) <= K + 15
+
+
+@pytest.mark.parametrize("name", REFERENCES)
+def test_the_build_depth_changes_no_report(name):
+    build = REFERENCES[name][0]
+    deep, shallow = build(1024), build(64)
+    assert ([r.to_json() for r in run_suites(deep, name, depth=64, seed=3, budget=500)]
+            == [r.to_json() for r in run_suites(shallow, name, depth=64, seed=3, budget=500)])
+    assert (classify(deep, depth=64, seed=3, budget=500).to_json()
+            == classify(shallow, depth=64, seed=3, budget=500).to_json())
 
 
 def test_a_rounding_radius_chain_member_is_refused():
     fam = rotation_family()
     # radius 1/2^(K+3) is stored as the odd int 27720 / 8, so its chain member
     # at index 1, half of it, would round
-    z = rot_canonical(Fraction(1, 2 ** (SCALE_BITS + 3)), 0)
+    z = rot_canonical(Fraction(1, 2 ** (K + 3)), 0)
     assert z[0] == 3465
     cw = fam.chains_to(z)[0]
     assert cw.member(0) == (0, 0)
@@ -213,7 +254,7 @@ def test_a_rounding_radius_chain_member_is_refused():
 def test_a_non_idempotent_dyadic_is_named_as_describe_prints_it():
     from invsg.core import NotIdempotent
     fam = bicyclic_dyadic()
-    one = 1 << SCALE_BITS
+    one = 1 << K
     s = (17 * one, 65 * one // 2)
     assert fam.describe(s) == "(17,65/2)"
     with pytest.raises(NotIdempotent, match=r"^element \(17,65/2\) is not idempotent$"):
@@ -223,7 +264,7 @@ def test_a_non_idempotent_dyadic_is_named_as_describe_prints_it():
 def test_off_grid_values_are_refused_not_rounded():
     from invsg.families import OutOfRange
     for r, theta in ((Fraction(1, 2), Fraction(1, 13)),
-                     (Fraction(1, 2 ** (SCALE_BITS + 4)), 0),
+                     (Fraction(1, 2 ** (K + 4)), 0),
                      (Fraction(1, 13), 0)):
         with pytest.raises(OutOfRange):
             rot_canonical(r, theta)

@@ -12,8 +12,12 @@ from invsg.families import (OMEGA, bicyclic_dyadic, bicyclic_le, bicyclic_nat,
                             cex_mirror_witness, cex_op, cex_truncation,
                             classify, is_dyadic, rotation_family, rotation_le,
                             rotation_op, rotation_wb_sigma)
-from invsg.families.base import chain_members
-from invsg.families.rotation import OutOfRange, rot_canonical, rot_value
+from invsg.families.base import DEFAULT_DEPTH, chain_members
+from invsg.families.rotation import OutOfRange, rotation_scale
+
+# the rotation encoding at the default depth, the one rotation_family() uses
+rot_canonical, rot_value = (rotation_scale(DEFAULT_DEPTH).canonical,
+                            rotation_scale(DEFAULT_DEPTH).value)
 
 ALL_FAMILIES = [bicyclic_nat, bicyclic_dyadic, rotation_family, cex_family]
 

@@ -24,9 +24,9 @@ import pytest
 from invsg import checkers
 from invsg.checkers import CheckReport, replay_counterexample
 from invsg.families import bicyclic_dyadic, bicyclic_nat, cex_family, rotation_family
-from invsg.families.base import SCALE_BITS, finite_list_chain
+from invsg.families.base import DEFAULT_DEPTH, family_scale, finite_list_chain
 
-ONE = 1 << SCALE_BITS      # the dyadic coordinate 1
+ONE = 1 << family_scale(DEFAULT_DEPTH).bits  # the dyadic coordinate 1 at the default depth
 HALF = ONE >> 1            # and 1/2
 
 
