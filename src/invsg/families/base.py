@@ -30,8 +30,8 @@ from typing import Any, Callable, NamedTuple, Optional, Union
 from ..pbij import TooLarge
 
 __all__ = ["ChainWitness", "SymbolicFamily", "Flag", "Classification", "Scale",
-           "DEFAULT_DEPTH", "MAX_DEPTH", "MAX_CHAIN_INDEX", "below", "chain_limit",
-           "family_scale", "require_positive"]
+           "DEFAULT_DEPTH", "MAX_DEPTH", "below", "chain_limit", "family_scale",
+           "require_positive"]
 
 DEFAULT_DEPTH = 64
 MAX_DEPTH = 1024  # the deepest depth an integer family is built for
@@ -42,34 +42,39 @@ def chain_limit(depth: int) -> int:
     return max(3 * depth, DEFAULT_DEPTH)
 
 
-MAX_CHAIN_INDEX = chain_limit(MAX_DEPTH)
-
-
 class Scale(NamedTuple):
-    """The exact integer scale of a family built for one depth.
+    """The exact integer scale of a family built for ``depth``.
 
     Values are stored as integer multiples of 2^-bits, so a chain member at
     index k <= ``limit`` (a step of 2^-k) is exact; ``check`` refuses a
-    deeper one instead of computing it.
+    deeper one instead of computing it, and names the depth to build for.
     """
 
+    depth: int
     limit: int
-    bits: int
+
+    @property
+    def bits(self) -> int:
+        """The limit plus 8 spare bits, which keep a chain to an early member
+        of another chain exact to the last index too (the sample pools hold
+        members up to index 3)."""
+        return self.limit + 8
 
     def check(self, k: int) -> None:
         if k > self.limit:
-            raise TooLarge("chain index", self.limit)
+            need = -(-k // 3)  # the least depth whose chain_limit reaches k
+            remedy = f"the family was built for depth {self.depth}; " + (
+                f"rebuild it with depth={need}" if need <= MAX_DEPTH
+                else f"no family is built past depth {MAX_DEPTH}")
+            raise TooLarge(f"chain index {k}", self.limit, remedy)
 
 
 def family_scale(depth: int) -> Scale:
     """The scale of an integer family built for ``depth``; ``TooLarge`` past
-    ``MAX_DEPTH``.  The 8 spare bits keep a chain to an early member of
-    another chain exact to the last index too (the sample pools hold members
-    up to index 3)."""
+    ``MAX_DEPTH``."""
     if depth > MAX_DEPTH:
         raise TooLarge("depth", MAX_DEPTH)
-    limit = chain_limit(depth)
-    return Scale(limit, limit + 8)
+    return Scale(depth, chain_limit(depth))
 
 
 def below(rng: random.Random, n: int) -> int:

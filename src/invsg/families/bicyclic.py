@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 
 from ..core import NotIdempotent
 from .base import (DEFAULT_DEPTH, ChainWitness, Scale, SymbolicFamily, below,
@@ -61,8 +60,12 @@ def is_dyadic(q: Fraction) -> bool:
 
 
 def bicyclic_wb(cone: str, eps, delta, describe=repr) -> bool:
-    """Way-below between idempotents (a,a) and (b,b) over the given cone;
-    ``describe`` names a non-idempotent argument."""
+    """Way-below between idempotents (a,a) and (b,b) over the given cone.
+
+    A non-idempotent argument raises ``NotIdempotent`` named by ``describe``.
+    The default ``repr`` prints the pair as given: a stored dyadic pair
+    carries no scale, so only its family can print it as rationals, and its
+    ``wb_sigma`` passes its own ``describe``."""
     a, aa = eps
     b, bb = delta
     if a != aa or b != bb:
@@ -100,11 +103,11 @@ class _Dyadic:
     """The dyadic cone at one exact scale: x is stored as the int x 2^bits."""
 
     def __init__(self, scale: Scale):
-        self.scale = scale
-        self.one = 1 << scale.bits
+        self.check, self.bits = scale.check, scale.bits
+        self.one = 1 << self.bits
         # The sampled coordinates m / 2^j (m < 65, j < 4), stored: table[m][j]
         # is m << (bits - j).  A draw picks m, then j.
-        self.table = tuple(tuple(m << (scale.bits - j) for j in range(4))
+        self.table = tuple(tuple(m << (self.bits - j) for j in range(4))
                            for m in range(65))
 
     def describe(self, x) -> str:
@@ -117,7 +120,7 @@ class _Dyadic:
 
     def chains_to(self, t):
         a, b = t
-        bits, check = self.scale.bits, self.scale.check
+        bits, check = self.bits, self.check
 
         def member(k: int):
             check(k)
@@ -133,9 +136,6 @@ class _Dyadic:
                                   sup_in_sigma=t if a == b else None,
                                   sup_in_s=t, upper_bounds=(t,))
         return (asc, const)
-
-
-_dyadic_at = lru_cache(maxsize=16)(_Dyadic)  # one cone, and its tables, per scale in use
 
 
 def _sample_nat(rng: random.Random):
@@ -168,7 +168,7 @@ def _family(cone: str, depth: int) -> SymbolicFamily:
         sample = _sample_nat
         named = repr
     else:
-        dyadic = _dyadic_at(family_scale(depth))
+        dyadic = _Dyadic(family_scale(depth))
         one, chains_to, describe = dyadic.one, dyadic.chains_to, dyadic.describe
         witnesses = (chains_to((one, one)) + chains_to((3 * one, 3 * one))
                      + chains_to((5 * one // 2, one // 2)))

@@ -10,8 +10,11 @@ Values are encoded rotation elements (pairs of ints, see ``rotation``), on
 the rotation scale for the depth the family is built for: the family builds
 them through that ``RotationScale``'s ``canonical`` and ``approach``,
 multiplies them with the rotation oracles, and decodes them only in
-``describe``, so no Fraction arithmetic runs in its oracles.  Every function
-here that builds or recognizes a character takes that depth.
+``describe``, so no Fraction arithmetic runs in its oracles.  The functions
+that build characters take that depth.  A character carries its scale in
+its identity value chi(1) = (27720 2^K, 0), so the functions that only read
+characters need no depth: they check that chi(1) is such a value, and
+``character_op`` that both arguments share it.
 
 This family only claims structure, order, reducedness and mirror evidence;
 continuity classification is partial (the underlying argument is
@@ -26,13 +29,15 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from ..core import FiniteInvSemigroup
-from .base import DEFAULT_DEPTH, ChainWitness, SymbolicFamily, below, finite_list_chain
-from .rotation import rotation_inv, rotation_le, rotation_op, rotation_scale
+from .base import (DEFAULT_DEPTH, MAX_DEPTH, ChainWitness, SymbolicFamily, below,
+                   family_scale, finite_list_chain)
+from .rotation import _TURN, rotation_inv, rotation_le, rotation_op, rotation_scale
 
 __all__ = ["NotACharacter", "is_character", "character_op",
            "enumerate_characters", "character_family", "trivial_character"]
 
 _ZERO = (0, 0)  # radius 0 at every scale
+_MAX_BITS = family_scale(MAX_DEPTH).bits
 
 
 class NotACharacter(Exception):
@@ -59,20 +64,31 @@ def _violating_pair(S: FiniteInvSemigroup, chi) -> tuple[int, int] | None:
     return None
 
 
-def is_character(S: FiniteInvSemigroup, chi, depth: int = DEFAULT_DEPTH) -> bool:
-    return (len(chi) == S.n and chi[S.identity] == rotation_scale(depth).one
+def _is_one(z) -> bool:
+    """Whether z is the encoded radius 1, angle 0 on some family's scale:
+    (27720 2^b, 0) with b <= the bits of the deepest scale."""
+    if type(z[0]) is not int or z[1] != 0 or z[0] <= 0 or z[0] % _TURN:
+        return False
+    q = z[0] // _TURN
+    return q & (q - 1) == 0 and q.bit_length() <= _MAX_BITS + 1
+
+
+def is_character(S: FiniteInvSemigroup, chi) -> bool:
+    return (len(chi) == S.n and _is_one(chi[S.identity])
             and _violating_pair(S, chi) is None)
 
 
-def character_op(S: FiniteInvSemigroup, chi, psi, depth: int = DEFAULT_DEPTH):
-    """Pointwise rotation product of two characters of S."""
-    one = rotation_scale(depth).one
+def character_op(S: FiniteInvSemigroup, chi, psi):
+    """Pointwise rotation product of two characters of S on one scale."""
+    e = S.identity
     for c in (chi, psi):
-        if len(c) != S.n or c[S.identity] != one:
-            raise NotACharacter((S.identity, S.identity), " (identity value)")
+        if len(c) != S.n or not _is_one(c[e]):
+            raise NotACharacter((e, e), " (identity value)")
         bad = _violating_pair(S, c)
         if bad is not None:
             raise NotACharacter(bad)
+    if chi[e] != psi[e]:
+        raise NotACharacter((e, e), " (the two characters are on different scales)")
     return tuple(rotation_op(a, b) for a, b in zip(chi, psi))
 
 
@@ -125,6 +141,11 @@ def character_family(S: FiniteInvSemigroup, pool=None,
     if pool is None:
         pool = enumerate_characters(S, depth=depth)
     pool = list(pool)
+    for i, chi in enumerate(pool):
+        if chi[S.identity] != enc.one:
+            raise ValueError(f"pool member {i} is not on the scale for depth {depth} "
+                             f"(its identity value is not 1 there); build the pool "
+                             f"with depth={depth}")
     triv = trivial_character(S, depth)
     if triv not in pool:
         pool.append(triv)

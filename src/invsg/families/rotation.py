@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 
 from ..pbij import TooLarge
 from .base import (DEFAULT_DEPTH, ChainWitness, Scale, SymbolicFamily, below,
@@ -161,13 +160,10 @@ class RotationScale:
         return (radii[below(rng, len(radii))], 0)
 
 
-_scale_at = lru_cache(maxsize=16)(RotationScale)  # one encoding per scale in use
-
-
 def rotation_scale(depth: int = DEFAULT_DEPTH) -> RotationScale:
     """The encoding of a rotation family built for ``depth`` (``TooLarge``
     past ``base.MAX_DEPTH``)."""
-    return _scale_at(family_scale(depth))
+    return RotationScale(family_scale(depth))
 
 
 def rotation_family(depth: int = DEFAULT_DEPTH) -> SymbolicFamily:

@@ -45,8 +45,9 @@ class GroundMismatch(Exception):
 
 
 class TooLarge(Exception):
-    def __init__(self, what: str, limit: int):
-        super().__init__(f"{what} exceeds the desk-scale limit {limit}")
+    def __init__(self, what: str, limit: int, remedy: str = ""):
+        super().__init__(f"{what} exceeds the desk-scale limit {limit}"
+                         + (f"; {remedy}" if remedy else ""))
 
 
 class NotATopology(Exception):

@@ -7,7 +7,7 @@ from invsg import checkers, core
 from invsg.families import (NotACharacter, character_family, character_op,
                             cyclic_group, enumerate_characters, is_character,
                             trivial_character)
-from invsg.families.base import DEFAULT_DEPTH
+from invsg.families.base import DEFAULT_DEPTH, MAX_DEPTH
 from invsg.families.rotation import rotation_scale
 
 # the rotation encoding at the default depth, the one the character functions use
@@ -61,6 +61,30 @@ def test_character_op_rejects_non_characters():
     with pytest.raises(NotACharacter) as ei:
         character_op(S, bad, trivial_character(S))
     assert ei.value.pair == (1, 1)
+
+
+def test_characters_carry_their_scale():
+    S = mixed3()
+    deep = character_family(S, depth=MAX_DEPTH)
+    chi = deep.sample(random.Random(3))
+    assert is_character(S, chi)  # a character on the depth-1024 scale
+    assert character_op(S, chi, chi) == deep.op(chi, chi)
+    shallow = enumerate_characters(S)[-1]
+    assert is_character(S, shallow)
+    with pytest.raises(NotACharacter, match="different scales"):
+        character_op(S, chi, shallow)
+    # an identity value off every family's scale is no character
+    assert not is_character(S, ((3 * ONE[0], 0),) + shallow[1:])
+    assert not is_character(S, ((ONE[0] << 4000, 0),) + shallow[1:])
+
+
+def test_a_pool_on_another_scale_is_refused():
+    S = mixed3()
+    with pytest.raises(ValueError, match="pool member 0 is not on the scale for depth 1024"):
+        character_family(S, enumerate_characters(S), depth=MAX_DEPTH)
+    with pytest.raises(ValueError, match="is not on the scale for depth 64"):
+        character_family(S, enumerate_characters(S, depth=MAX_DEPTH))
+    character_family(S, enumerate_characters(S, depth=MAX_DEPTH), depth=MAX_DEPTH)
 
 
 def test_characters_on_groups_are_circle_valued():

@@ -19,11 +19,12 @@ from invsg.checkers import run_suites
 from invsg.cli import main
 from invsg.families import (bicyclic_dyadic, bicyclic_nat, character_family, classify,
                             rotation_family)
-from invsg.families.base import DEFAULT_DEPTH, MAX_CHAIN_INDEX, MAX_DEPTH, family_scale
+from invsg.families.base import DEFAULT_DEPTH, MAX_DEPTH, chain_limit, family_scale
 from invsg.families.rotation import rotation_scale
 from invsg.pbij import TooLarge
 
 K = family_scale(DEFAULT_DEPTH).bits  # the scale of a family built at the default depth
+MAX_CHAIN_INDEX = chain_limit(MAX_DEPTH)  # the deepest chain index any check reads
 rot_canonical, rot_value = (rotation_scale(DEFAULT_DEPTH).canonical,
                             rotation_scale(DEFAULT_DEPTH).value)
 
@@ -237,6 +238,21 @@ def test_the_build_depth_changes_no_report(name):
             == [r.to_json() for r in run_suites(shallow, name, depth=64, seed=3, budget=500)])
     assert (classify(deep, depth=64, seed=3, budget=500).to_json()
             == classify(shallow, depth=64, seed=3, budget=500).to_json())
+
+
+@pytest.mark.parametrize("build", [rotation_family, bicyclic_dyadic,
+                                   lambda depth=DEFAULT_DEPTH: character_family(mixed3(), depth=depth)])
+def test_a_family_checked_deeper_than_built_names_the_depth_to_build(build):
+    fam = build()  # built for the default depth, whose chains end at index 192
+    with pytest.raises(TooLarge, match=r"^chain index 300 exceeds the desk-scale limit 192; "
+                                       r"the family was built for depth 64; "
+                                       r"rebuild it with depth=100$"):
+        run_suites(fam, fam.name, depth=100, seed=3, budget=50)
+    run_suites(build(depth=100), fam.name, depth=100, seed=3, budget=50)  # the remedy runs
+    with pytest.raises(TooLarge, match=r"^chain index 3075 exceeds the desk-scale limit 3072; "
+                                       r"the family was built for depth 1024; "
+                                       r"no family is built past depth 1024$"):
+        run_suites(build(depth=MAX_DEPTH), fam.name, depth=1025, seed=3, budget=50)
 
 
 def test_a_rounding_radius_chain_member_is_refused():

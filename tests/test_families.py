@@ -70,6 +70,15 @@ def test_bicyclic_wb_examples():
         bicyclic_wb("nat", (1, 2), (3, 3))
 
 
+def test_a_direct_bicyclic_wb_call_names_the_pair_as_given():
+    # a stored pair carries no scale, so a direct call prints it as given;
+    # the dyadic family's wb_sigma prints rationals (see test_encoding)
+    with pytest.raises(NotIdempotent, match=r"^element \(17, 65\) is not idempotent$"):
+        bicyclic_wb("dyadic", (17, 65), (3, 3))
+    with pytest.raises(NotIdempotent, match=r"^element \(2, 1\) is not idempotent$"):
+        bicyclic_wb("nat", (3, 3), (2, 1))
+
+
 def test_is_dyadic():
     assert is_dyadic(Fraction(3, 8)) and is_dyadic(Fraction(5))
     assert not is_dyadic(Fraction(1, 3)) and not is_dyadic(Fraction(-1, 2))
