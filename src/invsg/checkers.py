@@ -125,6 +125,13 @@ def _elem_pool(fam: SymbolicFamily, rng: random.Random, k: int) -> list:
     return pool
 
 
+def _translates(fam: SymbolicFamily, rng: random.Random, k: int) -> tuple:
+    """A sampled t and k translates t*eps, plus t: a finite directed set
+    whose maximum is t."""
+    t = fam.sample(rng)
+    return t, [fam.op(t, fam.sample_idempotent(rng)) for _ in range(k)] + [t]
+
+
 def _idem_pool(fam: SymbolicFamily, rng: random.Random, k: int) -> list:
     pool = [fam.sample_idempotent(rng) for _ in range(k)]
     for cw in fam.witnesses:
@@ -154,7 +161,7 @@ class _Side:
 
 
 _S = _Side(lambda fam, rng: fam.sample(rng),
-           lambda fam, rng, k: [fam.sample(rng) for _ in range(k)] + _elem_pool(fam, rng, 3),
+           lambda fam, rng, k: _elem_pool(fam, rng, k + 3),
            "wb_s", "chains_to", "sup_in_s", ("s", "t"),
            ("wb-claim-refuted", "missing-refuter", "refuter-sup-too-small",
             "refuter-does-not-kill"))
@@ -274,8 +281,7 @@ def _family_ssc(fam: SymbolicFamily, rng: random.Random, depth: int, budget: int
             return False, _fail(fam, "ssc-family", cw, s, a), examined
     # finite directed sets carry their sup exactly: sup = max
     for _ in range(budget):
-        t = fam.sample(rng)
-        A = [fam.op(t, fam.sample_idempotent(rng)) for _ in range(2)] + [t]
+        t, A = _translates(fam, rng, 2)
         s = fam.sample(rng)
         examined += 1
         for a in A:
@@ -588,8 +594,7 @@ def check_sigma_sup(fam: SymbolicFamily, depth, seed, budget):
     rng = _rng(seed, "sigma_sup", fam.name)
     examined = 0
     for _ in range(max(budget // 10, 200)):
-        t = fam.sample(rng)
-        A = [fam.op(t, fam.sample_idempotent(rng)) for _ in range(3)] + [t]
+        t, A = _translates(fam, rng, 3)
         examined += 1
         for a in A:
             if _VIOLATED["sigma-not-monotone-at-max"](fam, t, a):
@@ -621,8 +626,7 @@ def check_conditional_distributivity(fam: SymbolicFamily, depth, seed, budget):
         if _VIOLATED["cond-distr-chain"](fam, cw, s, a):
             return _failed(examined, _fail(fam, "cond-distr-chain", cw, s, a))
     for _ in range(300):
-        t = fam.sample(rng)
-        A = [fam.op(t, fam.sample_idempotent(rng)) for _ in range(2)] + [t]
+        t, A = _translates(fam, rng, 2)
         s = fam.sample(rng)
         if not _in_domain(fam, s, A):
             continue
@@ -660,8 +664,7 @@ def check_greatest_of_translate(fam: SymbolicFamily, depth, seed, budget):
                 if _VIOLATED["translate-escapes-d"](fam, cw, d, x):
                     return _failed(examined, _fail(fam, "translate-escapes-d", cw, d, x))
     for _ in range(300):
-        t = fam.sample(rng)
-        D = [fam.op(t, fam.sample_idempotent(rng)) for _ in range(2)] + [t]
+        _, D = _translates(fam, rng, 2)
         for d in D:
             examined += 1
             if _VIOLATED["translate-finite"](fam, d, D):

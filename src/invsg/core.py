@@ -33,6 +33,9 @@ __all__ = [
     "h_class",
     "is_reduced",
     "restrict",
+    "tabulate",
+    "generated",
+    "inverse_subsemigroups",
     "to_json",
     "from_json",
     "load_carrier",
@@ -239,9 +242,6 @@ class FiniteInvSemigroup:
     def mul(self, s: int, t: int) -> int:
         return self.table[s][t]
 
-    def star(self, s: int) -> int:
-        return self.inv[s]
-
     def is_idempotent(self, s: int) -> bool:
         return (self._idem_mask >> s) & 1 == 1
 
@@ -330,18 +330,67 @@ def is_reduced(S: FiniteInvSemigroup) -> bool:
 def restrict(S: FiniteInvSemigroup, subset: Sequence[int]) -> FiniteInvSemigroup:
     """The sub-carrier on a product-closed subset, revalidated from scratch."""
     sub = list(subset)
-    old_to_new = {x: i for i, x in enumerate(sub)}
-    tbl = []
-    for s in sub:
-        row = []
-        for t in sub:
-            p = S.table[s][t]
-            if p not in old_to_new:
-                raise ValueError(f"subset not closed under product: {s}*{t} = {p}")
-            row.append(old_to_new[p])
-        tbl.append(row)
     names = [S.name_of(x) for x in sub] if S.names is not None else None
-    return FiniteInvSemigroup(tbl, names)
+    return tabulate(sub, S.mul, names)
+
+
+def tabulate(elems: Sequence, mul: Callable, names: Optional[Iterable] = None
+             ) -> FiniteInvSemigroup:
+    """The validated carrier of a product-closed list: id i is ``elems[i]``.
+
+    Elements are told apart by ``==`` and hash.  A product that is not in
+    the list raises ValueError.
+    """
+    index = {x: i for i, x in enumerate(elems)}
+    table = [[index.get(mul(s, t)) for t in elems] for s in elems]
+    for s, row in zip(elems, table):
+        if None in row:
+            t = elems[row.index(None)]
+            raise ValueError(f"subset not closed under product: {s}*{t} = {mul(s, t)}")
+    return FiniteInvSemigroup(table, names)
+
+
+def generated(S: FiniteInvSemigroup, mask: int, limit: Optional[int] = None
+              ) -> Optional[int]:
+    """The inverse subsemigroup generated by the ids in ``mask``, as a
+    bitmask, or None once it has more than ``limit`` elements.
+
+    A, the ids and their inverses, is closed under ``*`` since (a1...ak)* =
+    ak*...a1*, so the closure is the left-normed products of A; they are
+    grown breadth-first by right multiplication with A.
+    """
+    cur = mask | mask_of(S.inv[x] for x in bits(mask))
+    gens = list(bits(cur))
+    reached = gens.copy()
+    for x in reached:             # grows while it is read
+        row = S.table[x]
+        for a in gens:
+            y = row[a]
+            if not cur >> y & 1:
+                cur |= 1 << y
+                reached.append(y)
+        if limit is not None and len(reached) > limit:
+            return None
+    return cur
+
+
+def inverse_subsemigroups(S: FiniteInvSemigroup, limit: Optional[int] = None) -> set[int]:
+    """The bitmasks of all nonempty inverse subsemigroups of S, or of those
+    with at most ``limit`` elements.
+
+    They are grown one generator at a time from the empty set; each is
+    reached, as every closure on the way stays inside it.
+    """
+    found: set[int] = set()
+    frontier = [0]
+    for m in frontier:            # grows while it is read
+        for x in range(S.n):
+            if not m >> x & 1:
+                grown = generated(S, m | 1 << x, limit)
+                if grown is not None and grown not in found:
+                    found.add(grown)
+                    frontier.append(grown)
+    return found
 
 
 # -- JSON carrier format ----------------------------------------------------

@@ -18,8 +18,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ..core import FiniteInvSemigroup
-from .base import DEFAULT_DEPTH, ChainWitness, SymbolicFamily, below, finite_list_chain
+from ..core import FiniteInvSemigroup, tabulate
+from .base import (DEFAULT_DEPTH, ChainWitness, SymbolicFamily, below, finite_list_chain,
+                   require_positive)
 
 __all__ = ["OMEGA", "cex_op", "cex_inv", "cex_le", "cex_mirror_witness",
            "cex_family", "cex_truncation"]
@@ -172,11 +173,6 @@ def cex_truncation(levels: int = 2) -> FiniteInvSemigroup:
 
     Finite, hence mirror, unlike the full family it is cut from.
     """
+    require_positive(levels=levels)
     vals = [Fraction(i, levels) for i in range(levels + 1)] + [OMEGA]
-    idx = {id(OMEGA) if v is OMEGA else v: i for i, v in enumerate(vals)}
-
-    def key(v):
-        return id(OMEGA) if v is OMEGA else v
-
-    table = [[idx[key(cex_op(a, b))] for b in vals] for a in vals]
-    return FiniteInvSemigroup(table, names=[str(v) for v in vals])
+    return tabulate(vals, cex_op, vals)

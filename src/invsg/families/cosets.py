@@ -7,8 +7,10 @@ inverse monoid.  The intrinsic order is reverse inclusion and the
 idempotents are exactly the subgroups.
 
 Groups are carried as validated FiniteInvSemigroup tables (a group is an
-inverse semigroup whose only idempotent is the identity); constructors cover
-everything needed for the order <= 8 corpus plus S4 for headroom.
+inverse semigroup whose only idempotent is the identity), built by
+``core.tabulate``; constructors cover everything needed for the order <= 8
+corpus plus S4 for headroom.  The subgroups are the inverse subsemigroups
+that ``core.inverse_subsemigroups`` finds.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import permutations
 from operator import and_
 from typing import Callable
 
-from ..core import FiniteInvSemigroup
+from ..core import FiniteInvSemigroup, bits, idempotents, inverse_subsemigroups, tabulate
 
 __all__ = [
     "NotACoset",
@@ -42,20 +44,14 @@ class NotACoset(Exception):
     pass
 
 
-def _group_from_mul(elems, mul, name_fn=str) -> FiniteInvSemigroup:
-    index = {e: i for i, e in enumerate(elems)}
-    table = [[index[mul(a, b)] for b in elems] for a in elems]
-    return FiniteInvSemigroup(table, names=[name_fn(e) for e in elems])
-
-
 def cyclic_group(n: int) -> FiniteInvSemigroup:
-    return _group_from_mul(list(range(n)), lambda a, b: (a + b) % n)
+    return tabulate(range(n), lambda a, b: (a + b) % n, range(n))
 
 
 def direct_product(G: FiniteInvSemigroup, H: FiniteInvSemigroup) -> FiniteInvSemigroup:
     elems = [(a, b) for a in range(G.n) for b in range(H.n)]
-    return _group_from_mul(
-        elems, lambda x, y: (G.table[x[0]][y[0]], H.table[x[1]][y[1]]))
+    return tabulate(elems, lambda x, y: (G.table[x[0]][y[0]], H.table[x[1]][y[1]]),
+                    elems)
 
 
 def dihedral_group(n: int) -> FiniteInvSemigroup:
@@ -68,12 +64,11 @@ def dihedral_group(n: int) -> FiniteInvSemigroup:
         r = (r1 + r2) % n if f1 == 0 else (r1 - r2) % n
         return (r, f1 ^ f2)
 
-    return _group_from_mul(elems, mul)
+    return tabulate(elems, mul, elems)
 
 
 def quaternion_group() -> FiniteInvSemigroup:
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    idx = {nm: i for i, nm in enumerate(names)}
 
     def base_mul(a: str, b: str) -> str:
         tbl = {("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
@@ -92,15 +87,14 @@ def quaternion_group() -> FiniteInvSemigroup:
             sign, r = -sign, r[1:]
         return r if sign > 0 else "-" + r
 
-    table = [[idx[mul(a, b)] for b in names] for a in names]
-    return FiniteInvSemigroup(table, names=names)
+    return tabulate(names, mul, names)
 
 
 def symmetric_group(n: int) -> FiniteInvSemigroup:
     if n > 4:
         raise ValueError("symmetric groups only up to S4 here")
     elems = list(permutations(range(n)))
-    return _group_from_mul(elems, lambda p, q: tuple(p[q[i]] for i in range(n)))
+    return tabulate(elems, lambda p, q: tuple(p[q[i]] for i in range(n)), elems)
 
 
 # Each group is built only when it is asked for.
@@ -132,40 +126,14 @@ def groups_of_order_at_most(k: int) -> dict[str, FiniteInvSemigroup]:
     return {name: g for name, build in _BUILDERS.items() if (g := build()).n <= k}
 
 
-def _identity(G: FiniteInvSemigroup) -> int:
-    if G.identity is None:
-        raise ValueError("not a group: no identity")
-    return G.identity
-
-
 def subgroups(G: FiniteInvSemigroup) -> list[frozenset[int]]:
-    """All subgroups, by closing generator sets one element at a time."""
+    """All subgroups: in a group every inverse subsemigroup contains e = a a*,
+    so it is a subgroup, and {e} is the closure of {e}."""
     if G.n > _MAX_GROUP:
         raise ValueError(f"group order {G.n} exceeds the limit {_MAX_GROUP}")
-    e = _identity(G)
-
-    def close(seed: frozenset[int]) -> frozenset[int]:
-        cur = set(seed) | {e}
-        while True:
-            new = set(cur)
-            for a in cur:
-                new.add(G.inv[a])
-                for b in cur:
-                    new.add(G.table[a][b])
-            if new == cur:
-                return frozenset(cur)
-            cur = new
-
-    found = {close(frozenset())}
-    frontier = [close(frozenset())]
-    while frontier:
-        H = frontier.pop()
-        for x in range(G.n):
-            if x not in H:
-                H2 = close(H | {x})
-                if H2 not in found:
-                    found.add(H2)
-                    frontier.append(H2)
+    if len(idempotents(G)) != 1:
+        raise ValueError("not a group: more than one idempotent")
+    found = [frozenset(bits(m)) for m in inverse_subsemigroups(G)]
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 

@@ -344,57 +344,18 @@ def canonical_table(table: Sequence[Sequence[int]],
 def enumerate_inverse_subsemigroups(n: int, max_order: int) -> Iterator[FiniteInvSemigroup]:
     """All compose/invert-closed subsets of I_n up to isomorphism, validated.
 
-    Subsemigroups are grown one generator at a time from singleton closures;
-    every subsemigroup of order <= max_order is reached this way because all
-    its intermediate closures stay inside it.  Deduplication hashes the
-    canonical table, so the stream is deterministic.
+    The subsemigroups come from ``core.inverse_subsemigroups``, in order of
+    size, then bitmask.  Deduplication hashes the canonical table, so the
+    stream is deterministic.
     """
     if n > 3:
         raise TooLarge("enumeration ground", 3)
     if max_order > 10:
         raise TooLarge("enumeration max order", 10)
-    amb = symmetric_inverse_monoid(n)
-    C = amb.carrier
-    N = C.n
-
-    def close(mask: int) -> Optional[int]:
-        cur = mask
-        for x in bits(mask):
-            cur |= 1 << C.inv[x]
-        while True:
-            new = cur
-            xs = list(bits(cur))
-            for a in xs:
-                row = C.table[a]
-                for b in xs:
-                    new |= 1 << row[b]
-                new |= 1 << C.inv[a]
-            if new == cur:
-                return cur if bin(cur).count("1") <= max_order else None
-            cur = new
-            if bin(cur).count("1") > max_order:
-                return None
-
-    seen: set[int] = set()
-    frontier: list[int] = []
-    for x in range(N):
-        m = close(1 << x)
-        if m is not None and m not in seen:
-            seen.add(m)
-            frontier.append(m)
-    i = 0
-    while i < len(frontier):
-        m = frontier[i]
-        i += 1
-        for x in range(N):
-            if not (m >> x) & 1:
-                m2 = close(m | (1 << x))
-                if m2 is not None and m2 not in seen:
-                    seen.add(m2)
-                    frontier.append(m2)
-
+    C = symmetric_inverse_monoid(n).carrier
     emitted: set[tuple] = set()
-    for m in sorted(seen, key=lambda v: (bin(v).count("1"), v)):
+    for m in sorted(core.inverse_subsemigroups(C, max_order),
+                    key=lambda v: (bin(v).count("1"), v)):
         sub = core.restrict(C, list(bits(m)))
         key = canonical_table(sub.table)
         if key not in emitted:

@@ -167,6 +167,9 @@ def test_non_positive_budgets_and_depths_are_refused(subject, bad):
             run_suite(name, subject, **bad)
     with pytest.raises(ValueError, match="must be a positive integer"):
         classify(subject, **bad)
+    for levels in (0, -1):
+        with pytest.raises(ValueError, match="levels must be a positive integer"):
+            cex_truncation(levels)
 
 
 def test_wb_characterization_counts_enough_pairs():

@@ -44,6 +44,17 @@ def test_subgroup_counts():
     assert len(subgroups(quaternion_group())) == 6
     c2 = cyclic_group(2)
     assert len(subgroups(direct_product(direct_product(c2, c2), c2))) == 16
+    # every nonempty product- and inverse-closed subset, by brute force
+    for G in (symmetric_group(3), dihedral_group(4), quaternion_group()):
+        closed = []
+        for mask in range(1, 1 << G.n):
+            H = [x for x in range(G.n) if mask >> x & 1]
+            if all(mask >> G.inv[a] & 1 and all(mask >> G.table[a][b] & 1 for b in H)
+                   for a in H):
+                closed.append(frozenset(H))
+        assert sorted(closed, key=lambda s: (len(s), sorted(s))) == subgroups(G)
+    with pytest.raises(ValueError, match="not a group"):
+        subgroups(coset_monoid(cyclic_group(2)))   # a monoid with two idempotents
 
 
 def test_coset_product_examples():

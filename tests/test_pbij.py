@@ -177,6 +177,10 @@ def test_enumerate_i2_matches_bruteforce_subset_scan(I2, i2_subsemigroups):
         if closed:
             ambient.append(tuple(members))
     assert len(ambient) == 18
+    masks = {core.mask_of(m) for m in ambient}
+    assert core.inverse_subsemigroups(C) == masks
+    assert core.inverse_subsemigroups(C, limit=3) == {m for m in masks
+                                                       if bin(m).count("1") <= 3}
     keys = {canonical_table(core.restrict(C, list(m)).table) for m in ambient}
     assert len(keys) == len(i2_subsemigroups) == 10
     assert sorted(s.n for s in i2_subsemigroups) == [1, 2, 2, 3, 3, 3, 4, 5, 6, 7]
