@@ -270,7 +270,7 @@ def _family_reduced(fam: SymbolicFamily, rng: random.Random, budget: int = 2000)
     return True, None, examined
 
 
-def _family_ssc(fam: SymbolicFamily, rng: random.Random, depth: int, budget: int = 300):
+def _family_ssc(fam: SymbolicFamily, rng: random.Random, depth: int):
     """Separate Scott-continuity evidence: translation respects chain sups."""
     examined = 0
     pool = _elem_pool(fam, rng, 8)
@@ -280,7 +280,7 @@ def _family_ssc(fam: SymbolicFamily, rng: random.Random, depth: int, budget: int
         if _VIOLATED["ssc-family"](fam, cw, s, a):
             return False, _fail(fam, "ssc-family", cw, s, a), examined
     # finite directed sets carry their sup exactly: sup = max
-    for _ in range(budget):
+    for _ in range(300):
         t, A = _translates(fam, rng, 2)
         s = fam.sample(rng)
         examined += 1

@@ -145,7 +145,6 @@ def _cmd_check(args) -> int:
                                       seed=args.seed, budget=args.budget)
     except pbij.TooLarge as exc:
         return _limit(exc)
-    reports.sort(key=lambda r: list(checkers.SUITES).index(r.suite))
     failed = False
     if args.json:
         print(json.dumps([r.to_json() for r in reports]))

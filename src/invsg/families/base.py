@@ -19,6 +19,11 @@ Way-below on an infinite poset is not decidable by quantification, so each
 family ships a hand-derived closed form; trust comes from the consistency
 identity s << t  <=>  s <= t and sigma(s) << sigma(t) checked across big
 sampled budgets, and from refutation testing against canonical chains.
+
+A canonical chain to t claims t as its sup in S, and in Sigma when t is
+idempotent, and lists t as its upper bound: ``chain_to`` states that rule
+once, and ``finite_chain`` applies it to a list, whose last item is its
+maximum and so its sup.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from typing import Any, Callable, NamedTuple, Optional, Union
 from ..pbij import TooLarge
 
 __all__ = ["ChainWitness", "SymbolicFamily", "Flag", "Classification", "Scale",
-           "DEFAULT_DEPTH", "MAX_DEPTH", "below", "chain_limit", "family_scale",
-           "require_positive"]
+           "DEFAULT_DEPTH", "MAX_DEPTH", "below", "chain_limit", "chain_to",
+           "family_scale", "finite_chain", "require_positive"]
 
 DEFAULT_DEPTH = 64
 MAX_DEPTH = 1024  # the deepest depth an integer family is built for
@@ -112,7 +117,9 @@ class ChainWitness:
     listed upper bounds certify the failure (an upper bound u with
     sup_in_sigma not below u refutes any supremum in S).  ``label`` is the
     name, or a function that builds it when ``name`` is read: most chains are
-    never named in a report.
+    never named in a report.  ``chain_to`` and ``finite_chain`` build the
+    standard chains; a family fills these fields itself only for a chain
+    whose claims differ (the ``cex`` chains with the bound omega).
 
     A chain equals only itself.  Every constructor makes a fresh ``member``
     closure, so comparing fields would also come down to identity.  It is not
@@ -186,6 +193,7 @@ class SymbolicFamily:
     Sigma and of way-below refutation come from it: ``sigma_chains_to``
     keeps the chains in Sigma, and a denied x << y with x <= y is refuted by
     the first chain to y on its side (see ``checkers._wb_refutation``).
+    The families build these chains with ``chain_to`` and ``finite_chain``.
     """
 
     name: str
@@ -224,14 +232,19 @@ def iter_chain(cw: ChainWitness, depth: int):
     return map(cw.member, range(n))
 
 
-def finite_list_chain(name: Union[str, Callable[[], str]], items: list, in_sigma: bool,
-                      sup_in_sigma=None, sup_in_s=None, upper_bounds=()) -> ChainWitness:
+def chain_to(t, idempotent: bool, label: Union[str, Callable[[], str]],
+             member: Callable[[int], Any], length: Optional[int] = None) -> ChainWitness:
+    """A chain whose members reach or approach t: it claims t as its sup in S,
+    and in Sigma when t is ``idempotent`` (which also puts the chain in
+    Sigma), and lists t as its upper bound."""
+    return ChainWitness(label=label, member=member, in_sigma=idempotent,
+                        sup_in_sigma=t if idempotent else None, sup_in_s=t,
+                        upper_bounds=(t,), length=length)
+
+
+def finite_chain(label: Union[str, Callable[[], str]], items, in_sigma: bool) -> ChainWitness:
+    """The chain through ``items``, clamped at the last: a finite chain has
+    its last item as maximum, hence as sup (Gierz et al., 2003)."""
     items = list(items)
-
-    def member(k: int):
-        return items[min(k, len(items) - 1)]
-
-    return ChainWitness(label=name, member=member,
-                        in_sigma=in_sigma, sup_in_sigma=sup_in_sigma,
-                        sup_in_s=sup_in_s, upper_bounds=tuple(upper_bounds),
-                        length=len(items))
+    last = len(items) - 1
+    return chain_to(items[last], in_sigma, label, lambda k: items[min(k, last)], len(items))

@@ -30,8 +30,8 @@ import random
 from fractions import Fraction
 
 from ..core import NotIdempotent
-from .base import (DEFAULT_DEPTH, ChainWitness, Scale, SymbolicFamily, below,
-                   family_scale, finite_list_chain)
+from .base import (DEFAULT_DEPTH, Scale, SymbolicFamily, below, chain_to,
+                   family_scale, finite_chain)
 
 __all__ = ["bicyclic_op", "bicyclic_le", "bicyclic_wb", "is_dyadic",
            "bicyclic_nat", "bicyclic_dyadic"]
@@ -94,9 +94,7 @@ def _describe_nat(x) -> str:
 def _chains_to_nat(t):
     a, b = t
     items = [(a + j, b + j) for j in (3, 2, 1, 0)]
-    return (finite_list_chain(f"principal-chain-to-({a},{b})", items, in_sigma=(a == b),
-                              sup_in_sigma=t if a == b else None,
-                              sup_in_s=t, upper_bounds=(t,)),)
+    return (finite_chain(f"principal-chain-to-({a},{b})", items, a == b),)
 
 
 class _Dyadic:
@@ -127,15 +125,8 @@ class _Dyadic:
             e = 1 << (bits - k)
             return (a + e, b + e)
 
-        asc = ChainWitness(label=lambda: f"dyadic-approach-{self.describe(t)}",
-                           member=member, in_sigma=(a == b),
-                           sup_in_sigma=t if a == b else None,
-                           sup_in_s=t, upper_bounds=(t,))
-        const = finite_list_chain(lambda: f"constant-{self.describe(t)}", [t],
-                                  in_sigma=(a == b),
-                                  sup_in_sigma=t if a == b else None,
-                                  sup_in_s=t, upper_bounds=(t,))
-        return (asc, const)
+        return (chain_to(t, a == b, lambda: f"dyadic-approach-{self.describe(t)}", member),
+                finite_chain(lambda: f"constant-{self.describe(t)}", [t], a == b))
 
 
 def _sample_nat(rng: random.Random):

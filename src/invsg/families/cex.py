@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 
 from ..core import FiniteInvSemigroup, tabulate
-from .base import (DEFAULT_DEPTH, ChainWitness, SymbolicFamily, below, finite_list_chain,
+from .base import (DEFAULT_DEPTH, ChainWitness, SymbolicFamily, below, finite_chain,
                    require_positive)
 
 __all__ = ["OMEGA", "cex_op", "cex_inv", "cex_le", "cex_mirror_witness",
@@ -93,19 +93,12 @@ def cex_mirror_witness() -> ChainWitness:
 
 def _chains_to(y) -> tuple[ChainWitness, ...]:
     if y is OMEGA:
-        return (finite_list_chain("constant-omega", [Fraction(1, 2), OMEGA],
-                                  in_sigma=False, sup_in_s=OMEGA,
-                                  upper_bounds=(OMEGA,)),)
+        return (finite_chain("constant-omega", [Fraction(1, 2), OMEGA], False),)
     if y == 0:
-        return (finite_list_chain("constant-0", [_ZERO], in_sigma=True,
-                                  sup_in_sigma=_ZERO, sup_in_s=_ZERO,
-                                  upper_bounds=(_ZERO,)),)
+        return (finite_chain("constant-0", [_ZERO], True),)
     if y == 1:
         # ascending to 1 has no sup in S; the attained chain does
-        return (cex_mirror_witness(),
-                finite_list_chain("constant-1", [Fraction(1, 2), _ONE],
-                                  in_sigma=True, sup_in_sigma=_ONE,
-                                  sup_in_s=_ONE, upper_bounds=(_ONE,)))
+        return (cex_mirror_witness(), finite_chain("constant-1", [Fraction(1, 2), _ONE], True))
 
     def member(k: int):
         return y * (1 - Fraction(1, 2 ** k))

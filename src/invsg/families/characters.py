@@ -30,7 +30,7 @@ from itertools import product as iproduct
 
 from ..core import FiniteInvSemigroup
 from .base import (DEFAULT_DEPTH, MAX_DEPTH, ChainWitness, SymbolicFamily, below,
-                   family_scale, finite_list_chain)
+                   chain_to, family_scale, finite_chain)
 from .rotation import _TURN, rotation_inv, rotation_le, rotation_op, rotation_scale
 
 __all__ = ["NotACharacter", "is_character", "character_op",
@@ -96,18 +96,18 @@ def trivial_character(S: FiniteInvSemigroup, depth: int = DEFAULT_DEPTH):
     return (rotation_scale(depth).one,) * S.n
 
 
-_PALETTE_R = (Fraction(0), Fraction(1, 2), Fraction(1))
+# The palette: radius 0, or a nonzero radius here with an angle here.
+_PALETTE_R = (Fraction(1, 2), Fraction(1))
 _PALETTE_TH = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
-def enumerate_characters(S: FiniteInvSemigroup, radii=_PALETTE_R,
-                         angles=_PALETTE_TH, depth: int = DEFAULT_DEPTH) -> list[tuple]:
+def enumerate_characters(S: FiniteInvSemigroup, depth: int = DEFAULT_DEPTH) -> list[tuple]:
     """All characters with values on a rational palette (brute force)."""
     e = _require_commutative_monoid(S)
     if S.n > 5:
         raise ValueError("palette enumeration is meant for carriers of order <= 5")
     enc = rotation_scale(depth)
-    values = [_ZERO] + [enc.canonical(r, th) for r in radii if r != 0 for th in angles]
+    values = [_ZERO] + [enc.canonical(r, th) for r in _PALETTE_R for th in _PALETTE_TH]
     slots = [i for i in range(S.n) if i != e]
     found = []
     for pick in iproduct(values, repeat=len(slots)):
@@ -192,13 +192,8 @@ def character_family(S: FiniteInvSemigroup, pool=None,
             damp = enc.approach(enc.one, k)
             return tuple(rotation_op(v, damp) for v in chi)
 
-        asc = ChainWitness(label="damped-chain", member=member, in_sigma=idem,
-                           sup_in_sigma=chi if idem else None,
-                           sup_in_s=chi, upper_bounds=(chi,))
-        const = finite_list_chain("constant", [chi], in_sigma=idem,
-                                  sup_in_sigma=chi if idem else None,
-                                  sup_in_s=chi, upper_bounds=(chi,))
-        return (asc, const)
+        return (chain_to(chi, idem, "damped-chain", member),
+                finite_chain("constant", [chi], idem))
 
     def h_class_sample(eps, rng: random.Random, k: int) -> list:
         out = [chi for chi in pool if sigma(chi) == eps]
@@ -212,9 +207,7 @@ def character_family(S: FiniteInvSemigroup, pool=None,
         def member(k: int):
             return _damped(S, enc.one, enc.approach(enc.one, k))
 
-        return ChainWitness(label="damped-to-trivial", member=member, in_sigma=True,
-                            sup_in_sigma=triv, sup_in_s=triv,
-                            upper_bounds=(triv,))
+        return chain_to(triv, True, "damped-to-trivial", member)
 
     return SymbolicFamily(
         name=f"characters:{S.n}",
@@ -231,6 +224,6 @@ def character_family(S: FiniteInvSemigroup, pool=None,
         wb_s=None,
         wb_sigma=None,
         zero=zero_candidate if is_zero else None,
-        claimed={"reduced": True, "mirror": True, "continuous": True,
+        claimed={"reduced": True, "mirror": True, "continuous": None,
                  "algebraic": None, "stably_continuous": None},
     )

@@ -46,12 +46,8 @@ def _classify_family(fam: SymbolicFamily, depth: int, seed: int,
     mirror_ok, mirror_ce, mir_n = checkers._mirror(fam, depth, seed)
 
     if fam.wb_s is None or fam.wb_sigma is None:
-        cont_claim = fam.claimed.get("continuous")
-        cont = Flag(cont_claim,
-                    "partial: chain sups verified, no way-below oracle installed",
-                    depth)
-        alg = Flag(None, "not classified (partial family)", 0)
-        stably = Flag(None, "not classified (partial family)", 0)
+        cont, alg, stably = (Flag(None, "not classified (partial family)", 0)
+                             for _ in range(3))
     else:
         contS, _x, nS = checkers._continuity(fam, checkers._S, rng, depth)
         contE, _xE, nE = checkers._continuity(fam, checkers._SIGMA, rng, depth)

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from ..pbij import TooLarge
 from .base import (DEFAULT_DEPTH, ChainWitness, Scale, SymbolicFamily, below,
-                   family_scale, finite_list_chain)
+                   chain_to, family_scale, finite_chain)
 
 __all__ = ["OutOfRange", "RotationScale", "rotation_scale", "rotation_op",
            "rotation_inv", "rotation_le", "rotation_wb_sigma", "rotation_family"]
@@ -136,19 +136,10 @@ class RotationScale:
     def chains_to(self, z) -> tuple[ChainWitness, ...]:
         r, t = z
         if r == 0:
-            return (finite_list_chain("constant-zero", [_ZERO], in_sigma=True,
-                                      sup_in_sigma=_ZERO, sup_in_s=_ZERO,
-                                      upper_bounds=(_ZERO,)),)
-
-        asc = ChainWitness(label=lambda: f"radius-approach-{self.describe(z)}",
-                           member=lambda k: self.approach(z, k),
-                           in_sigma=(t == 0), sup_in_sigma=z if t == 0 else None,
-                           sup_in_s=z, upper_bounds=(z,))
-        const = finite_list_chain(lambda: f"constant-{self.describe(z)}", [z],
-                                  in_sigma=(t == 0),
-                                  sup_in_sigma=z if t == 0 else None,
-                                  sup_in_s=z, upper_bounds=(z,))
-        return (asc, const)
+            return (finite_chain("constant-zero", [_ZERO], True),)
+        return (chain_to(z, t == 0, lambda: f"radius-approach-{self.describe(z)}",
+                         lambda k: self.approach(z, k)),
+                finite_chain(lambda: f"constant-{self.describe(z)}", [z], t == 0))
 
     def sample(self, rng: random.Random):
         radii = self.radii[below(rng, 12)]

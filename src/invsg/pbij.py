@@ -119,9 +119,6 @@ class PartialBijection:
                 m |= 1 << v
         return m
 
-    def dom(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.mapping) if v != -1)
-
     def inverse(self) -> "PartialBijection":
         out = [-1] * self.ground
         for i, v in enumerate(self.mapping):
@@ -310,13 +307,13 @@ def _iso_fingerprints(table: Sequence[Sequence[int]]) -> list[tuple]:
     return refined
 
 
-def canonical_table(table: Sequence[Sequence[int]],
-                    perm_limit: int = 5_000_000) -> tuple[tuple[int, ...], ...]:
+def canonical_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Minimal relabeling of the table over all element permutations.
 
     Permutations are restricted to fingerprint-preserving ones, which is
     sound (isomorphisms preserve the fingerprints) and keeps the search
-    feasible for carriers of order <= 10.
+    feasible for carriers of order <= 10; past 5,000,000 permutations it
+    raises ``TooLarge``.
     """
     n = len(table)
     fps = _iso_fingerprints(table)
@@ -325,8 +322,8 @@ def canonical_table(table: Sequence[Sequence[int]],
         blocks.setdefault(fps[x], []).append(x)
     ordered = [blocks[k] for k in sorted(blocks.keys(), key=repr)]
     total = math.prod(math.factorial(len(b)) for b in ordered)
-    if total > perm_limit:
-        raise TooLarge("canonicalization permutation count", perm_limit)
+    if total > 5_000_000:
+        raise TooLarge("canonicalization permutation count", 5_000_000)
 
     best = None
     from itertools import product as iproduct

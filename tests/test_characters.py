@@ -5,8 +5,8 @@ import pytest
 
 from invsg import checkers, core
 from invsg.families import (NotACharacter, character_family, character_op,
-                            cyclic_group, enumerate_characters, is_character,
-                            trivial_character)
+                            classify, coset_monoid, cyclic_group, enumerate_characters,
+                            is_character, trivial_character)
 from invsg.families.base import DEFAULT_DEPTH, MAX_DEPTH
 from invsg.families.rotation import rotation_scale
 
@@ -135,6 +135,12 @@ def test_character_family_partial_suites_are_not_applicable():
     assert r.verdict == "not-applicable"
     r2 = checkers.check_mirror_theorem(fam)
     assert r2.verdict == "not-applicable"
+
+
+def test_character_family_continuity_is_not_classified():
+    # no way-below oracle is installed, so nothing about continuity is examined
+    flag = classify(character_family(coset_monoid(cyclic_group(2)))).continuous
+    assert (flag.value, flag.budget) == (None, 0)
 
 
 def test_character_carrier_must_be_commutative_monoid():

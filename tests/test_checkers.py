@@ -10,7 +10,7 @@ from invsg.checkers import (SUITES, CheckReport, replay_counterexample,
                             run_suite, run_suites)
 from invsg.families import (bicyclic_dyadic, bicyclic_nat, cex_family, cex_truncation,
                             classify, coset_monoid, group_by_name, rotation_family)
-from invsg.families.base import finite_list_chain
+from invsg.families.base import ChainWitness
 from invsg.pbij import symmetric_inverse_monoid
 
 
@@ -204,13 +204,16 @@ def _refuting(fam, in_sigma, bad=None):
     return {"chains_to": chains_to}
 
 
+# deliberately incomplete chains, so their claims are spelled out
 def _without_sup(y, in_sigma):
-    return finite_list_chain("no-sup", [y], in_sigma)
+    return ChainWitness("no-sup", lambda k: y, in_sigma, length=1)
 
 
 def _at(y, in_sigma):
-    # a chain whose sup is y itself: it kills nothing that lies below y
-    return finite_list_chain("at-y", [y], in_sigma, sup_in_sigma=y, sup_in_s=y)
+    # a chain whose sup is y itself, with no bound listed: it kills nothing
+    # that lies below y
+    return ChainWitness("at-y", lambda k: y, in_sigma, sup_in_sigma=y, sup_in_s=y,
+                        length=1)
 
 
 @pytest.mark.parametrize("build, lie, kind", [

@@ -12,7 +12,7 @@ from invsg.families import (OMEGA, bicyclic_dyadic, bicyclic_le, bicyclic_nat,
                             cex_mirror_witness, cex_op, cex_truncation,
                             classify, is_dyadic, rotation_family, rotation_le,
                             rotation_op, rotation_wb_sigma)
-from invsg.families.base import DEFAULT_DEPTH, chain_members
+from invsg.families.base import DEFAULT_DEPTH, chain_members, finite_chain
 from invsg.families.rotation import OutOfRange, rotation_scale
 
 # the rotation encoding at the default depth, the one rotation_family() uses
@@ -205,18 +205,40 @@ def test_family_order_characterizations_on_samples(make):
         assert le == (fam.op(fam.op(s, fam.inv(s)), t) == s)
 
 
+def _assert_chain_claims(fam, cw):
+    """The chain is monotone to depth 64 and each member lies below every
+    claimed sup and listed bound."""
+    ms = chain_members(cw, 64)
+    for a, b in zip(ms, ms[1:]):
+        assert fam.nat_le(a, b), cw.name
+    for u in (cw.sup_in_sigma, cw.sup_in_s, *cw.upper_bounds):
+        if u is not None:
+            assert all(fam.nat_le(m, u) for m in ms), (cw.name, fam.describe(u))
+
+
 @pytest.mark.parametrize("make", ALL_FAMILIES, ids=lambda m: m.__name__)
 def test_family_chain_witnesses_verify(make):
+    # the witnesses, and the chains to sampled points that feed every
+    # way-below refutation
     fam = make()
-    for cw in fam.witnesses:
-        ms = chain_members(cw, 64)
-        for a, b in zip(ms, ms[1:]):
-            assert fam.nat_le(a, b)
-        for claimed in (cw.sup_in_sigma, cw.sup_in_s):
-            if claimed is not None:
-                assert all(fam.nat_le(m, claimed) for m in ms)
-        for u in cw.upper_bounds:
-            assert all(fam.nat_le(m, u) for m in ms)
+    rng = random.Random(29)
+    chains = list(fam.witnesses)
+    for _ in range(300):
+        chains += fam.chains_to(fam.sample(rng))
+        chains += fam.sigma_chains_to(fam.sample_idempotent(rng))
+    assert any(cw.in_sigma for cw in chains[len(fam.witnesses):])
+    for cw in chains:
+        _assert_chain_claims(fam, cw)
+
+
+def test_finite_chain_claims_its_last_item():
+    fam = bicyclic_nat()
+    x, y = (3, 3), (1, 1)
+    assert fam.nat_le(x, y)
+    cw = finite_chain("pair", [x, y], True)
+    assert (cw.sup_in_s, cw.sup_in_sigma, cw.upper_bounds) == (y, y, (y,))
+    assert [cw.member(k) for k in range(4)] == [x, y, y, y] and cw.length == 2
+    assert finite_chain("pair", [x, y], False).sup_in_sigma is None
 
 
 @pytest.mark.parametrize("make", [bicyclic_nat, bicyclic_dyadic, rotation_family,

@@ -24,7 +24,7 @@ import pytest
 from invsg import checkers
 from invsg.checkers import CheckReport, replay_counterexample
 from invsg.families import bicyclic_dyadic, bicyclic_nat, cex_family, rotation_family
-from invsg.families.base import DEFAULT_DEPTH, family_scale, finite_list_chain
+from invsg.families.base import DEFAULT_DEPTH, ChainWitness, family_scale
 
 ONE = 1 << family_scale(DEFAULT_DEPTH).bits  # the dyadic coordinate 1 at the default depth
 HALF = ONE >> 1            # and 1/2
@@ -93,17 +93,23 @@ def chains(bad=None, in_sigma=False):
     return {"chains_to": lambda y: () if bad is None else (bad(y, in_sigma),)}
 
 
+# The chains below are deliberately incomplete, so they spell out their
+# claims instead of taking the standard ones of ``chain_to``.
+
 def without_sup(y, in_sigma):
-    return finite_list_chain("no-sup", [y], in_sigma)
+    return ChainWitness("no-sup", lambda k: y, in_sigma, length=1)
 
 
 def at(y, in_sigma):
-    # a chain whose sup is y itself: it kills nothing that lies below y
-    return finite_list_chain("at-y", [y], in_sigma, sup_in_sigma=y, sup_in_s=y)
+    # a chain whose sup is y itself, with no bound listed: it kills nothing
+    # that lies below y
+    return ChainWitness("at-y", lambda k: y, in_sigma, sup_in_sigma=y, sup_in_s=y,
+                        length=1)
 
 
 # a bounded chain that claims no sup in S, known only to the perturbed family
-BOUNDED = finite_list_chain("bounded", [(1, 1)], True, upper_bounds=((0, 0),))
+BOUNDED = ChainWitness("bounded", lambda k: (1, 1), True, upper_bounds=((0, 0),),
+                       length=1)
 
 
 def to_00(f):  # bicyclic-nat: (3,3), (2,2), (1,1), (0,0), all sups (0,0)
