@@ -14,8 +14,9 @@ laws on carriers are kept in the tests, as references.
 Families are checked exactly on sampled instances and at bounded depth along
 their canonical chains.  Each failure kind is declared once, in
 ``_VIOLATED``, as the test violated(fam, **instance) of the law it breaks:
-the scans test their instances through it, ``_fail`` makes a violated
-instance a counterexample, and ``replay_counterexample`` re-runs it.
+the scans test their instances through it (most in the one loop of
+``_scan``), ``_fail`` makes a violated instance a counterexample, and
+``replay_counterexample`` re-runs it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import random
 import weakref
 import zlib
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import partial
+from itertools import chain, combinations, product
 from typing import Callable, Optional
 
 from .core import FiniteInvSemigroup
@@ -113,6 +115,24 @@ def _violated(fam: SymbolicFamily, counterexample: dict) -> bool:
     return _VIOLATED[counterexample["kind"]](fam, **counterexample["_raw"])
 
 
+def _scan(fam: SymbolicFamily, kind: str, instances) -> tuple:
+    """(examined, counterexample): the law of ``kind`` tested on each of
+    ``instances``, its positional arguments as tuples from a lazy generator,
+    so that draws and early exit are a loop's.  Each instance tested counts;
+    the first violated one is the counterexample, None if none is.
+
+    Loops stay where this would change examined counts or counterexamples:
+    sigma-not-monotone-at-max, cond-distr-finite, ssc-family-finite and the
+    d-not-in-translate nest count per draw; characterizations-disagree and
+    teps-not-below-t interleave draws; basic_rules tests five kinds a pair;
+    mirror-family and wb-char add fields, and a refutation picks its kind."""
+    violated, examined = partial(_VIOLATED[kind], fam), 0
+    for examined, args in enumerate(instances, 1):
+        if violated(*args):
+            return examined, _fail(fam, kind, *args)
+    return examined, None
+
+
 def _elem_pool(fam: SymbolicFamily, rng: random.Random, k: int) -> list:
     pool = [fam.sample(rng) for _ in range(k)]
     for cw in fam.witnesses:
@@ -174,21 +194,14 @@ _SIGMA = _Side(lambda fam, rng: fam.sample_idempotent(rng), _idem_pool,
 def _verify_chain(fam: SymbolicFamily, cw: ChainWitness, depth: int) -> Optional[dict]:
     """Depth-bounded verification of a chain witness's structural claims."""
     ms = chain_members(cw, depth)
-    for a, b in zip(ms, ms[1:]):
-        if _VIOLATED["chain-not-monotone"](fam, cw, a, b):
-            return _fail(fam, "chain-not-monotone", cw, a, b)
-    for a in ms:
-        if _VIOLATED["chain-not-idempotent"](fam, cw, a):
-            return _fail(fam, "chain-not-idempotent", cw, a)
     claims = [(name, sup) for name, sup in (("sup_in_sigma", cw.sup_in_sigma),
                                             ("sup_in_s", cw.sup_in_s)) if sup is not None]
-    for (name, sup), a in product(claims, ms):
-        if _VIOLATED["claimed-sup-not-upper-bound"](fam, cw, name, a, sup):
-            return _fail(fam, "claimed-sup-not-upper-bound", cw, name, a, sup)
-    for u, a in product(cw.upper_bounds, ms):
-        if _VIOLATED["claimed-upper-bound-fails"](fam, cw, a, u):
-            return _fail(fam, "claimed-upper-bound-fails", cw, a, u)
-    return None
+    return (_scan(fam, "chain-not-monotone", ((cw, a, b) for a, b in zip(ms, ms[1:])))[1]
+            or _scan(fam, "chain-not-idempotent", ((cw, a) for a in ms))[1]
+            or _scan(fam, "claimed-sup-not-upper-bound",
+                     ((cw, name, a, sup) for (name, sup), a in product(claims, ms)))[1]
+            or _scan(fam, "claimed-upper-bound-fails",
+                     ((cw, a, u) for u, a in product(cw.upper_bounds, ms)))[1])
 
 
 def _dominates(fam: SymbolicFamily, u, cw: ChainWitness, depth: int) -> bool:
@@ -249,36 +262,25 @@ def _family_mirror(fam: SymbolicFamily, rng: random.Random, depth: int):
     return (failure is None), failure, examined
 
 
-def _family_reduced(fam: SymbolicFamily, rng: random.Random, budget: int = 2000):
-    """Sampled reducedness: a nonzero idempotent below s forces s idempotent."""
-    examined = 0
-    for _ in range(budget):
-        s = fam.sample(rng)
-        eps = fam.op(s, fam.sample_idempotent(rng))
-        examined += 1
-        if _VIOLATED["not-reduced"](fam, eps, s):
-            return False, _fail(fam, "not-reduced", eps, s), examined
-    # also probe the canonical chains (their members sit below the sups)
-    for cw in fam.witnesses:
-        for u in cw.upper_bounds:
-            if fam.is_idempotent(u):
-                continue
-            for a in chain_members(cw, 8):
-                examined += 1
-                if _VIOLATED["not-reduced"](fam, a, u):
-                    return False, _fail(fam, "not-reduced", a, u), examined
-    return True, None, examined
+def _family_reduced(fam: SymbolicFamily, rng: random.Random):
+    """Reducedness, a nonzero idempotent below s forces s idempotent, on 2000
+    sampled pairs s eps <= s, then on chain members below a bound s."""
+    examined, ce = _scan(fam, "not-reduced", chain(
+        ((fam.op(s, fam.sample_idempotent(rng)), s)
+         for _ in range(2000) for s in [fam.sample(rng)]),
+        ((a, u) for cw in fam.witnesses for u in cw.upper_bounds
+         if not fam.is_idempotent(u) for a in chain_members(cw, 8))))
+    return ce is None, ce, examined
 
 
 def _family_ssc(fam: SymbolicFamily, rng: random.Random, depth: int):
     """Separate Scott-continuity evidence: translation respects chain sups."""
-    examined = 0
     pool = _elem_pool(fam, rng, 8)
     chains = [(cw, chain_members(cw, depth)) for cw in fam.witnesses if cw.sup_in_s is not None]
-    for cw, s, a in ((cw, s, a) for cw, ms in chains for s in pool for a in ms):
-        examined += 1
-        if _VIOLATED["ssc-family"](fam, cw, s, a):
-            return False, _fail(fam, "ssc-family", cw, s, a), examined
+    examined, ce = _scan(fam, "ssc-family",
+                         ((cw, s, a) for cw, ms in chains for s in pool for a in ms))
+    if ce is not None:
+        return False, ce, examined
     # finite directed sets carry their sup exactly: sup = max
     for _ in range(300):
         t, A = _translates(fam, rng, 2)
@@ -456,9 +458,11 @@ _BASIC_KINDS = ("ss*-not-idempotent", "s*s-not-idempotent", "star-not-involution
 
 # kind -> violated(fam, **instance): the one test of each failure kind, shared
 # by the scans and by replay.  The identities are those of every inverse
-# semigroup (Lawson, 1998, 1.4).  A biconditional kind's instance is the
-# failing side's witness: the side that holds is sampled evidence, and it is
-# not replayed.
+# semigroup (Lawson, 1998, 1.4).  A law whose scan meets a hypothesis by
+# construction (eps idempotent, a <= t, a maximum in _D) tests it after the
+# conclusion, so that a replay outside it is False at no cost to a scan.  A
+# biconditional kind's instance is the failing side's witness: the side that
+# holds is sampled evidence, and it is not replayed.
 _VIOLATED: dict[str, Callable[..., bool]] = {
     "ss*-not-idempotent": lambda fam, s, t: not fam.is_idempotent(fam.op(s, fam.inv(s))),
     "s*s-not-idempotent": lambda fam, s, t: not fam.is_idempotent(fam.op(fam.inv(s), s)),
@@ -467,17 +471,22 @@ _VIOLATED: dict[str, Callable[..., bool]] = {
                                                                          fam.inv(s)),
     "idempotent-not-self-inverse": lambda fam, s, t: fam.is_idempotent(s) and fam.inv(s) != s,
     "characterizations-disagree": lambda fam, s, t, **_: len(set(_order_forms(fam, s, t))) > 1,
-    "teps-not-below-t": lambda fam, t, eps: not fam.nat_le(fam.op(t, eps), t),
-    "sigma-not-monotone-at-max": lambda fam, t, a: not fam.nat_le(fam.sigma(a), fam.sigma(t)),
+    "teps-not-below-t": lambda fam, t, eps: (
+        not fam.nat_le(fam.op(t, eps), t) and fam.is_idempotent(eps)),
+    "sigma-not-monotone-at-max": lambda fam, t, a: (
+        not fam.nat_le(fam.sigma(a), fam.sigma(t)) and fam.nat_le(a, t)),
     "sigma-image-escapes-sup": lambda fam, chain, a: not fam.nat_le(
         fam.sigma(a), fam.sigma(chain.sup_in_s)),
     "cond-distr-chain": lambda fam, chain, s, a: not fam.nat_le(
         fam.op(s, a), fam.op(s, chain.sup_in_s)),
-    "cond-distr-finite": lambda fam, t, s, a: not fam.nat_le(fam.op(s, a), fam.op(s, t)),
+    "cond-distr-finite": lambda fam, t, s, a: (
+        not fam.nat_le(fam.op(s, a), fam.op(s, t)) and fam.nat_le(a, t)),
     "d-not-in-translate": lambda fam, chain, d: fam.op(d, fam.sigma(d)) != d,
     "translate-escapes-d": lambda fam, chain, d, x: not fam.nat_le(fam.op(x, fam.sigma(d)), d),
-    "translate-finite": lambda fam, d, _D: fam.op(d, fam.sigma(d)) != d or any(
-        not fam.nat_le(fam.op(x, fam.sigma(d)), d) for x in _D),
+    "translate-finite": lambda fam, d, _D: (
+        (fam.op(d, fam.sigma(d)) != d
+         or any(not fam.nat_le(fam.op(x, fam.sigma(d)), d) for x in _D))
+        and any(all(fam.nat_le(x, m) for x in _D) for m in _D)),
     "chain-not-monotone": lambda fam, chain, a, b: not fam.nat_le(a, b),
     "chain-not-idempotent": lambda fam, chain, a: chain.in_sigma and not fam.is_idempotent(a),
     "claimed-sup-not-upper-bound": lambda fam, chain, claim, member, sup: (
@@ -492,7 +501,8 @@ _VIOLATED: dict[str, Callable[..., bool]] = {
         chain.upper_bounds) and chain.sup_in_s is None),
     "ssc-family": lambda fam, chain, s, member: not fam.nat_le(
         fam.op(member, s), fam.op(chain.sup_in_s, s)),
-    "ssc-family-finite": lambda fam, t, s, a: not fam.nat_le(fam.op(a, s), fam.op(t, s)),
+    "ssc-family-finite": lambda fam, t, s, a: (
+        not fam.nat_le(fam.op(a, s), fam.op(t, s)) and fam.nat_le(a, t)),
     "meet-cont-chain": lambda fam, chain, eps, a: not fam.nat_le(
         fam.op(eps, a), fam.op(eps, chain.sup_in_sigma)),
     "wb-char": lambda fam, s, t, **_: fam.wb_s(s, t) != (
@@ -599,12 +609,10 @@ def check_sigma_sup(fam: SymbolicFamily, depth, seed, budget):
         for a in A:
             if _VIOLATED["sigma-not-monotone-at-max"](fam, t, a):
                 return _failed(examined, _fail(fam, "sigma-not-monotone-at-max", t, a))
-    for cw in fam.witnesses:
-        for a in chain_members(cw, depth) if cw.sup_in_s is not None else ():
-            examined += 1
-            if _VIOLATED["sigma-image-escapes-sup"](fam, cw, a):
-                return _failed(examined, _fail(fam, "sigma-image-escapes-sup", cw, a))
-    return _passed(examined)
+    n, ce = _scan(fam, "sigma-image-escapes-sup",
+                  ((cw, a) for cw in fam.witnesses if cw.sup_in_s is not None
+                   for a in chain_members(cw, depth)))
+    return _verdict(examined + n, ce is None, ce)
 
 
 @_lemma()
@@ -616,15 +624,14 @@ def check_conditional_distributivity(fam: SymbolicFamily, depth, seed, budget):
     instances.
     """
     rng = _rng(seed, "cond_distr", fam.name)
-    examined = 0
     pool = _elem_pool(fam, rng, 10)
     # a chain without a sup in S fails the lemma's hypothesis
     chains = [(cw, chain_members(cw, depth)) for cw in fam.witnesses if cw.sup_in_s is not None]
-    for cw, s, a in ((cw, s, a) for cw, ms in chains for s in pool
-                     if _in_domain(fam, s, ms) for a in ms):
-        examined += 1
-        if _VIOLATED["cond-distr-chain"](fam, cw, s, a):
-            return _failed(examined, _fail(fam, "cond-distr-chain", cw, s, a))
+    examined, ce = _scan(fam, "cond-distr-chain",
+                         ((cw, s, a) for cw, ms in chains for s in pool
+                          if _in_domain(fam, s, ms) for a in ms))
+    if ce is not None:
+        return _failed(examined, ce)
     for _ in range(300):
         t, A = _translates(fam, rng, 2)
         s = fam.sample(rng)
@@ -663,13 +670,10 @@ def check_greatest_of_translate(fam: SymbolicFamily, depth, seed, budget):
             for x in ms:
                 if _VIOLATED["translate-escapes-d"](fam, cw, d, x):
                     return _failed(examined, _fail(fam, "translate-escapes-d", cw, d, x))
-    for _ in range(300):
-        _, D = _translates(fam, rng, 2)
-        for d in D:
-            examined += 1
-            if _VIOLATED["translate-finite"](fam, d, D):
-                return _failed(examined, _fail(fam, "translate-finite", d, D))
-    return _passed(examined)
+    n, ce = _scan(fam, "translate-finite",
+                  ((d, D) for _ in range(300) for D in [_translates(fam, rng, 2)[1]]
+                   for d in D))
+    return _verdict(examined + n, ce is None, ce)
 
 
 @_lemma()
@@ -699,13 +703,10 @@ def check_meet_continuity_mirror(fam: SymbolicFamily, depth, seed, budget):
         return _na("subject is not mirror")
     ssc_ok, ssc_ce, n1 = _ssc(fam, depth, seed)
     # meet-continuity: idempotents translate sigma-chains below the translated sup
-    rng, mc_ce, n2 = _rng(seed, "meet_cont", fam.name), None, 0
-    for cw, eps, a in ((cw, eps, a) for cw in fam.witnesses if cw.sup_in_sigma is not None
-                       for eps in _idem_pool(fam, rng, 6) for a in chain_members(cw, depth)):
-        n2 += 1
-        if _VIOLATED["meet-cont-chain"](fam, cw, eps, a):
-            mc_ce = _fail(fam, "meet-cont-chain", cw, eps, a)
-            break
+    rng = _rng(seed, "meet_cont", fam.name)
+    n2, mc_ce = _scan(fam, "meet-cont-chain",
+                      ((cw, eps, a) for cw in fam.witnesses if cw.sup_in_sigma is not None
+                       for eps in _idem_pool(fam, rng, 6) for a in chain_members(cw, depth)))
     mc_ok = mc_ce is None
     return _verdict(n0 + n1 + n2, ssc_ok == mc_ok,
                     _fail(fam, "meet-cont-biconditional", ssc=ssc_ok, meet_continuous=mc_ok,
@@ -868,9 +869,7 @@ def check_conditional_dcpo_mirror(fam: SymbolicFamily, depth, seed, budget):
     if not ok:
         return _na("subject is not mirror")
     # evidence at finite scale only: bounded canonical chains carry sups
-    bad = next((cw for cw in fam.witnesses if _VIOLATED["bounded-chain-without-sup"](fam, cw)),
-               None)
-    ce = None if bad is None else _fail(fam, "bounded-chain-without-sup", bad)
+    _, ce = _scan(fam, "bounded-chain-without-sup", ((cw,) for cw in fam.witnesses))
     return _verdict(n0, ce is None, ce,
                     "bounded canonical chains all carry sups (weak evidence)")
 

@@ -132,23 +132,13 @@ def _damped(S: FiniteInvSemigroup, one, radius):
     return tuple(one if s in units else radius for s in range(S.n))
 
 
-def character_family(S: FiniteInvSemigroup, pool=None,
-                     depth: int = DEFAULT_DEPTH) -> SymbolicFamily:
+def character_family(S: FiniteInvSemigroup, depth: int = DEFAULT_DEPTH) -> SymbolicFamily:
     """The character monoid of a finite commutative inverse monoid, on the
-    rotation scale for ``depth``; a given ``pool`` must be encoded on it."""
-    _require_commutative_monoid(S)
+    rotation scale for ``depth``.  It samples products of the palette
+    characters, which include the trivial one, as the palette holds 1."""
     enc = rotation_scale(depth)
-    if pool is None:
-        pool = enumerate_characters(S, depth=depth)
-    pool = list(pool)
-    for i, chi in enumerate(pool):
-        if chi[S.identity] != enc.one:
-            raise ValueError(f"pool member {i} is not on the scale for depth {depth} "
-                             f"(its identity value is not 1 there); build the pool "
-                             f"with depth={depth}")
+    pool = enumerate_characters(S, depth=depth)
     triv = trivial_character(S, depth)
-    if triv not in pool:
-        pool.append(triv)
 
     def op(chi, psi):
         # pool members and their products are characters by construction, so

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import core
 from .core import FiniteInvSemigroup, bits
@@ -29,7 +29,6 @@ __all__ = [
     "invert",
     "GeneratedSemigroup",
     "symmetric_inverse_monoid",
-    "symmetric_inverse_monoid_size",
     "closure",
     "enumerate_inverse_subsemigroups",
     "canonical_table",
@@ -100,10 +99,6 @@ class PartialBijection:
         return cls(n, tuple(d.get(i, -1) for i in range(n)))
 
     # -- structure --
-
-    def apply(self, x: int) -> Optional[int]:
-        v = self.mapping[x]
-        return None if v == -1 else v
 
     def dom_mask(self) -> int:
         m = 0
@@ -229,11 +224,6 @@ def _build(elems: Iterable[PartialBijection]) -> GeneratedSemigroup:
     return GeneratedSemigroup(carrier, tuple(rep))
 
 
-def symmetric_inverse_monoid_size(n: int) -> int:
-    """Independent count: sum over k of C(n,k)^2 * k!."""
-    return sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
-
-
 def symmetric_inverse_monoid(n: int) -> GeneratedSemigroup:
     """Every partial bijection of an n-point set, as a validated carrier."""
     if n < 1:
@@ -253,25 +243,24 @@ def symmetric_inverse_monoid(n: int) -> GeneratedSemigroup:
 
 
 def closure(ground: int, gens: Iterable[PartialBijection]) -> GeneratedSemigroup:
-    """Smallest compose/invert-closed set containing the generators."""
+    """Smallest compose/invert-closed set containing the generators: the
+    left-normed products of the generators and their inverses, grown by right
+    multiplication with them, as in ``core.generated``."""
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
     for g in gens:
         if g.ground != ground:
             raise GroundMismatch(f"generator ground {g.ground} != {ground}")
-    current = set(gens)
-    current.update(g.inverse() for g in gens)
-    frontier = list(current)
-    while frontier:
-        fresh = []
-        for f in frontier:
-            for g in list(current):
-                for p in (f * g, g * f):
-                    if p not in current:
-                        current.add(p)
-                        fresh.append(p)
-        frontier = fresh
+    A = list(dict.fromkeys(gens + [g.inverse() for g in gens]))
+    current = set(A)
+    reached = A.copy()
+    for f in reached:             # grows while it is read
+        for a in A:
+            p = f * a
+            if p not in current:
+                current.add(p)
+                reached.append(p)
     return _build(current)
 
 
@@ -385,7 +374,7 @@ class FiniteTopology:
 
     @classmethod
     def from_sets(cls, points: int, opens: Iterable[Iterable[int]]) -> "FiniteTopology":
-        return cls(points, (sum(1 << p for p in o) for o in opens))
+        return cls(points, (core.mask_of(o) for o in opens))
 
     @classmethod
     def from_json(cls, obj) -> "FiniteTopology":

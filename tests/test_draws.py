@@ -122,8 +122,8 @@ def test_family_samplers_draw_the_old_values(name, seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_character_sampler_draws_the_old_values(seed):
     S = core.validate([[0, 1, 2], [1, 1, 2], [2, 2, 1]])
-    pool = enumerate_characters(S)
-    fam = character_family(S, pool)
+    pool = enumerate_characters(S)  # the family's pool
+    fam = character_family(S)
 
     def old_sample(rng):
         chi = rng.choice(pool)

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import permutations
 
 import pytest
@@ -34,8 +35,9 @@ def display_compose(f, f1):
     n = f.ground
     out = {}
     for x in range(n):
-        if f.apply(x) is not None and f1.apply(f.apply(x)) is not None:
-            out[x] = f1.apply(f.apply(x))
+        y = f.mapping[x]
+        if y != -1 and f1.mapping[y] != -1:
+            out[x] = f1.mapping[y]
     return pb(n, out)
 
 
@@ -160,6 +162,18 @@ def test_closure_examples():
         closure(2, [])
 
 
+def test_closure_is_the_generated_inverse_subsemigroup():
+    # core.generated closes the same generators on the table of I_4
+    I4 = symmetric_inverse_monoid(4)
+    rng = random.Random(7)
+    for _ in range(30):
+        gens = rng.sample(range(I4.carrier.n), rng.randint(1, 3))
+        closed = closure(4, [I4.rep[g] for g in gens])
+        mask = core.generated(I4.carrier, core.mask_of(gens))
+        assert set(closed.rep) == {I4.rep[x] for x in core.bits(mask)}
+        assert closed.carrier.table == core.restrict(I4.carrier, list(core.bits(mask))).table
+
+
 def test_enumerate_i1():
     subs = list(enumerate_inverse_subsemigroups(1, 2))
     # three ambient subsemigroups, two isomorphism classes (the 2-chain
@@ -236,6 +250,13 @@ def test_topology_json_interface():
         FiniteTopology.from_json({"points": 2, "opens": [[], [0]]})
 
 
+def test_a_repeated_point_is_one_point():
+    t = FiniteTopology.from_sets(2, [[], [0, 0], [0, 1]])
+    assert t.opens == FiniteTopology.sierpinski().opens
+    t = FiniteTopology.from_json({"points": 2, "opens": [[], [1, 1], [0, 1]]})
+    assert t.opens == {0b00, 0b10, 0b11}
+
+
 def test_all_topologies_counts():
     assert len(list(all_topologies(1))) == 1
     assert len(list(all_topologies(2))) == 4
@@ -260,11 +281,10 @@ def test_pseudogroup_sierpinski():
         if U not in T.opens or V not in T.opens:
             continue
         ok = True
+        m = f.mapping
         for O in T.opens:
-            pre = sum(1 << x for x in range(2)
-                      if f.apply(x) is not None and (O >> f.apply(x)) & 1)
-            img = sum(1 << f.apply(x) for x in range(2)
-                      if f.apply(x) is not None and (O >> x) & 1)
+            pre = sum(1 << x for x in range(2) if m[x] != -1 and (O >> m[x]) & 1)
+            img = sum(1 << m[x] for x in range(2) if m[x] != -1 and (O >> x) & 1)
             if pre not in T.opens or img not in T.opens:
                 ok = False
                 break

@@ -3,13 +3,16 @@
 ``checkers._VIOLATED`` maps each failure kind to the test of the law it
 breaks.  These tests read the kinds from that table and check that:
 
-- every kind the source passes to ``_fail`` is declared, and every declared
-  kind is emitted, with arguments that fit its law;
+- every kind the source passes to ``_fail`` or ``_scan`` is declared, and
+  every declared kind is emitted, with arguments that fit its law;
 - each kind's instance replays True on a family perturbed at that instance
   and False on the honest family (the lying-family pattern: a copy made with
   ``dataclasses.replace`` whose oracle answers the other way at one point);
+- each scan reports its kind on a family perturbed at a point it reaches,
+  with a counterexample that replays there and not on the honest family;
 - a fabricated report is re-checked too: an empty instance or an unknown
-  kind raises, and the zero is no reducedness witness.
+  kind raises, the zero is no reducedness witness, and an instance outside
+  its law's hypothesis does not replay.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ import pytest
 
 from invsg import checkers
 from invsg.checkers import CheckReport, replay_counterexample
-from invsg.families import bicyclic_dyadic, bicyclic_nat, cex_family, rotation_family
+from invsg.families import bicyclic_dyadic, bicyclic_nat, cex_family, classify, rotation_family
 from invsg.families.base import DEFAULT_DEPTH, ChainWitness, family_scale
+from invsg.families.cex import OMEGA
 
 ONE = 1 << family_scale(DEFAULT_DEPTH).bits  # the dyadic coordinate 1 at the default depth
 HALF = ONE >> 1            # and 1/2
@@ -55,8 +59,22 @@ def test_every_emitted_kind_is_declared_and_fits_its_law():
         bind = inspect.signature(law).bind_partial if any(
             kw.arg is None for kw in call.keywords) else inspect.signature(law).bind
         bind(None, *positional, **named)  # raises TypeError on a mismatch
-    # the two sites that pass a kind by name take it from these declarations
-    assert by_name == 2
+    # a scan names its kind once, and each generator of its instances yields
+    # tuples of that kind's law's arguments
+    scans = _calls_to(tree, "_scan")
+    for call in scans:
+        kind = call.args[1].value
+        emitted.add(kind)
+        law = inspect.signature(checkers._VIOLATED[kind])
+        instances = [g.elt for g in ast.walk(call.args[2])
+                     if isinstance(g, ast.GeneratorExp) and isinstance(g.elt, ast.Tuple)]
+        assert instances, kind
+        for elt in instances:
+            law.bind(None, *elt.elts)  # raises TypeError on a mismatch
+    assert len({call.args[1].value for call in scans}) == len(scans) == 11
+    # the three sites that pass a kind by name take it from these declarations
+    # or, in ``_scan``, from its caller
+    assert by_name == 3
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
                 getattr(t, "id", None) == "_BASIC_KINDS" for t in node.targets):
@@ -146,14 +164,14 @@ CASES = {
                                 lambda f: flip(f, "nat_le", (6, 6), (3, 3))),
     "cond-distr-chain": (bicyclic_nat, lambda f: dict(chain=to_53(f), s=(0, 0), a=(8, 6)),
                          lambda f: flip(f, "nat_le", (8, 6), (5, 3))),
-    "cond-distr-finite": (bicyclic_nat, lambda f: dict(t=(1, 0), s=(0, 0), a=(3, 2)),
-                          lambda f: flip(f, "nat_le", (3, 2), (1, 0))),
+    "cond-distr-finite": (bicyclic_nat, lambda f: dict(t=(1, 0), s=(0, 1), a=(3, 2)),
+                          lambda f: flip(f, "nat_le", (2, 2), (0, 0))),
     "d-not-in-translate": (bicyclic_nat, lambda f: dict(chain=to_53(f), d=(2, 1)),
                            lambda f: swap(f, "op", ((2, 1), (1, 1)), (0, 0))),
     "translate-escapes-d": (bicyclic_nat, lambda f: dict(chain=to_53(f), d=(2, 1), x=(3, 2)),
                             lambda f: flip(f, "nat_le", (3, 2), (2, 1))),
-    "translate-finite": (bicyclic_nat, lambda f: dict(d=(2, 1), _D=[(3, 2), (2, 1)]),
-                         lambda f: flip(f, "nat_le", (3, 2), (2, 1))),
+    "translate-finite": (bicyclic_nat, lambda f: dict(d=(3, 2), _D=[(3, 2), (2, 1), (1, 0)]),
+                         lambda f: flip(f, "nat_le", (3, 2), (3, 2))),
     "chain-not-monotone": (bicyclic_nat, lambda f: dict(chain=to_53(f), a=(8, 6), b=(7, 5)),
                            lambda f: flip(f, "nat_le", (8, 6), (7, 5))),
     "chain-not-idempotent": (bicyclic_nat, lambda f: dict(chain=to_00(f), a=(2, 2)),
@@ -176,8 +194,8 @@ CASES = {
                                   lambda f: {"witnesses": f.witnesses + (BOUNDED,)}),
     "ssc-family": (bicyclic_nat, lambda f: dict(chain=to_53(f), s=(0, 0), member=(8, 6)),
                    lambda f: flip(f, "nat_le", (8, 6), (5, 3))),
-    "ssc-family-finite": (bicyclic_nat, lambda f: dict(t=(1, 0), s=(0, 0), a=(3, 2)),
-                          lambda f: flip(f, "nat_le", (3, 2), (1, 0))),
+    "ssc-family-finite": (bicyclic_nat, lambda f: dict(t=(1, 0), s=(1, 0), a=(3, 2)),
+                          lambda f: flip(f, "nat_le", (3, 1), (2, 0))),
     "meet-cont-chain": (bicyclic_nat, lambda f: dict(chain=to_00(f), eps=(0, 0), a=(3, 3)),
                         lambda f: flip(f, "nat_le", (3, 3), (0, 0))),
     "wb-char": (bicyclic_nat, lambda f: dict(s=(3, 2), t=(1, 0)),
@@ -240,16 +258,96 @@ def test_mirror_theorem_replays_an_algebraic_witness():
     assert not replay_counterexample(honest, report)
 
 
+def _dyadic_idem(x):
+    return (x, x)
+
+
+# (kind, family, the suite whose scan reports it, the perturbation).  Each
+# perturbation is one point that the scan of that kind reaches before any
+# other check of the suite, at seed 0 and budget 300, and that an instance
+# with two of its arguments swapped does not reach.  Reducedness is reported
+# by ``classify`` alone, as the mirror suite reads a reducedness failure as
+# no evidence; a meet-continuity chain only as the witness of the
+# meet-continuity biconditional.
+SCANS = [
+    ("chain-not-monotone", bicyclic_nat, "mirror",
+     lambda f: flip(f, "nat_le", (3, 3), (2, 2))),
+    ("chain-not-idempotent", bicyclic_nat, "mirror", CASES["chain-not-idempotent"][2]),
+    ("claimed-sup-not-upper-bound", bicyclic_nat, "mirror",
+     CASES["claimed-sup-not-upper-bound"][2]),
+    # the unit-interval chain lists the bound omega besides its sigma-sup 1
+    ("claimed-upper-bound-fails", cex_family, "mirror",
+     lambda f: flip(f, "nat_le", f.witnesses[0].member(0), OMEGA)),
+    # a sampled pair, and member 5 of the approach chain to (5/2,1/2), which
+    # no draw reaches
+    ("not-reduced", bicyclic_nat, "classify", lambda f: flip(f, "is_idempotent", (7, 6))),
+    ("not-reduced", bicyclic_dyadic, "classify",
+     lambda f: flip(f, "is_idempotent", f.witnesses[4].member(5))),
+    ("ssc-family", bicyclic_nat, "continuity_implies_ssc",
+     lambda f: flip(f, "nat_le", (3, 6), (2, 5))),
+    ("ssc-family-finite", bicyclic_nat, "continuity_implies_ssc",
+     lambda f: flip(f, "nat_le", (10, 7), (9, 6))),
+    # member 10 of the approach chain to (1,1)
+    ("sigma-image-escapes-sup", bicyclic_dyadic, "sigma_sup",
+     lambda f: flip(f, "nat_le", _dyadic_idem(ONE + (ONE >> 10)), _dyadic_idem(ONE))),
+    ("sigma-not-monotone-at-max", bicyclic_nat, "sigma_sup",
+     lambda f: flip(f, "nat_le", (8, 8), (8, 8))),
+    ("cond-distr-chain", bicyclic_nat, "conditional_distributivity",
+     CASES["cond-distr-chain"][2]),
+    ("cond-distr-finite", bicyclic_nat, "conditional_distributivity",
+     lambda f: flip(f, "nat_le", (11, 8), (6, 3))),
+    ("d-not-in-translate", bicyclic_nat, "greatest_of_translate",
+     lambda f: swap(f, "op", ((8, 6), (6, 6)), (0, 0))),
+    ("translate-escapes-d", bicyclic_nat, "greatest_of_translate",
+     lambda f: flip(f, "nat_le", (8, 6), (8, 6))),
+    ("translate-finite", bicyclic_nat, "greatest_of_translate", CASES["translate-finite"][2]),
+    # (8,8) is no member of a chain in Sigma
+    ("meet-cont-chain", bicyclic_nat, "meet_continuity_mirror",
+     lambda f: swap(f, "op", ((8, 8), (3, 3)), (3, 3))),
+    ("bounded-chain-without-sup", bicyclic_nat, "conditional_dcpo_mirror",
+     CASES["bounded-chain-without-sup"][2]),
+    ("characterizations-disagree", bicyclic_nat, "order_characterizations",
+     lambda f: flip(f, "nat_le", (1, 7), (6, 5))),
+    ("teps-not-below-t", bicyclic_nat, "order_characterizations",
+     lambda f: flip(f, "nat_le", (6, 5), (6, 5))),
+    ("wb-char", bicyclic_nat, "wb_characterization", lambda f: flip(f, "wb_s", (6, 6), (6, 6))),
+    # a sampled element (2,2) dominates the chain to (3,3), whose listed
+    # bound is its sup
+    ("mirror-family", bicyclic_dyadic, "mirror",
+     lambda f: flip(f, "nat_le", _dyadic_idem(3 * ONE), _dyadic_idem(2 * ONE))),
+]
+
+
+def _reported(counterexample) -> list:
+    """The kinds of a counterexample and of the witnesses nested in it."""
+    kinds = []
+    while isinstance(counterexample, dict):
+        kinds.append(counterexample["kind"])
+        counterexample = counterexample["_raw"].get("_witness")
+    return kinds
+
+
+def _scan_report(fam, suite) -> CheckReport:
+    if suite != "classify":
+        return checkers.run_suite(suite, fam, budget=300)
+    flag = classify(fam).reduced
+    return CheckReport(suite, fam.name, "pass" if flag.value else "fail", flag.witness)
+
+
 def test_scan_counterexamples_replay():
     # a scan's counterexample is its instance: it replays on the family it
-    # came from and not on the honest one
-    honest = bicyclic_nat()
-    lying = dataclasses.replace(honest, **flip(honest, "nat_le", (8, 6), (5, 3)))
-    for suite in ("meet_continuity_mirror", "conditional_distributivity"):
-        report = checkers.run_suite(suite, lying, budget=300)
-        assert report.verdict == "fail", suite
-        assert replay_counterexample(lying, report)
-        assert not replay_counterexample(honest, report)
+    # came from and not on the honest one; every _scan kind has a case
+    tree = ast.parse(Path(checkers.__file__).read_text(encoding="utf-8"))
+    assert {call.args[1].value for call in _calls_to(tree, "_scan")} <= {
+        kind for kind, *_ in SCANS}
+    for kind, build, suite, lie in SCANS:
+        honest = build()
+        lying = dataclasses.replace(honest, **lie(honest))
+        report = _scan_report(lying, suite)
+        assert report.verdict == "fail", kind
+        assert kind in _reported(report.counterexample), (kind, report.counterexample)
+        assert replay_counterexample(lying, report), kind
+        assert not replay_counterexample(honest, report), kind
 
 
 # -- fabricated reports -------------------------------------------------------
@@ -257,6 +355,34 @@ def test_scan_counterexamples_replay():
 
 def _fabricated(kind, raw):
     return CheckReport("any", "x", "fail", {"kind": kind, "_raw": raw})
+
+
+# Instances outside the hypothesis each scan builds its instances to meet:
+# eps not idempotent, a not below t, a _D without a maximum.  Each violates
+# its law's conclusion on the honest family.
+OUTSIDE_THE_HYPOTHESIS = [
+    ("teps-not-below-t", dict(t=(1, 0), eps=(2, 1))),
+    ("sigma-not-monotone-at-max", dict(t=(2, 1), a=(0, 0))),
+    ("cond-distr-finite", dict(t=(2, 1), s=(0, 0), a=(0, 0))),
+    ("ssc-family-finite", dict(t=(2, 1), s=(0, 0), a=(0, 0))),
+    ("translate-finite", dict(d=(2, 1), _D=[(0, 0), (2, 1)])),
+]
+
+
+@pytest.mark.parametrize("kind, instance", OUTSIDE_THE_HYPOTHESIS,
+                         ids=[kind for kind, _ in OUTSIDE_THE_HYPOTHESIS])
+def test_an_instance_outside_its_hypothesis_does_not_replay(kind, instance):
+    honest = bicyclic_nat()
+    assert not replay_counterexample(honest, _fabricated(kind, instance))
+
+
+def test_a_scan_reports_no_instance_outside_its_hypothesis():
+    # with op((2,1),(1,1)) = (0,0), the translate (0,0) of t = (2,1) is not
+    # below t, so it is no instance of the sigma_sup law
+    build, _instance, lie = CASES["d-not-in-translate"]
+    honest = build()
+    report = checkers.run_suite("sigma_sup", dataclasses.replace(honest, **lie(honest)))
+    assert not replay_counterexample(honest, report)
 
 
 @pytest.mark.parametrize("kind", ["ssc-family", "meet-cont-biconditional"])
