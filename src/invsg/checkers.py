@@ -204,6 +204,11 @@ def _verify_chain(fam: SymbolicFamily, cw: ChainWitness, depth: int) -> Optional
                      ((cw, a, u) for u, a in product(cw.upper_bounds, ms)))[1])
 
 
+def _on_chain(cw: ChainWitness, a, depth: int) -> bool:
+    """a is a member of cw up to the depth."""
+    return a in iter_chain(cw, depth)
+
+
 def _dominates(fam: SymbolicFamily, u, cw: ChainWitness, depth: int) -> bool:
     return all(fam.nat_le(a, u) for a in iter_chain(cw, depth))
 
@@ -278,7 +283,7 @@ def _family_ssc(fam: SymbolicFamily, rng: random.Random, depth: int):
     pool = _elem_pool(fam, rng, 8)
     chains = [(cw, chain_members(cw, depth)) for cw in fam.witnesses if cw.sup_in_s is not None]
     examined, ce = _scan(fam, "ssc-family",
-                         ((cw, s, a) for cw, ms in chains for s in pool for a in ms))
+                         ((cw, s, a, depth) for cw, ms in chains for s in pool for a in ms))
     if ce is not None:
         return False, ce, examined
     # finite directed sets carry their sup exactly: sup = max
@@ -386,7 +391,8 @@ def _multiplicative(fam: SymbolicFamily, side: _Side, rng: random.Random, rounds
     return True, None, examined
 
 
-def _wb_refutation(fam: SymbolicFamily, side: _Side, x, y, depth: int) -> Optional[dict]:
+def _wb_refutation(fam: SymbolicFamily, side: _Side, x, y, depth: int,
+                   claim: Optional[bool] = None, walked: Optional[set] = None) -> Optional[dict]:
     """Chain evidence against the way-below oracle's answer at (x, y) on one side.
 
     A claim x << y must survive each canonical chain with sup above y: some
@@ -394,6 +400,11 @@ def _wb_refutation(fam: SymbolicFamily, side: _Side, x, y, depth: int) -> Option
     denial is refuted by a directed set with sup above y and no member above
     x (Gierz et al., 2003, I-1.1): the singleton {y} when x is not below y,
     else the side's first canonical chain to y, scanned up to ``depth``.
+
+    ``claim`` is the oracle's answer when the caller has asked it already.
+    ``walked``, when given, holds the denied pairs x <= y whose chain left no
+    member above x; such a pair is not walked again, and each new one is
+    added.  The chains are fixed by y, so a second walk would find the same.
     """
     claim_refuted, missing, too_small, no_kill = side.kinds
 
@@ -401,7 +412,7 @@ def _wb_refutation(fam: SymbolicFamily, side: _Side, x, y, depth: int) -> Option
         return _fail(fam, kind, chain=cw, **dict(zip(side.keys, (x, y))), _depth=depth)
 
     chains = getattr(fam, side.chains_to)
-    if getattr(fam, side.wb)(x, y):
+    if getattr(fam, side.wb)(x, y) if claim is None else claim:
         for cw in chains(y):
             sup = getattr(cw, side.sup)
             if sup is None or not fam.nat_le(y, sup):
@@ -409,7 +420,7 @@ def _wb_refutation(fam: SymbolicFamily, side: _Side, x, y, depth: int) -> Option
             if not any(fam.nat_le(x, m) for m in iter_chain(cw, max(depth, DEFAULT_DEPTH))):
                 return found(claim_refuted, cw)
         return None
-    if not fam.nat_le(x, y):
+    if not fam.nat_le(x, y) or (walked is not None and (x, y) in walked):
         return None
     cw = next(iter(chains(y)), None)
     if cw is None:
@@ -419,6 +430,8 @@ def _wb_refutation(fam: SymbolicFamily, side: _Side, x, y, depth: int) -> Option
         return found(too_small, cw)
     if any(fam.nat_le(x, m) for m in iter_chain(cw, depth)):
         return found(no_kill, cw)
+    if walked is not None:
+        walked.add((x, y))
     return None
 
 
@@ -429,6 +442,12 @@ def _refuted(side: _Side, kind: str):
         ce = _wb_refutation(fam, side, *(pair[k] for k in side.keys), _depth)
         return ce is not None and ce["kind"] == kind
     return violated
+
+
+def _wb_mirrored(fam: SymbolicFamily, s, t) -> bool:
+    """The right side of the way-below characterization: s <= t and
+    sigma(s) << sigma(t)."""
+    return fam.nat_le(s, t) and fam.wb_sigma(fam.sigma(s), fam.sigma(t))
 
 
 def _inseparable(fam: SymbolicFamily, eps, a, b, tried: list) -> bool:
@@ -459,10 +478,11 @@ _BASIC_KINDS = ("ss*-not-idempotent", "s*s-not-idempotent", "star-not-involution
 # kind -> violated(fam, **instance): the one test of each failure kind, shared
 # by the scans and by replay.  The identities are those of every inverse
 # semigroup (Lawson, 1998, 1.4).  A law whose scan meets a hypothesis by
-# construction (eps idempotent, a <= t, a maximum in _D) tests it after the
-# conclusion, so that a replay outside it is False at no cost to a scan.  A
-# biconditional kind's instance is the failing side's witness: the side that
-# holds is sampled evidence, and it is not replayed.
+# construction (eps idempotent, a <= t, a maximum in _D, a member on its chain
+# up to _depth) tests it after the conclusion, so that a replay outside it is
+# False at no cost to a scan.  A biconditional kind's instance is the failing
+# side's witness: the side that holds is sampled evidence, and it is not
+# replayed.
 _VIOLATED: dict[str, Callable[..., bool]] = {
     "ss*-not-idempotent": lambda fam, s, t: not fam.is_idempotent(fam.op(s, fam.inv(s))),
     "s*s-not-idempotent": lambda fam, s, t: not fam.is_idempotent(fam.op(fam.inv(s), s)),
@@ -475,10 +495,10 @@ _VIOLATED: dict[str, Callable[..., bool]] = {
         not fam.nat_le(fam.op(t, eps), t) and fam.is_idempotent(eps)),
     "sigma-not-monotone-at-max": lambda fam, t, a: (
         not fam.nat_le(fam.sigma(a), fam.sigma(t)) and fam.nat_le(a, t)),
-    "sigma-image-escapes-sup": lambda fam, chain, a: not fam.nat_le(
-        fam.sigma(a), fam.sigma(chain.sup_in_s)),
-    "cond-distr-chain": lambda fam, chain, s, a: not fam.nat_le(
-        fam.op(s, a), fam.op(s, chain.sup_in_s)),
+    "sigma-image-escapes-sup": lambda fam, chain, a, _depth: not fam.nat_le(
+        fam.sigma(a), fam.sigma(chain.sup_in_s)) and _on_chain(chain, a, _depth),
+    "cond-distr-chain": lambda fam, chain, s, a, _depth: not fam.nat_le(
+        fam.op(s, a), fam.op(s, chain.sup_in_s)) and _on_chain(chain, a, _depth),
     "cond-distr-finite": lambda fam, t, s, a: (
         not fam.nat_le(fam.op(s, a), fam.op(s, t)) and fam.nat_le(a, t)),
     "d-not-in-translate": lambda fam, chain, d: fam.op(d, fam.sigma(d)) != d,
@@ -499,14 +519,13 @@ _VIOLATED: dict[str, Callable[..., bool]] = {
                                         and fam.nat_le(eps, s) and not fam.is_idempotent(s)),
     "bounded-chain-without-sup": lambda fam, chain: (chain in fam.witnesses and bool(
         chain.upper_bounds) and chain.sup_in_s is None),
-    "ssc-family": lambda fam, chain, s, member: not fam.nat_le(
-        fam.op(member, s), fam.op(chain.sup_in_s, s)),
+    "ssc-family": lambda fam, chain, s, member, _depth: not fam.nat_le(
+        fam.op(member, s), fam.op(chain.sup_in_s, s)) and _on_chain(chain, member, _depth),
     "ssc-family-finite": lambda fam, t, s, a: (
         not fam.nat_le(fam.op(a, s), fam.op(t, s)) and fam.nat_le(a, t)),
     "meet-cont-chain": lambda fam, chain, eps, a: not fam.nat_le(
         fam.op(eps, a), fam.op(eps, chain.sup_in_sigma)),
-    "wb-char": lambda fam, s, t, **_: fam.wb_s(s, t) != (
-        fam.nat_le(s, t) and fam.wb_sigma(fam.sigma(s), fam.sigma(t))),
+    "wb-char": lambda fam, s, t, **_: fam.wb_s(s, t) != _wb_mirrored(fam, s, t),
     **{kind: _refuted(side, kind) for side in (_S, _SIGMA) for kind in side.kinds},
     "meet-cont-biconditional": lambda fam, _witness, **_: _violated(fam, _witness),
     "mult-biconditional": lambda fam, mult_S, _witness, **_: _unmultiplicative(
@@ -610,7 +629,7 @@ def check_sigma_sup(fam: SymbolicFamily, depth, seed, budget):
             if _VIOLATED["sigma-not-monotone-at-max"](fam, t, a):
                 return _failed(examined, _fail(fam, "sigma-not-monotone-at-max", t, a))
     n, ce = _scan(fam, "sigma-image-escapes-sup",
-                  ((cw, a) for cw in fam.witnesses if cw.sup_in_s is not None
+                  ((cw, a, depth) for cw in fam.witnesses if cw.sup_in_s is not None
                    for a in chain_members(cw, depth)))
     return _verdict(examined + n, ce is None, ce)
 
@@ -628,7 +647,7 @@ def check_conditional_distributivity(fam: SymbolicFamily, depth, seed, budget):
     # a chain without a sup in S fails the lemma's hypothesis
     chains = [(cw, chain_members(cw, depth)) for cw in fam.witnesses if cw.sup_in_s is not None]
     examined, ce = _scan(fam, "cond-distr-chain",
-                         ((cw, s, a) for cw, ms in chains for s in pool
+                         ((cw, s, a, depth) for cw, ms in chains for s in pool
                           if _in_domain(fam, s, ms) for a in ms))
     if ce is not None:
         return _failed(examined, ce)
@@ -738,17 +757,20 @@ def check_wb_characterization(fam: SymbolicFamily, depth, seed, budget):
     if na:
         return na
     # the oracle biconditional on sampled pairs, then chain refutation of each
-    # side's answer
+    # side's answer; the S side is handed the law's answer, and a denied pair
+    # is walked once per side
     rng, n = _rng(seed, "wb_char", fam.name), budget
+    walked_s, walked_sigma = set(), set()
     for examined in range(n0 + 1, n0 + n + 1):
         s, t = fam.sample(rng), fam.sample(rng)
         if rng.random() < 0.3:
             s = fam.op(t, fam.sample_idempotent(rng))  # force comparable pairs too
-        if _VIOLATED["wb-char"](fam, s, t):
-            lhs = fam.wb_s(s, t)
+        lhs = fam.wb_s(s, t)
+        if lhs != _wb_mirrored(fam, s, t):
             return _failed(examined, _fail(fam, "wb-char", s, t, lhs=lhs, rhs=not lhs))
-        bad = (_wb_refutation(fam, _S, s, t, depth)
-               or _wb_refutation(fam, _SIGMA, fam.sigma(s), fam.sigma(t), depth))
+        bad = (_wb_refutation(fam, _S, s, t, depth, lhs, walked_s)
+               or _wb_refutation(fam, _SIGMA, fam.sigma(s), fam.sigma(t), depth,
+                                 walked=walked_sigma))
         if bad is not None:
             return _failed(examined, bad)
     return _passed(n0 + n, "oracle biconditional + chain refutation")

@@ -5,8 +5,8 @@ way-below and sampling, plus canonical chain witnesses.  Elements are
 canonical immutable Python values, so equality is plain ``==`` and
 everything hashes: pairs of ints for the bicyclic and rotation families
 (rationals on a grid, stored as exact integer multiples of its step), tuples
-of such pairs for characters, and Fractions or a sentinel for ``cex``.
-``describe`` prints the rationals.
+of such pairs for characters, and for ``cex`` an int on the same kind of
+grid or the sentinel omega.  ``describe`` prints the rationals.
 
 The grid step is 2^-K, with K sized to the depth a family is built for
 (``family_scale``): the checks at depth d read chain members up to index
@@ -72,6 +72,16 @@ class Scale(NamedTuple):
                 f"rebuild it with depth={need}" if need <= MAX_DEPTH
                 else f"no family is built past depth {MAX_DEPTH}")
             raise TooLarge(f"chain index {k}", self.limit, remedy)
+
+    def approach(self, r: int, k: int) -> int:
+        """Member k of the chain r (1 - 2^-k) to an encoded r >= 0, stored as
+        r - (r >> k): ``check`` refuses k past the limit, and a member that
+        would round (r on a finer grid than 2^-k of its unit) raises
+        ``TooLarge`` too, never a rounded value."""
+        self.check(k)
+        if r & ((1 << k) - 1):
+            raise TooLarge(f"exact chain index {k}", (r & -r).bit_length() - 1)
+        return r - (r >> k)
 
 
 def family_scale(depth: int) -> Scale:

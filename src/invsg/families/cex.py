@@ -11,6 +11,16 @@ exactly the mirror failure this family exists to exhibit.
 The element omega turns out to be compact (any directed set whose sup
 dominates omega must contain omega), and so is 1, which makes the whole
 semigroup continuous even though it is not mirror.
+
+A family stores each point x of [0,1] as the int x 720720 2^K, where
+720720 = lcm(2..16) covers every sampled denominator and K is the scale
+``base.family_scale`` sizes to the depth the family is built for, as the
+rotation family stores its radii; omega stays a sentinel.  The chain member
+y (1 - 2^-k) is y - (y >> k), exact up to the scale's limit, and past it
+``TooLarge``.  The product, the order and way-below are written once, over
+the value that encodes 1 (``_oracles``): the family runs them on its ints,
+and the Fraction API (``cex_op``, ``cex_le``, ``cex_truncation``) on
+Fractions, with 1 as itself.
 """
 
 from __future__ import annotations
@@ -19,11 +29,13 @@ import random
 from fractions import Fraction
 
 from ..core import FiniteInvSemigroup, tabulate
-from .base import (DEFAULT_DEPTH, ChainWitness, SymbolicFamily, below, finite_chain,
-                   require_positive)
+from .base import (DEFAULT_DEPTH, ChainWitness, Scale, SymbolicFamily, below, family_scale,
+                   finite_chain, require_positive)
 
-__all__ = ["OMEGA", "cex_op", "cex_inv", "cex_le", "cex_mirror_witness",
-           "cex_family", "cex_truncation"]
+__all__ = ["OMEGA", "CexScale", "cex_scale", "cex_op", "cex_inv", "cex_le",
+           "cex_mirror_witness", "cex_family", "cex_truncation"]
+
+_POINTS = 720720  # lcm(2..16): the sampled points m/q are multiples of 1/_POINTS
 
 
 class _Omega:
@@ -34,128 +46,145 @@ class _Omega:
 
 
 OMEGA = _Omega()
-_ONE = Fraction(1)
-_ZERO = Fraction(0)
 
 
-def cex_op(s, t):
-    if s is OMEGA and t is OMEGA:
-        return _ONE
-    if s is OMEGA:
-        return OMEGA if t == 1 else t
-    if t is OMEGA:
-        return OMEGA if s == 1 else s
-    return min(s, t)
+def _oracles(one):
+    """The product, the order and way-below on S, over the value ``one``
+    that encodes 1 (the interval's points compare as numbers)."""
+
+    def op(s, t):
+        if s is OMEGA:
+            return one if t is OMEGA else (OMEGA if t == one else t)
+        if t is OMEGA:
+            return OMEGA if s == one else s
+        return s if s <= t else t
+
+    def le(x, y) -> bool:
+        if x is OMEGA:
+            return y is OMEGA
+        if y is OMEGA:
+            return x < one
+        return x <= y
+
+    def wb_s(x, y) -> bool:
+        if y is OMEGA:
+            return le(x, OMEGA)   # everything below omega, omega included
+        if x is OMEGA:
+            return False
+        if x == 0:
+            return True
+        if x == one:
+            return y == one       # 1 is compact: a sup >= 1 must be 1 itself
+        return x < y
+
+    return op, le, wb_s
+
+
+cex_op, cex_le = _oracles(Fraction(1))[:2]
 
 
 def cex_inv(s):
     return s  # every element is its own inverse (omega*omega*omega = omega)
 
 
-def cex_le(x, y) -> bool:
-    if x is OMEGA:
-        return y is OMEGA
-    if y is OMEGA:
-        return x < 1
-    return x <= y
-
-
 def _is_idem(s) -> bool:
     return s is not OMEGA
-
-
-def _wb_s(x, y) -> bool:
-    if y is OMEGA:
-        return cex_le(x, OMEGA)   # everything below omega, omega included
-    if x is OMEGA:
-        return False
-    if x == 0:
-        return True
-    if x == 1:
-        return y == 1             # 1 is compact: a sup >= 1 must be 1 itself
-    return x < y
 
 
 def _wb_sigma(eps, delta) -> bool:
     return eps == 0 or eps < delta
 
 
-def cex_mirror_witness() -> ChainWitness:
-    """The chain k -> 1 - 2^-k: sup 1 in Sigma, no sup in S (bounds 1, omega)."""
+class CexScale:
+    """The encoding of the cex values at one exact scale."""
 
-    def member(k: int):
-        return 1 - Fraction(1, 2 ** k)
+    def __init__(self, scale: Scale):
+        self.scale = scale
+        self.one = _POINTS << scale.bits   # the encoding of 1
+        self.op, self.le, self.wb_s = _oracles(self.one)
+        # The sampled interior points m/q (0 < m < q), stored, for q = 2..16,
+        # as interior[q - 2][m - 1].  A draw picks q, then m.
+        self.interior = tuple(tuple(m * (self.one // q) for m in range(1, q))
+                              for q in range(2, 17))
 
-    return ChainWitness(label="unit-interval-chain", member=member, in_sigma=True,
-                        sup_in_sigma=_ONE, sup_in_s=None,
-                        upper_bounds=(_ONE, OMEGA))
+    def value(self, x):
+        """The rational that x encodes, or omega."""
+        return x if x is OMEGA else Fraction(x, self.one)
+
+    def describe(self, x) -> str:
+        return str(self.value(x))
+
+    def mirror_witness(self) -> ChainWitness:
+        """The chain k -> 1 - 2^-k: sup 1 in Sigma, no sup in S (bounds 1, omega)."""
+        one = self.one
+        return ChainWitness(label="unit-interval-chain",
+                            member=lambda k: self.scale.approach(one, k), in_sigma=True,
+                            sup_in_sigma=one, sup_in_s=None, upper_bounds=(one, OMEGA))
+
+    def chains_to(self, y) -> tuple[ChainWitness, ...]:
+        one, half = self.one, self.one >> 1
+        if y is OMEGA:
+            return (finite_chain("constant-omega", [half, OMEGA], False),)
+        if y == 0:
+            return (finite_chain("constant-0", [0], True),)
+        if y == one:
+            # ascending to 1 has no sup in S; the attained chain does
+            return (self.mirror_witness(), finite_chain("constant-1", [half, one], True))
+        asc = ChainWitness(label=lambda: f"interval-approach-{self.describe(y)}",
+                           member=lambda k: self.scale.approach(y, k), in_sigma=True,
+                           sup_in_sigma=y, sup_in_s=y, upper_bounds=(y, OMEGA))
+        return (asc,)
+
+    def sample(self, rng: random.Random):
+        roll = below(rng, 8)
+        if roll == 0:
+            return OMEGA
+        if roll == 1:
+            return self.one
+        if roll == 2:
+            return 0
+        points = self.interior[below(rng, 15)]
+        return points[below(rng, len(points))]
+
+    def sample_idempotent(self, rng: random.Random):
+        s = self.sample(rng)
+        return self.one if s is OMEGA else s
+
+    def h_class_sample(self, eps, rng: random.Random, k: int) -> list:
+        return [self.one, OMEGA] if eps == self.one else [eps]
 
 
-def _chains_to(y) -> tuple[ChainWitness, ...]:
-    if y is OMEGA:
-        return (finite_chain("constant-omega", [Fraction(1, 2), OMEGA], False),)
-    if y == 0:
-        return (finite_chain("constant-0", [_ZERO], True),)
-    if y == 1:
-        # ascending to 1 has no sup in S; the attained chain does
-        return (cex_mirror_witness(), finite_chain("constant-1", [Fraction(1, 2), _ONE], True))
-
-    def member(k: int):
-        return y * (1 - Fraction(1, 2 ** k))
-
-    asc = ChainWitness(label=f"interval-approach-{y}", member=member, in_sigma=True,
-                       sup_in_sigma=y, sup_in_s=y,
-                       upper_bounds=(y, OMEGA))
-    return (asc,)
+def cex_scale(depth: int = DEFAULT_DEPTH) -> CexScale:
+    """The encoding of a cex family built for ``depth`` (``TooLarge`` past
+    ``base.MAX_DEPTH``)."""
+    return CexScale(family_scale(depth))
 
 
-# The sampled interior points m/q (0 < m < q), for q = 2..16, stored as
-# _INTERIOR[q - 2][m - 1].  A draw picks q, then m.
-_INTERIOR = tuple(tuple(Fraction(m, q) for m in range(1, q)) for q in range(2, 17))
-
-
-def _sample(rng: random.Random):
-    roll = below(rng, 8)
-    if roll == 0:
-        return OMEGA
-    if roll == 1:
-        return _ONE
-    if roll == 2:
-        return _ZERO
-    points = _INTERIOR[below(rng, 15)]
-    return points[below(rng, len(points))]
-
-
-def _sample_idem(rng: random.Random):
-    s = _sample(rng)
-    return _ONE if s is OMEGA else s
-
-
-def _h_class_sample(eps, rng: random.Random, k: int) -> list:
-    if eps == 1:
-        return [_ONE, OMEGA]
-    return [eps]
+def cex_mirror_witness(depth: int = DEFAULT_DEPTH) -> ChainWitness:
+    """The unit-interval chain of a cex family built for ``depth``."""
+    return cex_scale(depth).mirror_witness()
 
 
 def cex_family(depth: int = DEFAULT_DEPTH) -> SymbolicFamily:
-    """The counterexample family; its Fraction values are exact at every
-    depth, so ``depth`` is ignored."""
-    witnesses = (cex_mirror_witness(),) + _chains_to(Fraction(1, 2)) + _chains_to(OMEGA)
+    """The counterexample family on the exact scale for ``depth``."""
+    enc = cex_scale(depth)
+    witnesses = ((enc.mirror_witness(),) + enc.chains_to(enc.one >> 1)
+                 + enc.chains_to(OMEGA))
     return SymbolicFamily(
         name="cex",
-        op=cex_op,
+        op=enc.op,
         inv=cex_inv,
-        nat_le=cex_le,
+        nat_le=enc.le,
         is_idempotent=_is_idem,
-        describe=lambda s: "omega" if s is OMEGA else str(s),
-        sample=_sample,
-        sample_idempotent=_sample_idem,
+        describe=enc.describe,
+        sample=enc.sample,
+        sample_idempotent=enc.sample_idempotent,
         witnesses=witnesses,
-        chains_to=_chains_to,
-        h_class_sample=_h_class_sample,
-        wb_s=_wb_s,
+        chains_to=enc.chains_to,
+        h_class_sample=enc.h_class_sample,
+        wb_s=enc.wb_s,
         wb_sigma=_wb_sigma,
-        zero=_ZERO,
+        zero=0,
         claimed={"reduced": False, "mirror": False, "continuous": True,
                  "algebraic": False, "stably_continuous": True},
     )

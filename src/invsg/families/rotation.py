@@ -30,7 +30,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ..pbij import TooLarge
 from .base import (DEFAULT_DEPTH, ChainWitness, Scale, SymbolicFamily, below,
                    chain_to, family_scale, finite_chain)
 
@@ -126,12 +125,7 @@ class RotationScale:
 
     def approach(self, z, k: int):
         """Member k of the radius chain to z: radius r (1 - 2^-k), same angle."""
-        self.scale.check(k)
-        r, t = z
-        if r & ((1 << k) - 1):  # r >> k would round
-            raise TooLarge(f"exact radius chain to {self.describe(z)}: index",
-                           (r & -r).bit_length() - 1)
-        return (r - (r >> k), t) if k else _ZERO
+        return (self.scale.approach(z[0], k), z[1]) if k else _ZERO
 
     def chains_to(self, z) -> tuple[ChainWitness, ...]:
         r, t = z

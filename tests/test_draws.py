@@ -19,6 +19,7 @@ from invsg.families.rotation import _TURN
 
 K = family_scale(DEFAULT_DEPTH).bits  # the scale FAMILY_BUILDERS build at by default
 _UNIT = _TURN << K
+_CEX_ONE = 720720 << K  # the cex point 1: lcm(2..16) 2^K
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "invsg"
 
@@ -74,23 +75,27 @@ def _old_rotation():
 
 
 def _old_cex():
+    # the old Fraction draws, encoded on the scale: x as x 720720 2^K
+    def encode(x):
+        return x if x is OMEGA else int(x * _CEX_ONE)
+
     def sample(rng):
         roll = rng.randrange(8)
         if roll == 0:
             return OMEGA
         if roll == 1:
-            return Fraction(1)
+            return encode(Fraction(1))
         if roll == 2:
-            return Fraction(0)
+            return encode(Fraction(0))
         q = rng.randrange(2, 17)
-        return Fraction(rng.randrange(1, q), q)
+        return encode(Fraction(rng.randrange(1, q), q))
 
     def sample_idempotent(rng):
         s = sample(rng)
-        return Fraction(1) if s is OMEGA else s
+        return encode(Fraction(1)) if s is OMEGA else s
 
     def h_class_sample(eps, rng, k):
-        return [Fraction(1), OMEGA] if eps == 1 else [eps]
+        return [encode(Fraction(1)), OMEGA] if eps == encode(Fraction(1)) else [eps]
     return sample, sample_idempotent, h_class_sample
 
 

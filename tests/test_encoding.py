@@ -1,10 +1,10 @@
-"""The integer encodings of the dyadic bicyclic, rotation and character
-families against Fraction references, and their exact scale, which follows
-the depth a family is built for.
+"""The integer encodings of the dyadic bicyclic, rotation, character and
+cex families against Fraction references, and their exact scale, which
+follows the depth a family is built for.
 
 The references restate each closed form on Fractions; the encoded oracles
 must agree with them after decoding, and no oracle may hand back anything
-but ints.
+but ints (and, for cex, the sentinel omega).
 """
 
 import random
@@ -17,9 +17,12 @@ from hypothesis import strategies as st
 from invsg import core
 from invsg.checkers import run_suites
 from invsg.cli import main
-from invsg.families import (bicyclic_dyadic, bicyclic_nat, character_family, classify,
+from invsg.families import (FAMILY_BUILDERS, OMEGA, bicyclic_dyadic, bicyclic_nat,
+                            cex_family, cex_le, cex_op, character_family, classify,
                             rotation_family)
-from invsg.families.base import DEFAULT_DEPTH, MAX_DEPTH, chain_limit, family_scale
+from invsg.families.base import (DEFAULT_DEPTH, MAX_DEPTH, chain_limit, chain_members,
+                                 family_scale)
+from invsg.families.cex import cex_scale
 from invsg.families.rotation import rotation_scale
 from invsg.pbij import TooLarge
 
@@ -65,6 +68,48 @@ def ref_rot_wb_s(z, w):
 
 def ref_rot_wb_sigma(e, d):
     return e[0] == 0 or e[0] < d[0]
+
+
+# cex: the points of [0, 1] as Fractions, omega as itself
+
+
+def ref_cex_op(s, t):
+    if s is OMEGA and t is OMEGA:
+        return Fraction(1)
+    if s is OMEGA:
+        return OMEGA if t == 1 else t
+    if t is OMEGA:
+        return OMEGA if s == 1 else s
+    return min(s, t)
+
+
+def ref_cex_le(x, y):
+    if x is OMEGA:
+        return y is OMEGA
+    if y is OMEGA:
+        return x < 1
+    return x <= y
+
+
+def ref_cex_wb_s(x, y):
+    if y is OMEGA:
+        return ref_cex_le(x, OMEGA)
+    if x is OMEGA:
+        return False
+    if x == 0:
+        return True
+    if x == 1:
+        return y == 1
+    return x < y
+
+
+def ref_cex_wb_sigma(e, d):
+    return e == 0 or e < d
+
+
+def interval_member(y, k):
+    """Member k of the approach chain to the point y: y (1 - 2^-k)."""
+    return y * (1 - Fraction(1, 2 ** k))
 
 
 def dyadic_decoder(depth):
@@ -199,6 +244,50 @@ def test_character_main_witness_agrees_with_the_fraction_reference():
             (Fraction(1), Fraction(0)) if s in units else damp for s in range(S.n))
 
 
+def _cex_pool(fam, rng, k):
+    """The pool of ``_pool``, with each witness's members up to index 3."""
+    return _pool(fam, rng, k) + [m for cw in fam.witnesses for m in chain_members(cw, 3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_cex_oracles_agree_with_the_fraction_reference(seed):
+    fam, value = cex_family(), cex_scale(DEFAULT_DEPTH).value
+    pool = _cex_pool(fam, random.Random(seed), 6)
+    values = [value(s) for s in pool]
+    for s, vs in zip(pool, values):
+        assert fam.inv(s) == s
+        assert fam.is_idempotent(s) == (vs is not OMEGA)
+        assert fam.describe(s) == ("omega" if vs is OMEGA else str(vs))
+        for t, vt in zip(pool, values):
+            assert value(fam.op(s, t)) == ref_cex_op(vs, vt) == cex_op(vs, vt)
+            assert fam.nat_le(s, t) == ref_cex_le(vs, vt) == cex_le(vs, vt)
+            assert fam.wb_s(s, t) == ref_cex_wb_s(vs, vt)
+            if vs is not OMEGA and vt is not OMEGA:
+                assert fam.wb_sigma(s, t) == ref_cex_wb_sigma(vs, vt)
+
+
+def test_the_cex_fraction_api_runs_the_family_code():
+    fam = cex_family()
+    assert cex_op.__code__ is fam.op.__code__
+    assert cex_le.__code__ is fam.nat_le.__code__
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_cex_chain_members_agree_with_the_fraction_reference(seed):
+    fam, value = cex_family(), cex_scale(DEFAULT_DEPTH).value
+    chains = list(fam.witnesses)
+    for x in _cex_pool(fam, random.Random(seed), 3):
+        chains += fam.chains_to(x)
+    for cw in chains:
+        if cw.length is not None:
+            continue  # a finite list holds its members literally
+        sup = value(cw.sup_in_sigma)  # the unit-interval chain has no sup in S
+        for k in CHAIN_INDICES:
+            assert value(cw.member(k)) == interval_member(sup, k), (cw.name, k)
+
+
 # -- the exact scale ------------------------------------------------------------
 
 
@@ -212,6 +301,20 @@ def test_the_largest_chain_index_is_exact_and_the_next_is_refused(name):
             if cw.length is not None:
                 continue
             assert value(cw.member(deepest)) == member(value(cw.sup_in_s), deepest)
+            with pytest.raises(TooLarge):
+                cw.member(deepest + 1)
+
+
+def test_the_largest_cex_chain_index_is_exact_and_the_next_is_refused():
+    for depth in (1, 64, 1024):
+        fam, value = cex_family(depth), cex_scale(depth).value
+        deepest = max(3 * depth, 64)
+        omega_chains = [cw for cw in fam.witnesses if cw.length is None]
+        assert [cw.name for cw in omega_chains] == ["unit-interval-chain",
+                                                    "interval-approach-1/2"]
+        for cw in omega_chains:
+            assert value(cw.member(deepest)) == interval_member(value(cw.sup_in_sigma),
+                                                               deepest)
             with pytest.raises(TooLarge):
                 cw.member(deepest + 1)
 
@@ -230,9 +333,9 @@ def test_sampled_values_are_as_wide_as_the_default_scale(families, name):
     assert max(c.bit_length() for x in seen for c in x) <= K + 15
 
 
-@pytest.mark.parametrize("name", REFERENCES)
+@pytest.mark.parametrize("name", [*REFERENCES, "cex"])
 def test_the_build_depth_changes_no_report(name):
-    build = REFERENCES[name][0]
+    build = FAMILY_BUILDERS[name]
     deep, shallow = build(1024), build(64)
     assert ([r.to_json() for r in run_suites(deep, name, depth=64, seed=3, budget=500)]
             == [r.to_json() for r in run_suites(shallow, name, depth=64, seed=3, budget=500)])
@@ -240,7 +343,7 @@ def test_the_build_depth_changes_no_report(name):
             == classify(shallow, depth=64, seed=3, budget=500).to_json())
 
 
-@pytest.mark.parametrize("build", [rotation_family, bicyclic_dyadic,
+@pytest.mark.parametrize("build", [rotation_family, bicyclic_dyadic, cex_family,
                                    lambda depth=DEFAULT_DEPTH: character_family(mixed3(), depth=depth)])
 def test_a_family_checked_deeper_than_built_names_the_depth_to_build(build):
     fam = build()  # built for the default depth, whose chains end at index 192
@@ -263,6 +366,15 @@ def test_a_rounding_radius_chain_member_is_refused():
     assert z[0] == 3465
     cw = fam.chains_to(z)[0]
     assert cw.member(0) == (0, 0)
+    with pytest.raises(TooLarge):
+        cw.member(1)
+
+
+def test_a_rounding_cex_chain_member_is_refused():
+    # the point 1/(720720 2^K) is stored as 1, so its chain member at index 1
+    # would round
+    cw = cex_family().chains_to(1)[0]
+    assert cw.member(0) == 0
     with pytest.raises(TooLarge):
         cw.member(1)
 
@@ -291,6 +403,8 @@ def test_off_grid_values_are_refused_not_rounded():
     ["check", "--subject", "family:bicyclic-dyadic"],
     ["classify", "--family", "rotation"],
     ["classify", "--family", "bicyclic-dyadic"],
+    ["check", "--suite", "mirror", "--subject", "family:cex"],
+    ["classify", "--family", "cex"],
 ])
 def test_a_depth_past_the_exact_scale_exits_3(argv, capsys):
     # checks read chains to index max(3 * depth, 64); 3 * 1025 > MAX_CHAIN_INDEX
@@ -299,14 +413,15 @@ def test_a_depth_past_the_exact_scale_exits_3(argv, capsys):
     assert err.startswith("limit: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("family", ["rotation", "bicyclic-dyadic"])
+@pytest.mark.parametrize("family", ["rotation", "bicyclic-dyadic", "cex"])
 def test_the_largest_depth_still_runs(family, capsys):
     assert 3 * 1024 == MAX_CHAIN_INDEX
+    fails_mirror = family == "cex"  # at every depth: exit 1
     assert main(["check", "--suite", "mirror", "--subject", f"family:{family}",
-                 "--depth", "1024"]) == 0
+                 "--depth", "1024"]) == int(fails_mirror)
 
 
-@pytest.mark.parametrize("family, code", [("bicyclic-nat", 0), ("cex", 1)])
+@pytest.mark.parametrize("family, code", [("bicyclic-nat", 0)])
 def test_the_depth_limit_leaves_other_families_alone(family, code, capsys):
     assert main(["check", "--suite", "mirror", "--subject", f"family:{family}",
                  "--depth", "1025"]) == code
@@ -317,17 +432,22 @@ def test_the_depth_limit_leaves_other_families_alone(family, code, capsys):
 
 
 def _coords(x):
-    for c in x:
-        if isinstance(c, tuple):
+    if isinstance(x, tuple):
+        for c in x:
             yield from _coords(c)
-        else:
-            yield c
+    else:
+        yield x
 
 
-@pytest.mark.parametrize("build", [bicyclic_nat, bicyclic_dyadic, rotation_family,
-                                   lambda: character_family(mixed3())],
-                         ids=["bicyclic-nat", "bicyclic-dyadic", "rotation", "characters"])
-def test_every_oracle_value_is_a_plain_int(build):
+# name: (build, the non-int values allowed)
+PLAIN = {"bicyclic-nat": (bicyclic_nat, ()), "bicyclic-dyadic": (bicyclic_dyadic, ()),
+         "rotation": (rotation_family, ()), "characters": (lambda: character_family(mixed3()), ()),
+         "cex": (cex_family, (OMEGA,))}
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_every_oracle_value_is_a_plain_int(name):
+    build, allowed = PLAIN[name]
     fam = build()
     rng = random.Random(29)
     seen = []
@@ -342,5 +462,6 @@ def test_every_oracle_value_is_a_plain_int(build):
     for cw in fam.witnesses:
         seen += [cw.member(k) for k in CHAIN_INDICES] + list(cw.upper_bounds)
         seen += [v for v in (cw.sup_in_s, cw.sup_in_sigma) if v is not None]
-    bad = [x for x in seen if not all(type(c) is int for c in _coords(x))]
+    bad = [x for x in seen
+           if not all(type(c) is int or c in allowed for c in _coords(x))]
     assert not bad, fam.describe(bad[0])

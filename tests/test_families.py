@@ -13,6 +13,7 @@ from invsg.families import (OMEGA, bicyclic_dyadic, bicyclic_le, bicyclic_nat,
                             classify, is_dyadic, rotation_family, rotation_le,
                             rotation_op, rotation_wb_sigma)
 from invsg.families.base import DEFAULT_DEPTH, chain_members, finite_chain
+from invsg.families.cex import cex_scale
 from invsg.families.rotation import OutOfRange, rotation_scale
 
 # the rotation encoding at the default depth, the one rotation_family() uses
@@ -155,12 +156,12 @@ def test_cex_incomparability_of_one_and_omega():
 
 def test_cex_mirror_witness_content():
     cw = cex_mirror_witness()
-    fam = cex_family()
+    fam, value = cex_family(), cex_scale().value
     members = chain_members(cw, 64)
-    assert members[0] == 0 and members[3] == Fraction(7, 8)
+    assert value(members[0]) == 0 and value(members[3]) == Fraction(7, 8)
     assert all(fam.is_idempotent(m) for m in members)
-    assert cw.sup_in_sigma == Fraction(1) and cw.sup_in_s is None
-    assert set(map(str, cw.upper_bounds)) == {"1", "omega"}
+    assert value(cw.sup_in_sigma) == Fraction(1) and cw.sup_in_s is None
+    assert set(map(fam.describe, cw.upper_bounds)) == {"1", "omega"}
     for u in cw.upper_bounds:
         assert all(fam.nat_le(m, u) for m in members)
 

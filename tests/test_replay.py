@@ -12,7 +12,7 @@ breaks.  These tests read the kinds from that table and check that:
   with a counterexample that replays there and not on the honest family;
 - a fabricated report is re-checked too: an empty instance or an unknown
   kind raises, the zero is no reducedness witness, and an instance outside
-  its law's hypothesis does not replay.
+  its law's hypothesis, or with a member off its chain, does not replay.
 """
 
 from __future__ import annotations
@@ -160,9 +160,11 @@ CASES = {
                          lambda f: flip(f, "nat_le", (3, 2), (1, 0))),
     "sigma-not-monotone-at-max": (bicyclic_nat, lambda f: dict(t=(1, 0), a=(3, 2)),
                                   lambda f: flip(f, "nat_le", (2, 2), (0, 0))),
-    "sigma-image-escapes-sup": (bicyclic_nat, lambda f: dict(chain=to_53(f), a=(8, 6)),
+    "sigma-image-escapes-sup": (bicyclic_nat, lambda f: dict(chain=to_53(f), a=(8, 6),
+                                                             _depth=64),
                                 lambda f: flip(f, "nat_le", (6, 6), (3, 3))),
-    "cond-distr-chain": (bicyclic_nat, lambda f: dict(chain=to_53(f), s=(0, 0), a=(8, 6)),
+    "cond-distr-chain": (bicyclic_nat, lambda f: dict(chain=to_53(f), s=(0, 0), a=(8, 6),
+                                                      _depth=64),
                          lambda f: flip(f, "nat_le", (8, 6), (5, 3))),
     "cond-distr-finite": (bicyclic_nat, lambda f: dict(t=(1, 0), s=(0, 1), a=(3, 2)),
                           lambda f: flip(f, "nat_le", (2, 2), (0, 0))),
@@ -192,7 +194,8 @@ CASES = {
                     lambda f: flip(f, "nat_le", (1, 1), (2, 1))),
     "bounded-chain-without-sup": (bicyclic_nat, lambda f: dict(chain=BOUNDED),
                                   lambda f: {"witnesses": f.witnesses + (BOUNDED,)}),
-    "ssc-family": (bicyclic_nat, lambda f: dict(chain=to_53(f), s=(0, 0), member=(8, 6)),
+    "ssc-family": (bicyclic_nat, lambda f: dict(chain=to_53(f), s=(0, 0), member=(8, 6),
+                                                _depth=64),
                    lambda f: flip(f, "nat_le", (8, 6), (5, 3))),
     "ssc-family-finite": (bicyclic_nat, lambda f: dict(t=(1, 0), s=(1, 0), a=(3, 2)),
                           lambda f: flip(f, "nat_le", (3, 1), (2, 0))),
@@ -216,7 +219,7 @@ CASES = {
     # biconditionals: the instance is the failing side's witness
     "meet-cont-biconditional": (
         bicyclic_nat, lambda f: dict(ssc=False, meet_continuous=True, _witness=checkers._fail(
-            f, "ssc-family", to_53(f), (0, 0), (8, 6))),
+            f, "ssc-family", to_53(f), (0, 0), (8, 6), 64)),
         lambda f: flip(f, "nat_le", (8, 6), (5, 3))),
     "mult-biconditional": (
         bicyclic_nat, lambda f: dict(mult_S=False, mult_Sigma=True,
@@ -374,6 +377,47 @@ OUTSIDE_THE_HYPOTHESIS = [
 def test_an_instance_outside_its_hypothesis_does_not_replay(kind, instance):
     honest = bicyclic_nat()
     assert not replay_counterexample(honest, _fabricated(kind, instance))
+
+
+# Members off their chain: (9,9) and (0,0) lie on no principal chain to
+# (5,3), whose members are (8,6), (7,5), (6,4) and (5,3).  Each instance
+# breaks its law's conclusion on the honest family, so it replays once a
+# chain with the same sup lists its member.
+OFF_THE_CHAIN = [
+    ("ssc-family", dict(s=(0, 0), member=(9, 9)), (9, 9)),
+    ("cond-distr-chain", dict(s=(0, 0), a=(9, 9)), (9, 9)),
+    ("sigma-image-escapes-sup", dict(a=(0, 0)), (0, 0)),
+]
+
+
+@pytest.mark.parametrize("kind, instance, member", OFF_THE_CHAIN,
+                         ids=[kind for kind, *_ in OFF_THE_CHAIN])
+def test_a_member_off_its_chain_does_not_replay(kind, instance, member):
+    honest = bicyclic_nat()
+    chain = to_53(honest)
+    assert chain.name == "principal-chain-to-(5,3)"
+    assert not replay_counterexample(honest, _fabricated(kind, dict(
+        chain=chain, **instance, _depth=64)))
+    listing = ChainWitness("lists-the-member", lambda k: [member, (5, 3)][min(k, 1)], False,
+                           sup_in_s=(5, 3), length=2)
+    assert replay_counterexample(honest, _fabricated(kind, dict(
+        chain=listing, **instance, _depth=64)))
+
+
+def test_a_member_past_the_depth_is_off_an_omega_chain():
+    # member 10 of the approach chain to (1,1) lies on it at depth 10 only;
+    # a copy whose order denies that member's image below the sup replays it
+    # at depth 10, not at depth 9
+    honest = bicyclic_dyadic()
+    chain = honest.witnesses[0]
+    assert chain.length is None
+    a = chain.member(10)
+    lying = dataclasses.replace(honest, **flip(honest, "nat_le", honest.sigma(a),
+                                               honest.sigma(chain.sup_in_s)))
+    report = _fabricated("sigma-image-escapes-sup", dict(chain=chain, a=a, _depth=10))
+    assert replay_counterexample(lying, report)
+    report.counterexample["_raw"]["_depth"] = 9
+    assert not replay_counterexample(lying, report)
 
 
 def test_a_scan_reports_no_instance_outside_its_hypothesis():
