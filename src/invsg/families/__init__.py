@@ -12,8 +12,7 @@ from .base import (DEFAULT_DEPTH, ChainWitness, Classification, Flag, SymbolicFa
                    chain_members)
 from .bicyclic import (bicyclic_dyadic, bicyclic_le, bicyclic_nat, bicyclic_op,
                        bicyclic_wb, is_dyadic)
-from .cex import (OMEGA, cex_family, cex_le, cex_mirror_witness, cex_op,
-                  cex_truncation)
+from .cex import OMEGA, cex_family, cex_le, cex_op, cex_truncation
 from .characters import (NotACharacter, character_family, character_op,
                          enumerate_characters, is_character, trivial_character)
 from .classify import classify
@@ -30,7 +29,7 @@ __all__ = [
     "bicyclic_wb", "is_dyadic",
     "rotation_family", "rotation_op", "rotation_le", "rotation_wb_sigma",
     "OutOfRange",
-    "cex_family", "cex_op", "cex_le", "cex_mirror_witness", "cex_truncation",
+    "cex_family", "cex_op", "cex_le", "cex_truncation",
     "OMEGA",
     "coset_monoid", "coset_product", "all_cosets", "subgroups", "group_by_name",
     "groups_of_order_at_most", "cyclic_group", "dihedral_group",

@@ -73,14 +73,15 @@ class Scale(NamedTuple):
                 else f"no family is built past depth {MAX_DEPTH}")
             raise TooLarge(f"chain index {k}", self.limit, remedy)
 
-    def approach(self, r: int, k: int) -> int:
+    def approach(self, r: int, k: int, chain: Callable[[], str]) -> int:
         """Member k of the chain r (1 - 2^-k) to an encoded r >= 0, stored as
         r - (r >> k): ``check`` refuses k past the limit, and a member that
         would round (r on a finer grid than 2^-k of its unit) raises
-        ``TooLarge`` too, never a rounded value."""
+        ``TooLarge`` too, never a rounded value, naming the chain by
+        ``chain()``."""
         self.check(k)
         if r & ((1 << k) - 1):
-            raise TooLarge(f"exact chain index {k}", (r & -r).bit_length() - 1)
+            raise TooLarge(f"exact {chain()}: index", (r & -r).bit_length() - 1)
         return r - (r >> k)
 
 

@@ -33,7 +33,7 @@ from .base import (DEFAULT_DEPTH, ChainWitness, Scale, SymbolicFamily, below, fa
                    finite_chain, require_positive)
 
 __all__ = ["OMEGA", "CexScale", "cex_scale", "cex_op", "cex_inv", "cex_le",
-           "cex_mirror_witness", "cex_family", "cex_truncation"]
+           "cex_family", "cex_truncation"]
 
 _POINTS = 720720  # lcm(2..16): the sampled points m/q are multiples of 1/_POINTS
 
@@ -91,6 +91,10 @@ def _is_idem(s) -> bool:
     return s is not OMEGA
 
 
+def _unit_chain() -> str:
+    return "unit-interval-chain"
+
+
 def _wb_sigma(eps, delta) -> bool:
     return eps == 0 or eps < delta
 
@@ -118,7 +122,8 @@ class CexScale:
         """The chain k -> 1 - 2^-k: sup 1 in Sigma, no sup in S (bounds 1, omega)."""
         one = self.one
         return ChainWitness(label="unit-interval-chain",
-                            member=lambda k: self.scale.approach(one, k), in_sigma=True,
+                            member=lambda k: self.scale.approach(one, k, _unit_chain),
+                            in_sigma=True,
                             sup_in_sigma=one, sup_in_s=None, upper_bounds=(one, OMEGA))
 
     def chains_to(self, y) -> tuple[ChainWitness, ...]:
@@ -130,8 +135,9 @@ class CexScale:
         if y == one:
             # ascending to 1 has no sup in S; the attained chain does
             return (self.mirror_witness(), finite_chain("constant-1", [half, one], True))
-        asc = ChainWitness(label=lambda: f"interval-approach-{self.describe(y)}",
-                           member=lambda k: self.scale.approach(y, k), in_sigma=True,
+        label = lambda: f"interval-approach-{self.describe(y)}"
+        asc = ChainWitness(label=label,
+                           member=lambda k: self.scale.approach(y, k, label), in_sigma=True,
                            sup_in_sigma=y, sup_in_s=y, upper_bounds=(y, OMEGA))
         return (asc,)
 
@@ -158,11 +164,6 @@ def cex_scale(depth: int = DEFAULT_DEPTH) -> CexScale:
     """The encoding of a cex family built for ``depth`` (``TooLarge`` past
     ``base.MAX_DEPTH``)."""
     return CexScale(family_scale(depth))
-
-
-def cex_mirror_witness(depth: int = DEFAULT_DEPTH) -> ChainWitness:
-    """The unit-interval chain of a cex family built for ``depth``."""
-    return cex_scale(depth).mirror_witness()
 
 
 def cex_family(depth: int = DEFAULT_DEPTH) -> SymbolicFamily:

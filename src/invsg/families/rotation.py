@@ -125,7 +125,10 @@ class RotationScale:
 
     def approach(self, z, k: int):
         """Member k of the radius chain to z: radius r (1 - 2^-k), same angle."""
-        return (self.scale.approach(z[0], k), z[1]) if k else _ZERO
+        if not k:
+            return _ZERO
+        return (self.scale.approach(z[0], k, lambda: f"radius chain to {self.describe(z)}"),
+                z[1])
 
     def chains_to(self, z) -> tuple[ChainWitness, ...]:
         r, t = z

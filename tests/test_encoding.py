@@ -366,7 +366,8 @@ def test_a_rounding_radius_chain_member_is_refused():
     assert z[0] == 3465
     cw = fam.chains_to(z)[0]
     assert cw.member(0) == (0, 0)
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match=rf"^exact radius chain to \(1/{2 ** (K + 3)},0\): "
+                                       r"index exceeds the desk-scale limit 0$"):
         cw.member(1)
 
 
@@ -375,7 +376,8 @@ def test_a_rounding_cex_chain_member_is_refused():
     # would round
     cw = cex_family().chains_to(1)[0]
     assert cw.member(0) == 0
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match=rf"^exact interval-approach-1/{720720 * 2 ** K}: "
+                                       r"index exceeds the desk-scale limit 0$"):
         cw.member(1)
 
 

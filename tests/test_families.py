@@ -9,9 +9,9 @@ from invsg import checkers
 from invsg.core import NotIdempotent
 from invsg.families import (OMEGA, bicyclic_dyadic, bicyclic_le, bicyclic_nat,
                             bicyclic_op, bicyclic_wb, cex_family, cex_le,
-                            cex_mirror_witness, cex_op, cex_truncation,
-                            classify, is_dyadic, rotation_family, rotation_le,
-                            rotation_op, rotation_wb_sigma)
+                            cex_op, cex_truncation, classify, is_dyadic,
+                            rotation_family, rotation_le, rotation_op,
+                            rotation_wb_sigma)
 from invsg.families.base import DEFAULT_DEPTH, chain_members, finite_chain
 from invsg.families.cex import cex_scale
 from invsg.families.rotation import OutOfRange, rotation_scale
@@ -155,8 +155,8 @@ def test_cex_incomparability_of_one_and_omega():
 
 
 def test_cex_mirror_witness_content():
-    cw = cex_mirror_witness()
-    fam, value = cex_family(), cex_scale().value
+    enc = cex_scale()
+    cw, fam, value = enc.mirror_witness(), cex_family(), enc.value
     members = chain_members(cw, 64)
     assert value(members[0]) == 0 and value(members[3]) == Fraction(7, 8)
     assert all(fam.is_idempotent(m) for m in members)
