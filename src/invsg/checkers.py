@@ -17,6 +17,10 @@ their canonical chains.  Each failure kind is declared once, in
 the scans test their instances through it (most in the one loop of
 ``_scan``), ``_fail`` makes a violated instance a counterexample, and
 ``replay_counterexample`` re-runs it.
+
+``classify`` gives the five mirror properties of a subject as one
+Classification of Flags, each with the evidence that produced it, from
+the same family checks as the suites.
 """
 
 from __future__ import annotations
@@ -26,15 +30,15 @@ import weakref
 import zlib
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, product
-from typing import Callable, Optional
+from itertools import chain, combinations, pairwise, product
+from typing import Callable, Optional, Union
 
-from .core import FiniteInvSemigroup
+from .core import FiniteInvSemigroup, is_reduced
 from .families.base import (DEFAULT_DEPTH, ChainWitness, SymbolicFamily, below,
                             chain_limit, chain_members, iter_chain, require_positive)
 
-__all__ = ["CheckReport", "SUITES", "run_suite", "run_suites",
-           "replay_counterexample", "DEFAULT_BUDGET", "DEFAULT_DEPTH"]
+__all__ = ["CheckReport", "Flag", "Classification", "SUITES", "run_suite", "run_suites",
+           "classify", "replay_counterexample", "DEFAULT_BUDGET", "DEFAULT_DEPTH"]
 
 DEFAULT_BUDGET = 10000  # sampled instances per suite when no budget is given
 
@@ -53,6 +57,51 @@ class CheckReport:
         return {"suite": self.suite, "subject": self.subject, "verdict": self.verdict,
                 "counterexample": ce and {k: v for k, v in ce.items() if k != "_raw"},
                 "budget": self.budget, "notes": self.notes}
+
+
+@dataclass
+class Flag:
+    """One classification flag plus the evidence that produced it."""
+
+    value: Optional[bool]
+    evidence: str
+    budget: int = 0
+    witness: Optional[dict] = None
+
+    def to_json(self) -> dict:
+        out: dict = {"value": self.value, "evidence": self.evidence, "budget": self.budget}
+        if self.witness is not None:
+            out["witness"] = {k: str(v) for k, v in self.witness.items() if k != "_raw"}
+        return out
+
+
+@dataclass
+class Classification:
+    subject: str
+    depth: int
+    seed: int
+    reduced: Flag
+    mirror: Flag
+    continuous: Flag
+    algebraic: Flag
+    stably_continuous: Flag
+
+    def flags(self) -> dict[str, Flag]:
+        return {
+            "reduced": self.reduced,
+            "mirror": self.mirror,
+            "continuous": self.continuous,
+            "algebraic": self.algebraic,
+            "stably_continuous": self.stably_continuous,
+        }
+
+    def values(self) -> dict[str, Optional[bool]]:
+        return {k: f.value for k, f in self.flags().items()}
+
+    def to_json(self) -> dict:
+        out = {"subject": self.subject, "depth": self.depth, "seed": self.seed}
+        out.update({k: f.to_json() for k, f in self.flags().items()})
+        return out
 
 
 def _rng(seed: int, *tags: str) -> random.Random:
@@ -196,12 +245,13 @@ def _verify_chain(fam: SymbolicFamily, cw: ChainWitness, depth: int) -> Optional
     ms = chain_members(cw, depth)
     claims = [(name, sup) for name, sup in (("sup_in_sigma", cw.sup_in_sigma),
                                             ("sup_in_s", cw.sup_in_s)) if sup is not None]
-    return (_scan(fam, "chain-not-monotone", ((cw, a, b) for a, b in zip(ms, ms[1:])))[1]
-            or _scan(fam, "chain-not-idempotent", ((cw, a) for a in ms))[1]
+    return (_scan(fam, "chain-not-monotone",
+                  ((cw, a, b, depth) for a, b in zip(ms, ms[1:])))[1]
+            or _scan(fam, "chain-not-idempotent", ((cw, a, depth) for a in ms))[1]
             or _scan(fam, "claimed-sup-not-upper-bound",
-                     ((cw, name, a, sup) for (name, sup), a in product(claims, ms)))[1]
+                     ((cw, name, a, sup, depth) for (name, sup), a in product(claims, ms)))[1]
             or _scan(fam, "claimed-upper-bound-fails",
-                     ((cw, a, u) for u, a in product(cw.upper_bounds, ms)))[1])
+                     ((cw, a, u, depth) for u, a in product(cw.upper_bounds, ms)))[1])
 
 
 def _on_chain(cw: ChainWitness, a, depth: int) -> bool:
@@ -479,10 +529,10 @@ _BASIC_KINDS = ("ss*-not-idempotent", "s*s-not-idempotent", "star-not-involution
 # by the scans and by replay.  The identities are those of every inverse
 # semigroup (Lawson, 1998, 1.4).  A law whose scan meets a hypothesis by
 # construction (eps idempotent, a <= t, a maximum in _D, a member on its chain
-# up to _depth) tests it after the conclusion, so that a replay outside it is
-# False at no cost to a scan.  A biconditional kind's instance is the failing
-# side's witness: the side that holds is sampled evidence, and it is not
-# replayed.
+# up to _depth, a pair consecutive on it, a bound it lists) tests it after the
+# conclusion, so that a replay outside it is False at no cost to a scan.  A
+# biconditional kind's instance is the failing side's witness: the side that
+# holds is sampled evidence, and it is not replayed.
 _VIOLATED: dict[str, Callable[..., bool]] = {
     "ss*-not-idempotent": lambda fam, s, t: not fam.is_idempotent(fam.op(s, fam.inv(s))),
     "s*s-not-idempotent": lambda fam, s, t: not fam.is_idempotent(fam.op(fam.inv(s), s)),
@@ -502,17 +552,23 @@ _VIOLATED: dict[str, Callable[..., bool]] = {
     "cond-distr-finite": lambda fam, t, s, a: (
         not fam.nat_le(fam.op(s, a), fam.op(s, t)) and fam.nat_le(a, t)),
     "d-not-in-translate": lambda fam, chain, d: fam.op(d, fam.sigma(d)) != d,
-    "translate-escapes-d": lambda fam, chain, d, x: not fam.nat_le(fam.op(x, fam.sigma(d)), d),
+    "translate-escapes-d": lambda fam, chain, d, x, _depth: (
+        not fam.nat_le(fam.op(x, fam.sigma(d)), d)
+        and _on_chain(chain, d, _depth) and _on_chain(chain, x, _depth)),
     "translate-finite": lambda fam, d, _D: (
         (fam.op(d, fam.sigma(d)) != d
          or any(not fam.nat_le(fam.op(x, fam.sigma(d)), d) for x in _D))
         and any(all(fam.nat_le(x, m) for x in _D) for m in _D)),
-    "chain-not-monotone": lambda fam, chain, a, b: not fam.nat_le(a, b),
-    "chain-not-idempotent": lambda fam, chain, a: chain.in_sigma and not fam.is_idempotent(a),
-    "claimed-sup-not-upper-bound": lambda fam, chain, claim, member, sup: (
-        getattr(chain, claim) == sup and not fam.nat_le(member, sup)),
-    "claimed-upper-bound-fails": lambda fam, chain, member, upper_bound: not fam.nat_le(
-        member, upper_bound),
+    "chain-not-monotone": lambda fam, chain, a, b, _depth: (
+        not fam.nat_le(a, b) and (a, b) in pairwise(iter_chain(chain, _depth))),
+    "chain-not-idempotent": lambda fam, chain, a, _depth: (
+        chain.in_sigma and not fam.is_idempotent(a) and _on_chain(chain, a, _depth)),
+    "claimed-sup-not-upper-bound": lambda fam, chain, claim, member, sup, _depth: (
+        getattr(chain, claim) == sup and not fam.nat_le(member, sup)
+        and _on_chain(chain, member, _depth)),
+    "claimed-upper-bound-fails": lambda fam, chain, member, upper_bound, _depth: (
+        not fam.nat_le(member, upper_bound) and upper_bound in chain.upper_bounds
+        and _on_chain(chain, member, _depth)),
     "mirror-family": lambda fam, chain, bad_bound, **_: not fam.nat_le(
         chain.sup_in_sigma, bad_bound) and _dominates(fam, bad_bound, chain, DEFAULT_DEPTH),
     "not-reduced": lambda fam, eps, s: (fam.is_idempotent(eps) and eps != fam.zero
@@ -523,8 +579,10 @@ _VIOLATED: dict[str, Callable[..., bool]] = {
         fam.op(member, s), fam.op(chain.sup_in_s, s)) and _on_chain(chain, member, _depth),
     "ssc-family-finite": lambda fam, t, s, a: (
         not fam.nat_le(fam.op(a, s), fam.op(t, s)) and fam.nat_le(a, t)),
-    "meet-cont-chain": lambda fam, chain, eps, a: not fam.nat_le(
-        fam.op(eps, a), fam.op(eps, chain.sup_in_sigma)),
+    "meet-cont-chain": lambda fam, chain, eps, a, _depth: (
+        chain.sup_in_sigma is not None
+        and not fam.nat_le(fam.op(eps, a), fam.op(eps, chain.sup_in_sigma))
+        and fam.is_idempotent(eps) and _on_chain(chain, a, _depth)),
     "wb-char": lambda fam, s, t, **_: fam.wb_s(s, t) != _wb_mirrored(fam, s, t),
     **{kind: _refuted(side, kind) for side in (_S, _SIGMA) for kind in side.kinds},
     "meet-cont-biconditional": lambda fam, _witness, **_: _violated(fam, _witness),
@@ -679,16 +737,16 @@ def check_greatest_of_translate(fam: SymbolicFamily, depth, seed, budget):
     and d d* d = d lies in D d* d.
     """
     rng = _rng(seed, "greatest_translate", fam.name)
-    examined = 0
+    examined, reach = 0, min(depth, 16)
     for cw in fam.witnesses:
-        ms = chain_members(cw, min(depth, 16))
+        ms = chain_members(cw, reach)
         for d in ms:
             examined += 1
             if _VIOLATED["d-not-in-translate"](fam, cw, d):
                 return _failed(examined, _fail(fam, "d-not-in-translate", cw, d))
             for x in ms:
-                if _VIOLATED["translate-escapes-d"](fam, cw, d, x):
-                    return _failed(examined, _fail(fam, "translate-escapes-d", cw, d, x))
+                if _VIOLATED["translate-escapes-d"](fam, cw, d, x, reach):
+                    return _failed(examined, _fail(fam, "translate-escapes-d", cw, d, x, reach))
     n, ce = _scan(fam, "translate-finite",
                   ((d, D) for _ in range(300) for D in [_translates(fam, rng, 2)[1]]
                    for d in D))
@@ -724,7 +782,7 @@ def check_meet_continuity_mirror(fam: SymbolicFamily, depth, seed, budget):
     # meet-continuity: idempotents translate sigma-chains below the translated sup
     rng = _rng(seed, "meet_cont", fam.name)
     n2, mc_ce = _scan(fam, "meet-cont-chain",
-                      ((cw, eps, a) for cw in fam.witnesses if cw.sup_in_sigma is not None
+                      ((cw, eps, a, depth) for cw in fam.witnesses if cw.sup_in_sigma is not None
                        for eps in _idem_pool(fam, rng, 6) for a in chain_members(cw, depth)))
     mc_ok = mc_ce is None
     return _verdict(n0 + n1 + n2, ssc_ok == mc_ok,
@@ -906,6 +964,81 @@ def run_suites(subject, subject_id=None, names="all", **kw) -> list[CheckReport]
     picked = list(SUITES) if names in ("all", None) else (
         [names] if isinstance(names, str) else list(names))
     return [run_suite(nm, subject, subject_id, **kw) for nm in picked]
+
+
+# ---------------------------------------------------------------------------
+# classification
+# ---------------------------------------------------------------------------
+
+
+def _classify_finite(S: FiniteInvSemigroup, subject_id: str, depth: int,
+                     seed: int) -> Classification:
+    """Reducedness scanned, as a property of the table; the other four flags
+    hold on every finite inverse semigroup, and their evidence names the
+    lemma."""
+    way_below = "lemma: on a finite poset way-below is the order"
+    return Classification(
+        subject=subject_id, depth=depth, seed=seed,
+        reduced=Flag(is_reduced(S), "exhaustive over all idempotent/up-set pairs", S.n),
+        mirror=Flag(True, "lemma: a finite directed set has a maximum, "
+                          "its sup in Sigma and in S", 0),
+        continuous=Flag(True, f"{way_below}, so each element is the maximum "
+                              "of its approximants", 0),
+        algebraic=Flag(True, f"{way_below}, so every element is compact", 0),
+        stably_continuous=Flag(True, f"{way_below}, which multiplication "
+                                     "preserves (Lawson, 1998, 1.4)", 0),
+    )
+
+
+def _classify_family(fam: SymbolicFamily, depth: int, seed: int,
+                     budget) -> Classification:
+    """The flags from the family checks, on the oracles and canonical chains;
+    a family without way-below oracles gets value None for the three flags
+    that read them."""
+    rng = _rng(seed, "classify", fam.name)
+    red_ok, red_ce, red_n = _family_reduced(fam, rng)
+    red_note = "sampled pairs (idempotent below element)"
+    if fam.zero is not None:
+        red_note += "; the zero element is excluded, as the mirror route requires"
+    mirror_ok, mirror_ce, mir_n = _mirror(fam, depth, seed)
+
+    if fam.wb_s is None or fam.wb_sigma is None:
+        cont, alg, stably = (Flag(None, "not classified (partial family)", 0)
+                             for _ in range(3))
+    else:
+        contS, _x, nS = _continuity(fam, _S, rng, depth)
+        contE, _xE, nE = _continuity(fam, _SIGMA, rng, depth)
+        cont_n = nS + nE
+        algS, alg_wit, alg_n = _algebraic(fam, _S, rng)
+        mult_ok, _wit, mult_n = _multiplicative(fam, _S, rng, budget)
+        cont = Flag(contS, f"approximation chains at depth {depth}; "
+                           f"sigma side agrees ({contE})", cont_n)
+        alg = Flag(algS, "compact approximants sampled against the way-below oracle",
+                   alg_n, alg_wit)
+        stably = Flag(bool(contS) and mult_ok,
+                      "continuity plus sampled way-below multiplicativity", mult_n)
+    return Classification(
+        subject=fam.name, depth=depth, seed=seed,
+        reduced=Flag(red_ok, red_note, red_n, red_ce),
+        mirror=Flag(mirror_ok, f"chain witnesses at depth {depth} + reduced route",
+                    mir_n, mirror_ce),
+        continuous=cont,
+        algebraic=alg,
+        stably_continuous=stably,
+    )
+
+
+def classify(subject: Union[FiniteInvSemigroup, SymbolicFamily],
+             subject_id: str | None = None, *, depth: int = DEFAULT_DEPTH, seed: int = 0,
+             budget=None) -> Classification:
+    """Classification record {reduced, mirror, continuous, algebraic, stably
+    continuous}, each flag carrying the evidence that produced it.  A budget
+    or depth below 1 is refused with ValueError."""
+    require_positive(depth=depth, budget=budget)
+    if isinstance(subject, FiniteInvSemigroup):
+        return _classify_finite(subject, subject_id or f"carrier(n={subject.n})",
+                                depth, seed)
+    return _classify_family(subject, depth, seed, 2000 if budget is None else budget)
 
 
 def replay_counterexample(subject, report: CheckReport) -> bool:

@@ -11,8 +11,9 @@ import json
 import sys
 
 from . import checkers, core, pbij, poset
+from .checkers import classify
 from .core import FiniteInvSemigroup, NotInverseSemigroup
-from .families import classify, get_family, resolve_subject
+from .families import get_family, resolve_subject
 from .families.base import DEFAULT_DEPTH, SymbolicFamily
 
 EXIT_OK = 0
@@ -67,12 +68,6 @@ def _invalid(exc: Exception) -> int:
     return EXIT_INVALID
 
 
-def _limit(exc: pbij.TooLarge) -> int:
-    """Print a budget or size limit and return its exit code."""
-    print(f"limit: {exc}", file=sys.stderr)
-    return EXIT_LIMIT
-
-
 def _cmd_validate(args) -> int:
     try:
         S = core.load_carrier(args.file)
@@ -91,11 +86,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    try:
-        for S in pbij.enumerate_inverse_subsemigroups(args.ground, args.max_order):
-            print(json.dumps(core.to_json(S)))
-    except pbij.TooLarge as exc:
-        return _limit(exc)
+    for S in pbij.enumerate_inverse_subsemigroups(args.ground, args.max_order):
+        print(json.dumps(core.to_json(S)))
     return EXIT_OK
 
 
@@ -118,12 +110,7 @@ def _cmd_classify(args) -> int:
         subject = get_family(args.family, args.depth)
     except (KeyError, OSError, ValueError, NotInverseSemigroup) as exc:
         return _invalid(exc)
-    except pbij.TooLarge as exc:
-        return _limit(exc)
-    try:
-        record = classify(subject, args.family, depth=args.depth, seed=args.seed)
-    except pbij.TooLarge as exc:
-        return _limit(exc)
+    record = classify(subject, args.family, depth=args.depth, seed=args.seed)
     if args.json:
         print(json.dumps(record.to_json()))
     else:
@@ -138,13 +125,8 @@ def _cmd_check(args) -> int:
         subject, sid = resolve_subject(args.subject, args.depth)
     except (KeyError, OSError, ValueError, NotInverseSemigroup) as exc:
         return _invalid(exc)
-    except pbij.TooLarge as exc:
-        return _limit(exc)
-    try:
-        reports = checkers.run_suites(subject, sid, args.suite, depth=args.depth,
-                                      seed=args.seed, budget=args.budget)
-    except pbij.TooLarge as exc:
-        return _limit(exc)
+    reports = checkers.run_suites(subject, sid, args.suite, depth=args.depth,
+                                  seed=args.seed, budget=args.budget)
     failed = False
     if args.json:
         print(json.dumps([r.to_json() for r in reports]))
@@ -157,7 +139,7 @@ def _cmd_check(args) -> int:
             print(line)
             if r.verdict == "fail":
                 failed = True
-                ce = {k: v for k, v in (r.counterexample or {}).items() if k != "_raw"}
+                ce = r.to_json()["counterexample"] or {}
                 print(f"  counterexample: {json.dumps(ce, default=str)}")
     return EXIT_FAIL if failed else EXIT_OK
 
@@ -208,7 +190,11 @@ def main(argv=None) -> int:
     handlers = {"validate": _cmd_validate, "enumerate": _cmd_enumerate,
                 "classify": _cmd_classify, "check": _cmd_check,
                 "hasse": _cmd_hasse}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except pbij.TooLarge as exc:  # a budget or size limit, from any command
+        print(f"limit: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
 
 
 run = main  # argv in, exit code out

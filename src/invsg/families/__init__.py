@@ -8,14 +8,11 @@ The registry names match the CLI surface: ``bicyclic-nat``,
 from __future__ import annotations
 
 from ..core import load_carrier
-from .base import (DEFAULT_DEPTH, ChainWitness, Classification, Flag, SymbolicFamily,
-                   chain_members)
-from .bicyclic import (bicyclic_dyadic, bicyclic_le, bicyclic_nat, bicyclic_op,
-                       bicyclic_wb, is_dyadic)
+from .base import DEFAULT_DEPTH, ChainWitness, SymbolicFamily, chain_members
+from .bicyclic import bicyclic_dyadic, bicyclic_le, bicyclic_nat, bicyclic_op, bicyclic_wb
 from .cex import OMEGA, cex_family, cex_le, cex_op, cex_truncation
 from .characters import (NotACharacter, character_family, character_op,
                          enumerate_characters, is_character, trivial_character)
-from .classify import classify
 from .cosets import (GROUP_NAMES, NotACoset, all_cosets, coset_monoid,
                      coset_product, cyclic_group, dihedral_group,
                      direct_product, group_by_name, groups_of_order_at_most,
@@ -24,9 +21,8 @@ from .rotation import (OutOfRange, rotation_family, rotation_le, rotation_op,
                        rotation_wb_sigma)
 
 __all__ = [
-    "SymbolicFamily", "ChainWitness", "Classification", "Flag", "chain_members",
-    "bicyclic_nat", "bicyclic_dyadic", "bicyclic_op", "bicyclic_le",
-    "bicyclic_wb", "is_dyadic",
+    "SymbolicFamily", "ChainWitness", "chain_members",
+    "bicyclic_nat", "bicyclic_dyadic", "bicyclic_op", "bicyclic_le", "bicyclic_wb",
     "rotation_family", "rotation_op", "rotation_le", "rotation_wb_sigma",
     "OutOfRange",
     "cex_family", "cex_op", "cex_le", "cex_truncation",
@@ -37,7 +33,6 @@ __all__ = [
     "NotACoset",
     "character_family", "character_op", "enumerate_characters", "is_character",
     "trivial_character", "NotACharacter",
-    "classify",
     "FAMILY_BUILDERS", "get_family", "resolve_subject",
 ]
 

@@ -34,7 +34,7 @@ from typing import Any, Callable, NamedTuple, Optional, Union
 
 from ..pbij import TooLarge
 
-__all__ = ["ChainWitness", "SymbolicFamily", "Flag", "Classification", "Scale",
+__all__ = ["ChainWitness", "SymbolicFamily", "Scale",
            "DEFAULT_DEPTH", "MAX_DEPTH", "below", "chain_limit", "chain_to",
            "family_scale", "finite_chain", "require_positive"]
 
@@ -149,51 +149,6 @@ class ChainWitness:
     @property
     def name(self) -> str:
         return self.label() if callable(self.label) else self.label
-
-
-@dataclass
-class Flag:
-    """One classification flag plus the evidence that produced it."""
-
-    value: Optional[bool]
-    evidence: str
-    budget: int = 0
-    witness: Optional[dict] = None
-
-    def to_json(self) -> dict:
-        out: dict = {"value": self.value, "evidence": self.evidence, "budget": self.budget}
-        if self.witness is not None:
-            out["witness"] = {k: str(v) for k, v in self.witness.items() if k != "_raw"}
-        return out
-
-
-@dataclass
-class Classification:
-    subject: str
-    depth: int
-    seed: int
-    reduced: Flag
-    mirror: Flag
-    continuous: Flag
-    algebraic: Flag
-    stably_continuous: Flag
-
-    def flags(self) -> dict[str, Flag]:
-        return {
-            "reduced": self.reduced,
-            "mirror": self.mirror,
-            "continuous": self.continuous,
-            "algebraic": self.algebraic,
-            "stably_continuous": self.stably_continuous,
-        }
-
-    def values(self) -> dict[str, Optional[bool]]:
-        return {k: f.value for k, f in self.flags().items()}
-
-    def to_json(self) -> dict:
-        out = {"subject": self.subject, "depth": self.depth, "seed": self.seed}
-        out.update({k: f.to_json() for k, f in self.flags().items()})
-        return out
 
 
 @dataclass(frozen=True, eq=False)  # identity semantics: an oracle bundle

@@ -33,8 +33,7 @@ from ..core import NotIdempotent
 from .base import (DEFAULT_DEPTH, Scale, SymbolicFamily, below, chain_to,
                    family_scale, finite_chain)
 
-__all__ = ["bicyclic_op", "bicyclic_le", "bicyclic_wb", "is_dyadic",
-           "bicyclic_nat", "bicyclic_dyadic"]
+__all__ = ["bicyclic_op", "bicyclic_le", "bicyclic_wb", "bicyclic_nat", "bicyclic_dyadic"]
 
 
 def bicyclic_op(x, y):
@@ -53,10 +52,6 @@ def bicyclic_le(x, y) -> bool:
     a, b = x
     c, d = y
     return c == d + a - b and d <= b
-
-
-def is_dyadic(q: Fraction) -> bool:
-    return q >= 0 and (q.denominator & (q.denominator - 1)) == 0
 
 
 def bicyclic_wb(cone: str, eps, delta, describe=repr) -> bool:

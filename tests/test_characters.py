@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from invsg import checkers, core
+from invsg.checkers import classify
 from invsg.families import (NotACharacter, character_family, character_op,
-                            classify, coset_monoid, cyclic_group, enumerate_characters,
+                            coset_monoid, cyclic_group, enumerate_characters,
                             is_character, trivial_character)
 from invsg.families.base import DEFAULT_DEPTH, MAX_DEPTH
 from invsg.families.rotation import rotation_scale

@@ -6,10 +6,10 @@ import pytest
 
 from invsg import checkers
 from invsg.core import validate as core_validate
-from invsg.checkers import (SUITES, CheckReport, replay_counterexample,
+from invsg.checkers import (SUITES, CheckReport, classify, replay_counterexample,
                             run_suite, run_suites)
 from invsg.families import (bicyclic_dyadic, bicyclic_nat, cex_family, cex_truncation,
-                            classify, coset_monoid, group_by_name, rotation_family)
+                            coset_monoid, group_by_name, rotation_family)
 from invsg.families.base import ChainWitness
 from invsg.pbij import symmetric_inverse_monoid
 

@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invsg import core
-from invsg.checkers import run_suites
+from invsg.checkers import classify, run_suites
 from invsg.cli import main
 from invsg.families import (FAMILY_BUILDERS, OMEGA, bicyclic_dyadic, bicyclic_nat,
-                            cex_family, cex_le, cex_op, character_family, classify,
+                            cex_family, cex_le, cex_op, character_family,
                             rotation_family)
 from invsg.families.base import (DEFAULT_DEPTH, MAX_DEPTH, chain_limit, chain_members,
                                  family_scale)

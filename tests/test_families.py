@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invsg import checkers
+from invsg.checkers import classify
 from invsg.core import NotIdempotent
 from invsg.families import (OMEGA, bicyclic_dyadic, bicyclic_le, bicyclic_nat,
                             bicyclic_op, bicyclic_wb, cex_family, cex_le,
-                            cex_op, cex_truncation, classify, is_dyadic,
+                            cex_op, cex_truncation,
                             rotation_family, rotation_le, rotation_op,
                             rotation_wb_sigma)
 from invsg.families.base import DEFAULT_DEPTH, chain_members, finite_chain
@@ -78,11 +79,6 @@ def test_a_direct_bicyclic_wb_call_names_the_pair_as_given():
         bicyclic_wb("dyadic", (17, 65), (3, 3))
     with pytest.raises(NotIdempotent, match=r"^element \(2, 1\) is not idempotent$"):
         bicyclic_wb("nat", (3, 3), (2, 1))
-
-
-def test_is_dyadic():
-    assert is_dyadic(Fraction(3, 8)) and is_dyadic(Fraction(5))
-    assert not is_dyadic(Fraction(1, 3)) and not is_dyadic(Fraction(-1, 2))
 
 
 # -- rotation ----------------------------------------------------------------

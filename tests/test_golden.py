@@ -19,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from invsg.checkers import run_suites
-from invsg.families import FAMILY_BUILDERS, classify
+from invsg.checkers import classify, run_suites
+from invsg.families import FAMILY_BUILDERS
 
 GOLDEN = Path(__file__).with_name("golden_reports.jsonl")
 BUDGET = 400

@@ -21,10 +21,10 @@ from types import SimpleNamespace
 import pytest
 
 from invsg import checkers, core, pbij, poset
-from invsg.checkers import SUITES, CheckReport, replay_counterexample, run_suites
+from invsg.checkers import SUITES, CheckReport, classify, replay_counterexample, run_suites
 from invsg.cli import main
 from invsg.core import bits, idempotents, mask_of, sup_finite
-from invsg.families import classify, coset_monoid, group_by_name
+from invsg.families import coset_monoid, group_by_name
 
 from conftest import acceptance_corpus
 

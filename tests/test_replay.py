@@ -25,9 +25,9 @@ from pathlib import Path
 import pytest
 
 from invsg import checkers
-from invsg.checkers import CheckReport, replay_counterexample
-from invsg.families import bicyclic_dyadic, bicyclic_nat, cex_family, classify, rotation_family
-from invsg.families.base import DEFAULT_DEPTH, ChainWitness, family_scale
+from invsg.checkers import CheckReport, classify, replay_counterexample
+from invsg.families import bicyclic_dyadic, bicyclic_nat, cex_family, rotation_family
+from invsg.families.base import DEFAULT_DEPTH, ChainWitness, family_scale, finite_chain
 from invsg.families.cex import OMEGA
 
 ONE = 1 << family_scale(DEFAULT_DEPTH).bits  # the dyadic coordinate 1 at the default depth
@@ -170,20 +170,23 @@ CASES = {
                           lambda f: flip(f, "nat_le", (2, 2), (0, 0))),
     "d-not-in-translate": (bicyclic_nat, lambda f: dict(chain=to_53(f), d=(2, 1)),
                            lambda f: swap(f, "op", ((2, 1), (1, 1)), (0, 0))),
-    "translate-escapes-d": (bicyclic_nat, lambda f: dict(chain=to_53(f), d=(2, 1), x=(3, 2)),
-                            lambda f: flip(f, "nat_le", (3, 2), (2, 1))),
+    "translate-escapes-d": (bicyclic_nat, lambda f: dict(chain=to_53(f), d=(6, 4), x=(7, 5),
+                                                         _depth=64),
+                            lambda f: flip(f, "nat_le", (7, 5), (6, 4))),
     "translate-finite": (bicyclic_nat, lambda f: dict(d=(3, 2), _D=[(3, 2), (2, 1), (1, 0)]),
                          lambda f: flip(f, "nat_le", (3, 2), (3, 2))),
-    "chain-not-monotone": (bicyclic_nat, lambda f: dict(chain=to_53(f), a=(8, 6), b=(7, 5)),
+    "chain-not-monotone": (bicyclic_nat, lambda f: dict(chain=to_53(f), a=(8, 6), b=(7, 5),
+                                                        _depth=64),
                            lambda f: flip(f, "nat_le", (8, 6), (7, 5))),
-    "chain-not-idempotent": (bicyclic_nat, lambda f: dict(chain=to_00(f), a=(2, 2)),
+    "chain-not-idempotent": (bicyclic_nat, lambda f: dict(chain=to_00(f), a=(2, 2), _depth=64),
                              lambda f: flip(f, "is_idempotent", (2, 2))),
     "claimed-sup-not-upper-bound": (
         bicyclic_nat, lambda f: dict(chain=to_00(f), claim="sup_in_sigma", member=(2, 2),
-                                     sup=(0, 0)),
+                                     sup=(0, 0), _depth=64),
         lambda f: flip(f, "nat_le", (2, 2), (0, 0))),
     "claimed-upper-bound-fails": (
-        bicyclic_nat, lambda f: dict(chain=to_00(f), member=(2, 2), upper_bound=(0, 0)),
+        bicyclic_nat, lambda f: dict(chain=to_00(f), member=(2, 2), upper_bound=(0, 0),
+                                     _depth=64),
         lambda f: flip(f, "nat_le", (2, 2), (0, 0))),
     # the chain k -> (1 + 2^-k, 1 + 2^-k) has sigma-sup (1,1) and never reaches it
     "mirror-family": (bicyclic_dyadic, lambda f: dict(chain=f.witnesses[0],
@@ -199,7 +202,8 @@ CASES = {
                    lambda f: flip(f, "nat_le", (8, 6), (5, 3))),
     "ssc-family-finite": (bicyclic_nat, lambda f: dict(t=(1, 0), s=(1, 0), a=(3, 2)),
                           lambda f: flip(f, "nat_le", (3, 1), (2, 0))),
-    "meet-cont-chain": (bicyclic_nat, lambda f: dict(chain=to_00(f), eps=(0, 0), a=(3, 3)),
+    "meet-cont-chain": (bicyclic_nat, lambda f: dict(chain=to_00(f), eps=(0, 0), a=(3, 3),
+                                                     _depth=64),
                         lambda f: flip(f, "nat_le", (3, 3), (0, 0))),
     "wb-char": (bicyclic_nat, lambda f: dict(s=(3, 2), t=(1, 0)),
                 lambda f: flip(f, "wb_s", (3, 2), (1, 0))),
@@ -418,6 +422,45 @@ def test_a_member_past_the_depth_is_off_an_omega_chain():
     assert replay_counterexample(lying, report)
     report.counterexample["_raw"]["_depth"] = 9
     assert not replay_counterexample(lying, report)
+
+
+# The chain kinds, each on an instance that breaks its law's conclusion on the
+# honest family but lies off the named chain: a member it does not list, two
+# members out of order, a bound it does not list, a chain with no sup in
+# Sigma.  Each replays once a chain that meets the hypothesis is named.
+# (9,8) and (2,1) lie on no chain to (0,0), (9,9) on none to (5,3); (5,3) is
+# the last member of the chain to (5,3), so (5,3), (8,6) is no consecutive pair.
+LISTS_98 = finite_chain("lists-(9,8)", [(9, 8), (0, 0)], True)
+LISTS_99 = finite_chain("lists-(9,9)", [(9, 9), (8, 6)], False)
+OFF_THE_CHAIN_KINDS = [
+    ("chain-not-idempotent", dict(a=(2, 1)), to_00,
+     finite_chain("lists-(2,1)", [(2, 1), (0, 0)], True)),
+    ("chain-not-monotone", dict(a=(9, 9), b=(0, 1)), to_53,
+     finite_chain("lists-(9,9),(0,1)", [(9, 9), (0, 1)], False)),
+    ("chain-not-monotone", dict(a=(5, 3), b=(8, 6)), to_53,
+     finite_chain("lists-(5,3),(8,6)", [(5, 3), (8, 6)], False)),
+    ("claimed-sup-not-upper-bound", dict(claim="sup_in_sigma", member=(9, 8), sup=(0, 0)),
+     to_00, LISTS_98),
+    ("claimed-upper-bound-fails", dict(member=(9, 8), upper_bound=(0, 0)), to_00, LISTS_98),
+    # (5,5) is not above (2,2), and the chain to (0,0) lists only (0,0)
+    ("claimed-upper-bound-fails", dict(member=(2, 2), upper_bound=(5, 5)), to_00,
+     finite_chain("bound-(5,5)", [(2, 2), (5, 5)], True)),
+    ("translate-escapes-d", dict(d=(8, 6), x=(9, 9)), to_53, LISTS_99),
+    ("translate-escapes-d", dict(d=(9, 9), x=(8, 6)), to_53, LISTS_99),
+    ("meet-cont-chain", dict(eps=(0, 0), a=(9, 8)), to_00, LISTS_98),
+    ("meet-cont-chain", dict(eps=(0, 0), a=(9, 8)),
+     lambda f: finite_chain("no-sigma-sup", [(9, 8), (0, 0)], False), LISTS_98),
+]
+
+
+@pytest.mark.parametrize("kind, instance, off, on", OFF_THE_CHAIN_KINDS,
+                         ids=[kind for kind, *_ in OFF_THE_CHAIN_KINDS])
+def test_a_chain_kind_off_its_chain_does_not_replay(kind, instance, off, on):
+    honest = bicyclic_nat()
+    assert not replay_counterexample(honest, _fabricated(kind, dict(
+        chain=off(honest), **instance, _depth=64)))
+    assert replay_counterexample(honest, _fabricated(kind, dict(
+        chain=on, **instance, _depth=64)))
 
 
 def test_a_scan_reports_no_instance_outside_its_hypothesis():
