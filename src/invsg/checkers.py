@@ -841,7 +841,7 @@ def check_multiplicativity_mirror(fam: SymbolicFamily, depth, seed, budget):
     Lemma: both sides hold on a carrier.  Way-below is the order on a finite
     poset (Gierz et al., 2003), and x <= y gives x u <= y u and u x <= u y
     (Lawson, 1998, 1.4), which give the law (see
-    ``poset.way_below_multiplicative``).
+    ``way_below_multiplicative`` in ``tests/reference.py``).
     """
     n0, na = _ssc_mirror_gate(fam, depth, seed)
     if na:
@@ -990,7 +990,7 @@ def _classify_finite(S: FiniteInvSemigroup, subject_id: str, depth: int,
     )
 
 
-def _classify_family(fam: SymbolicFamily, depth: int, seed: int,
+def _classify_family(fam: SymbolicFamily, subject_id: str, depth: int, seed: int,
                      budget) -> Classification:
     """The flags from the family checks, on the oracles and canonical chains;
     a family without way-below oracles gets value None for the three flags
@@ -1018,7 +1018,7 @@ def _classify_family(fam: SymbolicFamily, depth: int, seed: int,
         stably = Flag(bool(contS) and mult_ok,
                       "continuity plus sampled way-below multiplicativity", mult_n)
     return Classification(
-        subject=fam.name, depth=depth, seed=seed,
+        subject=subject_id, depth=depth, seed=seed,
         reduced=Flag(red_ok, red_note, red_n, red_ce),
         mirror=Flag(mirror_ok, f"chain witnesses at depth {depth} + reduced route",
                     mir_n, mirror_ce),
@@ -1038,7 +1038,7 @@ def classify(subject: Union[FiniteInvSemigroup, SymbolicFamily],
     if isinstance(subject, FiniteInvSemigroup):
         return _classify_finite(subject, subject_id or f"carrier(n={subject.n})",
                                 depth, seed)
-    return _classify_family(subject, depth, seed, 2000 if budget is None else budget)
+    return _classify_family(subject, subject_id or subject.name, depth, seed, budget or 2000)
 
 
 def replay_counterexample(subject, report: CheckReport) -> bool:

@@ -197,8 +197,5 @@ def main(argv=None) -> int:
         return EXIT_LIMIT
 
 
-run = main  # argv in, exit code out
-
-
 if __name__ == "__main__":
     raise SystemExit(main())

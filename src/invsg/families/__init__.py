@@ -11,12 +11,10 @@ from ..core import load_carrier
 from .base import DEFAULT_DEPTH, ChainWitness, SymbolicFamily, chain_members
 from .bicyclic import bicyclic_dyadic, bicyclic_le, bicyclic_nat, bicyclic_op, bicyclic_wb
 from .cex import OMEGA, cex_family, cex_le, cex_op, cex_truncation
-from .characters import (NotACharacter, character_family, character_op,
-                         enumerate_characters, is_character, trivial_character)
-from .cosets import (GROUP_NAMES, NotACoset, all_cosets, coset_monoid,
-                     coset_product, cyclic_group, dihedral_group,
-                     direct_product, group_by_name, groups_of_order_at_most,
-                     quaternion_group, subgroups, symmetric_group)
+from .characters import character_family, enumerate_characters, trivial_character
+from .cosets import (GROUP_NAMES, all_cosets, coset_monoid, cyclic_group, dihedral_group,
+                     direct_product, group_by_name, quaternion_group, subgroups,
+                     symmetric_group)
 from .rotation import (OutOfRange, rotation_family, rotation_le, rotation_op,
                        rotation_wb_sigma)
 
@@ -27,12 +25,10 @@ __all__ = [
     "OutOfRange",
     "cex_family", "cex_op", "cex_le", "cex_truncation",
     "OMEGA",
-    "coset_monoid", "coset_product", "all_cosets", "subgroups", "group_by_name",
-    "groups_of_order_at_most", "cyclic_group", "dihedral_group",
-    "direct_product", "quaternion_group", "symmetric_group", "GROUP_NAMES",
-    "NotACoset",
-    "character_family", "character_op", "enumerate_characters", "is_character",
-    "trivial_character", "NotACharacter",
+    "coset_monoid", "all_cosets", "subgroups", "group_by_name", "cyclic_group",
+    "dihedral_group", "direct_product", "quaternion_group", "symmetric_group",
+    "GROUP_NAMES",
+    "character_family", "enumerate_characters", "trivial_character",
     "FAMILY_BUILDERS", "get_family", "resolve_subject",
 ]
 

@@ -29,7 +29,7 @@ maximum and so its sup.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional, Union
 
 from ..pbij import TooLarge
@@ -177,8 +177,6 @@ class SymbolicFamily:
     wb_s: Optional[Callable[[Any, Any], bool]] = None
     wb_sigma: Optional[Callable[[Any, Any], bool]] = None
     zero: Any = None
-    # documented expectations, asserted against computed evidence in tests
-    claimed: dict = field(default_factory=dict)
 
     def sigma(self, s) -> Any:
         return self.op(self.inv(s), s)

@@ -159,8 +159,6 @@ def _family(cone: str, depth: int) -> SymbolicFamily:
         witnesses = (chains_to((one, one)) + chains_to((3 * one, 3 * one))
                      + chains_to((5 * one // 2, one // 2)))
         sample, named = dyadic.sample, describe
-    claimed = {"reduced": True, "mirror": True, "continuous": True,
-               "algebraic": cone == "nat", "stably_continuous": True}
     return SymbolicFamily(
         name=f"bicyclic-{cone}",
         op=bicyclic_op,
@@ -176,7 +174,6 @@ def _family(cone: str, depth: int) -> SymbolicFamily:
         wb_s=_wb_s(cone),
         wb_sigma=lambda e, d: bicyclic_wb(cone, e, d, named),
         zero=None,  # the bicyclic monoid has no zero element
-        claimed=claimed,
     )
 
 

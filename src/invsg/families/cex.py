@@ -91,10 +91,6 @@ def _is_idem(s) -> bool:
     return s is not OMEGA
 
 
-def _unit_chain() -> str:
-    return "unit-interval-chain"
-
-
 def _wb_sigma(eps, delta) -> bool:
     return eps == 0 or eps < delta
 
@@ -120,9 +116,8 @@ class CexScale:
 
     def mirror_witness(self) -> ChainWitness:
         """The chain k -> 1 - 2^-k: sup 1 in Sigma, no sup in S (bounds 1, omega)."""
-        one = self.one
-        return ChainWitness(label="unit-interval-chain",
-                            member=lambda k: self.scale.approach(one, k, _unit_chain),
+        one, label = self.one, lambda: "unit-interval-chain"
+        return ChainWitness(label=label, member=lambda k: self.scale.approach(one, k, label),
                             in_sigma=True,
                             sup_in_sigma=one, sup_in_s=None, upper_bounds=(one, OMEGA))
 
@@ -186,8 +181,6 @@ def cex_family(depth: int = DEFAULT_DEPTH) -> SymbolicFamily:
         wb_s=enc.wb_s,
         wb_sigma=_wb_sigma,
         zero=0,
-        claimed={"reduced": False, "mirror": False, "continuous": True,
-                 "algebraic": False, "stably_continuous": True},
     )
 
 

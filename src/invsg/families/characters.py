@@ -11,10 +11,8 @@ the rotation scale for the depth the family is built for: the family builds
 them through that ``RotationScale``'s ``canonical`` and ``approach``,
 multiplies them with the rotation oracles, and decodes them only in
 ``describe``, so no Fraction arithmetic runs in its oracles.  The functions
-that build characters take that depth.  A character carries its scale in
-its identity value chi(1) = (27720 2^K, 0), so the functions that only read
-characters need no depth: they check that chi(1) is such a value, and
-``character_op`` that both arguments share it.
+that build characters take that depth, and a character carries its scale in
+its identity value chi(1) = (27720 2^K, 0).
 
 This family only claims structure, order, reducedness and mirror evidence;
 continuity classification is partial (the underlying argument is
@@ -29,21 +27,13 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from ..core import FiniteInvSemigroup
-from .base import (DEFAULT_DEPTH, MAX_DEPTH, ChainWitness, SymbolicFamily, below,
-                   chain_to, family_scale, finite_chain)
-from .rotation import _TURN, rotation_inv, rotation_le, rotation_op, rotation_scale
+from ..pbij import TooLarge
+from .base import DEFAULT_DEPTH, ChainWitness, SymbolicFamily, below, chain_to, finite_chain
+from .rotation import rotation_inv, rotation_le, rotation_op, rotation_scale
 
-__all__ = ["NotACharacter", "is_character", "character_op",
-           "enumerate_characters", "character_family", "trivial_character"]
+__all__ = ["enumerate_characters", "character_family", "trivial_character"]
 
 _ZERO = (0, 0)  # radius 0 at every scale
-_MAX_BITS = family_scale(MAX_DEPTH).bits
-
-
-class NotACharacter(Exception):
-    def __init__(self, pair, detail=""):
-        self.pair = pair
-        super().__init__(f"morphism law fails at the pair {pair}{detail}")
 
 
 def _require_commutative_monoid(S: FiniteInvSemigroup) -> int:
@@ -64,34 +54,6 @@ def _violating_pair(S: FiniteInvSemigroup, chi) -> tuple[int, int] | None:
     return None
 
 
-def _is_one(z) -> bool:
-    """Whether z is the encoded radius 1, angle 0 on some family's scale:
-    (27720 2^b, 0) with b <= the bits of the deepest scale."""
-    if type(z[0]) is not int or z[1] != 0 or z[0] <= 0 or z[0] % _TURN:
-        return False
-    q = z[0] // _TURN
-    return q & (q - 1) == 0 and q.bit_length() <= _MAX_BITS + 1
-
-
-def is_character(S: FiniteInvSemigroup, chi) -> bool:
-    return (len(chi) == S.n and _is_one(chi[S.identity])
-            and _violating_pair(S, chi) is None)
-
-
-def character_op(S: FiniteInvSemigroup, chi, psi):
-    """Pointwise rotation product of two characters of S on one scale."""
-    e = S.identity
-    for c in (chi, psi):
-        if len(c) != S.n or not _is_one(c[e]):
-            raise NotACharacter((e, e), " (identity value)")
-        bad = _violating_pair(S, c)
-        if bad is not None:
-            raise NotACharacter(bad)
-    if chi[e] != psi[e]:
-        raise NotACharacter((e, e), " (the two characters are on different scales)")
-    return tuple(rotation_op(a, b) for a, b in zip(chi, psi))
-
-
 def trivial_character(S: FiniteInvSemigroup, depth: int = DEFAULT_DEPTH):
     return (rotation_scale(depth).one,) * S.n
 
@@ -105,7 +67,7 @@ def enumerate_characters(S: FiniteInvSemigroup, depth: int = DEFAULT_DEPTH) -> l
     """All characters with values on a rational palette (brute force)."""
     e = _require_commutative_monoid(S)
     if S.n > 5:
-        raise ValueError("palette enumeration is meant for carriers of order <= 5")
+        raise TooLarge("character carrier order", 5)
     enc = rotation_scale(depth)
     values = [_ZERO] + [enc.canonical(r, th) for r in _PALETTE_R for th in _PALETTE_TH]
     slots = [i for i in range(S.n) if i != e]
@@ -142,7 +104,7 @@ def character_family(S: FiniteInvSemigroup, depth: int = DEFAULT_DEPTH) -> Symbo
 
     def op(chi, psi):
         # pool members and their products are characters by construction, so
-        # the family oracle skips the morphism re-validation character_op does
+        # the family oracle does not re-validate the morphism law
         return tuple(rotation_op(a, b) for a, b in zip(chi, psi))
 
     def inv(chi):
@@ -214,6 +176,4 @@ def character_family(S: FiniteInvSemigroup, depth: int = DEFAULT_DEPTH) -> Symbo
         wb_s=None,
         wb_sigma=None,
         zero=zero_candidate if is_zero else None,
-        claimed={"reduced": True, "mirror": True, "continuous": None,
-                 "algebraic": None, "stably_continuous": None},
     )

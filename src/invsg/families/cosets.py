@@ -22,26 +22,19 @@ from typing import Callable
 from ..core import FiniteInvSemigroup, bits, idempotents, inverse_subsemigroups, tabulate
 
 __all__ = [
-    "NotACoset",
     "cyclic_group",
     "direct_product",
     "dihedral_group",
     "quaternion_group",
     "symmetric_group",
     "group_by_name",
-    "groups_of_order_at_most",
     "subgroups",
     "all_cosets",
-    "coset_product",
     "coset_monoid",
     "GROUP_NAMES",
 ]
 
 _MAX_GROUP = 24
-
-
-class NotACoset(Exception):
-    pass
 
 
 def cyclic_group(n: int) -> FiniteInvSemigroup:
@@ -122,10 +115,6 @@ def group_by_name(name: str) -> FiniteInvSemigroup:
     raise KeyError(f"unknown group {name!r}; known: {', '.join(GROUP_NAMES)}")
 
 
-def groups_of_order_at_most(k: int) -> dict[str, FiniteInvSemigroup]:
-    return {name: g for name, build in _BUILDERS.items() if (g := build()).n <= k}
-
-
 def subgroups(G: FiniteInvSemigroup) -> list[frozenset[int]]:
     """All subgroups: in a group every inverse subsemigroup contains e = a a*,
     so it is a subgroup, and {e} is the closure of {e}."""
@@ -186,16 +175,6 @@ def _product_rows(G: FiniteInvSemigroup, cosets: list[frozenset[int]]
         return [(m & -m).bit_length() - 1 for m in acc]
 
     return row
-
-
-def coset_product(G: FiniteInvSemigroup, C: frozenset[int], C1: frozenset[int]) -> frozenset[int]:
-    """The smallest coset containing the setwise product C*C1."""
-    cosets = all_cosets(G)
-    index = {c: i for i, c in enumerate(cosets)}
-    for D in (C, C1):
-        if frozenset(D) not in index:
-            raise NotACoset(f"{sorted(D)} is not a coset of this group")
-    return cosets[_product_rows(G, cosets)(frozenset(C))[index[frozenset(C1)]]]
 
 
 def coset_monoid(G: FiniteInvSemigroup) -> FiniteInvSemigroup:

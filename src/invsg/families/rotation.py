@@ -174,6 +174,4 @@ def rotation_family(depth: int = DEFAULT_DEPTH) -> SymbolicFamily:
         wb_s=_wb_s,
         wb_sigma=_wb_sigma,
         zero=_ZERO,
-        claimed={"reduced": True, "mirror": True, "continuous": True,
-                 "algebraic": False, "stably_continuous": True},
     )

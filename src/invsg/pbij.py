@@ -372,26 +372,6 @@ class FiniteTopology:
         self.points = points
         self.opens = op
 
-    @classmethod
-    def from_sets(cls, points: int, opens: Iterable[Iterable[int]]) -> "FiniteTopology":
-        return cls(points, (core.mask_of(o) for o in opens))
-
-    @classmethod
-    def from_json(cls, obj) -> "FiniteTopology":
-        return cls.from_sets(int(obj["points"]), obj["opens"])
-
-    @classmethod
-    def discrete(cls, n: int) -> "FiniteTopology":
-        return cls(n, range(1 << n))
-
-    @classmethod
-    def indiscrete(cls, n: int) -> "FiniteTopology":
-        return cls(n, (0, (1 << n) - 1))
-
-    @classmethod
-    def sierpinski(cls) -> "FiniteTopology":
-        return cls(2, (0, 0b01, 0b11))
-
     def closed_sets(self) -> list[int]:
         full = (1 << self.points) - 1
         return sorted(full ^ o for o in self.opens)

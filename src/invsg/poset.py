@@ -1,13 +1,17 @@
-"""Finite-poset domain theory.
+"""Finite posets: suprema, directed subsets, way-below and Hasse diagrams.
 
-Directed subsets, suprema, the way-below relation, compactness, continuity,
-algebraicity and meet-continuity on explicit boolean order matrices.  On a
-finite poset every directed subset contains its maximum, which is its sup,
-so way-below is the order itself and each law over directed sets is decided
-on comparable pairs, at every size (Gierz et al., Continuous Lattices and
-Domains, 2003).  ``way_below_def`` and ``directed_subsets`` keep the
-definitional quantification over all subsets for small posets; the tests
-check the collapse against them, and nothing here calls them.
+A poset is an explicit boolean order matrix, verified on construction.
+``invsg hasse`` draws the order of a carrier, or of a family's sample
+window, with ``order_poset``, ``covers`` and ``hasse_dot``.
+
+On a finite poset every directed subset contains its maximum, which is its
+sup, so way-below is the order itself (Gierz et al., Continuous Lattices and
+Domains, 2003), and ``way_below_matrix`` is the up-sets.  ``sup`` and
+``directed_subsets`` quantify as the definitions do.  No verdict calls them
+or ``way_below_matrix``: the tests check the collapse against them, and the
+tracer of ``perfbench/`` wraps all three.  The definitional way-below
+and the laws of continuity, algebraicity and meet-continuity are test
+references, in ``tests/reference.py``.
 
 Subsets of a poset are passed around as iterables of element ids and held
 internally as Python-int bitmasks.
@@ -22,27 +26,15 @@ from .core import bits, mask_of
 __all__ = [
     "NotAPartialOrder",
     "TooLargeForDefinitionalCheck",
-    "NotAMeetSemilattice",
     "FinitePoset",
-    "is_directed",
     "sup",
     "directed_subsets",
-    "way_below_def",
     "way_below_matrix",
-    "compacts",
-    "is_continuous",
-    "is_algebraic",
-    "meet_table",
-    "is_meet_continuous",
-    "way_below_multiplicative",
     "covers",
     "hasse_dot",
     "order_poset",
     "sigma_poset",
 ]
-
-# Definitional checks enumerate all subsets; 2^12 is the audit-friendly cap.
-DEFINITIONAL_LIMIT = 12
 
 
 class NotAPartialOrder(Exception):
@@ -51,12 +43,6 @@ class NotAPartialOrder(Exception):
 
 class TooLargeForDefinitionalCheck(Exception):
     pass
-
-
-class NotAMeetSemilattice(Exception):
-    def __init__(self, x: int, y: int):
-        self.pair = (x, y)
-        super().__init__(f"elements {x} and {y} have no meet")
 
 
 class FinitePoset:
@@ -104,19 +90,6 @@ class FinitePoset:
         return f"FinitePoset(n={self.n})"
 
 
-def is_directed(P: FinitePoset, A: Iterable[int]) -> bool:
-    """Nonempty, and every pair has an upper bound inside the subset."""
-    mask = mask_of(A)
-    if mask == 0:
-        return False
-    members = list(bits(mask))
-    for i, x in enumerate(members):
-        for y in members[i + 1:]:
-            if not P.up[x] & P.up[y] & mask:
-                return False
-    return True
-
-
 def sup(P: FinitePoset, A: Iterable[int]) -> Optional[int]:
     """Least upper bound of a nonempty subset, or None."""
     mask = mask_of(A)
@@ -156,27 +129,6 @@ def directed_subsets(P: FinitePoset, cost_limit: int = 1 << 16):
             yield mask, m
 
 
-def way_below_def(P: FinitePoset, x: int, y: int) -> bool:
-    """Definitional way-below: enumerate all subsets, no cleverness.
-
-    For every directed subset D with a supremum, ``y <= sup D`` must force
-    some member of D above ``x``.
-    """
-    if P.n > DEFINITIONAL_LIMIT:
-        raise TooLargeForDefinitionalCheck(
-            f"|P| = {P.n} > {DEFINITIONAL_LIMIT}")
-    for mask in range(1, 1 << P.n):
-        members = list(bits(mask))
-        if not is_directed(P, members):
-            continue
-        v = sup(P, members)
-        if v is None or not P.leq(y, v):
-            continue
-        if not any(P.leq(x, d) for d in members):
-            return False
-    return True
-
-
 def way_below_matrix(P: FinitePoset) -> list[int]:
     """Row masks of the way-below relation: row[x] has bit y iff x << y.
 
@@ -185,88 +137,6 @@ def way_below_matrix(P: FinitePoset) -> list[int]:
     So way-below is the order, and row[x] is the up-set of x.
     """
     return list(P.up)
-
-
-def compacts(P: FinitePoset) -> tuple[int, ...]:
-    wb = way_below_matrix(P)
-    return tuple(x for x in range(P.n) if (wb[x] >> x) & 1)
-
-
-def is_continuous(P: FinitePoset) -> bool:
-    """Every element is the directed sup of the elements way-below it; true on
-    a finite poset, where way-below is the order and the approximants of s form
-    its down-set, directed with maximum s.  Kept as a test reference."""
-    wb = way_below_matrix(P)
-    for s in range(P.n):
-        approx = [x for x in range(P.n) if (wb[x] >> s) & 1]
-        if not is_directed(P, approx):
-            return False
-        if sup(P, approx) != s:
-            return False
-    return True
-
-
-def is_algebraic(P: FinitePoset) -> bool:
-    """Every element is the directed sup of the compact elements below it; true
-    on a finite poset, where every element is compact.  Kept as a test reference."""
-    wb = way_below_matrix(P)
-    kmask = 0
-    for x in range(P.n):
-        if (wb[x] >> x) & 1:
-            kmask |= 1 << x
-    for s in range(P.n):
-        below = [x for x in bits(P.down[s] & kmask)]
-        if not is_directed(P, below):
-            return False
-        if sup(P, below) != s:
-            return False
-    return True
-
-
-def meet_table(P: FinitePoset) -> list[list[int]]:
-    """Binary meets; raises NotAMeetSemilattice at the first missing meet."""
-    n = P.n
-    tbl = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            lb = P.down[x] & P.down[y]
-            best = -1
-            for c in bits(lb):
-                if lb & ~P.up[c] == 0:
-                    best = c
-                    break
-            if best < 0:
-                raise NotAMeetSemilattice(x, y)
-            tbl[x][y] = best
-    return tbl
-
-
-def is_meet_continuous(P: FinitePoset) -> bool:
-    """eps meet (sup D) = sup (eps meet D) for every directed D with a sup.
-
-    A directed D has a maximum m = sup D, and eps meet m lies in eps meet D;
-    so the law holds on D iff eps meet d <= eps meet m for each d in D, and
-    {d, m} is directed for d <= m.  Checked on every such pair and every eps.
-    """
-    meets = meet_table(P)
-    for m in range(P.n):
-        for d in bits(P.down[m]):
-            for eps in range(P.n):
-                if not (P.up[meets[eps][d]] >> meets[eps][m]) & 1:
-                    return False
-    return True
-
-
-def way_below_multiplicative(P: FinitePoset, mul: Callable[[int, int], int]) -> bool:
-    """x << y and x' << y' imply xx' << yy'.
-
-    Way-below is the order, so the law with x' = y' = u, or x = y = u, says
-    that x <= y gives xu <= yu and ux <= uy; conversely, these give
-    xx' <= yx' <= yy'.  So it is checked on pairs x <= y and elements u.
-    """
-    wb = way_below_matrix(P)
-    return all((wb[mul(x, u)] >> mul(y, u)) & 1 and (wb[mul(u, x)] >> mul(u, y)) & 1
-               for x in range(P.n) for y in bits(wb[x]) for u in range(P.n))
 
 
 # -- Hasse diagrams ----------------------------------------------------------

@@ -1,7 +1,9 @@
 import pytest
 
 from invsg import pbij
-from invsg.families import cex_truncation, coset_monoid, groups_of_order_at_most
+from invsg.families import cex_truncation, coset_monoid
+
+from reference import groups_of_order_at_most
 
 
 @pytest.fixture(scope="session")

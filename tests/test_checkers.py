@@ -14,6 +14,12 @@ from invsg.families.base import ChainWitness
 from invsg.pbij import symmetric_inverse_monoid
 
 
+def test_classify_keeps_a_family_subject_id():
+    fam = rotation_family()
+    assert classify(fam, "family:rotation", depth=4, budget=50).subject == "family:rotation"
+    assert classify(fam, depth=4, budget=50).subject == "rotation"
+
+
 def test_suite_registry_is_stable():
     assert list(SUITES) == [
         "basic_rules", "order_characterizations", "sigma_sup",
@@ -39,7 +45,7 @@ def test_all_suites_pass_on_i3(I3):
 
 
 def test_all_suites_pass_on_every_coset_monoid():
-    from invsg.families import groups_of_order_at_most
+    from reference import groups_of_order_at_most
     for name, G in sorted(groups_of_order_at_most(8).items()):
         M = coset_monoid(G)
         for r in run_suites(M, f"coset:{name}"):

@@ -59,6 +59,27 @@ def test_classify_rotation_json(capsys):
     assert rec["stably_continuous"]["value"] is True
 
 
+def test_classify_names_the_subject_as_given(tmp_path, capsys):
+    p = tmp_path / "semilattice.json"
+    p.write_text(json.dumps({"n": 2, "table": [[0, 0], [0, 1]]}))
+    assert main(["classify", "--family", f"characters:{p}", "--depth", "4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["subject"] == f"characters:{p}"
+    assert main(["classify", "--family", "cex", "--depth", "4"]) == 0
+    assert capsys.readouterr().out.startswith("subject: cex\n")
+
+
+def test_character_carrier_past_the_palette_cap_is_a_limit(tmp_path, capsys):
+    # the 6-element chain under min is a commutative inverse monoid, one past 5
+    p = tmp_path / "chain6.json"
+    p.write_text(json.dumps({"n": 6, "table": [[min(a, b) for b in range(6)]
+                                               for a in range(6)]}))
+    for argv in (["check", "--subject", f"characters:{p}"],
+                 ["classify", "--family", f"characters:{p}"]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("limit: ") and err.count("\n") == 1, err
+
+
 def test_classify_unknown_family(capsys):
     assert main(["classify", "--family", "nope"]) == 2
 
@@ -110,6 +131,37 @@ def test_hasse_family_window(capsys):
     dot = capsys.readouterr().out
     assert dot.count("[label=") == 12
     assert dot.strip().endswith("}")
+
+
+# hasse is the one verb that builds a poset: its exact DOT on two subjects
+HASSE_DOT = {
+    ("coset:C2",): """digraph hasse {
+  rankdir=BT;
+  n0 [label="{0}"];
+  n1 [label="{1}"];
+  n2 [label="{0,1}"];
+  n2 -> n0;
+  n2 -> n1;
+}
+""",
+    ("family:bicyclic-nat", "--window", "6"): """digraph hasse {
+  rankdir=BT;
+  n0 [label="(3,3)"];
+  n1 [label="(6,4)"];
+  n2 [label="(5,7)"];
+  n3 [label="(3,0)"];
+  n4 [label="(7,3)"];
+  n5 [label="(5,1)"];
+  n4 -> n5;
+}
+""",
+}
+
+
+@pytest.mark.parametrize("subject", list(HASSE_DOT), ids=lambda s: s[0])
+def test_hasse_dot_is_pinned(subject, capsys):
+    assert main(["hasse", "--subject", *subject]) == 0
+    assert capsys.readouterr().out == HASSE_DOT[subject]
 
 
 def test_hasse_window_limit(tmp_path, capsys):

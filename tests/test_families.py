@@ -295,12 +295,25 @@ def test_family_reducedness_semantics():
     assert cex.nat_le(Fraction(1, 2), OMEGA) and not cex.is_idempotent(OMEGA)
 
 
+# The documented classification of each registry family.
+CLAIMED = {
+    "bicyclic-nat": {"reduced": True, "mirror": True, "continuous": True,
+                     "algebraic": True, "stably_continuous": True},
+    "bicyclic-dyadic": {"reduced": True, "mirror": True, "continuous": True,
+                        "algebraic": False, "stably_continuous": True},
+    "rotation": {"reduced": True, "mirror": True, "continuous": True,
+                 "algebraic": False, "stably_continuous": True},
+    "cex": {"reduced": False, "mirror": False, "continuous": True,
+            "algebraic": False, "stably_continuous": True},
+}
+
+
 @pytest.mark.parametrize("make", ALL_FAMILIES, ids=lambda m: m.__name__)
 def test_family_classification_matches_claims(make):
     fam = make()
     record = classify(fam, depth=64, seed=0, budget=1500)
     got = record.values()
-    for flag, expected in fam.claimed.items():
+    for flag, expected in CLAIMED[fam.name].items():
         assert got[flag] == expected, (fam.name, flag, got)
 
 

