@@ -71,7 +71,7 @@ class Flag:
     def to_json(self) -> dict:
         out: dict = {"value": self.value, "evidence": self.evidence, "budget": self.budget}
         if self.witness is not None:
-            out["witness"] = {k: str(v) for k, v in self.witness.items() if k != "_raw"}
+            out["witness"] = {k: v for k, v in self.witness.items() if k != "_raw"}
         return out
 
 
@@ -305,7 +305,7 @@ def _family_mirror(fam: SymbolicFamily, rng: random.Random, depth: int):
                     break
         if failure:
             break
-    reduced_ok, _red_ce, red_n = _family_reduced(fam, rng)
+    reduced_ok, _red_ce, red_n = _family_reduced(fam, rng, depth)
     examined += red_n
     if failure is None and not reduced_ok:
         # reduced is only sufficient; nothing to conclude
@@ -317,14 +317,15 @@ def _family_mirror(fam: SymbolicFamily, rng: random.Random, depth: int):
     return (failure is None), failure, examined
 
 
-def _family_reduced(fam: SymbolicFamily, rng: random.Random):
+def _family_reduced(fam: SymbolicFamily, rng: random.Random, depth: int):
     """Reducedness, a nonzero idempotent below s forces s idempotent, on 2000
-    sampled pairs s eps <= s, then on chain members below a bound s."""
+    sampled pairs s eps <= s, then on chain members to ``depth`` below a
+    bound s."""
     examined, ce = _scan(fam, "not-reduced", chain(
         ((fam.op(s, fam.sample_idempotent(rng)), s)
          for _ in range(2000) for s in [fam.sample(rng)]),
         ((a, u) for cw in fam.witnesses for u in cw.upper_bounds
-         if not fam.is_idempotent(u) for a in chain_members(cw, 8))))
+         if not fam.is_idempotent(u) for a in chain_members(cw, depth))))
     return ce is None, ce, examined
 
 
@@ -996,7 +997,7 @@ def _classify_family(fam: SymbolicFamily, subject_id: str, depth: int, seed: int
     a family without way-below oracles gets value None for the three flags
     that read them."""
     rng = _rng(seed, "classify", fam.name)
-    red_ok, red_ce, red_n = _family_reduced(fam, rng)
+    red_ok, red_ce, red_n = _family_reduced(fam, rng, depth)
     red_note = "sampled pairs (idempotent below element)"
     if fam.zero is not None:
         red_note += "; the zero element is excluded, as the mirror route requires"

@@ -14,7 +14,7 @@ from . import checkers, core, pbij, poset
 from .checkers import classify
 from .core import FiniteInvSemigroup, NotInverseSemigroup
 from .families import get_family, resolve_subject
-from .families.base import DEFAULT_DEPTH, SymbolicFamily
+from .families.base import DEFAULT_DEPTH, SymbolicFamily, require_positive
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -94,11 +94,8 @@ def _cmd_enumerate(args) -> int:
 def _check_limits(args) -> None:
     """Raise ValueError for a non-positive depth, budget, window, ground or
     max order, or an unknown suite."""
-    for flag in ("depth", "budget", "window", "ground", "max_order"):
-        value = getattr(args, flag, None)
-        if value is not None and value <= 0:
-            option = flag.replace("_", "-")
-            raise ValueError(f"--{option} must be a positive integer, got {value}")
+    flags = ("depth", "budget", "window", "ground", "max_order")
+    require_positive(**{"--" + f.replace("_", "-"): getattr(args, f, None) for f in flags})
     if args.command != "check":
         return
     if args.suite != "all" and args.suite not in checkers.SUITES:

@@ -24,11 +24,7 @@ __all__ = [
     "IdempotentsDontCommute",
     "NotIdempotent",
     "FiniteInvSemigroup",
-    "validate",
-    "inverse_of",
     "idempotents",
-    "natural_le",
-    "source",
     "sup_finite",
     "h_class",
     "is_reduced",
@@ -188,7 +184,11 @@ def _compute_inverses(table) -> tuple[int, ...]:
 
 
 class FiniteInvSemigroup:
-    """A validated multiplication table with cached inverses and order."""
+    """A validated multiplication table with cached inverses and order.
+
+    The inverse of s is ``S.inv[s]``, its source is ``S.sigma[s] = s* s``,
+    and ``S.le(s, t)`` is the natural order.
+    """
 
     def __init__(self, table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None):
         # tuple(row) is the row itself when it is a tuple: no copy of the table
@@ -273,27 +273,9 @@ class FiniteInvSemigroup:
 # -- spec operations -------------------------------------------------------
 
 
-def validate(table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None) -> FiniteInvSemigroup:
-    """Validate a multiplication table, rejecting non-inverse semigroups."""
-    return FiniteInvSemigroup(table, names)
-
-
-def inverse_of(S: FiniteInvSemigroup, s: int) -> int:
-    return S.inv[s]
-
-
 def idempotents(S: FiniteInvSemigroup) -> tuple[int, ...]:
     """The commuting idempotents of S, sorted by element id."""
     return S._idempotents
-
-
-def natural_le(S: FiniteInvSemigroup, s: int, t: int) -> bool:
-    return S.le(s, t)
-
-
-def source(S: FiniteInvSemigroup, s: int) -> int:
-    """sigma(s) = s* s, the source idempotent of s."""
-    return S.sigma[s]
 
 
 def sup_finite(S: FiniteInvSemigroup, A: Iterable[int]) -> Optional[int]:

@@ -31,6 +31,7 @@ from fractions import Fraction
 from ..core import FiniteInvSemigroup, tabulate
 from .base import (DEFAULT_DEPTH, ChainWitness, Scale, SymbolicFamily, below, family_scale,
                    finite_chain, require_positive)
+from .rotation import rotation_wb_sigma
 
 __all__ = ["OMEGA", "CexScale", "cex_scale", "cex_op", "cex_inv", "cex_le",
            "cex_family", "cex_truncation"]
@@ -89,10 +90,6 @@ def cex_inv(s):
 
 def _is_idem(s) -> bool:
     return s is not OMEGA
-
-
-def _wb_sigma(eps, delta) -> bool:
-    return eps == 0 or eps < delta
 
 
 class CexScale:
@@ -179,7 +176,7 @@ def cex_family(depth: int = DEFAULT_DEPTH) -> SymbolicFamily:
         chains_to=enc.chains_to,
         h_class_sample=enc.h_class_sample,
         wb_s=enc.wb_s,
-        wb_sigma=_wb_sigma,
+        wb_sigma=rotation_wb_sigma,   # Sigma is [0,1], ordered as the rotation radii
         zero=0,
     )
 

@@ -110,9 +110,6 @@ def character_family(S: FiniteInvSemigroup, depth: int = DEFAULT_DEPTH) -> Symbo
     def inv(chi):
         return tuple(rotation_inv(v) for v in chi)
 
-    def sigma(chi):
-        return tuple(rotation_op(rotation_inv(v), v) for v in chi)
-
     def nat_le(chi, psi) -> bool:
         # chi <= psi iff chi = psi * sigma(chi); that condition is pointwise,
         # and per coordinate it collapses to the rotation-semigroup order
@@ -135,7 +132,7 @@ def character_family(S: FiniteInvSemigroup, depth: int = DEFAULT_DEPTH) -> Symbo
 
     def sample_idem(rng: random.Random):
         chi = sample(rng)
-        return sigma(chi)
+        return op(inv(chi), chi)
 
     def chains_to(chi) -> tuple[ChainWitness, ...]:
         idem = is_idem(chi)
@@ -148,7 +145,7 @@ def character_family(S: FiniteInvSemigroup, depth: int = DEFAULT_DEPTH) -> Symbo
                 finite_chain("constant", [chi], idem))
 
     def h_class_sample(eps, rng: random.Random, k: int) -> list:
-        out = [chi for chi in pool if sigma(chi) == eps]
+        out = [chi for chi in pool if op(inv(chi), chi) == eps]
         return out[: max(k, 2)] if out else []
 
     # the unit-indicator character is the zero element whenever it absorbs

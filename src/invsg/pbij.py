@@ -4,8 +4,7 @@ A partial bijection on the ground set ``0..n-1`` is stored as a length-n
 tuple with ``-1`` for "undefined"; subsets of the ground set travel as
 bitmasks.  The product convention matches the carrier tables everywhere:
 ``f * g`` applies ``g`` first, then ``f``, so ``table[s][t] = s*t`` has the
-left factor applied second.  ``compose(f, g)`` takes its arguments in
-application order instead (``f`` first) and therefore equals ``g * f``.
+left factor applied second.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ __all__ = [
     "NotATopology",
     "NotInverseClosed",
     "PartialBijection",
-    "compose",
-    "invert",
     "GeneratedSemigroup",
     "symmetric_inverse_monoid",
     "closure",
@@ -81,22 +78,10 @@ class PartialBijection:
     # -- constructors --
 
     @classmethod
-    def identity(cls, n: int) -> "PartialBijection":
-        return cls(n, tuple(range(n)))
-
-    @classmethod
-    def empty(cls, n: int) -> "PartialBijection":
-        return cls(n, (-1,) * n)
-
-    @classmethod
     def on_set(cls, n: int, points: Iterable[int]) -> "PartialBijection":
         """The partial identity on a subset of the ground set."""
         pts = set(points)
         return cls(n, tuple(i if i in pts else -1 for i in range(n)))
-
-    @classmethod
-    def from_dict(cls, n: int, d: dict) -> "PartialBijection":
-        return cls(n, tuple(d.get(i, -1) for i in range(n)))
 
     # -- structure --
 
@@ -148,15 +133,6 @@ class PartialBijection:
     def __repr__(self):
         pairs = ", ".join(f"{i}->{v}" for i, v in enumerate(self.mapping) if v != -1)
         return "{" + pairs + "}"
-
-
-def compose(f: PartialBijection, f1: PartialBijection) -> PartialBijection:
-    """Apply ``f`` first, then ``f1`` (domain = f^-1(image(f) & dom(f1)))."""
-    return f1 * f
-
-
-def invert(f: PartialBijection) -> PartialBijection:
-    return f.inverse()
 
 
 @dataclass(frozen=True)
@@ -243,7 +219,7 @@ def symmetric_inverse_monoid(n: int) -> GeneratedSemigroup:
 
 
 def closure(ground: int, gens: Iterable[PartialBijection]) -> GeneratedSemigroup:
-    """Smallest compose/invert-closed set containing the generators: the
+    """Smallest product- and inverse-closed set containing the generators: the
     left-normed products of the generators and their inverses, grown by right
     multiplication with them, as in ``core.generated``."""
     gens = list(gens)
@@ -328,7 +304,7 @@ def canonical_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ..
 
 
 def enumerate_inverse_subsemigroups(n: int, max_order: int) -> Iterator[FiniteInvSemigroup]:
-    """All compose/invert-closed subsets of I_n up to isomorphism, validated.
+    """All product- and inverse-closed subsets of I_n up to isomorphism, validated.
 
     The subsemigroups come from ``core.inverse_subsemigroups``, in order of
     size, then bitmask.  Deduplication hashes the canonical table, so the

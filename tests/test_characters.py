@@ -23,12 +23,12 @@ MINUS = rot_canonical(Fraction(1), Fraction(1, 2))
 
 
 def two_chain():
-    return core.validate([[0, 1], [1, 1]])  # identity 0, idempotent e = 1
+    return core.FiniteInvSemigroup([[0, 1], [1, 1]])  # identity 0, idempotent e = 1
 
 
 def mixed3():
     # C2 with an external identity: 0 = 1, 1 = e, 2 = a with a*a = e
-    return core.validate([[0, 1, 2], [1, 1, 2], [2, 2, 1]])
+    return core.FiniteInvSemigroup([[0, 1, 2], [1, 1, 2], [2, 2, 1]])
 
 
 def test_trivial_character_is_identity():
@@ -118,7 +118,7 @@ def test_character_family_mirror_and_reduced():
         fam = character_family(S)
         assert checkers.check_mirror(fam).verdict == "pass"
         rng = random.Random(5)
-        ok, ce, _n = checkers._family_reduced(fam, rng)
+        ok, ce, _n = checkers._family_reduced(fam, rng, DEFAULT_DEPTH)
         assert ok, ce
 
 
@@ -140,5 +140,5 @@ def test_character_carrier_must_be_commutative_monoid():
     from invsg.families import symmetric_group
     with pytest.raises(ValueError):
         character_family(symmetric_group(3))
-    no_identity = core.validate([[0]])  # fine
+    no_identity = core.FiniteInvSemigroup([[0]])  # fine
     assert character_family(no_identity).name.startswith("characters:")

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from invsg import checkers
-from invsg.core import validate as core_validate
+from invsg.core import FiniteInvSemigroup
 from invsg.checkers import (SUITES, CheckReport, classify, replay_counterexample,
                             run_suite, run_suites)
 from invsg.families import (bicyclic_dyadic, bicyclic_nat, cex_family, cex_truncation,
@@ -80,7 +80,7 @@ def test_family_corpus_has_exactly_one_failure():
     from invsg.families import FAMILY_BUILDERS, character_family
     subjects = [(name, mk()) for name, mk in FAMILY_BUILDERS.items()]
     subjects.append(("characters:sl2",
-                     character_family(core_validate([[0, 1], [1, 1]]))))
+                     character_family(FiniteInvSemigroup([[0, 1], [1, 1]]))))
     failures = []
     for name, fam in subjects:
         for r in run_suites(fam, name, budget=600):
@@ -101,6 +101,15 @@ def test_mirror_fails_on_cex_with_the_canonical_witness():
     assert set(ce["upper_bounds"]) == {"1", "omega"}
     assert ce["incomparable_with_sup"] is True
     assert replay_counterexample(fam, r)
+
+
+def test_classify_witness_is_the_check_counterexample():
+    # a flag's witness shows each value as the suite report does: a list as a
+    # list and a flag as a bool, not as their Python reprs
+    witness = classify(cex_family()).mirror.to_json()["witness"]
+    assert witness == checkers.check_mirror(cex_family()).to_json()["counterexample"]
+    assert witness["upper_bounds"] == ["1", "omega"]
+    assert witness["incomparable_with_sup"] is True
 
 
 def test_na_verdicts_on_cex():

@@ -287,7 +287,7 @@ NO_NUMPY = """
 import sys
 sys.modules["numpy"] = None          # any import of numpy now raises ImportError
 from invsg import cli, core, pbij
-core.validate(pbij.symmetric_inverse_monoid(4).carrier.table)
+core.FiniteInvSemigroup(pbij.symmetric_inverse_monoid(4).carrier.table)
 raise SystemExit(cli.main(["check", "--suite", "all", "--subject", "coset:D4", "--json"]))
 """
 

@@ -5,9 +5,8 @@ from itertools import product
 import pytest
 
 from invsg import core
-from invsg.core import (NoInverse, NonUniqueInverse, NotAssociative,
-                        NotIdempotent, h_class, idempotents, inverse_of,
-                        is_reduced, natural_le, source, sup_finite, validate)
+from invsg.core import (FiniteInvSemigroup, NoInverse, NonUniqueInverse, NotAssociative,
+                        NotIdempotent, h_class, idempotents, is_reduced, sup_finite)
 from invsg.families.cex import cex_truncation
 
 TRIVIAL = [[0]]
@@ -30,12 +29,12 @@ def brute_sup(S, A):
 
 
 def test_validate_trivial_group():
-    S = validate(TRIVIAL)
+    S = FiniteInvSemigroup(TRIVIAL)
     assert S.n == 1 and S.inv == (0,) and S.identity == 0
 
 
 def test_validate_two_element_semilattice():
-    S = validate(SL2)
+    S = FiniteInvSemigroup(SL2)
     assert S.inv == (0, 1)
     assert all(S.inv[s] == s for s in range(S.n))
     assert S.identity == 0
@@ -48,12 +47,12 @@ def test_validate_symmetric_inverse_monoid(I2):
 
 def test_validate_rejects_out_of_range():
     with pytest.raises(ValueError):
-        validate([[0, 2], [1, 0]])
+        FiniteInvSemigroup([[0, 2], [1, 0]])
 
 
 def test_validate_rejects_nonsquare():
     with pytest.raises(ValueError):
-        validate([[0, 1], [1]])
+        FiniteInvSemigroup([[0, 1], [1]])
 
 
 @pytest.mark.parametrize("table", [
@@ -67,7 +66,7 @@ def test_constructor_rejects_non_int_entries(table):
 
 def test_constructor_reports_the_first_out_of_range_entry():
     with pytest.raises(ValueError, match=r"table entry 5 out of range \[0, 2\)"):
-        validate([[0, 5], [1, -3]])
+        FiniteInvSemigroup([[0, 5], [1, -3]])
 
 
 def test_constructor_keeps_tuple_rows_without_a_copy(I2):
@@ -80,7 +79,7 @@ def test_validate_rejects_nonassociative():
     # subtraction mod 3 is not associative
     tbl = [[(i - j) % 3 for j in range(3)] for i in range(3)]
     with pytest.raises(NotAssociative) as ei:
-        validate(tbl)
+        FiniteInvSemigroup(tbl)
     s, t, u = ei.value.triple
     assert tbl[tbl[s][t]][u] != tbl[s][tbl[t][u]]
 
@@ -157,42 +156,42 @@ def test_right_generators_cover_every_corpus_carrier(finite_corpus):
 def test_validate_rejects_no_inverse():
     # left-zero-ish: everything multiplies to 0, so 1 has no inverse
     with pytest.raises(NoInverse) as ei:
-        validate([[0, 0], [0, 0]])
+        FiniteInvSemigroup([[0, 0], [0, 0]])
     assert ei.value.element == 1
 
 
 def test_validate_rejects_non_unique_inverse():
     # right-zero band: s*t = t; both elements invert every element
     with pytest.raises(NonUniqueInverse):
-        validate([[0, 1], [0, 1]])
+        FiniteInvSemigroup([[0, 1], [0, 1]])
 
 
 def test_inverse_of_examples(I2):
     S = I2.carrier
-    assert inverse_of(validate(TRIVIAL), 0) == 0
+    assert FiniteInvSemigroup(TRIVIAL).inv[0] == 0
     for e in idempotents(S):
-        assert inverse_of(S, e) == e
+        assert S.inv[e] == e
     f = I2.index(pbij_map({0: 1}))
     g = I2.index(pbij_map({1: 0}))
-    assert inverse_of(S, f) == g
+    assert S.inv[f] == g
     # brute-force oracle: the inverse must satisfy sts = s and tst = t
     for s in range(S.n):
-        t = inverse_of(S, s)
+        t = S.inv[s]
         assert S.mul(S.mul(s, t), s) == s and S.mul(S.mul(t, s), t) == t
     # antihomomorphism on all pairs
     for s in range(S.n):
         for t in range(S.n):
-            assert inverse_of(S, S.mul(s, t)) == S.mul(inverse_of(S, t), inverse_of(S, s))
+            assert S.inv[S.mul(s, t)] == S.mul(S.inv[t], S.inv[s])
 
 
 def pbij_map(d):
     from invsg.pbij import PartialBijection
-    return PartialBijection.from_dict(2, d)
+    return PartialBijection(2, [d.get(i, -1) for i in range(2)])
 
 
 def test_idempotents_examples(I2):
-    assert idempotents(validate(C3)) == (0,)
-    assert idempotents(validate(SL2)) == (0, 1)
+    assert idempotents(FiniteInvSemigroup(C3)) == (0,)
+    assert idempotents(FiniteInvSemigroup(SL2)) == (0, 1)
     S = I2.carrier
     # brute force over all 7 elements: exactly the 4 partial identities
     squares = tuple(s for s in range(S.n) if S.mul(s, s) == s)
@@ -206,23 +205,24 @@ def test_idempotents_examples(I2):
 def test_natural_le_examples(I2):
     S = I2.carrier
     for s in range(S.n):
-        assert natural_le(S, s, s)
-    sl = validate(SL2)
-    assert natural_le(sl, 1, 0) and not natural_le(sl, 0, 1)
+        assert S.le(s, s)
+    sl = FiniteInvSemigroup(SL2)
+    assert sl.le(1, 0) and not sl.le(0, 1)
     a = I2.index(pbij_map({0: 0}))
     full = I2.index(pbij_map({0: 0, 1: 1}))
-    assert natural_le(S, a, full)
-    assert not natural_le(S, full, a)
+    assert S.le(a, full)
+    assert not S.le(full, a)
 
 
 def test_natural_le_agrees_with_all_five_characterizations(I2, i2_subsemigroups):
-    for S in [validate(TRIVIAL), validate(SL2), validate(C3), I2.carrier] + i2_subsemigroups:
+    small = [FiniteInvSemigroup(t) for t in (TRIVIAL, SL2, C3)]
+    for S in small + [I2.carrier] + i2_subsemigroups:
         idem = idempotents(S)
         for s in range(S.n):
             for t in range(S.n):
-                le = natural_le(S, s, t)
+                le = S.le(s, t)
                 c_def = any(S.mul(t, e) == s for e in idem)
-                c_star = natural_le(S, S.inv[s], S.inv[t])
+                c_star = S.le(S.inv[s], S.inv[t])
                 c_tss = S.mul(t, S.mul(S.inv[s], s)) == s
                 c_eps_left = any(S.mul(e, t) == s for e in idem)
                 c_sst = S.mul(S.mul(s, S.inv[s]), t) == s
@@ -234,34 +234,34 @@ def test_natural_le_is_compatible_partial_order(I2):
     n = S.n
     for s in range(n):
         for t in range(n):
-            if natural_le(S, s, t) and natural_le(S, t, s):
+            if S.le(s, t) and S.le(t, s):
                 assert s == t
             for u in range(n):
-                if natural_le(S, s, t) and natural_le(S, t, u):
-                    assert natural_le(S, s, u)
+                if S.le(s, t) and S.le(t, u):
+                    assert S.le(s, u)
     for s in range(n):
         for t in range(n):
             for s2 in range(n):
                 for t2 in range(n):
-                    if natural_le(S, s, t) and natural_le(S, s2, t2):
-                        assert natural_le(S, S.mul(s, s2), S.mul(t, t2))
+                    if S.le(s, t) and S.le(s2, t2):
+                        assert S.le(S.mul(s, s2), S.mul(t, t2))
 
 
 def test_source_examples(I2):
     S = I2.carrier
     for e in idempotents(S):
-        assert source(S, e) == e
-    G = validate(C3)
+        assert S.sigma[e] == e
+    G = FiniteInvSemigroup(C3)
     for g in range(3):
-        assert source(G, g) == G.identity
+        assert G.sigma[g] == G.identity
     f = I2.index(pbij_map({0: 1}))
     pid0 = I2.index(pbij_map({0: 0}))
-    assert source(S, f) == pid0
+    assert S.sigma[f] == pid0
     # order preservation
     for s in range(S.n):
         for t in range(S.n):
-            if natural_le(S, s, t):
-                assert natural_le(S, source(S, s), source(S, t))
+            if S.le(s, t):
+                assert S.le(S.sigma[s], S.sigma[t])
 
 
 def test_sup_finite_examples(I2):
@@ -294,8 +294,8 @@ def test_sigma_of_sup_commutes_exhaustively(i2_subsemigroups):
             v = sup_finite(S, A)
             if v is None:
                 continue
-            sv = sup_finite(S, [source(S, a) for a in A])
-            assert sv == source(S, v)
+            sv = sup_finite(S, [S.sigma[a] for a in A])
+            assert sv == S.sigma[v]
 
 
 def test_sup_of_idempotent_sets_lands_in_sigma(I2):
@@ -308,15 +308,15 @@ def test_sup_of_idempotent_sets_lands_in_sigma(I2):
         if v is None:
             continue
         assert S.is_idempotent(v)
-        sigma_ubs = [u for u in idem if all(natural_le(S, a, u) for a in A)]
+        sigma_ubs = [u for u in idem if all(S.le(a, u) for a in A)]
         assert v in sigma_ubs
-        assert all(natural_le(S, v, u) for u in sigma_ubs)
+        assert all(S.le(v, u) for u in sigma_ubs)
 
 
 def test_h_class_examples(I2):
-    G = validate(C3)
+    G = FiniteInvSemigroup(C3)
     assert h_class(G, G.identity) == (0, 1, 2)
-    sl = validate(SL2)
+    sl = FiniteInvSemigroup(SL2)
     for e in (0, 1):
         assert h_class(sl, e) == (e,)
     T = cex_truncation(2)  # {0, 1/2, 1, omega}
@@ -328,8 +328,8 @@ def test_h_class_examples(I2):
 
 
 def test_is_reduced_examples(I2):
-    assert is_reduced(validate(SL2))
-    assert is_reduced(validate(C3))
+    assert is_reduced(FiniteInvSemigroup(SL2))
+    assert is_reduced(FiniteInvSemigroup(C3))
     assert not is_reduced(I2.carrier)  # {0->1} sits above the empty map
 
 
@@ -339,7 +339,7 @@ def test_every_finite_carrier_is_mirror(i2_subsemigroups):
         idem = idempotents(S)
         for mask in range(1, 1 << len(idem)):
             D = [idem[i] for i in range(len(idem)) if (mask >> i) & 1]
-            ok = all(any(natural_le(S, x, r) and natural_le(S, y, r) for r in D)
+            ok = all(any(S.le(x, r) and S.le(y, r) for r in D)
                      for x in D for y in D)
             if not ok:
                 continue

@@ -91,14 +91,14 @@ def test_coset_monoid_c2():
     # order is reverse inclusion
     for i in range(M.n):
         for j in range(M.n):
-            assert core.natural_le(M, i, j) == (cs[j] <= cs[i])
+            assert M.le(i, j) == (cs[j] <= cs[i])
     # idempotents are exactly the subgroups
     idem = [cs[i] for i in core.idempotents(M)]
     assert sorted(map(sorted, idem)) == sorted(map(sorted, subgroups(G)))
     # the whole group sits below the trivial coset {e}
     g_idx = cs.index(frozenset(range(G.n)))
     e_idx = cs.index(frozenset([G.identity]))
-    assert core.natural_le(M, g_idx, e_idx)
+    assert M.le(g_idx, e_idx)
 
 
 @pytest.mark.parametrize("name", sorted(groups_of_order_at_most(8)))

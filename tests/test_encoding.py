@@ -148,7 +148,7 @@ CHAIN_INDICES = (0, 1, 2, 63, 192)
 
 def mixed3():
     # C2 with an external identity: 0 = 1, 1 = e, 2 = a with a*a = e
-    return core.validate([[0, 1, 2], [1, 1, 2], [2, 2, 1]])
+    return core.FiniteInvSemigroup([[0, 1, 2], [1, 1, 2], [2, 2, 1]])
 
 
 def _pool(fam, rng, k):

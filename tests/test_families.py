@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -293,6 +294,19 @@ def test_family_reducedness_semantics():
     cex = cex_family()
     assert cex.is_idempotent(Fraction(1, 2))
     assert cex.nat_le(Fraction(1, 2), OMEGA) and not cex.is_idempotent(OMEGA)
+
+
+@pytest.mark.parametrize("k", [5, 10])
+def test_reduced_probes_chain_members_to_the_depth(k):
+    # an is_idempotent that also accepts member k of a chain bounded by the
+    # non-idempotent (5/2,1/2) breaks reducedness there; the probe must reach
+    # k, which used to stop at member 8
+    fam = bicyclic_dyadic()
+    cw = next(cw for cw in fam.witnesses if cw.name == "dyadic-approach-(5/2,1/2)")
+    bad = cw.member(k)
+    broken = dataclasses.replace(
+        fam, is_idempotent=lambda x: x == bad or fam.is_idempotent(x))
+    assert classify(broken, depth=DEFAULT_DEPTH).reduced.value is False
 
 
 # The documented classification of each registry family.

@@ -31,12 +31,12 @@ EXAMINED = {
     "bicyclic-nat": ((10000, 20000, 1012, 338, 912, 3732, 4496, 14368, 9448, 4107, 4138,
                       4540, 3732),
                      (2004, 3732, 292, 48, 2040)),
-    "bicyclic-dyadic": ((10000, 20000, 1198, 4707, 954, 6718, 17380, 24740, 19926, 12440,
-                         7261, 18250, 6718),
-                        (2010, 6718, 5720, 1, 2084)),
-    "rotation": ((10000, 20000, 1198, 3717, 954, 6330, 17190, 24550, 19671, 11157, 6732,
-                  17421, 6330),
-                 (2010, 6330, 5081, 1, 2050)),
+    "bicyclic-dyadic": ((10000, 20000, 1198, 4707, 954, 6774, 17436, 24796, 19982, 12496,
+                         7317, 18306, 6774),
+                        (2066, 6774, 5720, 1, 2084)),
+    "rotation": ((10000, 20000, 1198, 3717, 954, 6386, 17246, 24606, 19727, 11213, 6788,
+                  17477, 6386),
+                 (2066, 6386, 5081, 1, 2050)),
     "cex": ((10000, 20000, 1067, 1358, 936, 71, 0, 0, 0, 0, 72, 0, 0),
             (19, 71, 3539, 3, 2057)),
 }

@@ -353,7 +353,7 @@ def random_closures(count=60, seed=0):
 CARRIER_SETS = {
     "I_3-subsemigroups": (71, lambda: list(pbij.enumerate_inverse_subsemigroups(3, 10))),
     "I_4-closures": (60, random_closures),
-    "clifford": (2, lambda: [core.validate(CLIFFORD), core.validate(CLIFFORD_7)]),
+    "clifford": (2, lambda: [core.FiniteInvSemigroup(t) for t in (CLIFFORD, CLIFFORD_7)]),
     "acceptance-corpus": (27, lambda: [S for _sid, S in acceptance_corpus()]),
     "largest": (2, lambda: [pbij.symmetric_inverse_monoid(4).carrier,
                             coset_monoid(group_by_name("S4"))]),

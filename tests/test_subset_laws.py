@@ -94,7 +94,7 @@ def test_pair_path_agrees_with_every_antichain(sid, build):
 
 
 def test_clifford_carrier_takes_the_antichain_path():
-    C = core.validate(CLIFFORD)
+    C = core.FiniteInvSemigroup(CLIFFORD)
     assert C.le(1, 3) and C.le(1, 4) and C.le(2, 3) and C.le(2, 4)
     assert sup_finite(C, [1, 2]) is None
     assert pair_verdicts(C) == ref_laws(C, all_subsets(C)) == (True, True)
@@ -107,7 +107,7 @@ def test_clifford_carrier_takes_the_antichain_path():
 
 
 def test_fallback_yields_the_pairs_and_the_bounded_antichains():
-    S = core.validate(CLIFFORD_7)
+    S = core.FiniteInvSemigroup(CLIFFORD_7)
     up = S.up_masks()
     pairs = {((a,) if a == b else (a, b), sup_finite(S, (a, b)))
              for a in range(S.n) for b in range(a, S.n) if up[a] & up[b]}
