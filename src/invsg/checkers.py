@@ -998,7 +998,8 @@ def _classify_family(fam: SymbolicFamily, subject_id: str, depth: int, seed: int
     that read them."""
     rng = _rng(seed, "classify", fam.name)
     red_ok, red_ce, red_n = _family_reduced(fam, rng, depth)
-    red_note = "sampled pairs (idempotent below element)"
+    red_note = ("sampled pairs (idempotent below element), and the chain members "
+                f"to depth {depth} below each non-idempotent upper bound of a witness chain")
     if fam.zero is not None:
         red_note += "; the zero element is excluded, as the mirror route requires"
     mirror_ok, mirror_ce, mir_n = _mirror(fam, depth, seed)

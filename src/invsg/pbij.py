@@ -272,16 +272,18 @@ def _iso_fingerprints(table: Sequence[Sequence[int]]) -> list[tuple]:
     return refined
 
 
-def canonical_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+def canonical_table(table: Sequence[Sequence[int]], fps: Sequence[tuple] | None = None
+                    ) -> tuple[tuple[int, ...], ...]:
     """Minimal relabeling of the table over all element permutations.
 
     Permutations are restricted to fingerprint-preserving ones, which is
     sound (isomorphisms preserve the fingerprints) and keeps the search
     feasible for carriers of order <= 10; past 5,000,000 permutations it
-    raises ``TooLarge``.
+    raises ``TooLarge``.  ``fps``, when given, is ``_iso_fingerprints(table)``.
     """
     n = len(table)
-    fps = _iso_fingerprints(table)
+    if fps is None:
+        fps = _iso_fingerprints(table)
     blocks: dict[tuple, list[int]] = {}
     for x in range(n):
         blocks.setdefault(fps[x], []).append(x)
@@ -307,21 +309,33 @@ def enumerate_inverse_subsemigroups(n: int, max_order: int) -> Iterator[FiniteIn
     """All product- and inverse-closed subsets of I_n up to isomorphism, validated.
 
     The subsemigroups come from ``core.inverse_subsemigroups``, in order of
-    size, then bitmask.  Deduplication hashes the canonical table, so the
-    stream is deterministic.
+    size, then bitmask, and the first of each isomorphism class is yielded,
+    so the stream is deterministic.  They are bucketed by the sorted
+    fingerprints of their elements, an isomorphism invariant: the first in a
+    bucket is new, and canonical tables tell the rest apart, computed only
+    in a bucket that gets a second subsemigroup.
     """
     if n > 3:
         raise TooLarge("enumeration ground", 3)
     if max_order > 10:
         raise TooLarge("enumeration max order", 10)
     C = symmetric_inverse_monoid(n).carrier
-    emitted: set[tuple] = set()
+    first: dict[tuple, tuple] = {}      # bucket -> (table, fps) of its first
+    keys: dict[tuple, set] = {}         # bucket -> its canonical tables so far
     for m in sorted(core.inverse_subsemigroups(C, max_order),
                     key=lambda v: (bin(v).count("1"), v)):
         sub = core.restrict(C, list(bits(m)))
-        key = canonical_table(sub.table)
-        if key not in emitted:
-            emitted.add(key)
+        fps = _iso_fingerprints(sub.table)
+        bucket = tuple(sorted(fps))
+        if bucket not in first:
+            first[bucket] = (sub.table, fps)
+            yield sub
+            continue
+        if bucket not in keys:
+            keys[bucket] = {canonical_table(*first[bucket])}
+        key = canonical_table(sub.table, fps)
+        if key not in keys[bucket]:
+            keys[bucket].add(key)
             yield sub
 
 

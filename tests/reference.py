@@ -15,17 +15,27 @@ tests that use them as references or helpers (``tests/test_reach.py`` keeps
   and ``groups_of_order_at_most`` the named groups up to an order.
 - Characters.  ``character_op`` is the product of two characters that first
   checks both are characters on one scale, and ``is_character`` that check.
+- Carrier validation and enumeration the direct way.  ``validate_reference``
+  runs Light's test on the greedy generators from the highest id down, the
+  exhaustive inverse scan and the commutation check; ``enumerate_reference``
+  deduplicates the inverse subsemigroups of I_n by the canonical table of
+  every one.  The tests check the constructor and the enumeration against
+  them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
-from invsg.core import FiniteInvSemigroup, bits, mask_of
+from invsg.core import (FiniteInvSemigroup, IdempotentsDontCommute, NoInverse,
+                        NonUniqueInverse, NotAssociative, bits, inverse_subsemigroups,
+                        mask_of, restrict, right_generators)
 from invsg.families.base import MAX_DEPTH, family_scale
 from invsg.families.characters import _violating_pair
 from invsg.families.cosets import GROUP_NAMES, _product_rows, all_cosets, group_by_name
 from invsg.families.rotation import _TURN, rotation_op
+from invsg.pbij import canonical_table, symmetric_inverse_monoid
 from invsg.poset import FinitePoset, TooLargeForDefinitionalCheck, sup, way_below_matrix
 
 # -- finite posets ------------------------------------------------------------
@@ -214,3 +224,57 @@ def character_op(S: FiniteInvSemigroup, chi, psi):
     if chi[e] != psi[e]:
         raise NotACharacter((e, e), " (the two characters are on different scales)")
     return tuple(rotation_op(a, b) for a, b in zip(chi, psi))
+
+
+# -- carrier validation and enumeration ---------------------------------------
+
+
+def validate_reference(table) -> tuple[tuple[int, ...], int | None, tuple[int, ...]]:
+    """``(inv, identity, idempotents)`` of an in-range square table, or the
+    first failed axiom raised as ``FiniteInvSemigroup`` names it: Light's
+    test on ``right_generators``, then every element's inverses by an
+    exhaustive scan, then the commutation of every pair of idempotents."""
+    tbl = tuple(map(tuple, table))
+    n = len(tbl)
+    gens, _ = right_generators(n, lambda x, y: tbl[x][y])
+    for a in gens if n > 1 else ():   # [[0]] is associative
+        arow = tbl[a]
+        times_a = itemgetter(*arow)
+        for x in range(n):
+            row = tbl[x]
+            lhs = tbl[row[a]]
+            if times_a(row) != lhs:
+                raise NotAssociative(x, a, next(y for y in range(n)
+                                                if lhs[y] != row[arow[y]]))
+    inv = []
+    for s in range(n):
+        found = [t for t in range(n)
+                 if tbl[tbl[s][t]][s] == s and tbl[tbl[t][s]][t] == t]
+        if not found:
+            raise NoInverse(s)
+        if len(found) > 1:
+            raise NonUniqueInverse(s, found[0], found[1])
+        inv.append(found[0])
+    idem = tuple(s for s in range(n) if tbl[s][s] == s)
+    for e in idem:
+        for f in idem:
+            if tbl[e][f] != tbl[f][e]:
+                raise IdempotentsDontCommute(e, f)
+    identity = next((e for e in range(n)
+                     if all(tbl[e][t] == t == tbl[t][e] for t in range(n))), None)
+    return tuple(inv), identity, idem
+
+
+def enumerate_reference(n: int, max_order: int) -> Iterator[FiniteInvSemigroup]:
+    """The inverse subsemigroups of I_n with at most ``max_order`` elements,
+    in order of size, then bitmask, each yielded unless an earlier one has
+    its canonical table."""
+    C = symmetric_inverse_monoid(n).carrier
+    emitted: set[tuple] = set()
+    for m in sorted(inverse_subsemigroups(C, max_order),
+                    key=lambda v: (bin(v).count("1"), v)):
+        sub = restrict(C, list(bits(m)))
+        key = canonical_table(sub.table)
+        if key not in emitted:
+            emitted.add(key)
+            yield sub

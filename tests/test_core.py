@@ -6,8 +6,11 @@ import pytest
 
 from invsg import core
 from invsg.core import (FiniteInvSemigroup, NoInverse, NonUniqueInverse, NotAssociative,
-                        NotIdempotent, h_class, idempotents, is_reduced, sup_finite)
+                        NotIdempotent, NotInverseSemigroup, h_class, idempotents,
+                        is_reduced, sup_finite)
 from invsg.families.cex import cex_truncation
+
+from reference import validate_reference
 
 TRIVIAL = [[0]]
 # 2-element meet-semilattice {1, e} with 0 = identity, 1 = e
@@ -133,6 +136,68 @@ def test_light_test_agrees_with_scan_on_every_operation_on_three_points():
     assert len(tables) == 3 ** 9
     assert sum(associative_by_scan(t) for t in tables) == 113   # OEIS A023814
     assert all(light_agrees_with_scan(t) for t in tables)
+
+
+def validates_as_reference(table) -> str:
+    """The outcome of ``FiniteInvSemigroup(table)``, checked against
+    ``validate_reference``: the same inverses, identity and idempotents, or
+    the same exception with the same args; a ``NotAssociative`` only needs a
+    genuinely failing triple, as the two may test different generators."""
+    try:
+        want = validate_reference(table)
+    except NotInverseSemigroup as exc:
+        want = exc
+    try:
+        S = FiniteInvSemigroup(table)
+    except NotInverseSemigroup as exc:
+        assert type(exc) is type(want), (table, exc, want)
+        if isinstance(exc, NotAssociative):
+            s, t, u = exc.triple
+            assert table[table[s][t]][u] != table[s][table[t][u]], table
+        else:
+            assert exc.args == want.args, table
+        return type(exc).__name__
+    assert (S.inv, S.identity, idempotents(S)) == want, table
+    return "valid"
+
+
+def test_validation_matches_the_reference_on_every_table_up_to_three_points():
+    outcomes = {}
+    for n in (1, 2, 3):
+        for entries in product(range(n), repeat=n * n):
+            table = [entries[i * n:(i + 1) * n] for i in range(n)]
+            kind = validates_as_reference(table)
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert sum(outcomes.values()) == 1 + 16 + 19_683
+    # 1, 8 and 113 associative tables on 1, 2 and 3 points (OEIS A023814)
+    assert outcomes["NotAssociative"] == (16 - 8) + (19_683 - 113)
+    assert {"valid", "NoInverse", "NonUniqueInverse"} <= set(outcomes)
+
+
+def test_a_regular_table_whose_idempotents_do_not_commute_is_rejected_as_the_reference_does():
+    # maps of {0, 1, 2}, g applied first in f*g: 0 = (2,1,2), 1 = (1,2,1),
+    # 2 = (0,2,2) and the constants 3 = (2,2,2), 4 = (1,1,1); every element
+    # has an inverse along the generator steps, but the constants are
+    # idempotents that do not commute, so 3 has the two inverses 3 and 4
+    table = ((0, 1, 3, 3, 4), (1, 0, 4, 4, 3), (3, 3, 2, 3, 3),
+             (3, 3, 3, 3, 3), (4, 4, 4, 4, 4))
+    assert core._inverses_along(table, *core._check_associative(table)) is not None
+    assert validates_as_reference(table) == "NonUniqueInverse"
+    with pytest.raises(NonUniqueInverse) as ei:
+        FiniteInvSemigroup(table)
+    assert (ei.value.element, ei.value.witnesses) == (3, (3, 4))
+
+
+@pytest.mark.parametrize("name", ["I2", "I3"])
+def test_validation_matches_the_reference_on_every_one_entry_tamper(name, request):
+    table = request.getfixturevalue(name).carrier.table
+    outcomes = {}
+    for tampered in one_entry_tampers(table):
+        kind = validates_as_reference(tampered)
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    n = len(table)
+    assert sum(outcomes.values()) == n * n * (n - 1)
+    assert "NotAssociative" in outcomes
 
 
 def test_right_generators_cover_every_corpus_carrier(finite_corpus):

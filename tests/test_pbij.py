@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invsg import core
+from invsg import core, pbij
 from invsg.pbij import (FiniteTopology, GroundMismatch, NotATopology,
                         NotInverseClosed, PartialBijection, TooLarge, _build,
                         all_topologies, canonical_table, closed_set_adjunction,
                         closure, enumerate_inverse_subsemigroups,
                         pseudogroup_of_space, symmetric_inverse_monoid)
+
+from reference import enumerate_reference
 
 
 def pb(n, d):
@@ -216,6 +218,40 @@ def test_enumeration_is_deterministic():
         list(enumerate_inverse_subsemigroups(4, 3))
     with pytest.raises(TooLarge):
         list(enumerate_inverse_subsemigroups(2, 11))
+
+
+@pytest.mark.parametrize("ground, max_order",
+                         [(2, m) for m in range(1, 8)] + [(3, m) for m in range(1, 11)])
+def test_enumeration_matches_the_canonical_table_reference(ground, max_order):
+    got = [(S.table, S.names) for S in enumerate_inverse_subsemigroups(ground, max_order)]
+    want = [(S.table, S.names) for S in enumerate_reference(ground, max_order)]
+    assert got == want
+
+
+def permutation_count(table):
+    """The fingerprint-preserving permutations ``canonical_table`` searches."""
+    sizes = {}
+    for fp in pbij._iso_fingerprints(table):
+        sizes[fp] = sizes.get(fp, 0) + 1
+    return math.prod(math.factorial(k) for k in sizes.values())
+
+
+def test_enumeration_computes_canonical_tables_only_on_a_fingerprint_collision(monkeypatch):
+    counts = []
+    real = pbij.canonical_table
+
+    def counted(table, *args):
+        counts.append(permutation_count(table))
+        return real(table, *args)
+
+    monkeypatch.setattr(pbij, "canonical_table", counted)
+    subs = list(enumerate_inverse_subsemigroups(3, 10))
+    assert len(subs) == 71
+    # 321 subsemigroups of order <= 10; one alone in its bucket has the
+    # largest search, and its canonical table is never computed
+    assert 4320 in map(permutation_count, (S.table for S in subs))
+    assert len(counts) < 321
+    assert 4320 not in counts
 
 
 def test_canonical_table_is_isomorphism_invariant(I2):
