@@ -443,7 +443,8 @@ def _multiplicative(fam: SymbolicFamily, side: _Side, rng: random.Random, rounds
 
 
 def _wb_refutation(fam: SymbolicFamily, side: _Side, x, y, depth: int,
-                   claim: Optional[bool] = None, walked: Optional[set] = None) -> Optional[dict]:
+                   claim: Optional[bool] = None, cleared: Optional[set] = None
+                   ) -> Optional[dict]:
     """Chain evidence against the way-below oracle's answer at (x, y) on one side.
 
     A claim x << y must survive each canonical chain with sup above y: some
@@ -453,36 +454,40 @@ def _wb_refutation(fam: SymbolicFamily, side: _Side, x, y, depth: int,
     else the side's first canonical chain to y, scanned up to ``depth``.
 
     ``claim`` is the oracle's answer when the caller has asked it already.
-    ``walked``, when given, holds the denied pairs x <= y whose chain left no
-    member above x; such a pair is not walked again, and each new one is
-    added.  The chains are fixed by y, so a second walk would find the same.
+    ``cleared``, when given, holds the pairs whose refutation found nothing:
+    claims that survived every chain, and denied pairs x <= y whose chain
+    left no member above x.  Such a pair is not refuted again, nor is the
+    oracle asked, and each new one is added.  The oracle and the chains are
+    fixed by (x, y) and the depth, so a second refutation would clear again.
     """
+    if cleared is not None and (x, y) in cleared:
+        return None
     claim_refuted, missing, too_small, no_kill = side.kinds
 
     def found(kind, cw=None):
         return _fail(fam, kind, chain=cw, **dict(zip(side.keys, (x, y))), _depth=depth)
 
-    chains = getattr(fam, side.chains_to)
+    chains, above_x = getattr(fam, side.chains_to), partial(fam.nat_le, x)
     if getattr(fam, side.wb)(x, y) if claim is None else claim:
         for cw in chains(y):
             sup = getattr(cw, side.sup)
             if sup is None or not fam.nat_le(y, sup):
                 continue
-            if not any(fam.nat_le(x, m) for m in iter_chain(cw, max(depth, DEFAULT_DEPTH))):
+            if not any(map(above_x, iter_chain(cw, max(depth, DEFAULT_DEPTH)))):
                 return found(claim_refuted, cw)
+    elif not fam.nat_le(x, y):
         return None
-    if not fam.nat_le(x, y) or (walked is not None and (x, y) in walked):
-        return None
-    cw = next(iter(chains(y)), None)
-    if cw is None:
-        return found(missing)
-    sup = getattr(cw, side.sup)
-    if sup is None or not fam.nat_le(y, sup):
-        return found(too_small, cw)
-    if any(fam.nat_le(x, m) for m in iter_chain(cw, depth)):
-        return found(no_kill, cw)
-    if walked is not None:
-        walked.add((x, y))
+    else:
+        cw = next(iter(chains(y)), None)
+        if cw is None:
+            return found(missing)
+        sup = getattr(cw, side.sup)
+        if sup is None or not fam.nat_le(y, sup):
+            return found(too_small, cw)
+        if any(map(above_x, iter_chain(cw, depth))):
+            return found(no_kill, cw)
+    if cleared is not None:
+        cleared.add((x, y))
     return None
 
 
@@ -495,10 +500,14 @@ def _refuted(side: _Side, kind: str):
     return violated
 
 
-def _wb_mirrored(fam: SymbolicFamily, s, t) -> bool:
-    """The right side of the way-below characterization: s <= t and
-    sigma(s) << sigma(t)."""
-    return fam.nat_le(s, t) and fam.wb_sigma(fam.sigma(s), fam.sigma(t))
+def _wb_law(fam: SymbolicFamily, s, t, es, et) -> tuple:
+    """(violated, lhs, claim) of the way-below characterization at (s, t),
+    given es = sigma(s) and et = sigma(t): lhs is s << t, and claim is
+    es << et as ``wb_sigma`` answers it when s <= t, else None, as it is not
+    asked.  The law is violated when lhs is not 's <= t and es << et'."""
+    lhs = fam.wb_s(s, t)
+    claim = fam.wb_sigma(es, et) if fam.nat_le(s, t) else None
+    return lhs != bool(claim), lhs, claim
 
 
 def _inseparable(fam: SymbolicFamily, eps, a, b, tried: list) -> bool:
@@ -584,7 +593,7 @@ _VIOLATED: dict[str, Callable[..., bool]] = {
         chain.sup_in_sigma is not None
         and not fam.nat_le(fam.op(eps, a), fam.op(eps, chain.sup_in_sigma))
         and fam.is_idempotent(eps) and _on_chain(chain, a, _depth)),
-    "wb-char": lambda fam, s, t, **_: fam.wb_s(s, t) != _wb_mirrored(fam, s, t),
+    "wb-char": lambda fam, s, t, **_: _wb_law(fam, s, t, fam.sigma(s), fam.sigma(t))[0],
     **{kind: _refuted(side, kind) for side in (_S, _SIGMA) for kind in side.kinds},
     "meet-cont-biconditional": lambda fam, _witness, **_: _violated(fam, _witness),
     "mult-biconditional": lambda fam, mult_S, _witness, **_: _unmultiplicative(
@@ -816,20 +825,22 @@ def check_wb_characterization(fam: SymbolicFamily, depth, seed, budget):
     if na:
         return na
     # the oracle biconditional on sampled pairs, then chain refutation of each
-    # side's answer; the S side is handed the law's answer, and a denied pair
-    # is walked once per side
+    # side's answer: both sides are handed the law's answers where it asked
+    # them, and a pair whose refutation cleared is not refuted again on its
+    # side; the sigma values are interned, so that the sigma memo holds one
+    # object per distinct idempotent
     rng, n = _rng(seed, "wb_char", fam.name), budget
-    walked_s, walked_sigma = set(), set()
+    cleared_s, cleared_sigma, interned = set(), set(), {}
     for examined in range(n0 + 1, n0 + n + 1):
         s, t = fam.sample(rng), fam.sample(rng)
         if rng.random() < 0.3:
             s = fam.op(t, fam.sample_idempotent(rng))  # force comparable pairs too
-        lhs = fam.wb_s(s, t)
-        if lhs != _wb_mirrored(fam, s, t):
+        es, et = (interned.setdefault(e, e) for e in (fam.sigma(s), fam.sigma(t)))
+        violated, lhs, claim = _wb_law(fam, s, t, es, et)
+        if violated:
             return _failed(examined, _fail(fam, "wb-char", s, t, lhs=lhs, rhs=not lhs))
-        bad = (_wb_refutation(fam, _S, s, t, depth, lhs, walked_s)
-               or _wb_refutation(fam, _SIGMA, fam.sigma(s), fam.sigma(t), depth,
-                                 walked=walked_sigma))
+        bad = (_wb_refutation(fam, _S, s, t, depth, lhs, cleared_s)
+               or _wb_refutation(fam, _SIGMA, es, et, depth, claim, cleared_sigma))
         if bad is not None:
             return _failed(examined, bad)
     return _passed(n0 + n, "oracle biconditional + chain refutation")

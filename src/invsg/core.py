@@ -21,7 +21,6 @@ __all__ = [
     "NotAssociative",
     "NoInverse",
     "NonUniqueInverse",
-    "IdempotentsDontCommute",
     "NotIdempotent",
     "FiniteInvSemigroup",
     "idempotents",
@@ -70,12 +69,6 @@ class NonUniqueInverse(NotInverseSemigroup):
         self.element = s
         self.witnesses = (t1, t2)
         super().__init__(f"element {s} has two inverses: {t1} and {t2}")
-
-
-class IdempotentsDontCommute(NotInverseSemigroup):
-    def __init__(self, e: int, f: int):
-        self.pair = (e, f)
-        super().__init__(f"idempotents {e} and {f} do not commute")
 
 
 class NotIdempotent(ValueError):
@@ -260,10 +253,10 @@ class FiniteInvSemigroup:
                      None)
         if inv is None or clash is not None:
             # not an inverse semigroup: the exhaustive scan names the first
-            # element without a unique inverse, before a clash is raised
+            # element without a unique inverse.  It raises on a clash too, as
+            # a semigroup in which each element has exactly one inverse is
+            # inverse, so its idempotents commute (Lawson, 1998, 1.1)
             inv = _compute_inverses(tbl)
-            if clash is not None:
-                raise IdempotentsDontCommute(*clash)
         self.inv = inv
         for s in range(n):
             if inv[inv[s]] != s:
@@ -407,17 +400,19 @@ def inverse_subsemigroups(S: FiniteInvSemigroup, limit: Optional[int] = None) ->
     with at most ``limit`` elements.
 
     They are grown one generator at a time from the empty set; each is
-    reached, as every closure on the way stays inside it.
+    reached, as every closure on the way stays inside it.  A closure m keeps
+    the ids g that generated it and grows from g | x, whose closure is that
+    of m | x as m = <g>, on fewer generators.
     """
     found: set[int] = set()
-    frontier = [0]
-    for m in frontier:            # grows while it is read
+    frontier = [(0, 0)]
+    for m, g in frontier:         # grows while it is read
         for x in range(S.n):
             if not m >> x & 1:
-                grown = generated(S, m | 1 << x, limit)
+                grown = generated(S, g | 1 << x, limit)
                 if grown is not None and grown not in found:
                     found.add(grown)
-                    frontier.append(grown)
+                    frontier.append((grown, g | 1 << x))
     return found
 
 

@@ -188,6 +188,14 @@ def test_a_regular_table_whose_idempotents_do_not_commute_is_rejected_as_the_ref
     assert (ei.value.element, ei.value.witnesses) == (3, (3, 4))
 
 
+def test_the_right_zero_band_has_two_inverses_of_its_first_element():
+    # x*y = y: both elements are idempotents, and 0*1 = 1 != 0 = 1*0, so the
+    # idempotents do not commute; the clash is named as a non-unique inverse
+    with pytest.raises(NonUniqueInverse) as ei:
+        FiniteInvSemigroup([[0, 1], [0, 1]])
+    assert (ei.value.element, ei.value.witnesses) == (0, (0, 1))
+
+
 @pytest.mark.parametrize("name", ["I2", "I3"])
 def test_validation_matches_the_reference_on_every_one_entry_tamper(name, request):
     table = request.getfixturevalue(name).carrier.table

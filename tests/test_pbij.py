@@ -13,7 +13,7 @@ from invsg.pbij import (FiniteTopology, GroundMismatch, NotATopology,
                         closure, enumerate_inverse_subsemigroups,
                         pseudogroup_of_space, symmetric_inverse_monoid)
 
-from reference import enumerate_reference
+from reference import enumerate_reference, inverse_subsemigroups_reference
 
 
 def pb(n, d):
@@ -200,6 +200,16 @@ def test_enumerate_i2_matches_bruteforce_subset_scan(I2, i2_subsemigroups):
     keys = {canonical_table(core.restrict(C, list(m)).table) for m in ambient}
     assert len(keys) == len(i2_subsemigroups) == 10
     assert sorted(s.n for s in i2_subsemigroups) == [1, 2, 2, 3, 3, 3, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("ground, limit",
+                         [(2, None), (2, 4), (2, 7), (2, 12), (2, 20), (3, 10)])
+def test_subsemigroups_grown_from_their_generators_match_the_reference(ground, limit, request):
+    C = request.getfixturevalue(f"I{ground}").carrier
+    got = core.inverse_subsemigroups(C, limit)
+    assert got == inverse_subsemigroups_reference(C, limit)
+    if ground == 3:
+        assert len(got) == 321
 
 
 def test_enumerated_carriers_validate_and_idempotents_commute(i2_subsemigroups):

@@ -1,13 +1,15 @@
-"""The way-below suite walks each denied pair once per side.
+"""The way-below suite refutes each distinct pair once per side.
 
-``check_wb_characterization`` hands the law's answer to the S-side
-refutation and keeps, per side, the denied pairs whose chain walk refuted
-nothing, so that a repeated pair is not walked again.  ``reference`` is the
-per-pair loop without either: each refutation asks the oracle itself and
-walks every denied pair.  The suite must give the reference's verdict,
-counterexample and examined count on the registry families, on every
-perturbed family of ``test_replay`` that fails the suite, and on a copy
-whose lie only a walk below a walked pair (y, y) finds.
+``check_wb_characterization`` hands the law's answers to both refutations
+and keeps, per side, the pairs whose refutation cleared: claims that
+survived every chain, and denied pairs whose chain walk refuted nothing.  A
+repeated pair is not refuted again.  ``reference`` is the per-pair loop
+without either: each refutation asks the oracle itself and refutes every
+pair.  The suite must give the reference's verdict, counterexample and
+examined count on the registry families, on every perturbed family of
+``test_replay`` that fails the suite, and on a copy whose lie only a walk
+below a walked pair (y, y) finds; and it must build the chains to y at most
+once per distinct pair and side.
 """
 
 from __future__ import annotations
@@ -22,10 +24,20 @@ from invsg import checkers
 from invsg.checkers import CheckReport
 from invsg.core import NotIdempotent
 from invsg.families import FAMILY_BUILDERS, rotation_family
-from invsg.families.base import DEFAULT_DEPTH, ChainWitness
+from invsg.families.base import DEFAULT_DEPTH, ChainWitness, SymbolicFamily
 from invsg.families.rotation import rotation_scale
 
 SUITE = "wb_characterization"
+
+
+def _draws(fam, seed: int, budget: int = checkers.DEFAULT_BUDGET):
+    """The pairs (s, t) the suite draws at the seed, in its order."""
+    rng = checkers._rng(seed, "wb_char", fam.name)
+    for _ in range(budget):
+        s, t = fam.sample(rng), fam.sample(rng)
+        if rng.random() < 0.3:
+            s = fam.op(t, fam.sample_idempotent(rng))
+        yield s, t
 
 
 def reference(fam, seed: int, depth: int = DEFAULT_DEPTH,
@@ -34,11 +46,7 @@ def reference(fam, seed: int, depth: int = DEFAULT_DEPTH,
     n0, na = checkers._ssc_mirror_gate(fam, depth, seed)
     if na:
         return CheckReport(SUITE, fam.name, *na)
-    rng = checkers._rng(seed, "wb_char", fam.name)
-    for examined in range(n0 + 1, n0 + budget + 1):
-        s, t = fam.sample(rng), fam.sample(rng)
-        if rng.random() < 0.3:
-            s = fam.op(t, fam.sample_idempotent(rng))
+    for examined, (s, t) in enumerate(_draws(fam, seed, budget), n0 + 1):
         if checkers._VIOLATED["wb-char"](fam, s, t):
             lhs = fam.wb_s(s, t)
             return CheckReport(SUITE, fam.name, "fail", checkers._fail(
@@ -107,3 +115,36 @@ def test_a_pair_below_a_walked_diagonal_is_walked_too(seed):
     got = checkers.run_suite(SUITE, lying, lying.name, seed=seed)
     assert got.verdict == "fail"
     assert _outcome(got) == _outcome(reference(lying, seed))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+def test_chains_are_built_at_most_once_per_distinct_pair_and_side(name, monkeypatch):
+    honest = FAMILY_BUILDERS[name]()
+    calls = {"S": 0, "Sigma": 0}
+
+    def chains_to(y):
+        calls["S"] += 1
+        return honest.chains_to(y)
+
+    real = SymbolicFamily.sigma_chains_to
+
+    def sigma_chains_to(self, eps):
+        calls["Sigma"] += 1
+        calls["S"] -= 1  # it builds the chains through chains_to
+        return real(self, eps)
+
+    counted = dataclasses.replace(honest, chains_to=chains_to)
+    checkers._ssc_mirror_gate(counted, DEFAULT_DEPTH, 3)  # cached: its chains are not counted
+    calls.update(S=0, Sigma=0)
+    monkeypatch.setattr(SymbolicFamily, "sigma_chains_to", sigma_chains_to)
+    got = checkers.run_suite(SUITE, counted, counted.name, seed=3)
+    if got.verdict == "not-applicable":
+        assert calls == {"S": 0, "Sigma": 0}
+        return
+    assert got.verdict == "pass"
+    pairs = set(_draws(counted, 3))
+    sigma_pairs = {(counted.sigma(s), counted.sigma(t)) for s, t in pairs}
+    assert calls["S"] <= len(pairs)
+    assert calls["Sigma"] <= len(sigma_pairs)
+    if name == "bicyclic-nat":
+        assert len(sigma_pairs) == 81
