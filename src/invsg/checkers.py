@@ -53,9 +53,8 @@ class CheckReport:
     notes: str = ""
 
     def to_json(self) -> dict:
-        ce = self.counterexample
         return {"suite": self.suite, "subject": self.subject, "verdict": self.verdict,
-                "counterexample": ce and {k: v for k, v in ce.items() if k != "_raw"},
+                "counterexample": _shown(self.counterexample),
                 "budget": self.budget, "notes": self.notes}
 
 
@@ -71,7 +70,7 @@ class Flag:
     def to_json(self) -> dict:
         out: dict = {"value": self.value, "evidence": self.evidence, "budget": self.budget}
         if self.witness is not None:
-            out["witness"] = {k: v for k, v in self.witness.items() if k != "_raw"}
+            out["witness"] = _shown(self.witness)
         return out
 
 
@@ -104,6 +103,12 @@ class Classification:
         return out
 
 
+def _shown(record: Optional[dict]) -> Optional[dict]:
+    """A counterexample or witness as a report prints it: without ``_raw``,
+    which only replay reads."""
+    return record and {k: v for k, v in record.items() if k != "_raw"}
+
+
 def _rng(seed: int, *tags: str) -> random.Random:
     h = 0
     for t in tags:
@@ -111,19 +116,13 @@ def _rng(seed: int, *tags: str) -> random.Random:
     return random.Random((seed << 32) ^ h)
 
 
-def _passed(budget, notes=""):
-    return "pass", None, budget, notes
-
-
-def _failed(budget, counterexample):
-    return "fail", counterexample, budget, ""
-
-
-def _verdict(budget, ok, counterexample, notes=""):
-    """A pass with ``notes`` when ``ok``, else a fail with the counterexample.
-    These helpers give a family check's (verdict, counterexample, budget,
-    notes); ``_lemma`` adds the suite and subject names."""
-    return _passed(budget, notes) if ok else _failed(budget, counterexample)
+def _verdict(examined, counterexample=None, notes=""):
+    """A family check's (verdict, counterexample, budget, notes): a pass with
+    ``notes`` when there is no counterexample, else a fail with it.  With
+    ``_na``, these give every result; ``_lemma`` adds the suite and subject."""
+    if counterexample is None:
+        return "pass", None, examined, notes
+    return "fail", counterexample, examined, ""
 
 
 def _na(notes):
@@ -240,18 +239,19 @@ _SIGMA = _Side(lambda fam, rng: fam.sample_idempotent(rng), _idem_pool,
                 "sigma-refuter-sup-too-small", "sigma-refuter-does-not-kill"))
 
 
-def _verify_chain(fam: SymbolicFamily, cw: ChainWitness, depth: int) -> Optional[dict]:
-    """Depth-bounded verification of a chain witness's structural claims."""
+def _verify_chain(fam: SymbolicFamily, cw: ChainWitness, depth: int) -> tuple:
+    """(members verified, counterexample): depth-bounded verification of a
+    chain witness's structural claims, on its members up to ``depth``."""
     ms = chain_members(cw, depth)
     claims = [(name, sup) for name, sup in (("sup_in_sigma", cw.sup_in_sigma),
                                             ("sup_in_s", cw.sup_in_s)) if sup is not None]
-    return (_scan(fam, "chain-not-monotone",
-                  ((cw, a, b, depth) for a, b in zip(ms, ms[1:])))[1]
-            or _scan(fam, "chain-not-idempotent", ((cw, a, depth) for a in ms))[1]
-            or _scan(fam, "claimed-sup-not-upper-bound",
-                     ((cw, name, a, sup, depth) for (name, sup), a in product(claims, ms)))[1]
-            or _scan(fam, "claimed-upper-bound-fails",
-                     ((cw, a, u, depth) for u, a in product(cw.upper_bounds, ms)))[1])
+    bad = (_scan(fam, "chain-not-monotone", ((cw, a, b, depth) for a, b in zip(ms, ms[1:])))[1]
+           or _scan(fam, "chain-not-idempotent", ((cw, a, depth) for a in ms))[1]
+           or _scan(fam, "claimed-sup-not-upper-bound",
+                    ((cw, name, a, sup, depth) for (name, sup), a in product(claims, ms)))[1]
+           or _scan(fam, "claimed-upper-bound-fails",
+                    ((cw, a, u, depth) for u, a in product(cw.upper_bounds, ms)))[1])
+    return len(ms), bad
 
 
 def _on_chain(cw: ChainWitness, a, depth: int) -> bool:
@@ -279,8 +279,8 @@ def _family_mirror(fam: SymbolicFamily, rng: random.Random, depth: int):
     chains = [*fam.witnesses, *(cw for eps in _idem_pool(fam, rng, 6)
                                 for cw in fam.sigma_chains_to(eps))]
     for cw in (cw for cw in chains if cw.sup_in_sigma is not None):
-        bad = _verify_chain(fam, cw, depth)
-        examined += depth + 1
+        n, bad = _verify_chain(fam, cw, depth)
+        examined += n
         if bad is not None:
             return False, bad, examined
         delta = cw.sup_in_sigma
@@ -307,11 +307,9 @@ def _family_mirror(fam: SymbolicFamily, rng: random.Random, depth: int):
             break
     reduced_ok, _red_ce, red_n = _family_reduced(fam, rng, depth)
     examined += red_n
-    if failure is None and not reduced_ok:
-        # reduced is only sufficient; nothing to conclude
-        return True, None, examined
     if failure is not None and reduced_ok:
-        # the two routes disagree: reduced implies mirror
+        # the two routes disagree: reduced implies mirror (it is only
+        # sufficient, so a failed reduced test concludes nothing)
         failure = _fail(fam, "mirror-family", **failure["_raw"],
                         route_disagreement="reduced test passed but a chain refutes mirror")
     return (failure is None), failure, examined
@@ -628,7 +626,7 @@ def _lemma(notes: str = ""):
                 budget = DEFAULT_BUDGET
             if isinstance(subject, FiniteInvSemigroup):
                 sid = subject_id or f"carrier(n={subject.n})"
-                return CheckReport(name, sid, *_passed(0, notes))
+                return CheckReport(name, sid, *_verdict(0, notes=notes))
             sid = subject_id or getattr(subject, "name", repr(subject))
             return CheckReport(name, sid, *family_check(subject, depth, seed, budget))
         check.__name__ = check.__qualname__ = family_check.__name__
@@ -652,8 +650,8 @@ def check_basic_rules(fam: SymbolicFamily, depth, seed, budget):
         examined += 1
         for kind in _BASIC_KINDS:
             if _VIOLATED[kind](fam, s, t):
-                return _failed(examined, _fail(fam, kind, s, t))
-    return _passed(examined)
+                return _verdict(examined, _fail(fam, kind, s, t))
+    return _verdict(examined)
 
 
 @_lemma()
@@ -678,7 +676,7 @@ def check_order_characterizations(fam: SymbolicFamily, depth, seed, budget):
         if _VIOLATED["teps-not-below-t"](fam, t, eps):
             ce = _fail(fam, "teps-not-below-t", t, eps)
             break
-    return _verdict(examined, ce is None, ce)
+    return _verdict(examined, ce)
 
 
 @_lemma()
@@ -695,11 +693,11 @@ def check_sigma_sup(fam: SymbolicFamily, depth, seed, budget):
         examined += 1
         for a in A:
             if _VIOLATED["sigma-not-monotone-at-max"](fam, t, a):
-                return _failed(examined, _fail(fam, "sigma-not-monotone-at-max", t, a))
+                return _verdict(examined, _fail(fam, "sigma-not-monotone-at-max", t, a))
     n, ce = _scan(fam, "sigma-image-escapes-sup",
                   ((cw, a, depth) for cw in fam.witnesses if cw.sup_in_s is not None
                    for a in chain_members(cw, depth)))
-    return _verdict(examined + n, ce is None, ce)
+    return _verdict(examined + n, ce)
 
 
 @_lemma()
@@ -718,7 +716,7 @@ def check_conditional_distributivity(fam: SymbolicFamily, depth, seed, budget):
                          ((cw, s, a, depth) for cw, ms in chains for s in pool
                           if _in_domain(fam, s, ms) for a in ms))
     if ce is not None:
-        return _failed(examined, ce)
+        return _verdict(examined, ce)
     for _ in range(300):
         t, A = _translates(fam, rng, 2)
         s = fam.sample(rng)
@@ -727,8 +725,8 @@ def check_conditional_distributivity(fam: SymbolicFamily, depth, seed, budget):
         examined += 1
         for a in A:
             if _VIOLATED["cond-distr-finite"](fam, t, s, a):
-                return _failed(examined, _fail(fam, "cond-distr-finite", t, s, a))
-    return _passed(examined)
+                return _verdict(examined, _fail(fam, "cond-distr-finite", t, s, a))
+    return _verdict(examined)
 
 
 def _in_domain(fam: SymbolicFamily, s, A) -> bool:
@@ -753,14 +751,14 @@ def check_greatest_of_translate(fam: SymbolicFamily, depth, seed, budget):
         for d in ms:
             examined += 1
             if _VIOLATED["d-not-in-translate"](fam, cw, d):
-                return _failed(examined, _fail(fam, "d-not-in-translate", cw, d))
+                return _verdict(examined, _fail(fam, "d-not-in-translate", cw, d))
             for x in ms:
                 if _VIOLATED["translate-escapes-d"](fam, cw, d, x, reach):
-                    return _failed(examined, _fail(fam, "translate-escapes-d", cw, d, x, reach))
+                    return _verdict(examined, _fail(fam, "translate-escapes-d", cw, d, x, reach))
     n, ce = _scan(fam, "translate-finite",
                   ((d, D) for _ in range(300) for D in [_translates(fam, rng, 2)[1]]
                    for d in D))
-    return _verdict(examined + n, ce is None, ce)
+    return _verdict(examined + n, ce)
 
 
 @_lemma()
@@ -771,8 +769,8 @@ def check_mirror(fam: SymbolicFamily, depth, seed, budget):
     2003), its sup in Sigma and in S, as Delta and delta have the same
     upper bounds.
     """
-    ok, ce, n = _mirror(fam, depth, seed)
-    return _verdict(n, ok, ce, "chain witnesses + reduced route agree")
+    _ok, ce, n = _mirror(fam, depth, seed)
+    return _verdict(n, ce, "chain witnesses + reduced route agree")
 
 
 @_lemma("ssc=True, meet-continuous=True")
@@ -795,10 +793,9 @@ def check_meet_continuity_mirror(fam: SymbolicFamily, depth, seed, budget):
                       ((cw, eps, a, depth) for cw in fam.witnesses if cw.sup_in_sigma is not None
                        for eps in _idem_pool(fam, rng, 6) for a in chain_members(cw, depth)))
     mc_ok = mc_ce is None
-    return _verdict(n0 + n1 + n2, ssc_ok == mc_ok,
-                    _fail(fam, "meet-cont-biconditional", ssc=ssc_ok, meet_continuous=mc_ok,
-                          _witness=ssc_ce or mc_ce),
-                    f"ssc={ssc_ok}, meet-continuous={mc_ok}")
+    ce = None if ssc_ok == mc_ok else _fail(fam, "meet-cont-biconditional", ssc=ssc_ok,
+                                            meet_continuous=mc_ok, _witness=ssc_ce or mc_ce)
+    return _verdict(n0 + n1 + n2, ce, f"ssc={ssc_ok}, meet-continuous={mc_ok}")
 
 
 def _ssc_mirror_gate(fam: SymbolicFamily, depth: int, seed: int):
@@ -838,12 +835,12 @@ def check_wb_characterization(fam: SymbolicFamily, depth, seed, budget):
         es, et = (interned.setdefault(e, e) for e in (fam.sigma(s), fam.sigma(t)))
         violated, lhs, claim = _wb_law(fam, s, t, es, et)
         if violated:
-            return _failed(examined, _fail(fam, "wb-char", s, t, lhs=lhs, rhs=not lhs))
+            return _verdict(examined, _fail(fam, "wb-char", s, t, lhs=lhs, rhs=not lhs))
         bad = (_wb_refutation(fam, _S, s, t, depth, lhs, cleared_s)
                or _wb_refutation(fam, _SIGMA, es, et, depth, claim, cleared_sigma))
         if bad is not None:
-            return _failed(examined, bad)
-    return _passed(n0 + n, "oracle biconditional + chain refutation")
+            return _verdict(examined, bad)
+    return _verdict(n0 + n, notes="oracle biconditional + chain refutation")
 
 
 @_lemma("mult(S)=True, mult(Sigma)=True")
@@ -862,10 +859,9 @@ def check_multiplicativity_mirror(fam: SymbolicFamily, depth, seed, budget):
     rounds = -(-budget // 4)
     multS, witS, nS = _multiplicative(fam, _S, rng, rounds)
     multE, witE, nE = _multiplicative(fam, _SIGMA, rng, rounds)
-    return _verdict(n0 + nS + nE, multS == multE,
-                    _fail(fam, "mult-biconditional", mult_S=multS, mult_Sigma=multE,
-                          _witness=witS or witE),
-                    f"mult(S)={multS}, mult(Sigma)={multE}")
+    ce = None if multS == multE else _fail(fam, "mult-biconditional", mult_S=multS,
+                                           mult_Sigma=multE, _witness=witS or witE)
+    return _verdict(n0 + nS + nE, ce, f"mult(S)={multS}, mult(Sigma)={multE}")
 
 
 @_lemma("continuous=True, algebraic=True")
@@ -888,11 +884,10 @@ def check_mirror_theorem(fam: SymbolicFamily, depth, seed, budget):
     algE, wE, n4 = _algebraic(fam, _SIGMA, rng)
     # the failing side's witness: of continuity if the sides disagree on it
     witness = (xE if contS else xS) if contS != contE else (wE if algS else wS)
-    return _verdict(n0 + n1 + n2 + n3 + n4,
-                    contS == contE and algS == algE,
-                    _fail(fam, "mirror-theorem", cont_S=contS, cont_Sigma=contE,
-                          alg_S=algS, alg_Sigma=algE, _witness=witness, _depth=depth),
-                    f"continuous={contS}, algebraic={algS}")
+    ce = None if contS == contE and algS == algE else _fail(
+        fam, "mirror-theorem", cont_S=contS, cont_Sigma=contE, alg_S=algS, alg_Sigma=algE,
+        _witness=witness, _depth=depth)
+    return _verdict(n0 + n1 + n2 + n3 + n4, ce, f"continuous={contS}, algebraic={algS}")
 
 
 @_lemma("criterion=True, mirror=True")
@@ -924,10 +919,10 @@ def check_separation_criterion(fam: SymbolicFamily, depth, seed, budget):
             break
     criterion = wit is None
     mirror_ok, mirror_ce, n0 = _mirror(fam, depth, seed)
-    return _verdict(examined + n0, criterion == mirror_ok,
-                    _fail(fam, "separation-biconditional", criterion=criterion,
-                          mirror=mirror_ok, _witness=wit or mirror_ce),
-                    f"criterion={criterion}, mirror={mirror_ok}")
+    ce = None if criterion == mirror_ok else _fail(
+        fam, "separation-biconditional", criterion=criterion, mirror=mirror_ok,
+        _witness=wit or mirror_ce)
+    return _verdict(examined + n0, ce, f"criterion={criterion}, mirror={mirror_ok}")
 
 
 @_lemma()
@@ -946,8 +941,8 @@ def check_continuity_implies_ssc(fam: SymbolicFamily, depth, seed, budget):
     contS, _x, n1 = _continuity(fam, _S, _rng(seed, "cont_ssc", fam.name), depth)
     if not contS:
         return _na("subject is not continuous")
-    ok, ce, n2 = _ssc(fam, depth, seed)
-    return _verdict(n0 + n1 + n2, ok, ce)
+    _ok, ce, n2 = _ssc(fam, depth, seed)
+    return _verdict(n0 + n1 + n2, ce)
 
 
 @_lemma("cdc(S)=True, cdc(Sigma)=True")
@@ -961,9 +956,8 @@ def check_conditional_dcpo_mirror(fam: SymbolicFamily, depth, seed, budget):
     if not ok:
         return _na("subject is not mirror")
     # evidence at finite scale only: bounded canonical chains carry sups
-    _, ce = _scan(fam, "bounded-chain-without-sup", ((cw,) for cw in fam.witnesses))
-    return _verdict(n0, ce is None, ce,
-                    "bounded canonical chains all carry sups (weak evidence)")
+    n1, ce = _scan(fam, "bounded-chain-without-sup", ((cw,) for cw in fam.witnesses))
+    return _verdict(n0 + n1, ce, "bounded canonical chains all carry sups (weak evidence)")
 
 
 def run_suite(name: str, subject, subject_id=None, **kw) -> CheckReport:

@@ -21,6 +21,9 @@ EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_LIMIT = 3
 
+# what a bad subject, family or file raises: each exits EXIT_INVALID
+_INPUT_ERRORS = (KeyError, OSError, ValueError, NotInverseSemigroup)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -71,7 +74,7 @@ def _invalid(exc: Exception) -> int:
 def _cmd_validate(args) -> int:
     try:
         S = core.load_carrier(args.file)
-    except (OSError, ValueError, NotInverseSemigroup) as exc:
+    except _INPUT_ERRORS as exc:
         return _invalid(exc)
     normalized = core.to_json(S)
     normalized["inv"] = list(S.inv)
@@ -105,7 +108,7 @@ def _check_limits(args) -> None:
 def _cmd_classify(args) -> int:
     try:
         subject = get_family(args.family, args.depth)
-    except (KeyError, OSError, ValueError, NotInverseSemigroup) as exc:
+    except _INPUT_ERRORS as exc:
         return _invalid(exc)
     record = classify(subject, args.family, depth=args.depth, seed=args.seed)
     if args.json:
@@ -120,14 +123,13 @@ def _cmd_classify(args) -> int:
 def _cmd_check(args) -> int:
     try:
         subject, sid = resolve_subject(args.subject, args.depth)
-    except (KeyError, OSError, ValueError, NotInverseSemigroup) as exc:
+    except _INPUT_ERRORS as exc:
         return _invalid(exc)
     reports = checkers.run_suites(subject, sid, args.suite, depth=args.depth,
                                   seed=args.seed, budget=args.budget)
-    failed = False
+    failed = any(r.verdict == "fail" for r in reports)
     if args.json:
         print(json.dumps([r.to_json() for r in reports]))
-        failed = any(r.verdict == "fail" for r in reports)
     else:
         for r in reports:
             line = f"{r.suite:28s} {r.verdict:>14s}  (budget={r.budget})"
@@ -135,7 +137,6 @@ def _cmd_check(args) -> int:
                 line += f"  {r.notes}"
             print(line)
             if r.verdict == "fail":
-                failed = True
                 ce = r.to_json()["counterexample"] or {}
                 print(f"  counterexample: {json.dumps(ce, default=str)}")
     return EXIT_FAIL if failed else EXIT_OK
@@ -144,7 +145,7 @@ def _cmd_check(args) -> int:
 def _cmd_hasse(args) -> int:
     try:
         subject, _sid = resolve_subject(args.subject)
-    except (KeyError, OSError, ValueError, NotInverseSemigroup) as exc:
+    except _INPUT_ERRORS as exc:
         return _invalid(exc)
     if isinstance(subject, FiniteInvSemigroup):
         if subject.n > args.window:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..core import load_carrier
 from .base import DEFAULT_DEPTH, ChainWitness, SymbolicFamily, chain_members
-from .bicyclic import bicyclic_dyadic, bicyclic_le, bicyclic_nat, bicyclic_op, bicyclic_wb
+from .bicyclic import bicyclic_dyadic, bicyclic_le, bicyclic_nat, bicyclic_op
 from .cex import OMEGA, cex_family, cex_le, cex_op, cex_truncation
 from .characters import character_family, enumerate_characters, trivial_character
 from .cosets import (GROUP_NAMES, all_cosets, coset_monoid, cyclic_group, dihedral_group,
@@ -20,7 +20,7 @@ from .rotation import (OutOfRange, rotation_family, rotation_le, rotation_op,
 
 __all__ = [
     "SymbolicFamily", "ChainWitness", "chain_members",
-    "bicyclic_nat", "bicyclic_dyadic", "bicyclic_op", "bicyclic_le", "bicyclic_wb",
+    "bicyclic_nat", "bicyclic_dyadic", "bicyclic_op", "bicyclic_le",
     "rotation_family", "rotation_op", "rotation_le", "rotation_wb_sigma",
     "OutOfRange",
     "cex_family", "cex_op", "cex_le", "cex_truncation",

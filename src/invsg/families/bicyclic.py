@@ -16,24 +16,26 @@ compact.
 
 A dyadic coordinate x is stored as the int x 2^K, where K is the scale
 ``base.family_scale`` sizes to the depth the family is built for (200 bits
-at the default depth).  The product, the order and way-below use only +, -,
-max, <= and ==, and each of them commutes with scaling by 2^K, so both cones
-share ``bicyclic_op``, ``bicyclic_inv``, ``bicyclic_le`` and the way-below
-oracles on ints, at every K.  The sampled dyadics have denominators up to 8
-and chain member k adds 2^-k with k up to the scale's limit < K, so every
-value is an exact integer; ``describe`` prints x as the Fraction x / 2^K.
+at the default depth).  The product and the order use only +, -, max, <= and
+==, and each of them commutes with scaling by 2^K, so both cones share
+``bicyclic_op``, ``bicyclic_inv`` and ``bicyclic_le`` on ints, at every K.
+Each cone has its own way-below oracles: over N they are the order, and over
+the dyadics the order with a strict inequality of coordinates.  The sampled
+dyadics have denominators up to 8 and chain member k adds 2^-k with k up to
+the scale's limit < K, so every value is an exact integer; ``describe``
+prints x as the Fraction x / 2^K.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
 from ..core import NotIdempotent
-from .base import (DEFAULT_DEPTH, Scale, SymbolicFamily, below, chain_to,
-                   family_scale, finite_chain)
+from .base import DEFAULT_DEPTH, SymbolicFamily, below, chain_to, family_scale, finite_chain
 
-__all__ = ["bicyclic_op", "bicyclic_le", "bicyclic_wb", "bicyclic_nat", "bicyclic_dyadic"]
+__all__ = ["bicyclic_op", "bicyclic_le", "bicyclic_nat", "bicyclic_dyadic"]
 
 
 def bicyclic_op(x, y):
@@ -54,32 +56,16 @@ def bicyclic_le(x, y) -> bool:
     return c == d + a - b and d <= b
 
 
-def bicyclic_wb(cone: str, eps, delta, describe=repr) -> bool:
-    """Way-below between idempotents (a,a) and (b,b) over the given cone.
-
-    A non-idempotent argument raises ``NotIdempotent`` named by ``describe``.
-    The default ``repr`` prints the pair as given: a stored dyadic pair
-    carries no scale, so only its family can print it as rationals, and its
-    ``wb_sigma`` passes its own ``describe``."""
-    a, aa = eps
-    b, bb = delta
-    if a != aa or b != bb:
-        raise NotIdempotent(describe(eps if a != aa else delta))
-    if cone == "nat":
-        return bicyclic_le(eps, delta)  # every idempotent is compact
-    if cone == "dyadic":
-        return a > b
-    raise ValueError(f"unknown cone {cone!r}")
-
-
-def _wb_s(cone: str):
-    def wb(s, t) -> bool:
-        if not bicyclic_le(s, t):
-            return False
-        if cone == "nat":
-            return True
-        return s[1] > t[1]
-    return wb
+def _wb_sigma(describe, wb):
+    """Way-below between idempotents (a,a) and (b,b): ``wb(a, b)``.  A
+    non-idempotent argument raises ``NotIdempotent`` named by ``describe``."""
+    def wb_sigma(eps, delta) -> bool:
+        a, aa = eps
+        b, bb = delta
+        if a != aa or b != bb:
+            raise NotIdempotent(describe(eps if a != aa else delta))
+        return wb(a, b)
+    return wb_sigma
 
 
 def _describe_nat(x) -> str:
@@ -93,9 +79,11 @@ def _chains_to_nat(t):
 
 
 class _Dyadic:
-    """The dyadic cone at one exact scale: x is stored as the int x 2^bits."""
+    """The dyadic cone at the exact scale for a depth: x is stored as the int
+    x 2^bits."""
 
-    def __init__(self, scale: Scale):
+    def __init__(self, depth: int):
+        scale = family_scale(depth)
         self.check, self.bits = scale.check, scale.bits
         self.one = 1 << self.bits
         # The sampled coordinates m / 2^j (m < 65, j < 4), stored: table[m][j]
@@ -128,6 +116,10 @@ def _sample_nat(rng: random.Random):
     return (below(rng, 9), below(rng, 9))
 
 
+def _wb_s_dyadic(s, t) -> bool:
+    return bicyclic_le(s, t) and s[1] > t[1]
+
+
 def _idem_sampler(pick):
     def sample(rng: random.Random):
         a, _ = pick(rng)
@@ -146,19 +138,7 @@ def _h_class_sample(pick):
     return hs
 
 
-def _family(cone: str, depth: int) -> SymbolicFamily:
-    if cone == "nat":
-        witnesses = _chains_to_nat((0, 0)) + _chains_to_nat((2, 2)) + _chains_to_nat((5, 3))
-        chains_to = _chains_to_nat
-        describe = _describe_nat
-        sample = _sample_nat
-        named = repr
-    else:
-        dyadic = _Dyadic(family_scale(depth))
-        one, chains_to, describe = dyadic.one, dyadic.chains_to, dyadic.describe
-        witnesses = (chains_to((one, one)) + chains_to((3 * one, 3 * one))
-                     + chains_to((5 * one // 2, one // 2)))
-        sample, named = dyadic.sample, describe
+def _family(cone: str, describe, sample, chains_to, witnesses, wb_s, wb) -> SymbolicFamily:
     return SymbolicFamily(
         name=f"bicyclic-{cone}",
         op=bicyclic_op,
@@ -171,19 +151,27 @@ def _family(cone: str, depth: int) -> SymbolicFamily:
         witnesses=witnesses,
         chains_to=chains_to,
         h_class_sample=_h_class_sample(sample),
-        wb_s=_wb_s(cone),
-        wb_sigma=lambda e, d: bicyclic_wb(cone, e, d, named),
+        wb_s=wb_s,
+        wb_sigma=_wb_sigma(describe, wb),
         zero=None,  # the bicyclic monoid has no zero element
     )
 
 
 def bicyclic_nat(depth: int = DEFAULT_DEPTH) -> SymbolicFamily:
     """The bicyclic monoid over N; its values are exact at every depth, so
-    ``depth`` is ignored."""
-    return _family("nat", depth)
+    ``depth`` is ignored.  Every idempotent is compact, so way-below on S is
+    the order, and (a,a) << (b,b) iff a >= b."""
+    witnesses = _chains_to_nat((0, 0)) + _chains_to_nat((2, 2)) + _chains_to_nat((5, 3))
+    return _family("nat", _describe_nat, _sample_nat, _chains_to_nat, witnesses,
+                   bicyclic_le, operator.ge)
 
 
 def bicyclic_dyadic(depth: int = DEFAULT_DEPTH) -> SymbolicFamily:
     """The bicyclic monoid over the dyadics, on the exact scale for ``depth``
-    (``TooLarge`` past ``base.MAX_DEPTH``)."""
-    return _family("dyadic", depth)
+    (``TooLarge`` past ``base.MAX_DEPTH``); (a,a) << (b,b) iff a > b."""
+    dyadic = _Dyadic(depth)
+    one, chains_to = dyadic.one, dyadic.chains_to
+    witnesses = (chains_to((one, one)) + chains_to((3 * one, 3 * one))
+                 + chains_to((5 * one // 2, one // 2)))
+    return _family("dyadic", dyadic.describe, dyadic.sample, chains_to, witnesses,
+                   _wb_s_dyadic, operator.gt)

@@ -29,12 +29,11 @@ import random
 from fractions import Fraction
 
 from ..core import FiniteInvSemigroup, tabulate
-from .base import (DEFAULT_DEPTH, ChainWitness, Scale, SymbolicFamily, below, family_scale,
+from .base import (DEFAULT_DEPTH, ChainWitness, SymbolicFamily, below, family_scale,
                    finite_chain, require_positive)
 from .rotation import rotation_wb_sigma
 
-__all__ = ["OMEGA", "CexScale", "cex_scale", "cex_op", "cex_inv", "cex_le",
-           "cex_family", "cex_truncation"]
+__all__ = ["OMEGA", "CexScale", "cex_op", "cex_inv", "cex_le", "cex_family", "cex_truncation"]
 
 _POINTS = 720720  # lcm(2..16): the sampled points m/q are multiples of 1/_POINTS
 
@@ -93,10 +92,11 @@ def _is_idem(s) -> bool:
 
 
 class CexScale:
-    """The encoding of the cex values at one exact scale."""
+    """The encoding of the cex values at the exact scale for a depth
+    (``TooLarge`` past ``base.MAX_DEPTH``)."""
 
-    def __init__(self, scale: Scale):
-        self.scale = scale
+    def __init__(self, depth: int = DEFAULT_DEPTH):
+        self.scale = scale = family_scale(depth)
         self.one = _POINTS << scale.bits   # the encoding of 1
         self.op, self.le, self.wb_s = _oracles(self.one)
         # The sampled interior points m/q (0 < m < q), stored, for q = 2..16,
@@ -152,15 +152,9 @@ class CexScale:
         return [self.one, OMEGA] if eps == self.one else [eps]
 
 
-def cex_scale(depth: int = DEFAULT_DEPTH) -> CexScale:
-    """The encoding of a cex family built for ``depth`` (``TooLarge`` past
-    ``base.MAX_DEPTH``)."""
-    return CexScale(family_scale(depth))
-
-
 def cex_family(depth: int = DEFAULT_DEPTH) -> SymbolicFamily:
     """The counterexample family on the exact scale for ``depth``."""
-    enc = cex_scale(depth)
+    enc = CexScale(depth)
     witnesses = ((enc.mirror_witness(),) + enc.chains_to(enc.one >> 1)
                  + enc.chains_to(OMEGA))
     return SymbolicFamily(

@@ -29,7 +29,7 @@ from itertools import product as iproduct
 from ..core import FiniteInvSemigroup
 from ..pbij import TooLarge
 from .base import DEFAULT_DEPTH, ChainWitness, SymbolicFamily, below, chain_to, finite_chain
-from .rotation import rotation_inv, rotation_le, rotation_op, rotation_scale
+from .rotation import RotationScale, rotation_inv, rotation_le, rotation_op
 
 __all__ = ["enumerate_characters", "character_family", "trivial_character"]
 
@@ -55,7 +55,7 @@ def _violating_pair(S: FiniteInvSemigroup, chi) -> tuple[int, int] | None:
 
 
 def trivial_character(S: FiniteInvSemigroup, depth: int = DEFAULT_DEPTH):
-    return (rotation_scale(depth).one,) * S.n
+    return (RotationScale(depth).one,) * S.n
 
 
 # The palette: radius 0, or a nonzero radius here with an angle here.
@@ -68,7 +68,7 @@ def enumerate_characters(S: FiniteInvSemigroup, depth: int = DEFAULT_DEPTH) -> l
     e = _require_commutative_monoid(S)
     if S.n > 5:
         raise TooLarge("character carrier order", 5)
-    enc = rotation_scale(depth)
+    enc = RotationScale(depth)
     values = [_ZERO] + [enc.canonical(r, th) for r in _PALETTE_R for th in _PALETTE_TH]
     slots = [i for i in range(S.n) if i != e]
     found = []
@@ -98,7 +98,7 @@ def character_family(S: FiniteInvSemigroup, depth: int = DEFAULT_DEPTH) -> Symbo
     """The character monoid of a finite commutative inverse monoid, on the
     rotation scale for ``depth``.  It samples products of the palette
     characters, which include the trivial one, as the palette holds 1."""
-    enc = rotation_scale(depth)
+    enc = RotationScale(depth)
     pool = enumerate_characters(S, depth=depth)
     triv = trivial_character(S, depth)
 

@@ -30,11 +30,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .base import (DEFAULT_DEPTH, ChainWitness, Scale, SymbolicFamily, below,
-                   chain_to, family_scale, finite_chain)
+from .base import (DEFAULT_DEPTH, ChainWitness, SymbolicFamily, below, chain_to,
+                   family_scale, finite_chain)
 
-__all__ = ["OutOfRange", "RotationScale", "rotation_scale", "rotation_op",
-           "rotation_inv", "rotation_le", "rotation_wb_sigma", "rotation_family"]
+__all__ = ["OutOfRange", "RotationScale", "rotation_op", "rotation_inv", "rotation_le",
+           "rotation_wb_sigma", "rotation_family"]
 
 _TURN = 27720                     # angle unit: lcm(1..12) per turn
 _ZERO = (0, 0)
@@ -93,10 +93,11 @@ def _h_class_sample(eps, rng: random.Random, k: int) -> list:
 
 
 class RotationScale:
-    """The encoding of the rotation values at one exact scale."""
+    """The encoding of the rotation values at the exact scale for a depth
+    (``TooLarge`` past ``base.MAX_DEPTH``)."""
 
-    def __init__(self, scale: Scale):
-        self.scale = scale
+    def __init__(self, depth: int = DEFAULT_DEPTH):
+        self.scale = scale = family_scale(depth)
         self.unit = _TURN << scale.bits   # the encoding of radius 1
         self.one = (self.unit, 0)
         # The sampled radii m/q (m <= q), stored, for q = 1..12: radii[q - 1][m].
@@ -148,15 +149,9 @@ class RotationScale:
         return (radii[below(rng, len(radii))], 0)
 
 
-def rotation_scale(depth: int = DEFAULT_DEPTH) -> RotationScale:
-    """The encoding of a rotation family built for ``depth`` (``TooLarge``
-    past ``base.MAX_DEPTH``)."""
-    return RotationScale(family_scale(depth))
-
-
 def rotation_family(depth: int = DEFAULT_DEPTH) -> SymbolicFamily:
     """The rotation semigroup on the exact scale for ``depth``."""
-    enc = rotation_scale(depth)
+    enc = RotationScale(depth)
     witnesses = (enc.chains_to(enc.one) + enc.chains_to(enc.canonical(Fraction(1, 2), 0))
                  + enc.chains_to(enc.canonical(Fraction(3, 4), Fraction(1, 3))))
     return SymbolicFamily(

@@ -8,13 +8,13 @@ from invsg.checkers import classify
 from invsg.families import (character_family, coset_monoid, cyclic_group,
                             enumerate_characters, trivial_character)
 from invsg.families.base import DEFAULT_DEPTH, MAX_DEPTH
-from invsg.families.rotation import rotation_scale
+from invsg.families.rotation import RotationScale
 
 from reference import NotACharacter, character_op, is_character
 
 # the rotation encoding at the default depth, the one the character functions use
-rot_canonical, rot_value = (rotation_scale(DEFAULT_DEPTH).canonical,
-                            rotation_scale(DEFAULT_DEPTH).value)
+rot_canonical, rot_value = (RotationScale(DEFAULT_DEPTH).canonical,
+                            RotationScale(DEFAULT_DEPTH).value)
 
 ONE = rot_canonical(Fraction(1), Fraction(0))
 HALF = rot_canonical(Fraction(1, 2), Fraction(0))

@@ -103,6 +103,12 @@ def test_mirror_fails_on_cex_with_the_canonical_witness():
     assert replay_counterexample(fam, r)
 
 
+@pytest.mark.parametrize("depth", [16, 64, 256])
+def test_the_mirror_gate_counts_only_the_chain_members_it_verifies(depth):
+    # every chain of bicyclic-nat is finite, so no depth verifies more members
+    assert checkers.check_mirror(bicyclic_nat(), depth=depth, seed=3).budget == 2634
+
+
 def test_classify_witness_is_the_check_counterexample():
     # a flag's witness shows each value as the suite report does: a list as a
     # list and a flag as a bool, not as their Python reprs

@@ -22,14 +22,14 @@ from invsg.families import (FAMILY_BUILDERS, OMEGA, bicyclic_dyadic, bicyclic_na
                             rotation_family)
 from invsg.families.base import (DEFAULT_DEPTH, MAX_DEPTH, chain_limit, chain_members,
                                  family_scale)
-from invsg.families.cex import cex_scale
-from invsg.families.rotation import rotation_scale
+from invsg.families.cex import CexScale
+from invsg.families.rotation import RotationScale
 from invsg.pbij import TooLarge
 
 K = family_scale(DEFAULT_DEPTH).bits  # the scale of a family built at the default depth
 MAX_CHAIN_INDEX = chain_limit(MAX_DEPTH)  # the deepest chain index any check reads
-rot_canonical, rot_value = (rotation_scale(DEFAULT_DEPTH).canonical,
-                            rotation_scale(DEFAULT_DEPTH).value)
+rot_canonical, rot_value = (RotationScale(DEFAULT_DEPTH).canonical,
+                            RotationScale(DEFAULT_DEPTH).value)
 
 # -- Fraction references ------------------------------------------------------
 
@@ -120,7 +120,7 @@ def dyadic_decoder(depth):
 
 def rotation_decoder(depth):
     """The decoder of a rotation family built for ``depth``."""
-    return rotation_scale(depth).value
+    return RotationScale(depth).value
 
 
 def dyadic_member(t, k):
@@ -252,7 +252,7 @@ def _cex_pool(fam, rng, k):
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_cex_oracles_agree_with_the_fraction_reference(seed):
-    fam, value = cex_family(), cex_scale(DEFAULT_DEPTH).value
+    fam, value = cex_family(), CexScale(DEFAULT_DEPTH).value
     pool = _cex_pool(fam, random.Random(seed), 6)
     values = [value(s) for s in pool]
     for s, vs in zip(pool, values):
@@ -276,7 +276,7 @@ def test_the_cex_fraction_api_runs_the_family_code():
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_cex_chain_members_agree_with_the_fraction_reference(seed):
-    fam, value = cex_family(), cex_scale(DEFAULT_DEPTH).value
+    fam, value = cex_family(), CexScale(DEFAULT_DEPTH).value
     chains = list(fam.witnesses)
     for x in _cex_pool(fam, random.Random(seed), 3):
         chains += fam.chains_to(x)
@@ -307,7 +307,7 @@ def test_the_largest_chain_index_is_exact_and_the_next_is_refused(name):
 
 def test_the_largest_cex_chain_index_is_exact_and_the_next_is_refused():
     for depth in (1, 64, 1024):
-        fam, value = cex_family(depth), cex_scale(depth).value
+        fam, value = cex_family(depth), CexScale(depth).value
         deepest = max(3 * depth, 64)
         omega_chains = [cw for cw in fam.witnesses if cw.length is None]
         assert [cw.name for cw in omega_chains] == ["unit-interval-chain",

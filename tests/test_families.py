@@ -10,17 +10,17 @@ from invsg import checkers
 from invsg.checkers import classify
 from invsg.core import NotIdempotent
 from invsg.families import (OMEGA, bicyclic_dyadic, bicyclic_le, bicyclic_nat,
-                            bicyclic_op, bicyclic_wb, cex_family, cex_le,
+                            bicyclic_op, cex_family, cex_le,
                             cex_op, cex_truncation,
                             rotation_family, rotation_le, rotation_op,
                             rotation_wb_sigma)
-from invsg.families.base import DEFAULT_DEPTH, chain_members, finite_chain
-from invsg.families.cex import cex_scale
-from invsg.families.rotation import OutOfRange, rotation_scale
+from invsg.families.base import DEFAULT_DEPTH, chain_members, family_scale, finite_chain
+from invsg.families.cex import CexScale
+from invsg.families.rotation import OutOfRange, RotationScale
 
 # the rotation encoding at the default depth, the one rotation_family() uses
-rot_canonical, rot_value = (rotation_scale(DEFAULT_DEPTH).canonical,
-                            rotation_scale(DEFAULT_DEPTH).value)
+rot_canonical, rot_value = (RotationScale(DEFAULT_DEPTH).canonical,
+                            RotationScale(DEFAULT_DEPTH).value)
 
 ALL_FAMILIES = [bicyclic_nat, bicyclic_dyadic, rotation_family, cex_family]
 
@@ -63,23 +63,25 @@ def test_bicyclic_associative_dyadic(a, b, c, d, e, f):
 
 
 def test_bicyclic_wb_examples():
-    assert bicyclic_wb("nat", (4, 4), (3, 3))
-    assert bicyclic_wb("nat", (3, 3), (3, 3))          # everything compact over N
-    assert not bicyclic_wb("dyadic", (Fraction(3), Fraction(3)),
-                           (Fraction(3), Fraction(3)))
-    assert bicyclic_wb("dyadic", (Fraction(4), Fraction(4)),
-                       (Fraction(3), Fraction(3)))
+    nat, dyadic = bicyclic_nat(), bicyclic_dyadic()
+    one = 1 << family_scale(DEFAULT_DEPTH).bits  # the dyadic encoding of 1
+    assert nat.wb_sigma((4, 4), (3, 3))
+    assert nat.wb_sigma((3, 3), (3, 3))          # everything compact over N
+    assert not dyadic.wb_sigma((3 * one, 3 * one), (3 * one, 3 * one))
+    assert dyadic.wb_sigma((4 * one, 4 * one), (3 * one, 3 * one))
     with pytest.raises(NotIdempotent):
-        bicyclic_wb("nat", (1, 2), (3, 3))
+        nat.wb_sigma((1, 2), (3, 3))
 
 
-def test_a_direct_bicyclic_wb_call_names_the_pair_as_given():
-    # a stored pair carries no scale, so a direct call prints it as given;
-    # the dyadic family's wb_sigma prints rationals (see test_encoding)
-    with pytest.raises(NotIdempotent, match=r"^element \(17, 65\) is not idempotent$"):
-        bicyclic_wb("dyadic", (17, 65), (3, 3))
-    with pytest.raises(NotIdempotent, match=r"^element \(2, 1\) is not idempotent$"):
-        bicyclic_wb("nat", (3, 3), (2, 1))
+@pytest.mark.parametrize("build", [bicyclic_nat, bicyclic_dyadic])
+def test_a_bicyclic_family_names_a_non_idempotent_as_it_describes_it(build):
+    # as every other message and counterexample of the family names it
+    fam, rng = build(), random.Random(0)
+    x = next(x for x in iter(lambda: fam.sample(rng), None) if not fam.is_idempotent(x))
+    for args in ((x, fam.sigma(x)), (fam.sigma(x), x)):
+        with pytest.raises(NotIdempotent) as err:
+            fam.wb_sigma(*args)
+        assert str(err.value) == f"element {fam.describe(x)} is not idempotent"
 
 
 # -- rotation ----------------------------------------------------------------
@@ -152,7 +154,7 @@ def test_cex_incomparability_of_one_and_omega():
 
 
 def test_cex_mirror_witness_content():
-    enc = cex_scale()
+    enc = CexScale()
     cw, fam, value = enc.mirror_witness(), cex_family(), enc.value
     members = chain_members(cw, 64)
     assert value(members[0]) == 0 and value(members[3]) == Fraction(7, 8)

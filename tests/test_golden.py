@@ -28,15 +28,15 @@ BUDGET = 400
 # name: (the budget of each suite in registry order, of each classify flag in
 # Classification.flags() order)
 EXAMINED = {
-    "bicyclic-nat": ((10000, 20000, 1012, 338, 912, 3732, 4496, 14368, 9448, 4107, 4138,
-                      4540, 3732),
-                     (2004, 3732, 292, 48, 2040)),
-    "bicyclic-dyadic": ((10000, 20000, 1198, 4707, 954, 6774, 17436, 24796, 19982, 12496,
-                         7317, 18306, 6774),
-                        (2066, 6774, 5720, 1, 2084)),
-    "rotation": ((10000, 20000, 1198, 3717, 954, 6386, 17246, 24606, 19727, 11213, 6788,
-                  17477, 6386),
-                 (2066, 6386, 5081, 1, 2050)),
+    "bicyclic-nat": ((10000, 20000, 1012, 338, 912, 2634, 3398, 13270, 8350, 3009, 3040,
+                      3442, 2637),
+                     (2004, 2634, 292, 48, 2040)),
+    "bicyclic-dyadic": ((10000, 20000, 1198, 4707, 954, 5366, 16028, 23388, 18574, 11088,
+                         5909, 16898, 5372),
+                        (2066, 5366, 5720, 1, 2084)),
+    "rotation": ((10000, 20000, 1198, 3717, 954, 4978, 15838, 23198, 18319, 9805, 5380,
+                  16069, 4984),
+                 (2066, 4978, 5081, 1, 2050)),
     "cex": ((10000, 20000, 1067, 1358, 936, 71, 0, 0, 0, 0, 72, 0, 0),
             (19, 71, 3539, 3, 2057)),
 }

@@ -25,7 +25,7 @@ from invsg.checkers import CheckReport
 from invsg.core import NotIdempotent
 from invsg.families import FAMILY_BUILDERS, rotation_family
 from invsg.families.base import DEFAULT_DEPTH, ChainWitness, SymbolicFamily
-from invsg.families.rotation import rotation_scale
+from invsg.families.rotation import RotationScale
 
 SUITE = "wb_characterization"
 
@@ -105,7 +105,7 @@ def test_a_pair_below_a_walked_diagonal_is_walked_too(seed):
     # denied (x, y) with x < y must be walked although (y, y) was walked
     # and kept before it
     honest = rotation_family()
-    half = rotation_scale().canonical(Fraction(1, 2), 0)
+    half = RotationScale().canonical(Fraction(1, 2), 0)
 
     def wb_sigma(e, d):
         return honest.wb_sigma(e, d) and d != half
