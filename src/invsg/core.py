@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from operator import itemgetter
+from operator import countOf, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = [
@@ -41,11 +41,12 @@ __all__ = [
 
 # Validation reads O(|A| n^2) table entries in Light's test, A its right
 # generators, and O(|A| n) more to find the inverses along the generator steps:
-# I_5 (n = 1,546, |A| = 4), the largest carrier built here, is validated in
-# about 0.25 s, 0.15 s of it Light's test, 0.09 s the type and range check of
-# the entries and 1 ms the inverses, which the exhaustive scan took 0.13 s to
-# find; coset:S4 (n = 234) in 15 ms, with |A| = 8 from the ascending greedy
-# where the descending one needs 55 (Python 3.11, one core of a Xeon host).
+# I_5 (n = 1,546, |A| = 3), the largest carrier built here, is validated in
+# about 0.19 s, 0.11 s of it Light's test and its greedy passes, 0.07 s the
+# type and range check of the entries and 1 ms the inverses, which the
+# exhaustive scan took 0.13 s to find; coset:S4 (n = 234) in 15 ms, with |A| =
+# 8 from the ascending greedy where the descending one needs 55 (Python 3.11,
+# one core of a Xeon host).
 
 
 class NotInverseSemigroup(Exception):
@@ -147,8 +148,12 @@ def _check_associative(table) -> tuple[list[int], list[tuple[int, int, int]]]:
     table, so if all of A passes, every element does and the table is
     associative.  The test reads |A| n^2 entries, so A is the smaller of the
     greedy sets taken from the highest id down and from the lowest id up
-    (the second is given up once it is no smaller).  The first failing (x,
-    a, y) is raised.  Returns A and its steps, as ``right_generators`` does.
+    (the second is given up once it is no smaller).  The later members of A
+    often generate the first, picked when nothing was covered (on I_5 they
+    do), so A drops it if the rest cover all n ids; that greedy pass of n |A|
+    Python products is tried only when 32 |A| < n, as the n^2 reads it
+    saves are each about 32 times cheaper, in C.  The first failing (x, a,
+    y) is raised.  Returns A and its steps, as ``right_generators`` does.
     Rows must be tuples, as ``FiniteInvSemigroup`` stores them.
     """
     n = len(table)
@@ -158,6 +163,10 @@ def _check_associative(table) -> tuple[list[int], list[tuple[int, int, int]]]:
 
     gens, steps = right_generators(n, mul)
     gens, steps = _greedy(n, mul, range(n), len(gens)) or (gens, steps)
+    if 1 < len(gens) and 32 * len(gens) < n:
+        fewer = _greedy(n, mul, gens[1:])
+        if len(fewer[0]) + len(fewer[1]) == n:
+            gens, steps = fewer
     if n == 1:
         return gens, steps        # [[0]] is the only 1x1 table in range
     for a in gens:
@@ -234,10 +243,11 @@ class FiniteInvSemigroup:
             raise ValueError("carrier must be nonempty")
         if any(len(row) != n for row in tbl):
             raise ValueError("multiplication table must be square")
-        # exact types: a bool or a float entry is rejected, not converted
-        if not set(map(type, chain.from_iterable(tbl))) <= {int}:
+        # exact types: a bool or a float entry is rejected, not converted,
+        # even where it equals an int entry that a set would keep instead
+        if countOf(map(type, chain.from_iterable(tbl)), int) != n * n:
             raise ValueError("table entries must be ints")
-        values = set(chain.from_iterable(tbl))
+        values = set().union(*tbl)
         if min(values) < 0 or max(values) >= n:
             x = next(x for x in chain.from_iterable(tbl) if not 0 <= x < n)
             raise ValueError(f"table entry {x} out of range [0, {n})")
@@ -402,13 +412,15 @@ def inverse_subsemigroups(S: FiniteInvSemigroup, limit: Optional[int] = None) ->
     They are grown one generator at a time from the empty set; each is
     reached, as every closure on the way stays inside it.  A closure m keeps
     the ids g that generated it and grows from g | x, whose closure is that
-    of m | x as m = <g>, on fewer generators.
+    of m | x as m = <g>, on fewer generators.  As g | x and g | x* have one
+    closure, and x* is outside m when x is, only the one of x, x* with the
+    larger id is grown.
     """
     found: set[int] = set()
     frontier = [(0, 0)]
     for m, g in frontier:         # grows while it is read
         for x in range(S.n):
-            if not m >> x & 1:
+            if not m >> x & 1 and S.inv[x] >= x:
                 grown = generated(S, g | 1 << x, limit)
                 if grown is not None and grown not in found:
                     found.add(grown)

@@ -160,8 +160,8 @@ class GeneratedSemigroup:
 
 
 def _sorted_elements(elems: Iterable[PartialBijection]) -> list[PartialBijection]:
-    return sorted(set(elems), key=lambda f: (bin(f.dom_mask()).count("1"),
-                                             f.dom_mask(), f.mapping))
+    return sorted(set(elems), key=lambda f: ((dom := f.dom_mask()).bit_count(),
+                                             dom, f.mapping))
 
 
 def _build(elems: Iterable[PartialBijection]) -> GeneratedSemigroup:

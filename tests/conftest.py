@@ -17,6 +17,11 @@ def I3():
 
 
 @pytest.fixture(scope="session")
+def I4():
+    return pbij.symmetric_inverse_monoid(4)
+
+
+@pytest.fixture(scope="session")
 def i2_subsemigroups():
     return list(pbij.enumerate_inverse_subsemigroups(2, 7))
 

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from invsg import core
+from invsg import core, pbij
 from invsg.core import (FiniteInvSemigroup, NoInverse, NonUniqueInverse, NotAssociative,
                         NotIdempotent, NotInverseSemigroup, h_class, idempotents,
                         is_reduced, sup_finite)
@@ -70,6 +70,34 @@ def test_constructor_rejects_non_int_entries(table):
 def test_constructor_reports_the_first_out_of_range_entry():
     with pytest.raises(ValueError, match=r"table entry 5 out of range \[0, 2\)"):
         FiniteInvSemigroup([[0, 5], [1, -3]])
+
+
+def _late_entry(table, want):
+    """The row and column of the last entry of ``table`` equal to ``want``."""
+    return max((i, j) for i, row in enumerate(table)
+               for j, v in enumerate(row) if v == want)
+
+
+@pytest.mark.parametrize("spoil", [lambda v: True, float])
+def test_entry_check_rejects_a_late_non_int_equal_to_an_earlier_int(I4, spoil):
+    # a set of the values keeps the earlier int 1 and would hide the True or 1.0
+    table = [list(row) for row in I4.carrier.table]
+    assert len(table) == 209
+    i, j = _late_entry(table, 1)
+    assert i > 100
+    table[i][j] = spoil(table[i][j])
+    assert table[i][j] == 1
+    with pytest.raises(ValueError, match="^table entries must be ints$"):
+        FiniteInvSemigroup(table)
+
+
+@pytest.mark.parametrize("first, later", [(216, -1), (-2, 218)])
+def test_entry_check_names_the_first_of_two_out_of_range_entries(I4, first, later):
+    # neither the least nor the greatest value tells which entry comes first
+    table = [list(row) for row in I4.carrier.table]
+    table[40][200], table[150][3] = first, later
+    with pytest.raises(ValueError, match=rf"^table entry {first} out of range \[0, 209\)$"):
+        FiniteInvSemigroup(table)
 
 
 def test_constructor_keeps_tuple_rows_without_a_copy(I2):
@@ -224,6 +252,48 @@ def test_right_generators_cover_every_corpus_carrier(finite_corpus):
             assert a in gens and p in reached and S.mul(p, a) == y, label
             reached.add(y)
         assert sorted(reached) == list(range(S.n)) == sorted(gens + [y for y, _, _ in steps])
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_light_test_drops_the_first_generator_on_the_largest_carriers(k):
+    # I_4 (n = 209) and I_5 (n = 1,546) are past the gate 32 |A| < n, and the
+    # first greedy generator is a product of the later ones
+    table = pbij.symmetric_inverse_monoid(k).carrier.table
+    gens, steps = core._check_associative(table)
+    assert len(gens) == 3
+    built = set(gens)
+    for y, p, a in steps:
+        assert a in gens and p in built and y not in built
+        assert table[p][a] == y
+        built.add(y)
+    assert len(built) == len(gens) + len(steps) == len(table)
+
+
+def test_light_test_keeps_the_first_generator_when_the_rest_miss_it(I4):
+    # I_4 with a new identity 209 adjoined: no product of other ids gives it,
+    # so the trial without it covers 209 of the 210 ids and is dropped
+    n = I4.carrier.n
+    table = [row + (j,) for j, row in enumerate(I4.carrier.table)] + [tuple(range(n + 1))]
+    gens, steps = core._check_associative(tuple(table))
+    assert gens[0] == n and 32 * len(gens) < n + 1
+    assert len(gens) + len(steps) == n + 1
+    S = FiniteInvSemigroup(table)
+    assert S.identity == n and S.inv[n] == n
+
+
+def test_every_sampled_tamper_of_i4_is_rejected_with_a_genuine_triple(I4):
+    table = I4.carrier.table
+    n = len(table)
+    rng = random.Random(4)
+    for _ in range(100):
+        i, j = rng.randrange(n), rng.randrange(n)
+        tampered = [list(row) for row in table]
+        tampered[i][j] = (table[i][j] + rng.randrange(1, n)) % n
+        # each of these fails associativity, on a table past the trial's gate
+        with pytest.raises(NotAssociative) as ei:
+            FiniteInvSemigroup(tampered)
+        s, t, u = ei.value.triple
+        assert tampered[tampered[s][t]][u] != tampered[s][tampered[t][u]]
 
 
 def test_validate_rejects_no_inverse():

@@ -13,7 +13,8 @@ from invsg.pbij import (FiniteTopology, GroundMismatch, NotATopology,
                         closure, enumerate_inverse_subsemigroups,
                         pseudogroup_of_space, symmetric_inverse_monoid)
 
-from reference import enumerate_reference, inverse_subsemigroups_reference
+from reference import (enumerate_reference, groups_of_order_at_most,
+                       inverse_subsemigroups_reference)
 
 
 def pb(n, d):
@@ -210,6 +211,14 @@ def test_subsemigroups_grown_from_their_generators_match_the_reference(ground, l
     assert got == inverse_subsemigroups_reference(C, limit)
     if ground == 3:
         assert len(got) == 321
+
+
+@pytest.mark.parametrize("name", sorted(groups_of_order_at_most(8)))
+def test_subsemigroups_of_groups_match_the_reference(name):
+    # x* != x for most x of most of these groups, so the search grows one of
+    # each such pair
+    G = groups_of_order_at_most(8)[name]
+    assert core.inverse_subsemigroups(G) == inverse_subsemigroups_reference(G)
 
 
 def test_enumerated_carriers_validate_and_idempotents_commute(i2_subsemigroups):
