@@ -460,21 +460,22 @@ def _wb_refutation(fam: SymbolicFamily, side: _Side, x, y, depth: int,
     """
     if cleared is not None and (x, y) in cleared:
         return None
+    claim = getattr(fam, side.wb)(x, y) if claim is None else claim
+    if not claim and not fam.nat_le(x, y):
+        return None  # a denial with x not below y: the singleton {y} bears it out
     claim_refuted, missing, too_small, no_kill = side.kinds
 
     def found(kind, cw=None):
         return _fail(fam, kind, chain=cw, **dict(zip(side.keys, (x, y))), _depth=depth)
 
     chains, above_x = getattr(fam, side.chains_to), partial(fam.nat_le, x)
-    if getattr(fam, side.wb)(x, y) if claim is None else claim:
+    if claim:
         for cw in chains(y):
             sup = getattr(cw, side.sup)
             if sup is None or not fam.nat_le(y, sup):
                 continue
             if not any(map(above_x, iter_chain(cw, max(depth, DEFAULT_DEPTH)))):
                 return found(claim_refuted, cw)
-    elif not fam.nat_le(x, y):
-        return None
     else:
         cw = next(iter(chains(y)), None)
         if cw is None:
@@ -643,15 +644,14 @@ def check_basic_rules(fam: SymbolicFamily, depth, seed, budget):
     Lemma: these are identities of every inverse semigroup (Lawson, Inverse
     Semigroups, 1998, 1.4).
     """
-    rng = _rng(seed, "basic_rules", fam.name)
-    examined = 0
-    for _ in range(budget):
-        s, t = fam.sample(rng), fam.sample(rng)
-        examined += 1
-        for kind in _BASIC_KINDS:
-            if _VIOLATED[kind](fam, s, t):
+    rng, sample = _rng(seed, "basic_rules", fam.name), fam.sample
+    laws = [(kind, _VIOLATED[kind]) for kind in _BASIC_KINDS]
+    for examined in range(1, budget + 1):
+        s, t = sample(rng), sample(rng)
+        for kind, violated in laws:
+            if violated(fam, s, t):
                 return _verdict(examined, _fail(fam, kind, s, t))
-    return _verdict(examined)
+    return _verdict(budget)
 
 
 @_lemma()
@@ -662,21 +662,18 @@ def check_order_characterizations(fam: SymbolicFamily, depth, seed, budget):
     Lemma: the forms of the natural partial order are equivalent in every
     inverse semigroup (Lawson, 1998, 1.4).
     """
-    rng = _rng(seed, "order_characterizations", fam.name)
-    examined, ce = 0, None
-    for _ in range(budget):
-        s, t = fam.sample(rng), fam.sample(rng)
-        examined += 1
-        if _VIOLATED["characterizations-disagree"](fam, s, t):
-            ce = _fail(fam, "characterizations-disagree", s, t, values=_order_forms(fam, s, t))
-            break
-        # constructed witness: s' = t*eps must land below t
-        eps = fam.sample_idempotent(rng)
-        examined += 1
-        if _VIOLATED["teps-not-below-t"](fam, t, eps):
-            ce = _fail(fam, "teps-not-below-t", t, eps)
-            break
-    return _verdict(examined, ce)
+    rng, sample, sample_idempotent = (_rng(seed, "order_characterizations", fam.name),
+                                      fam.sample, fam.sample_idempotent)
+    disagree, escapes = _VIOLATED["characterizations-disagree"], _VIOLATED["teps-not-below-t"]
+    for examined in range(1, 2 * budget, 2):
+        s, t = sample(rng), sample(rng)
+        if disagree(fam, s, t):
+            return _verdict(examined, _fail(fam, "characterizations-disagree", s, t,
+                                            values=_order_forms(fam, s, t)))
+        eps = sample_idempotent(rng)  # constructed witness: s' = t*eps must land below t
+        if escapes(fam, t, eps):
+            return _verdict(examined + 1, _fail(fam, "teps-not-below-t", t, eps))
+    return _verdict(2 * budget)
 
 
 @_lemma()
@@ -826,13 +823,14 @@ def check_wb_characterization(fam: SymbolicFamily, depth, seed, budget):
     # them, and a pair whose refutation cleared is not refuted again on its
     # side; the sigma values are interned, so that the sigma memo holds one
     # object per distinct idempotent
-    rng, n = _rng(seed, "wb_char", fam.name), budget
-    cleared_s, cleared_sigma, interned = set(), set(), {}
-    for examined in range(n0 + 1, n0 + n + 1):
-        s, t = fam.sample(rng), fam.sample(rng)
+    rng, sample, sigma = _rng(seed, "wb_char", fam.name), fam.sample, fam.sigma
+    cleared_s, cleared_sigma, intern = set(), set(), {}.setdefault
+    for examined in range(n0 + 1, n0 + budget + 1):
+        s, t = sample(rng), sample(rng)
         if rng.random() < 0.3:
             s = fam.op(t, fam.sample_idempotent(rng))  # force comparable pairs too
-        es, et = (interned.setdefault(e, e) for e in (fam.sigma(s), fam.sigma(t)))
+        es, et = sigma(s), sigma(t)
+        es, et = intern(es, es), intern(et, et)
         violated, lhs, claim = _wb_law(fam, s, t, es, et)
         if violated:
             return _verdict(examined, _fail(fam, "wb-char", s, t, lhs=lhs, rhs=not lhs))
@@ -840,7 +838,7 @@ def check_wb_characterization(fam: SymbolicFamily, depth, seed, budget):
                or _wb_refutation(fam, _SIGMA, es, et, depth, claim, cleared_sigma))
         if bad is not None:
             return _verdict(examined, bad)
-    return _verdict(n0 + n, notes="oracle biconditional + chain refutation")
+    return _verdict(n0 + budget, notes="oracle biconditional + chain refutation")
 
 
 @_lemma("mult(S)=True, mult(Sigma)=True")

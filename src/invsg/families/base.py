@@ -100,8 +100,15 @@ def below(rng: random.Random, n: int) -> int:
     3.13): ``getrandbits(k)`` with k = n.bit_length() until the result is
     below n.  So it consumes the Mersenne Twister stream exactly as
     ``randrange`` with stop n does, and ``a + below(rng, b - a)`` is its draw
-    with start a and stop b, without the argument checks.  The samplers draw
-    their ints through it, so reports stay the same at every seed.
+    with start a and stop b, without the argument checks, so reports stay
+    the same at every seed.  The samplers of the four registry families
+    (``bicyclic``, ``rotation``, ``cex``) write this loop inline, without a
+    frame per index, with k precomputed per grid row; ``characters`` and the
+    checks call it.  Inline, three cases need care: a power of two draws one
+    bit more than it needs and rejects (k = 3 for n = 4, 4 for n = 8); a row
+    of one item still draws (k = 1, until a 0); and a coordinate a sampler
+    discards is still drawn.  ``tests/test_draws.py`` pins every sampler to
+    ``randrange``.
     """
     k = n.bit_length()
     r = rng.getrandbits(k)

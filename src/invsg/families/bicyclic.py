@@ -33,7 +33,7 @@ import random
 from fractions import Fraction
 
 from ..core import NotIdempotent
-from .base import DEFAULT_DEPTH, SymbolicFamily, below, chain_to, family_scale, finite_chain
+from .base import DEFAULT_DEPTH, SymbolicFamily, chain_to, family_scale, finite_chain
 
 __all__ = ["bicyclic_op", "bicyclic_le", "bicyclic_nat", "bicyclic_dyadic"]
 
@@ -84,10 +84,11 @@ class _Dyadic:
 
     def __init__(self, depth: int):
         scale = family_scale(depth)
-        self.check, self.bits = scale.check, scale.bits
+        self.check, self.bits, self.limit = scale.check, scale.bits, scale.limit
         self.one = 1 << self.bits
         # The sampled coordinates m / 2^j (m < 65, j < 4), stored: table[m][j]
-        # is m << (bits - j).  A draw picks m, then j.
+        # is m << (bits - j).  A draw picks m, then j, each as ``below`` draws
+        # it: getrandbits(7) until below 65, then getrandbits(3) until below 4.
         self.table = tuple(tuple(m << (self.bits - j) for j in range(4))
                            for m in range(65))
 
@@ -96,15 +97,29 @@ class _Dyadic:
         return f"({Fraction(x[0], one)},{Fraction(x[1], one)})"
 
     def sample(self, rng: random.Random):
-        table = self.table
-        return (table[below(rng, 65)][below(rng, 4)], table[below(rng, 65)][below(rng, 4)])
+        g, table = rng.getrandbits, self.table
+        m = g(7)
+        while m >= 65:
+            m = g(7)
+        j = g(3)
+        while j >= 4:
+            j = g(3)
+        a = table[m][j]
+        m = g(7)
+        while m >= 65:
+            m = g(7)
+        j = g(3)
+        while j >= 4:
+            j = g(3)
+        return (a, table[m][j])
 
     def chains_to(self, t):
         a, b = t
-        bits, check = self.bits, self.check
+        bits, check, limit = self.bits, self.check, self.limit
 
         def member(k: int):
-            check(k)
+            if k > limit:
+                check(k)
             e = 1 << (bits - k)
             return (a + e, b + e)
 
@@ -113,7 +128,15 @@ class _Dyadic:
 
 
 def _sample_nat(rng: random.Random):
-    return (below(rng, 9), below(rng, 9))
+    # below(rng, 9) twice, inline: getrandbits(4) until below 9
+    g = rng.getrandbits
+    a = g(4)
+    while a >= 9:
+        a = g(4)
+    b = g(4)
+    while b >= 9:
+        b = g(4)
+    return (a, b)
 
 
 def _wb_s_dyadic(s, t) -> bool:

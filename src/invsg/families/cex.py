@@ -29,9 +29,9 @@ import random
 from fractions import Fraction
 
 from ..core import FiniteInvSemigroup, tabulate
-from .base import (DEFAULT_DEPTH, ChainWitness, SymbolicFamily, below, family_scale,
-                   finite_chain, require_positive)
-from .rotation import rotation_wb_sigma
+from .base import (DEFAULT_DEPTH, ChainWitness, SymbolicFamily, family_scale, finite_chain,
+                   require_positive)
+from .rotation import _rows, rotation_wb_sigma
 
 __all__ = ["OMEGA", "CexScale", "cex_op", "cex_inv", "cex_le", "cex_family", "cex_truncation"]
 
@@ -100,8 +100,9 @@ class CexScale:
         self.one = _POINTS << scale.bits   # the encoding of 1
         self.op, self.le, self.wb_s = _oracles(self.one)
         # The sampled interior points m/q (0 < m < q), stored, for q = 2..16,
-        # as interior[q - 2][m - 1].  A draw picks q, then m.
-        self.interior = tuple(tuple(m * (self.one // q) for m in range(1, q))
+        # as interior[q - 2][m - 1].  A draw picks q (getrandbits(4) until
+        # below 15), then m in its row, as ``rotation._rows`` says.
+        self.interior = _rows(tuple(m * (self.one // q) for m in range(1, q))
                               for q in range(2, 17))
 
     def value(self, x):
@@ -134,15 +135,24 @@ class CexScale:
         return (asc,)
 
     def sample(self, rng: random.Random):
-        roll = below(rng, 8)
+        g = rng.getrandbits
+        roll = g(4)  # below(rng, 8): 8.bit_length() is 4
+        while roll >= 8:
+            roll = g(4)
         if roll == 0:
             return OMEGA
         if roll == 1:
             return self.one
         if roll == 2:
             return 0
-        points = self.interior[below(rng, 15)]
-        return points[below(rng, len(points))]
+        q = g(4)
+        while q >= 15:
+            q = g(4)
+        points, n, k = self.interior[q]
+        m = g(k)
+        while m >= n:
+            m = g(k)
+        return points[m]
 
     def sample_idempotent(self, rng: random.Random):
         s = self.sample(rng)

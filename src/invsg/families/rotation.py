@@ -30,8 +30,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .base import (DEFAULT_DEPTH, ChainWitness, SymbolicFamily, below, chain_to,
-                   family_scale, finite_chain)
+from .base import DEFAULT_DEPTH, ChainWitness, SymbolicFamily, chain_to, family_scale, finite_chain
 
 __all__ = ["OutOfRange", "RotationScale", "rotation_op", "rotation_inv", "rotation_le",
            "rotation_wb_sigma", "rotation_family"]
@@ -75,14 +74,29 @@ def _wb_sigma(e, d) -> bool:
     return rotation_wb_sigma(e[0], d[0])
 
 
+def _rows(grid) -> tuple:
+    """Each row of a sample grid with its length n and k = n.bit_length():
+    an index into it is drawn as ``below`` draws it, getrandbits(k) until
+    below n.  A row of 1 still draws (k = 1), and a power of two draws a bit
+    more than it needs and rejects (k = 3 for n = 4)."""
+    return tuple((row, len(row), len(row).bit_length()) for row in grid)
+
+
 # The sampled angles m/q (m < q), stored, for q = 1..12: _ANGLES[q - 1][m].
-# A draw picks q, then m.
-_ANGLES = tuple(tuple(m * (_TURN // q) for m in range(q)) for q in range(1, 13))
+# A draw picks q (getrandbits(4) until below 12), then m in its row.
+_ANGLES = _rows(tuple(m * (_TURN // q) for m in range(q)) for q in range(1, 13))
 
 
 def _rand_angle(rng: random.Random) -> int:
-    angles = _ANGLES[below(rng, 12)]
-    return angles[below(rng, len(angles))]
+    g = rng.getrandbits
+    q = g(4)
+    while q >= 12:
+        q = g(4)
+    angles, n, k = _ANGLES[q]
+    m = g(k)
+    while m >= n:
+        m = g(k)
+    return angles[m]
 
 
 def _h_class_sample(eps, rng: random.Random, k: int) -> list:
@@ -101,8 +115,8 @@ class RotationScale:
         self.unit = _TURN << scale.bits   # the encoding of radius 1
         self.one = (self.unit, 0)
         # The sampled radii m/q (m <= q), stored, for q = 1..12: radii[q - 1][m].
-        # A draw picks q, then m.
-        self.radii = tuple(tuple(m * (self.unit // q) for m in range(q + 1))
+        # A draw picks q, then m, as an angle is drawn.
+        self.radii = _rows(tuple(m * (self.unit // q) for m in range(q + 1))
                            for q in range(1, 13))
 
     def canonical(self, r, theta):
@@ -135,18 +149,39 @@ class RotationScale:
         r, t = z
         if r == 0:
             return (finite_chain("constant-zero", [_ZERO], True),)
-        return (chain_to(z, t == 0, lambda: f"radius-approach-{self.describe(z)}",
-                         lambda k: self.approach(z, k)),
+        # r - (r >> k) is exact while 2^k divides r, so up to r's trailing
+        # zeros; ``approach`` gives member 0 and refuses a k past them or
+        # past the limit
+        exact = min(self.scale.limit, (r & -r).bit_length() - 1)
+
+        def member(k: int):
+            return (r - (r >> k), t) if 0 < k <= exact else self.approach(z, k)
+
+        return (chain_to(z, t == 0, lambda: f"radius-approach-{self.describe(z)}", member),
                 finite_chain(lambda: f"constant-{self.describe(z)}", [z], t == 0))
 
     def sample(self, rng: random.Random):
-        radii = self.radii[below(rng, 12)]
-        r, theta = radii[below(rng, len(radii))], _rand_angle(rng)
+        g = rng.getrandbits
+        q = g(4)
+        while q >= 12:
+            q = g(4)
+        radii, n, k = self.radii[q]
+        m = g(k)
+        while m >= n:
+            m = g(k)
+        r, theta = radii[m], _rand_angle(rng)
         return (r, theta) if r else _ZERO
 
     def sample_idempotent(self, rng: random.Random):
-        radii = self.radii[below(rng, 12)]
-        return (radii[below(rng, len(radii))], 0)
+        g = rng.getrandbits
+        q = g(4)
+        while q >= 12:
+            q = g(4)
+        radii, n, k = self.radii[q]
+        m = g(k)
+        while m >= n:
+            m = g(k)
+        return (radii[m], 0)
 
 
 def rotation_family(depth: int = DEFAULT_DEPTH) -> SymbolicFamily:

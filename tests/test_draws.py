@@ -3,7 +3,8 @@
 Reports are reproducible from ``--seed`` only if every draw is pinned, so
 ``below`` is checked against ``randrange`` value by value and on the final
 generator state, and each family sampler against a copy of its former
-``randrange`` formula.
+``randrange`` formula, at depth 1, at the default depth and at ``MAX_DEPTH``:
+the samplers draw their indices inline, from grids built for the scale.
 """
 
 import random
@@ -14,12 +15,8 @@ import pytest
 
 from invsg import core
 from invsg.families import FAMILY_BUILDERS, OMEGA, character_family, enumerate_characters
-from invsg.families.base import DEFAULT_DEPTH, below, family_scale
+from invsg.families.base import DEFAULT_DEPTH, MAX_DEPTH, below, family_scale
 from invsg.families.rotation import _TURN
-
-K = family_scale(DEFAULT_DEPTH).bits  # the scale FAMILY_BUILDERS build at by default
-_UNIT = _TURN << K
-_CEX_ONE = 720720 << K  # the cex point 1: lcm(2..16) 2^K
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "invsg"
 
@@ -36,7 +33,7 @@ def test_below_draws_what_randrange_draws(seed):
     assert ours.getstate() == ref.getstate()
 
 
-def _old_bicyclic(cone):
+def _old_bicyclic(cone, K):
     if cone == "nat":
         def sample(rng):
             return (rng.randrange(0, 9), rng.randrange(0, 9))
@@ -55,10 +52,12 @@ def _old_bicyclic(cone):
     return sample, sample_idempotent, h_class_sample
 
 
-def _old_rotation():
+def _old_rotation(K):
+    unit = _TURN << K
+
     def radius(rng):
         q = rng.randrange(1, 13)
-        return rng.randrange(0, q + 1) * (_UNIT // q)
+        return rng.randrange(0, q + 1) * (unit // q)
 
     def angle(rng):
         q = rng.randrange(1, 13)
@@ -74,10 +73,11 @@ def _old_rotation():
     return sample, lambda rng: (radius(rng), 0), h_class_sample
 
 
-def _old_cex():
-    # the old Fraction draws, encoded on the scale: x as x 720720 2^K
+def _old_cex(K):
+    # the old Fraction draws, encoded on the scale: x as x 720720 2^K,
+    # 720720 = lcm(2..16)
     def encode(x):
-        return x if x is OMEGA else int(x * _CEX_ONE)
+        return x if x is OMEGA else int(x * (720720 << K))
 
     def sample(rng):
         roll = rng.randrange(8)
@@ -99,8 +99,8 @@ def _old_cex():
     return sample, sample_idempotent, h_class_sample
 
 
-OLD = {"bicyclic-nat": lambda: _old_bicyclic("nat"),
-       "bicyclic-dyadic": lambda: _old_bicyclic("dyadic"),
+OLD = {"bicyclic-nat": lambda K: _old_bicyclic("nat", K),
+       "bicyclic-dyadic": lambda K: _old_bicyclic("dyadic", K),
        "rotation": _old_rotation, "cex": _old_cex}
 
 
@@ -117,11 +117,12 @@ def _draws(sample, sample_idempotent, h_class_sample, rng, rounds=2000):
 @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
 @pytest.mark.parametrize("seed", range(5))
 def test_family_samplers_draw_the_old_values(name, seed):
-    fam = FAMILY_BUILDERS[name]()
-    ours, ref = random.Random(seed), random.Random(seed)
-    got = _draws(fam.sample, fam.sample_idempotent, fam.h_class_sample, ours)
-    assert got == _draws(*OLD[name](), ref)
-    assert ours.getstate() == ref.getstate()
+    for depth in (1, DEFAULT_DEPTH, MAX_DEPTH):
+        fam = FAMILY_BUILDERS[name](depth)
+        ours, ref = random.Random(seed), random.Random(seed)
+        got = _draws(fam.sample, fam.sample_idempotent, fam.h_class_sample, ours)
+        assert got == _draws(*OLD[name](family_scale(depth).bits), ref), depth
+        assert ours.getstate() == ref.getstate(), depth
 
 
 @pytest.mark.parametrize("seed", range(5))
