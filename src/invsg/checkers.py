@@ -19,8 +19,8 @@ the scans test their instances through it (most in the one loop of
 ``replay_counterexample`` re-runs it.
 
 ``classify`` gives the five mirror properties of a subject as one
-Classification of Flags, each with the evidence that produced it, from
-the same family checks as the suites.
+Classification of Flags, each with the evidence that produced it: on a
+family, a projection of the memoized gates that the suites read.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import random
 import weakref
 import zlib
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, wraps
 from itertools import chain, combinations, pairwise, product
 from typing import Callable, Optional, Union
 
@@ -263,7 +263,23 @@ def _dominates(fam: SymbolicFamily, u, cw: ChainWitness, depth: int) -> bool:
     return all(fam.nat_le(a, u) for a in iter_chain(cw, depth))
 
 
-def _family_mirror(fam: SymbolicFamily, rng: random.Random, depth: int):
+def _hypothesis(family):
+    """Make a family check the gate that the suites and ``classify`` read: per
+    (fam, depth, seed) plus the side and budget it reads, one (ok, evidence,
+    examined), on its own rng, by ``__wrapped__`` (tests count it) into ``_GATE_CACHE``."""
+    kind = family.__name__.removeprefix("_family_").lstrip("_")
+    @wraps(family)
+    def check(fam: SymbolicFamily, depth: int, seed: int, *more):
+        per, key = _GATE_CACHE.setdefault(fam, {}), (kind, depth, seed, *more)
+        if key not in per:
+            rng = _rng(seed, f"{kind}-gate", fam.name, *(side.wb for side in more[:1]))
+            per[key] = check.__wrapped__(fam, *more, rng, depth, seed)
+        return per[key]
+    return check
+
+
+@_hypothesis
+def _family_mirror(fam: SymbolicFamily, rng: random.Random, depth: int, seed: int):
     """Chain-witness route plus the reduced sufficient condition, compared.
 
     A sampled dominator is confirmed at the deepest index any check reads,
@@ -305,17 +321,17 @@ def _family_mirror(fam: SymbolicFamily, rng: random.Random, depth: int):
                     break
         if failure:
             break
-    reduced_ok, _red_ce, red_n = _family_reduced(fam, rng, depth)
-    examined += red_n
+    reduced_ok, _red_ce, red_n = _family_reduced(fam, depth, seed)
     if failure is not None and reduced_ok:
         # the two routes disagree: reduced implies mirror (it is only
         # sufficient, so a failed reduced test concludes nothing)
         failure = _fail(fam, "mirror-family", **failure["_raw"],
                         route_disagreement="reduced test passed but a chain refutes mirror")
-    return (failure is None), failure, examined
+    return (failure is None), failure, examined + red_n
 
 
-def _family_reduced(fam: SymbolicFamily, rng: random.Random, depth: int):
+@_hypothesis
+def _family_reduced(fam: SymbolicFamily, rng: random.Random, depth: int, *_):
     """Reducedness, a nonzero idempotent below s forces s idempotent, on 2000
     sampled pairs s eps <= s, then on chain members to ``depth`` below a
     bound s."""
@@ -327,7 +343,8 @@ def _family_reduced(fam: SymbolicFamily, rng: random.Random, depth: int):
     return ce is None, ce, examined
 
 
-def _family_ssc(fam: SymbolicFamily, rng: random.Random, depth: int):
+@_hypothesis
+def _family_ssc(fam: SymbolicFamily, rng: random.Random, depth: int, *_):
     """Separate Scott-continuity evidence: translation respects chain sups."""
     pool = _elem_pool(fam, rng, 8)
     chains = [(cw, chain_members(cw, depth)) for cw in fam.witnesses if cw.sup_in_s is not None]
@@ -346,21 +363,6 @@ def _family_ssc(fam: SymbolicFamily, rng: random.Random, depth: int):
     return True, None, examined
 
 
-def _hypothesis(kind: str, family):
-    """The accessor of one family hypothesis: (ok, counterexample, examined),
-    memoized, and deterministic in (family, depth, seed)."""
-    def check(fam: SymbolicFamily, depth: int, seed: int):
-        per = _GATE_CACHE.setdefault(fam, {})
-        if (kind, depth, seed) not in per:
-            per[kind, depth, seed] = family(fam, _rng(seed, f"{kind}-gate", fam.name), depth)
-        return per[kind, depth, seed]
-    return check
-
-
-_mirror = _hypothesis("mirror", _family_mirror)
-_ssc = _hypothesis("ssc", _family_ssc)
-
-
 def _approximated(fam: SymbolicFamily, side: _Side, x, depth: int):
     """(ok, examined): some canonical chain with sup x has every member below
     and way below x."""
@@ -373,7 +375,8 @@ def _approximated(fam: SymbolicFamily, side: _Side, x, depth: int):
     return False, examined
 
 
-def _continuity(fam: SymbolicFamily, side: _Side, rng: random.Random, depth: int):
+@_hypothesis
+def _continuity(fam: SymbolicFamily, side: _Side, rng: random.Random, depth: int, *_):
     """(ok, witness, examined) for 'one side is continuous': each pooled x is
     approximated; the witness is the first x that is not."""
     examined = 0
@@ -392,7 +395,8 @@ def _compacts_below(fam: SymbolicFamily, side: _Side, x, tried: list) -> list:
     return list(dict.fromkeys(c for c in tried if fam.nat_le(c, x) and wb(c, c)))
 
 
-def _algebraic(fam: SymbolicFamily, side: _Side, rng: random.Random):
+@_hypothesis
+def _algebraic(fam: SymbolicFamily, side: _Side, rng: random.Random, *_):
     """(ok, witness, examined) for 'every element of one side is a sup of
     compacts below it', against sampled compacts x eps below each pooled x.
     The witness keeps x and the compacts tried as ``_raw``."""
@@ -420,10 +424,11 @@ def _unmultiplicative(fam: SymbolicFamily, side: _Side, s, t, s2, t2) -> bool:
     return not wb(fam.op(s, s2), fam.op(t, t2)) and wb(s, t) and wb(s2, t2)
 
 
-def _multiplicative(fam: SymbolicFamily, side: _Side, rng: random.Random, rounds: int):
-    """(ok, 4-tuple witness, examined) for sampled way-below multiplicativity
-    on one side: s << t and s2 << t2 give s s2 << t t2, on pairs s = t eps."""
-    wb = getattr(fam, side.wb)
+@_hypothesis
+def _multiplicative(fam: SymbolicFamily, side: _Side, budget: int, rng: random.Random, *_):
+    """(ok, 4-tuple witness, examined): s << t and s2 << t2 give s s2 << t t2 on
+    one side, in ceil(budget / 4) rounds over sampled pairs s = t eps."""
+    wb, rounds = getattr(fam, side.wb), -(-budget // 4)
     pairs, examined = [], 0
     while len(pairs) < 40 and examined < 4000:
         t = side.sample(fam, rng)
@@ -766,7 +771,7 @@ def check_mirror(fam: SymbolicFamily, depth, seed, budget):
     2003), its sup in Sigma and in S, as Delta and delta have the same
     upper bounds.
     """
-    _ok, ce, n = _mirror(fam, depth, seed)
+    _ok, ce, n = _family_mirror(fam, depth, seed)
     return _verdict(n, ce, "chain witnesses + reduced route agree")
 
 
@@ -780,10 +785,10 @@ def check_meet_continuity_mirror(fam: SymbolicFamily, depth, seed, budget):
     1998, 1.4); so sup(D s) = (sup D) s, and on Sigma, where the meet is
     the product, eps sup D = sup(eps D).
     """
-    ok, _ce, n0 = _mirror(fam, depth, seed)
+    ok, _ce, n0 = _family_mirror(fam, depth, seed)
     if not ok:
         return _na("subject is not mirror")
-    ssc_ok, ssc_ce, n1 = _ssc(fam, depth, seed)
+    ssc_ok, ssc_ce, n1 = _family_ssc(fam, depth, seed)
     # meet-continuity: idempotents translate sigma-chains below the translated sup
     rng = _rng(seed, "meet_cont", fam.name)
     n2, mc_ce = _scan(fam, "meet-cont-chain",
@@ -800,8 +805,8 @@ def _ssc_mirror_gate(fam: SymbolicFamily, depth: int, seed: int):
     Returns (examined, None) when they hold, else (0, a not-applicable result)."""
     if fam.wb_s is None or fam.wb_sigma is None:
         return 0, _na("no way-below oracle installed")
-    mirror_ok, _c, n0 = _mirror(fam, depth, seed)
-    ssc_ok, _c2, n1 = _ssc(fam, depth, seed)
+    mirror_ok, _c, n0 = _family_mirror(fam, depth, seed)
+    ssc_ok, _c2, n1 = _family_ssc(fam, depth, seed)
     if not (mirror_ok and ssc_ok):
         return 0, _na("not a ssc mirror subject")
     return n0 + n1, None
@@ -853,10 +858,8 @@ def check_multiplicativity_mirror(fam: SymbolicFamily, depth, seed, budget):
     n0, na = _ssc_mirror_gate(fam, depth, seed)
     if na:
         return na
-    rng = _rng(seed, "mult", fam.name)
-    rounds = -(-budget // 4)
-    multS, witS, nS = _multiplicative(fam, _S, rng, rounds)
-    multE, witE, nE = _multiplicative(fam, _SIGMA, rng, rounds)
+    multS, witS, nS = _multiplicative(fam, depth, seed, _S, budget)
+    multE, witE, nE = _multiplicative(fam, depth, seed, _SIGMA, budget)
     ce = None if multS == multE else _fail(fam, "mult-biconditional", mult_S=multS,
                                            mult_Sigma=multE, _witness=witS or witE)
     return _verdict(n0 + nS + nE, ce, f"mult(S)={multS}, mult(Sigma)={multE}")
@@ -872,14 +875,13 @@ def check_mirror_theorem(fam: SymbolicFamily, depth, seed, budget):
     """
     if fam.wb_s is None or fam.wb_sigma is None:
         return _na("no way-below oracle installed; continuity evidence is partial")
-    ok, _c, n0 = _mirror(fam, depth, seed)
+    ok, _c, n0 = _family_mirror(fam, depth, seed)
     if not ok:
         return _na("subject is not mirror")
-    rng = _rng(seed, "mirror_thm", fam.name)
-    contS, xS, n1 = _continuity(fam, _S, rng, depth)
-    contE, xE, n2 = _continuity(fam, _SIGMA, rng, depth)
-    algS, wS, n3 = _algebraic(fam, _S, rng)
-    algE, wE, n4 = _algebraic(fam, _SIGMA, rng)
+    contS, xS, n1 = _continuity(fam, depth, seed, _S)
+    contE, xE, n2 = _continuity(fam, depth, seed, _SIGMA)
+    algS, wS, n3 = _algebraic(fam, depth, seed, _S)
+    algE, wE, n4 = _algebraic(fam, depth, seed, _SIGMA)
     # the failing side's witness: of continuity if the sides disagree on it
     witness = (xE if contS else xS) if contS != contE else (wE if algS else wS)
     ce = None if contS == contE and algS == algE else _fail(
@@ -916,7 +918,7 @@ def check_separation_criterion(fam: SymbolicFamily, depth, seed, budget):
         if wit:
             break
     criterion = wit is None
-    mirror_ok, mirror_ce, n0 = _mirror(fam, depth, seed)
+    mirror_ok, mirror_ce, n0 = _family_mirror(fam, depth, seed)
     ce = None if criterion == mirror_ok else _fail(
         fam, "separation-biconditional", criterion=criterion, mirror=mirror_ok,
         _witness=wit or mirror_ce)
@@ -931,15 +933,15 @@ def check_continuity_implies_ssc(fam: SymbolicFamily, depth, seed, budget):
     (see ``check_mirror_theorem``, ``check_mirror`` and
     ``check_meet_continuity_mirror``).
     """
-    mirror_ok, _c, n0 = _mirror(fam, depth, seed)
+    mirror_ok, _c, n0 = _family_mirror(fam, depth, seed)
     if not mirror_ok:
         return _na("subject is not mirror")
     if fam.wb_s is None:
         return _na("no way-below oracle installed")
-    contS, _x, n1 = _continuity(fam, _S, _rng(seed, "cont_ssc", fam.name), depth)
+    contS, _x, n1 = _continuity(fam, depth, seed, _S)
     if not contS:
         return _na("subject is not continuous")
-    _ok, ce, n2 = _ssc(fam, depth, seed)
+    _ok, ce, n2 = _family_ssc(fam, depth, seed)
     return _verdict(n0 + n1 + n2, ce)
 
 
@@ -950,7 +952,7 @@ def check_conditional_dcpo_mirror(fam: SymbolicFamily, depth, seed, budget):
     Lemma: both hold on a carrier, as a finite directed set has a maximum,
     its sup, in S and in Sigma (Gierz et al., 2003).
     """
-    ok, _c, n0 = _mirror(fam, depth, seed)
+    ok, _c, n0 = _family_mirror(fam, depth, seed)
     if not ok:
         return _na("subject is not mirror")
     # evidence at finite scale only: bounded canonical chains carry sups
@@ -996,28 +998,25 @@ def _classify_finite(S: FiniteInvSemigroup, subject_id: str, depth: int,
 
 def _classify_family(fam: SymbolicFamily, subject_id: str, depth: int, seed: int,
                      budget) -> Classification:
-    """The flags from the family checks, on the oracles and canonical chains;
-    a family without way-below oracles gets value None for the three flags
-    that read them."""
-    rng = _rng(seed, "classify", fam.name)
-    red_ok, red_ce, red_n = _family_reduced(fam, rng, depth)
+    """The flags as the suites' gates give them; a family without way-below
+    oracles gets value None for the three flags that read them."""
+    red_ok, red_ce, red_n = _family_reduced(fam, depth, seed)
     red_note = ("sampled pairs (idempotent below element), and the chain members "
                 f"to depth {depth} below each non-idempotent upper bound of a witness chain")
     if fam.zero is not None:
         red_note += "; the zero element is excluded, as the mirror route requires"
-    mirror_ok, mirror_ce, mir_n = _mirror(fam, depth, seed)
+    mirror_ok, mirror_ce, mir_n = _family_mirror(fam, depth, seed)
 
     if fam.wb_s is None or fam.wb_sigma is None:
         cont, alg, stably = (Flag(None, "not classified (partial family)", 0)
                              for _ in range(3))
     else:
-        contS, _x, nS = _continuity(fam, _S, rng, depth)
-        contE, _xE, nE = _continuity(fam, _SIGMA, rng, depth)
-        cont_n = nS + nE
-        algS, alg_wit, alg_n = _algebraic(fam, _S, rng)
-        mult_ok, _wit, mult_n = _multiplicative(fam, _S, rng, budget)
+        contS, _x, nS = _continuity(fam, depth, seed, _S)
+        contE, _xE, nE = _continuity(fam, depth, seed, _SIGMA)
+        algS, alg_wit, alg_n = _algebraic(fam, depth, seed, _S)
+        mult_ok, _wit, mult_n = _multiplicative(fam, depth, seed, _S, budget or DEFAULT_BUDGET)
         cont = Flag(contS, f"approximation chains at depth {depth}; "
-                           f"sigma side agrees ({contE})", cont_n)
+                           f"sigma side agrees ({contE})", nS + nE)
         alg = Flag(algS, "compact approximants sampled against the way-below oracle",
                    alg_n, alg_wit)
         stably = Flag(bool(contS) and mult_ok,
@@ -1043,7 +1042,7 @@ def classify(subject: Union[FiniteInvSemigroup, SymbolicFamily],
     if isinstance(subject, FiniteInvSemigroup):
         return _classify_finite(subject, subject_id or f"carrier(n={subject.n})",
                                 depth, seed)
-    return _classify_family(subject, subject_id or subject.name, depth, seed, budget or 2000)
+    return _classify_family(subject, subject_id or subject.name, depth, seed, budget)
 
 
 def replay_counterexample(subject, report: CheckReport) -> bool:

@@ -137,11 +137,10 @@ def test_criterion_5_continuity_algebraicity_biconditional(finite_corpus):
     }
     for name, mk in FAMILY_BUILDERS.items():
         fam = mk()
-        rng = checkers._rng(0, "acceptance-cont", name)
-        contS, _x, _n = checkers._continuity(fam, checkers._S, rng, DEPTH)
-        contE, _x1, _n1 = checkers._continuity(fam, checkers._SIGMA, rng, DEPTH)
-        algS, _w, _n2 = checkers._algebraic(fam, checkers._S, rng)
-        algE, _w2, _n3 = checkers._algebraic(fam, checkers._SIGMA, rng)
+        contS, _x, _n = checkers._continuity(fam, DEPTH, 0, checkers._S)
+        contE, _x1, _n1 = checkers._continuity(fam, DEPTH, 0, checkers._SIGMA)
+        algS, _w, _n2 = checkers._algebraic(fam, DEPTH, 0, checkers._S)
+        algE, _w2, _n3 = checkers._algebraic(fam, DEPTH, 0, checkers._SIGMA)
         if contS != contE or algS != algE:
             ok = False
             notes.append(f"{name}: sides disagree")

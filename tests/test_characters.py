@@ -117,8 +117,7 @@ def test_character_family_mirror_and_reduced():
     for S in (two_chain(), cyclic_group(2), mixed3()):
         fam = character_family(S)
         assert checkers.check_mirror(fam).verdict == "pass"
-        rng = random.Random(5)
-        ok, ce, _n = checkers._family_reduced(fam, rng, DEFAULT_DEPTH)
+        ok, ce, _n = checkers._family_reduced(fam, DEFAULT_DEPTH, 5)
         assert ok, ce
 
 

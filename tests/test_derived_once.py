@@ -3,11 +3,13 @@
 A carrier passes every suite by lemma, so one ``run_suites`` on a carrier
 builds no order poset.  ``checkers`` memoizes each family's hypothesis gates
 in a weak dict keyed by identity; these tests check that a copy with a
-replaced oracle never reads its original's entries, and that an entry goes
-with its family.  The order characterizations of ``test_lemmas`` read masks
-of tE and Et; a test-local reference scans the idempotents for each pair,
-as the definition does.  The basic-rule and characterization kinds of the
-references re-check their one instance, and the family kinds replay theirs.
+replaced oracle never reads its original's entries, that an entry goes with
+its family, and that the suites and ``classify`` read one evidence of each
+property, computed once.  The order characterizations of ``test_lemmas``
+read masks of tE and Et; a test-local reference scans the idempotents for
+each pair, as the definition does.  The basic-rule and characterization
+kinds of the references re-check their one instance, and the family kinds
+replay theirs.
 """
 
 import copy
@@ -18,17 +20,23 @@ import weakref
 import pytest
 
 from invsg import checkers, poset
-from invsg.checkers import replay_counterexample, run_suites
+from invsg.checkers import classify, replay_counterexample, run_suites
 from invsg.core import idempotents
-from invsg.families import coset_monoid, get_family, group_by_name
+from invsg.families import FAMILY_BUILDERS, coset_monoid, get_family, group_by_name
 
 import test_lemmas as lemmas
 from test_collapse import tampered, with_entry
 
 
+SIDES = {checkers._S: "S", checkers._SIGMA: "Sigma"}
+
+
 def _counting(fn, counts, name):
+    """fn, counting its calls under ``name``, and under (name, side) for
+    each side of a mirror law that it is called with."""
     def wrapper(*args):
-        counts[name] = counts.get(name, 0) + 1
+        for key in (name, *((name, SIDES[a]) for a in args if isinstance(a, checkers._Side))):
+            counts[key] = counts.get(key, 0) + 1
         return fn(*args)
     return wrapper
 
@@ -72,6 +80,40 @@ def test_an_entry_goes_with_its_family():
     gc.collect()
     assert ref() is None
     assert len(checkers._GATE_CACHE) == before - 1
+
+
+def _noted(report) -> dict:
+    """The key=value notes of a report that passed, as strings."""
+    return dict(part.split("=") for part in report.notes.split(", ")) \
+        if report.verdict == "pass" else {}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+def test_the_suites_and_classify_read_one_evidence_per_property(monkeypatch, name):
+    counts = {}
+    for gate in ("_family_reduced", "_continuity", "_algebraic", "_multiplicative"):
+        check = getattr(checkers, gate)
+        monkeypatch.setattr(check, "__wrapped__", _counting(check.__wrapped__, counts, gate))
+    fam = FAMILY_BUILDERS[name]()
+    reports = {r.suite: r for r in run_suites(fam, name, "all", seed=3)}
+    record = classify(fam, seed=3)
+    # each property is computed once per side, however many reports read it
+    assert counts["_family_reduced"] == 1
+    assert all(n <= 1 for key, n in counts.items() if isinstance(key, tuple)), counts
+    assert {("_continuity", "S"), ("_algebraic", "S"), ("_multiplicative", "S")} <= set(counts)
+    theorem = _noted(reports["mirror_theorem"])
+    mult = _noted(reports["multiplicativity_mirror"])
+    assert bool(theorem) == bool(mult) == (name != "cex")  # cex is not mirror
+    if theorem:
+        assert str(record.continuous.value) == theorem["continuous"]
+        assert str(record.stably_continuous.value) == str(
+            (theorem["continuous"], mult["mult(S)"]) == ("True", "True"))
+    assert record.mirror.to_json().get("witness") == reports["mirror"].to_json()["counterexample"]
+    # the gates do not depend on which report reads them first
+    suites_first = ([r.to_json() for r in reports.values()], record.to_json())
+    fam = FAMILY_BUILDERS[name]()
+    record = classify(fam, seed=3).to_json()
+    assert ([r.to_json() for r in run_suites(fam, name, seed=3)], record) == suites_first
 
 
 def ref_order_characterizations(S):

@@ -30,15 +30,15 @@ BUDGET = 400
 EXAMINED = {
     "bicyclic-nat": ((10000, 20000, 1012, 338, 912, 2634, 3398, 13270, 8350, 3009, 3040,
                       3442, 2637),
-                     (2004, 2634, 292, 48, 2040)),
-    "bicyclic-dyadic": ((10000, 20000, 1198, 4707, 954, 5366, 16028, 23388, 18574, 11088,
+                     (2004, 2634, 292, 48, 2540)),
+    "bicyclic-dyadic": ((10000, 20000, 1198, 4707, 954, 5366, 16028, 23388, 18525, 11088,
                          5909, 16898, 5372),
-                        (2066, 5366, 5720, 1, 2084)),
-    "rotation": ((10000, 20000, 1198, 3717, 954, 4978, 15838, 23198, 18319, 9805, 5380,
+                        (2066, 5366, 5720, 1, 2574)),
+    "rotation": ((10000, 20000, 1198, 3717, 954, 4978, 15838, 23198, 18316, 9613, 5380,
                   16069, 4984),
-                 (2066, 4978, 5081, 1, 2050)),
-    "cex": ((10000, 20000, 1067, 1358, 936, 71, 0, 0, 0, 0, 72, 0, 0),
-            (19, 71, 3539, 3, 2057)),
+                 (2066, 4978, 4633, 1, 2558)),
+    "cex": ((10000, 20000, 1067, 1358, 936, 80, 0, 0, 0, 0, 81, 0, 0),
+            (13, 80, 3286, 2, 2553)),
 }
 
 
