@@ -14,7 +14,7 @@ laws on carriers are kept in the tests, as references.
 Families are checked exactly on sampled instances and at bounded depth along
 their canonical chains.  Each failure kind is declared once, in
 ``_VIOLATED``, as the test violated(fam, **instance) of the law it breaks:
-the scans test their instances through it (most in the one loop of
+the scans test their instances through it (each cold one in the loop of
 ``_scan``), ``_fail`` makes a violated instance a counterexample, and
 ``replay_counterexample`` re-runs it.
 
@@ -163,22 +163,31 @@ def _violated(fam: SymbolicFamily, counterexample: dict) -> bool:
     return _VIOLATED[counterexample["kind"]](fam, **counterexample["_raw"])
 
 
-def _scan(fam: SymbolicFamily, kind: str, instances) -> tuple:
-    """(examined, counterexample): the law of ``kind`` tested on each of
-    ``instances``, its positional arguments as tuples from a lazy generator,
-    so that draws and early exit are a loop's.  Each instance tested counts;
-    the first violated one is the counterexample, None if none is.
+def _scan(fam: SymbolicFamily, *stages) -> tuple:
+    """(examined, counterexample): each stage (kind, instances) in order, the
+    law of ``kind`` tested on each of ``instances``, its positional arguments
+    as tuples from a lazy generator, so that draws and early exit are a
+    loop's.  Each instance tested counts; the first violated one is the
+    counterexample, None if none is.
 
-    Loops stay where this would change examined counts or counterexamples:
-    sigma-not-monotone-at-max, cond-distr-finite, ssc-family-finite and the
-    d-not-in-translate nest count per draw; characterizations-disagree and
-    teps-not-below-t interleave draws; basic_rules tests five kinds a pair;
-    mirror-family and wb-char add fields, and a refutation picks its kind."""
-    violated, examined = partial(_VIOLATED[kind], fam), 0
-    for examined, args in enumerate(instances, 1):
-        if violated(*args):
-            return examined, _fail(fam, kind, *args)
+    Loops stay in the hot suites, where a generator step and a call per
+    instance would cost: basic_rules tests five kinds a pair, order
+    characterizations interleave two kinds per draw, and wb_characterization
+    refutes each side's answer; mirror-family and wb-char add fields, and a
+    refutation picks its kind."""
+    examined = 0
+    for kind, instances in stages:
+        violated = partial(_VIOLATED[kind], fam)
+        for examined, args in enumerate(instances, examined + 1):
+            if violated(*args):
+                return examined, _fail(fam, kind, *args)
     return examined, None
+
+
+def _sup_chains(fam: SymbolicFamily, depth: int):
+    """(chain, its members to ``depth``) for each witness chain with a sup in
+    S, lazily: a chain without one fails the hypotheses of the chain laws."""
+    return ((cw, chain_members(cw, depth)) for cw in fam.witnesses if cw.sup_in_s is not None)
 
 
 def _elem_pool(fam: SymbolicFamily, rng: random.Random, k: int) -> list:
@@ -245,13 +254,13 @@ def _verify_chain(fam: SymbolicFamily, cw: ChainWitness, depth: int) -> tuple:
     ms = chain_members(cw, depth)
     claims = [(name, sup) for name, sup in (("sup_in_sigma", cw.sup_in_sigma),
                                             ("sup_in_s", cw.sup_in_s)) if sup is not None]
-    bad = (_scan(fam, "chain-not-monotone", ((cw, a, b, depth) for a, b in zip(ms, ms[1:])))[1]
-           or _scan(fam, "chain-not-idempotent", ((cw, a, depth) for a in ms))[1]
-           or _scan(fam, "claimed-sup-not-upper-bound",
-                    ((cw, name, a, sup, depth) for (name, sup), a in product(claims, ms)))[1]
-           or _scan(fam, "claimed-upper-bound-fails",
-                    ((cw, a, u, depth) for u, a in product(cw.upper_bounds, ms)))[1])
-    return len(ms), bad
+    return len(ms), _scan(
+        fam, ("chain-not-monotone", ((cw, a, b, depth) for a, b in zip(ms, ms[1:]))),
+        ("chain-not-idempotent", ((cw, a, depth) for a in ms)),
+        ("claimed-sup-not-upper-bound",
+         ((cw, name, a, sup, depth) for (name, sup), a in product(claims, ms))),
+        ("claimed-upper-bound-fails",
+         ((cw, a, u, depth) for u, a in product(cw.upper_bounds, ms))))[1]
 
 
 def _on_chain(cw: ChainWitness, a, depth: int) -> bool:
@@ -335,32 +344,26 @@ def _family_reduced(fam: SymbolicFamily, rng: random.Random, depth: int, *_):
     """Reducedness, a nonzero idempotent below s forces s idempotent, on 2000
     sampled pairs s eps <= s, then on chain members to ``depth`` below a
     bound s."""
-    examined, ce = _scan(fam, "not-reduced", chain(
+    examined, ce = _scan(fam, ("not-reduced", chain(
         ((fam.op(s, fam.sample_idempotent(rng)), s)
          for _ in range(2000) for s in [fam.sample(rng)]),
         ((a, u) for cw in fam.witnesses for u in cw.upper_bounds
-         if not fam.is_idempotent(u) for a in chain_members(cw, depth))))
+         if not fam.is_idempotent(u) for a in chain_members(cw, depth)))))
     return ce is None, ce, examined
 
 
 @_hypothesis
 def _family_ssc(fam: SymbolicFamily, rng: random.Random, depth: int, *_):
-    """Separate Scott-continuity evidence: translation respects chain sups."""
+    """Separate Scott-continuity evidence: translation respects chain sups,
+    and on finite directed sets t eps, whose sup is their maximum t."""
     pool = _elem_pool(fam, rng, 8)
-    chains = [(cw, chain_members(cw, depth)) for cw in fam.witnesses if cw.sup_in_s is not None]
-    examined, ce = _scan(fam, "ssc-family",
-                         ((cw, s, a, depth) for cw, ms in chains for s in pool for a in ms))
-    if ce is not None:
-        return False, ce, examined
-    # finite directed sets carry their sup exactly: sup = max
-    for _ in range(300):
-        t, A = _translates(fam, rng, 2)
-        s = fam.sample(rng)
-        examined += 1
-        for a in A:
-            if _VIOLATED["ssc-family-finite"](fam, t, s, a):
-                return False, _fail(fam, "ssc-family-finite", t, s, a), examined
-    return True, None, examined
+    examined, ce = _scan(
+        fam, ("ssc-family", ((cw, s, a, depth) for cw, ms in _sup_chains(fam, depth)
+                             for s in pool for a in ms)),
+        ("ssc-family-finite", ((t, s, a) for _ in range(300)
+                               for t, A in [_translates(fam, rng, 2)]
+                               for s in [fam.sample(rng)] for a in A)))
+    return ce is None, ce, examined
 
 
 def _approximated(fam: SymbolicFamily, side: _Side, x, depth: int):
@@ -689,17 +692,12 @@ def check_sigma_sup(fam: SymbolicFamily, depth, seed, budget):
     s -> s* s (Lawson, 1998, 1.4).
     """
     rng = _rng(seed, "sigma_sup", fam.name)
-    examined = 0
-    for _ in range(max(budget // 10, 200)):
-        t, A = _translates(fam, rng, 3)
-        examined += 1
-        for a in A:
-            if _VIOLATED["sigma-not-monotone-at-max"](fam, t, a):
-                return _verdict(examined, _fail(fam, "sigma-not-monotone-at-max", t, a))
-    n, ce = _scan(fam, "sigma-image-escapes-sup",
-                  ((cw, a, depth) for cw in fam.witnesses if cw.sup_in_s is not None
-                   for a in chain_members(cw, depth)))
-    return _verdict(examined + n, ce)
+    return _verdict(*_scan(
+        fam, ("sigma-not-monotone-at-max", ((t, a) for _ in range(max(budget // 10, 200))
+                                            for t, A in [_translates(fam, rng, 3)]
+                                            for a in A)),
+        ("sigma-image-escapes-sup",
+         ((cw, a, depth) for cw, ms in _sup_chains(fam, depth) for a in ms))))
 
 
 @_lemma()
@@ -712,23 +710,13 @@ def check_conditional_distributivity(fam: SymbolicFamily, depth, seed, budget):
     """
     rng = _rng(seed, "cond_distr", fam.name)
     pool = _elem_pool(fam, rng, 10)
-    # a chain without a sup in S fails the lemma's hypothesis
-    chains = [(cw, chain_members(cw, depth)) for cw in fam.witnesses if cw.sup_in_s is not None]
-    examined, ce = _scan(fam, "cond-distr-chain",
-                         ((cw, s, a, depth) for cw, ms in chains for s in pool
-                          if _in_domain(fam, s, ms) for a in ms))
-    if ce is not None:
-        return _verdict(examined, ce)
-    for _ in range(300):
-        t, A = _translates(fam, rng, 2)
-        s = fam.sample(rng)
-        if not _in_domain(fam, s, A):
-            continue
-        examined += 1
-        for a in A:
-            if _VIOLATED["cond-distr-finite"](fam, t, s, a):
-                return _verdict(examined, _fail(fam, "cond-distr-finite", t, s, a))
-    return _verdict(examined)
+    return _verdict(*_scan(
+        fam, ("cond-distr-chain", ((cw, s, a, depth) for cw, ms in _sup_chains(fam, depth)
+                                   for s in pool if _in_domain(fam, s, ms) for a in ms)),
+        ("cond-distr-finite", ((t, s, a) for _ in range(300)
+                               for t, A in [_translates(fam, rng, 2)]
+                               for s in [fam.sample(rng)] if _in_domain(fam, s, A)
+                               for a in A))))
 
 
 def _in_domain(fam: SymbolicFamily, s, A) -> bool:
@@ -746,21 +734,13 @@ def check_greatest_of_translate(fam: SymbolicFamily, depth, seed, budget):
     = d, as the order is compatible with multiplication (Lawson, 1998, 1.4),
     and d d* d = d lies in D d* d.
     """
-    rng = _rng(seed, "greatest_translate", fam.name)
-    examined, reach = 0, min(depth, 16)
-    for cw in fam.witnesses:
-        ms = chain_members(cw, reach)
-        for d in ms:
-            examined += 1
-            if _VIOLATED["d-not-in-translate"](fam, cw, d):
-                return _verdict(examined, _fail(fam, "d-not-in-translate", cw, d))
-            for x in ms:
-                if _VIOLATED["translate-escapes-d"](fam, cw, d, x, reach):
-                    return _verdict(examined, _fail(fam, "translate-escapes-d", cw, d, x, reach))
-    n, ce = _scan(fam, "translate-finite",
-                  ((d, D) for _ in range(300) for D in [_translates(fam, rng, 2)[1]]
-                   for d in D))
-    return _verdict(examined + n, ce)
+    rng, reach = _rng(seed, "greatest_translate", fam.name), min(depth, 16)
+    chains = [(cw, chain_members(cw, reach)) for cw in fam.witnesses]
+    return _verdict(*_scan(
+        fam, ("d-not-in-translate", ((cw, d) for cw, ms in chains for d in ms)),
+        ("translate-escapes-d", ((cw, d, x, reach) for cw, ms in chains for d in ms for x in ms)),
+        ("translate-finite", ((d, D) for _ in range(300) for D in [_translates(fam, rng, 2)[1]]
+                              for d in D))))
 
 
 @_lemma()
@@ -791,9 +771,9 @@ def check_meet_continuity_mirror(fam: SymbolicFamily, depth, seed, budget):
     ssc_ok, ssc_ce, n1 = _family_ssc(fam, depth, seed)
     # meet-continuity: idempotents translate sigma-chains below the translated sup
     rng = _rng(seed, "meet_cont", fam.name)
-    n2, mc_ce = _scan(fam, "meet-cont-chain",
-                      ((cw, eps, a, depth) for cw in fam.witnesses if cw.sup_in_sigma is not None
-                       for eps in _idem_pool(fam, rng, 6) for a in chain_members(cw, depth)))
+    n2, mc_ce = _scan(fam, ("meet-cont-chain", (
+        (cw, eps, a, depth) for cw in fam.witnesses if cw.sup_in_sigma is not None
+        for eps in _idem_pool(fam, rng, 6) for a in chain_members(cw, depth))))
     mc_ok = mc_ce is None
     ce = None if ssc_ok == mc_ok else _fail(fam, "meet-cont-biconditional", ssc=ssc_ok,
                                             meet_continuous=mc_ok, _witness=ssc_ce or mc_ce)
@@ -956,7 +936,7 @@ def check_conditional_dcpo_mirror(fam: SymbolicFamily, depth, seed, budget):
     if not ok:
         return _na("subject is not mirror")
     # evidence at finite scale only: bounded canonical chains carry sups
-    n1, ce = _scan(fam, "bounded-chain-without-sup", ((cw,) for cw in fam.witnesses))
+    n1, ce = _scan(fam, ("bounded-chain-without-sup", ((cw,) for cw in fam.witnesses)))
     return _verdict(n0 + n1, ce, "bounded canonical chains all carry sups (weak evidence)")
 
 
@@ -1020,7 +1000,7 @@ def _classify_family(fam: SymbolicFamily, subject_id: str, depth: int, seed: int
         alg = Flag(algS, "compact approximants sampled against the way-below oracle",
                    alg_n, alg_wit)
         stably = Flag(bool(contS) and mult_ok,
-                      "continuity plus sampled way-below multiplicativity", mult_n)
+                      "continuity plus sampled way-below multiplicativity", nS + mult_n)
     return Classification(
         subject=subject_id, depth=depth, seed=seed,
         reduced=Flag(red_ok, red_note, red_n, red_ce),

@@ -278,11 +278,9 @@ class FiniteInvSemigroup:
         # source map sigma(s) = s* s, always idempotent
         self.sigma = tuple(tbl[self.inv[s]][s] for s in range(n))
 
-        self.identity = None
-        for e in range(n):
-            if all(tbl[e][t] == t == tbl[t][e] for t in range(n)):
-                self.identity = e
-                break
+        # an identity is idempotent
+        self.identity = next((e for e in idem
+                              if all(tbl[e][t] == t == tbl[t][e] for t in range(n))), None)
 
         self._up: Optional[list[int]] = None
 

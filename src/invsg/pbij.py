@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -293,8 +293,7 @@ def canonical_table(table: Sequence[Sequence[int]], fps: Sequence[tuple] | None 
         raise TooLarge("canonicalization permutation count", 5_000_000)
 
     best = None
-    from itertools import product as iproduct
-    for parts in iproduct(*[permutations(b) for b in ordered]):
+    for parts in product(*[permutations(b) for b in ordered]):
         g = [x for part in parts for x in part]  # new index -> old element
         pos = [0] * n
         for i, x in enumerate(g):

@@ -116,6 +116,18 @@ def test_the_suites_and_classify_read_one_evidence_per_property(monkeypatch, nam
     assert ([r.to_json() for r in run_suites(fam, name, seed=3)], record) == suites_first
 
 
+@pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+def test_a_flag_counts_every_gate_it_reads(name):
+    # stably_continuous is continuity of S and multiplicativity of S
+    fam = FAMILY_BUILDERS[name]()
+    record = classify(fam, seed=3)
+    depth, S, SIGMA = checkers.DEFAULT_DEPTH, checkers._S, checkers._SIGMA
+    cont = {side: checkers._continuity(fam, depth, 3, side)[2] for side in (S, SIGMA)}
+    mult = checkers._multiplicative(fam, depth, 3, S, checkers.DEFAULT_BUDGET)[2]
+    assert record.continuous.budget == cont[S] + cont[SIGMA]
+    assert record.stably_continuous.budget == cont[S] + mult
+
+
 def ref_order_characterizations(S):
     """The definitional loop: s in tE and s in Et scan every idempotent."""
     idem = idempotents(S)

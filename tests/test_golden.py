@@ -11,10 +11,13 @@ with ``PYTHONPATH=src python tests/test_golden.py``.
 The budgets, the examined counts, are pinned apart: ``EXAMINED`` holds every
 suite's and every classify flag's count on the registry families at the
 default budget and seed 3, so a draw sequence that drifts while the verdicts
-hold still fails.
+hold still fails.  When a count is meant to change, print the literal as the
+code computes it with ``PYTHONPATH=src python tests/test_golden.py --examined``.
 """
 
 import json
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -28,17 +31,17 @@ BUDGET = 400
 # name: (the budget of each suite in registry order, of each classify flag in
 # Classification.flags() order)
 EXAMINED = {
-    "bicyclic-nat": ((10000, 20000, 1012, 338, 912, 2634, 3398, 13270, 8350, 3009, 3040,
-                      3442, 2637),
-                     (2004, 2634, 292, 48, 2540)),
-    "bicyclic-dyadic": ((10000, 20000, 1198, 4707, 954, 5366, 16028, 23388, 18525, 11088,
-                         5909, 16898, 5372),
-                        (2066, 5366, 5720, 1, 2574)),
-    "rotation": ((10000, 20000, 1198, 3717, 954, 4978, 15838, 23198, 18316, 9613, 5380,
-                  16069, 4984),
-                 (2066, 4978, 4633, 1, 2558)),
-    "cex": ((10000, 20000, 1067, 1358, 936, 80, 0, 0, 0, 0, 81, 0, 0),
-            (13, 80, 3286, 2, 2553)),
+    "bicyclic-nat": ((10000, 20000, 4012, 686, 960, 2634, 3998, 13870, 8950, 3009, 3040, 4042,
+                      2637),
+                     (2004, 2634, 292, 48, 2712)),
+    "bicyclic-dyadic": ((10000, 20000, 4198, 5013, 1824, 5366, 16628, 23988, 19125, 11088, 5909,
+                         17498, 5372),
+                        (2066, 5366, 5720, 1, 6084)),
+    "rotation": ((10000, 20000, 4198, 4023, 1824, 4978, 16438, 23798, 18916, 9613, 5380, 16669,
+                  4984),
+                 (2066, 4978, 4633, 1, 5429)),
+    "cex": ((10000, 20000, 4067, 1702, 1518, 80, 0, 0, 0, 0, 81, 0, 0),
+            (13, 80, 3286, 2, 4209)),
 }
 
 
@@ -74,16 +77,35 @@ def test_reports_match_the_golden_file(finite_corpus):
         assert g == e
 
 
+def examined(name) -> tuple:
+    """A registry family's entry of ``EXAMINED`` as the code computes it."""
+    fam = FAMILY_BUILDERS[name]()
+    return (tuple(r.budget for r in run_suites(fam, name, seed=3)),
+            tuple(f.budget for f in classify(fam, seed=3).flags().values()))
+
+
 @pytest.mark.parametrize("name", sorted(EXAMINED))
 def test_family_examined_counts_at_seed_3(name):
-    fam = FAMILY_BUILDERS[name]()
-    suites, flags = EXAMINED[name]
-    assert tuple(r.budget for r in run_suites(fam, name, seed=3)) == suites
-    assert tuple(f.budget for f in classify(fam, seed=3).flags().values()) == flags
+    assert examined(name) == EXAMINED[name]
+
+
+def examined_literal() -> str:
+    """The source of ``EXAMINED``, wrapped as in this file."""
+    lines = ["EXAMINED = {"]
+    for name in FAMILY_BUILDERS:
+        suites, flags = examined(name)
+        head = f'    "{name}": (('
+        lines += textwrap.wrap(", ".join(map(str, suites)) + "),", 99, initial_indent=head,
+                               subsequent_indent=" " * len(head))
+        lines.append(" " * (len(head) - 1) + f"({', '.join(map(str, flags))})),")
+    return "\n".join(lines + ["}"])
 
 
 if __name__ == "__main__":
-    from conftest import acceptance_corpus
+    if sys.argv[1:] == ["--examined"]:
+        print(examined_literal())
+    else:
+        from conftest import acceptance_corpus
 
-    GOLDEN.write_text("\n".join(golden_lines(acceptance_corpus())) + "\n",
-                      encoding="utf-8")
+        GOLDEN.write_text("\n".join(golden_lines(acceptance_corpus())) + "\n",
+                          encoding="utf-8")

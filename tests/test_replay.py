@@ -3,7 +3,7 @@
 ``checkers._VIOLATED`` maps each failure kind to the test of the law it
 breaks.  These tests read the kinds from that table and check that:
 
-- every kind the source passes to ``_fail`` or ``_scan`` is declared, and
+- every kind the source passes to ``_fail`` or to a ``_scan`` stage is declared, and
   every declared kind is emitted, with arguments that fit its law;
 - each kind's instance replays True on a family perturbed at that instance
   and False on the honest family (the lying-family pattern: a copy made with
@@ -39,6 +39,12 @@ def _calls_to(tree, name):
             and isinstance(node.func, ast.Name) and node.func.id == name]
 
 
+def _stages(tree) -> list:
+    """(kind, instances) of each stage of each ``_scan`` call, as nodes."""
+    return [(stage.elts[0].value, stage.elts[1]) for call in _calls_to(tree, "_scan")
+            for stage in call.args[1:]]
+
+
 def _strings(node) -> set:
     return {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)
             and isinstance(n.value, str)}
@@ -59,19 +65,18 @@ def test_every_emitted_kind_is_declared_and_fits_its_law():
         bind = inspect.signature(law).bind_partial if any(
             kw.arg is None for kw in call.keywords) else inspect.signature(law).bind
         bind(None, *positional, **named)  # raises TypeError on a mismatch
-    # a scan names its kind once, and each generator of its instances yields
-    # tuples of that kind's law's arguments
-    scans = _calls_to(tree, "_scan")
-    for call in scans:
-        kind = call.args[1].value
+    # a scan stage names its kind once, and each generator of its instances
+    # yields tuples of that kind's law's arguments
+    stages = _stages(tree)
+    for kind, node in stages:
         emitted.add(kind)
         law = inspect.signature(checkers._VIOLATED[kind])
-        instances = [g.elt for g in ast.walk(call.args[2])
+        instances = [g.elt for g in ast.walk(node)
                      if isinstance(g, ast.GeneratorExp) and isinstance(g.elt, ast.Tuple)]
         assert instances, kind
         for elt in instances:
             law.bind(None, *elt.elts)  # raises TypeError on a mismatch
-    assert len({call.args[1].value for call in scans}) == len(scans) == 11
+    assert len({kind for kind, _ in stages}) == len(stages) == 16
     # the three sites that pass a kind by name take it from these declarations
     # or, in ``_scan``, from its caller
     assert by_name == 3
@@ -343,10 +348,9 @@ def _scan_report(fam, suite) -> CheckReport:
 
 def test_scan_counterexamples_replay():
     # a scan's counterexample is its instance: it replays on the family it
-    # came from and not on the honest one; every _scan kind has a case
+    # came from and not on the honest one; every _scan stage's kind has a case
     tree = ast.parse(Path(checkers.__file__).read_text(encoding="utf-8"))
-    assert {call.args[1].value for call in _calls_to(tree, "_scan")} <= {
-        kind for kind, *_ in SCANS}
+    assert {kind for kind, _ in _stages(tree)} <= {kind for kind, *_ in SCANS}
     for kind, build, suite, lie in SCANS:
         honest = build()
         lying = dataclasses.replace(honest, **lie(honest))
