@@ -249,18 +249,18 @@ _SIGMA = _Side(lambda fam, rng: fam.sample_idempotent(rng), _idem_pool,
 
 
 def _verify_chain(fam: SymbolicFamily, cw: ChainWitness, depth: int) -> tuple:
-    """(members verified, counterexample): depth-bounded verification of a
+    """(instances tested, counterexample): depth-bounded verification of a
     chain witness's structural claims, on its members up to ``depth``."""
     ms = chain_members(cw, depth)
     claims = [(name, sup) for name, sup in (("sup_in_sigma", cw.sup_in_sigma),
                                             ("sup_in_s", cw.sup_in_s)) if sup is not None]
-    return len(ms), _scan(
+    return _scan(
         fam, ("chain-not-monotone", ((cw, a, b, depth) for a, b in zip(ms, ms[1:]))),
         ("chain-not-idempotent", ((cw, a, depth) for a in ms)),
         ("claimed-sup-not-upper-bound",
          ((cw, name, a, sup, depth) for (name, sup), a in product(claims, ms))),
         ("claimed-upper-bound-fails",
-         ((cw, a, u, depth) for u, a in product(cw.upper_bounds, ms))))[1]
+         ((cw, a, u, depth) for u, a in product(cw.upper_bounds, ms))))
 
 
 def _on_chain(cw: ChainWitness, a, depth: int) -> bool:

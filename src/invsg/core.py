@@ -403,9 +403,11 @@ def generated(S: FiniteInvSemigroup, mask: int, limit: Optional[int] = None
     return cur
 
 
-def inverse_subsemigroups(S: FiniteInvSemigroup, limit: Optional[int] = None) -> set[int]:
+def inverse_subsemigroups(S: FiniteInvSemigroup, limit: Optional[int] = None,
+                          symmetries: Sequence[Sequence[int]] = ()) -> set[int]:
     """The bitmasks of all nonempty inverse subsemigroups of S, or of those
-    with at most ``limit`` elements.
+    with at most ``limit`` elements; given ``symmetries``, a group of
+    automorphisms of S as id maps, the least mask of each orbit of them.
 
     They are grown one generator at a time from the empty set; each is
     reached, as every closure on the way stays inside it.  A closure m keeps
@@ -413,16 +415,33 @@ def inverse_subsemigroups(S: FiniteInvSemigroup, limit: Optional[int] = None) ->
     of m | x as m = <g>, on fewer generators.  As g | x and g | x* have one
     closure, and x* is outside m when x is, only the one of x, x* with the
     larger id is grown.
+
+    With symmetries, a new closure is replaced by the least of its images,
+    and g by its image under the same map, which generates it.  Every least
+    mask C is still reached: C = <D | x> for a maximal inverse subsemigroup
+    D of C (D empty if there is none), some image p(D) has been grown, as D
+    is smaller, and growing it by p(x), or p(x)* = p(x*), gives p(C), whose
+    least image is C.
     """
+    shifts = [[1 << y for y in p] for p in symmetries]   # p(A) = sum of these over A
     found: set[int] = set()
+    seen = set() if shifts else found       # every member of the orbits found
     frontier = [(0, 0)]
     for m, g in frontier:         # grows while it is read
         for x in range(S.n):
             if not m >> x & 1 and S.inv[x] >= x:
-                grown = generated(S, g | 1 << x, limit)
-                if grown is not None and grown not in found:
-                    found.add(grown)
-                    frontier.append((grown, g | 1 << x))
+                gen = g | 1 << x
+                grown = generated(S, gen, limit)
+                if grown is None or grown in seen:
+                    continue
+                if shifts:
+                    ids, gids = list(bits(grown)), list(bits(gen))
+                    orbit = [(sum(map(s.__getitem__, ids)), sum(map(s.__getitem__, gids)))
+                             for s in shifts]
+                    seen.update(image for image, _ in orbit)
+                    grown, gen = min(orbit)
+                found.add(grown)
+                frontier.append((grown, gen))
     return found
 
 

@@ -307,21 +307,33 @@ def canonical_table(table: Sequence[Sequence[int]], fps: Sequence[tuple] | None 
 def enumerate_inverse_subsemigroups(n: int, max_order: int) -> Iterator[FiniteInvSemigroup]:
     """All product- and inverse-closed subsets of I_n up to isomorphism, validated.
 
-    The subsemigroups come from ``core.inverse_subsemigroups``, in order of
-    size, then bitmask, and the first of each isomorphism class is yielded,
-    so the stream is deterministic.  They are bucketed by the sorted
-    fingerprints of their elements, an isomorphism invariant: the first in a
-    bucket is new, and canonical tables tell the rest apart, computed only
-    in a bucket that gets a second subsemigroup.
+    The subsemigroups come from ``core.inverse_subsemigroups``, first up to
+    conjugation f -> p f p^-1 by the permutations p of Sym(n), automorphisms
+    of I_n: the least mask of each orbit.  Conjugates are isomorphic, so the
+    least mask of an isomorphism class is the least of its orbit, and is
+    among them.  They are taken in order of size, then bitmask, and the
+    first of each isomorphism class is yielded, so the stream is
+    deterministic.  They are bucketed by the sorted fingerprints of their
+    elements, an isomorphism invariant: the first in a bucket is new, and
+    canonical tables tell the rest apart, computed only in a bucket that
+    gets a second subsemigroup.
     """
     if n > 3:
         raise TooLarge("enumeration ground", 3)
     if max_order > 10:
         raise TooLarge("enumeration max order", 10)
-    C = symmetric_inverse_monoid(n).carrier
+    In = symmetric_inverse_monoid(n)
+    C = In.carrier
+    maps = [f.mapping for f in In.rep]
+    index = {f: i for i, f in enumerate(maps)}
+    conj = []
+    for p in permutations(range(n)):
+        q = sorted(range(n), key=p.__getitem__)     # p^-1
+        # p f p^-1 sends y to p(f(q(y)))
+        conj.append([index[tuple(-1 if f[x] == -1 else p[f[x]] for x in q)] for f in maps])
     first: dict[tuple, tuple] = {}      # bucket -> (table, fps) of its first
     keys: dict[tuple, set] = {}         # bucket -> its canonical tables so far
-    for m in sorted(core.inverse_subsemigroups(C, max_order),
+    for m in sorted(core.inverse_subsemigroups(C, max_order, conj),
                     key=lambda v: (bin(v).count("1"), v)):
         sub = core.restrict(C, list(bits(m)))
         fps = _iso_fingerprints(sub.table)

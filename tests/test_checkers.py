@@ -105,8 +105,10 @@ def test_mirror_fails_on_cex_with_the_canonical_witness():
 
 @pytest.mark.parametrize("depth", [16, 64, 256])
 def test_the_mirror_gate_counts_only_the_chain_members_it_verifies(depth):
-    # every chain of bicyclic-nat is finite, so no depth verifies more members
-    assert checkers.check_mirror(bicyclic_nat(), depth=depth, seed=3).budget == 2634
+    # every chain of bicyclic-nat is finite, so no depth verifies more members,
+    # and the count is of the instances tested on them: pairs, members,
+    # claimed sups and listed bounds
+    assert checkers.check_mirror(bicyclic_nat(), depth=depth, seed=3).budget == 2904
 
 
 def test_classify_witness_is_the_check_counterexample():

@@ -31,17 +31,17 @@ BUDGET = 400
 # name: (the budget of each suite in registry order, of each classify flag in
 # Classification.flags() order)
 EXAMINED = {
-    "bicyclic-nat": ((10000, 20000, 4012, 686, 960, 2634, 3998, 13870, 8950, 3009, 3040, 4042,
-                      2637),
-                     (2004, 2634, 292, 48, 2712)),
-    "bicyclic-dyadic": ((10000, 20000, 4198, 5013, 1824, 5366, 16628, 23988, 19125, 11088, 5909,
-                         17498, 5372),
-                        (2066, 5366, 5720, 1, 6084)),
-    "rotation": ((10000, 20000, 4198, 4023, 1824, 4978, 16438, 23798, 18916, 9613, 5380, 16669,
-                  4984),
-                 (2066, 4978, 4633, 1, 5429)),
-    "cex": ((10000, 20000, 4067, 1702, 1518, 80, 0, 0, 0, 0, 81, 0, 0),
-            (13, 80, 3286, 2, 4209)),
+    "bicyclic-nat": ((10000, 20000, 4012, 686, 960, 2904, 4268, 14140, 9220, 3279, 3310, 4312,
+                      2907),
+                     (2004, 2904, 292, 48, 2712)),
+    "bicyclic-dyadic": ((10000, 20000, 4198, 5013, 1824, 11130, 22392, 29752, 24889, 16852, 11673,
+                         23262, 11136),
+                        (2066, 11130, 5720, 1, 6084)),
+    "rotation": ((10000, 20000, 4198, 4023, 1824, 9706, 21166, 28526, 23644, 14341, 10108, 21397,
+                  9712),
+                 (2066, 9706, 4633, 1, 5429)),
+    "cex": ((10000, 20000, 4067, 1702, 1518, 339, 0, 0, 0, 0, 340, 0, 0),
+            (13, 339, 3286, 2, 4209)),
 }
 
 

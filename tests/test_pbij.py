@@ -213,6 +213,25 @@ def test_subsemigroups_grown_from_their_generators_match_the_reference(ground, l
         assert len(got) == 321
 
 
+@pytest.mark.parametrize("ground, limit",
+                         [(1, None), (1, 1), (2, None), (2, 3), (2, 7),
+                          (3, 4), (3, 7), (3, 10)])
+def test_symmetry_search_keeps_the_least_conjugate_of_each_subsemigroup(ground, limit):
+    I = symmetric_inverse_monoid(ground)
+    C = I.carrier
+    conj = []
+    for p in permutations(range(ground)):
+        P = PartialBijection(ground, p)
+        conj.append([I.index(P * f * P.inverse()) for f in I.rep])
+    for p in conj:
+        assert sorted(p) == list(range(C.n))
+        assert all(C.table[p[x]][p[y]] == p[C.table[x][y]]
+                   for x in range(C.n) for y in range(C.n))
+    least = {min(core.mask_of(p[x] for x in core.bits(m)) for p in conj)
+             for m in inverse_subsemigroups_reference(C, limit)}
+    assert core.inverse_subsemigroups(C, limit, conj) == least
+
+
 @pytest.mark.parametrize("name", sorted(groups_of_order_at_most(8)))
 def test_subsemigroups_of_groups_match_the_reference(name):
     # x* != x for most x of most of these groups, so the search grows one of
