@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import random
 import weakref
-import zlib
 from dataclasses import dataclass
 from functools import partial, wraps
 from itertools import chain, combinations, pairwise, product
@@ -35,7 +34,7 @@ from typing import Callable, Optional, Union
 
 from .core import FiniteInvSemigroup, is_reduced
 from .families.base import (DEFAULT_DEPTH, ChainWitness, SymbolicFamily, below,
-                            chain_limit, chain_members, iter_chain, require_positive)
+                            chain_limit, chain_members, iter_chain, require_positive, seeded)
 
 __all__ = ["CheckReport", "Flag", "Classification", "SUITES", "run_suite", "run_suites",
            "classify", "replay_counterexample", "DEFAULT_BUDGET", "DEFAULT_DEPTH"]
@@ -107,13 +106,6 @@ def _shown(record: Optional[dict]) -> Optional[dict]:
     """A counterexample or witness as a report prints it: without ``_raw``,
     which only replay reads."""
     return record and {k: v for k, v in record.items() if k != "_raw"}
-
-
-def _rng(seed: int, *tags: str) -> random.Random:
-    h = 0
-    for t in tags:
-        h = zlib.crc32(t.encode(), h)
-    return random.Random((seed << 32) ^ h)
 
 
 def _verdict(examined, counterexample=None, notes=""):
@@ -281,7 +273,7 @@ def _hypothesis(family):
     def check(fam: SymbolicFamily, depth: int, seed: int, *more):
         per, key = _GATE_CACHE.setdefault(fam, {}), (kind, depth, seed, *more)
         if key not in per:
-            rng = _rng(seed, f"{kind}-gate", fam.name, *(side.wb for side in more[:1]))
+            rng = seeded(seed, f"{kind}-gate", fam.name, *(side.wb for side in more[:1]))
             per[key] = check.__wrapped__(fam, *more, rng, depth, seed)
         return per[key]
     return check
@@ -652,7 +644,7 @@ def check_basic_rules(fam: SymbolicFamily, depth, seed, budget):
     Lemma: these are identities of every inverse semigroup (Lawson, Inverse
     Semigroups, 1998, 1.4).
     """
-    rng, sample = _rng(seed, "basic_rules", fam.name), fam.sample
+    rng, sample = seeded(seed, "basic_rules", fam.name), fam.sample
     laws = [(kind, _VIOLATED[kind]) for kind in _BASIC_KINDS]
     for examined in range(1, budget + 1):
         s, t = sample(rng), sample(rng)
@@ -670,7 +662,7 @@ def check_order_characterizations(fam: SymbolicFamily, depth, seed, budget):
     Lemma: the forms of the natural partial order are equivalent in every
     inverse semigroup (Lawson, 1998, 1.4).
     """
-    rng, sample, sample_idempotent = (_rng(seed, "order_characterizations", fam.name),
+    rng, sample, sample_idempotent = (seeded(seed, "order_characterizations", fam.name),
                                       fam.sample, fam.sample_idempotent)
     disagree, escapes = _VIOLATED["characterizations-disagree"], _VIOLATED["teps-not-below-t"]
     for examined in range(1, 2 * budget, 2):
@@ -691,7 +683,7 @@ def check_sigma_sup(fam: SymbolicFamily, depth, seed, budget):
     Lemma: in an inverse semigroup an existing sup commutes with
     s -> s* s (Lawson, 1998, 1.4).
     """
-    rng = _rng(seed, "sigma_sup", fam.name)
+    rng = seeded(seed, "sigma_sup", fam.name)
     return _verdict(*_scan(
         fam, ("sigma-not-monotone-at-max", ((t, a) for _ in range(max(budget // 10, 200))
                                             for t, A in [_translates(fam, rng, 3)]
@@ -708,7 +700,7 @@ def check_conditional_distributivity(fam: SymbolicFamily, depth, seed, budget):
     existing sup (Lawson, 1998, 1.4); the hypothesis only narrows the
     instances.
     """
-    rng = _rng(seed, "cond_distr", fam.name)
+    rng = seeded(seed, "cond_distr", fam.name)
     pool = _elem_pool(fam, rng, 10)
     return _verdict(*_scan(
         fam, ("cond-distr-chain", ((cw, s, a, depth) for cw, ms in _sup_chains(fam, depth)
@@ -734,7 +726,7 @@ def check_greatest_of_translate(fam: SymbolicFamily, depth, seed, budget):
     = d, as the order is compatible with multiplication (Lawson, 1998, 1.4),
     and d d* d = d lies in D d* d.
     """
-    rng, reach = _rng(seed, "greatest_translate", fam.name), min(depth, 16)
+    rng, reach = seeded(seed, "greatest_translate", fam.name), min(depth, 16)
     chains = [(cw, chain_members(cw, reach)) for cw in fam.witnesses]
     return _verdict(*_scan(
         fam, ("d-not-in-translate", ((cw, d) for cw, ms in chains for d in ms)),
@@ -770,7 +762,7 @@ def check_meet_continuity_mirror(fam: SymbolicFamily, depth, seed, budget):
         return _na("subject is not mirror")
     ssc_ok, ssc_ce, n1 = _family_ssc(fam, depth, seed)
     # meet-continuity: idempotents translate sigma-chains below the translated sup
-    rng = _rng(seed, "meet_cont", fam.name)
+    rng = seeded(seed, "meet_cont", fam.name)
     n2, mc_ce = _scan(fam, ("meet-cont-chain", (
         (cw, eps, a, depth) for cw in fam.witnesses if cw.sup_in_sigma is not None
         for eps in _idem_pool(fam, rng, 6) for a in chain_members(cw, depth))))
@@ -808,7 +800,7 @@ def check_wb_characterization(fam: SymbolicFamily, depth, seed, budget):
     # them, and a pair whose refutation cleared is not refuted again on its
     # side; the sigma values are interned, so that the sigma memo holds one
     # object per distinct idempotent
-    rng, sample, sigma = _rng(seed, "wb_char", fam.name), fam.sample, fam.sigma
+    rng, sample, sigma = seeded(seed, "wb_char", fam.name), fam.sample, fam.sigma
     cleared_s, cleared_sigma, intern = set(), set(), {}.setdefault
     for examined in range(n0 + 1, n0 + budget + 1):
         s, t = sample(rng), sample(rng)
@@ -880,7 +872,7 @@ def check_separation_criterion(fam: SymbolicFamily, depth, seed, budget):
     """
     if fam.wb_sigma is None:
         return _na("no sigma way-below oracle installed")
-    rng = _rng(seed, "separation", fam.name)
+    rng = seeded(seed, "separation", fam.name)
     wit, examined = None, 0
     for eps in _idem_pool(fam, rng, 12):
         # a sampled H-class of eps, and candidate separators: the canonical

@@ -14,7 +14,7 @@ from . import checkers, core, pbij, poset
 from .checkers import classify
 from .core import FiniteInvSemigroup, NotInverseSemigroup
 from .families import get_family, resolve_subject
-from .families.base import DEFAULT_DEPTH, SymbolicFamily, require_positive
+from .families.base import DEFAULT_DEPTH, SymbolicFamily, require_positive, seeded
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -156,7 +156,7 @@ def _cmd_hasse(args) -> int:
         labels = [subject.name_of(i) for i in range(subject.n)]
     else:
         fam: SymbolicFamily = subject
-        rng = checkers._rng(args.seed, "hasse", fam.name)
+        rng = seeded(args.seed, "hasse", fam.name)
         pool = []
         for _ in range(args.window * 4):
             x = fam.sample(rng)
@@ -190,7 +190,7 @@ def main(argv=None) -> int:
                 "hasse": _cmd_hasse}
     try:
         return handlers[args.command](args)
-    except pbij.TooLarge as exc:  # a budget or size limit, from any command
+    except core.TooLarge as exc:  # a budget or size limit, from any command
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
 

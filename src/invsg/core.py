@@ -22,6 +22,7 @@ __all__ = [
     "NoInverse",
     "NonUniqueInverse",
     "NotIdempotent",
+    "TooLarge",
     "FiniteInvSemigroup",
     "idempotents",
     "sup_finite",
@@ -76,6 +77,14 @@ class NotIdempotent(ValueError):
     def __init__(self, e: int):
         self.element = e
         super().__init__(f"element {e} is not idempotent")
+
+
+class TooLarge(Exception):
+    """A carrier, enumeration or chain past its desk-scale limit."""
+
+    def __init__(self, what: str, limit: int, remedy: str = ""):
+        super().__init__(f"{what} exceeds the desk-scale limit {limit}"
+                         + (f"; {remedy}" if remedy else ""))
 
 
 def bits(mask: int):
@@ -273,7 +282,7 @@ class FiniteInvSemigroup:
                 # unreachable once inverses are unique; kept as a hard guard
                 raise NotInverseSemigroup(f"inv is not an involution at {s}")
         self._idempotents = idem
-        self._idem_mask = sum(1 << e for e in idem)
+        self._idem_mask = mask_of(idem)
 
         # source map sigma(s) = s* s, always idempotent
         self.sigma = tuple(tbl[self.inv[s]][s] for s in range(n))
@@ -299,15 +308,9 @@ class FiniteInvSemigroup:
     def up_masks(self) -> list[int]:
         """up_masks()[s] is the bitmask of all t with s <= t (cached)."""
         if self._up is None:
-            up = []
-            for s in range(self.n):
-                sig = self.sigma[s]
-                m = 0
-                for t in range(self.n):
-                    if self.table[t][sig] == s:
-                        m |= 1 << t
-                up.append(m)
-            self._up = up
+            tbl = self.table
+            self._up = [mask_of(t for t, row in enumerate(tbl) if row[sig] == s)
+                        for s, sig in enumerate(self.sigma)]
         return self._up
 
     def name_of(self, s: int) -> str:

@@ -29,14 +29,15 @@ maximum and so its sup.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional, Union
 
-from ..pbij import TooLarge
+from ..core import TooLarge
 
 __all__ = ["ChainWitness", "SymbolicFamily", "Scale",
            "DEFAULT_DEPTH", "MAX_DEPTH", "below", "chain_limit", "chain_to",
-           "family_scale", "finite_chain", "require_positive"]
+           "family_scale", "finite_chain", "grid_rows", "require_positive", "seeded"]
 
 DEFAULT_DEPTH = 64
 MAX_DEPTH = 1024  # the deepest depth an integer family is built for
@@ -115,6 +116,23 @@ def below(rng: random.Random, n: int) -> int:
     while r >= n:
         r = rng.getrandbits(k)
     return r
+
+
+def grid_rows(grid) -> tuple:
+    """Each row of a sample grid with its length n and k = n.bit_length():
+    an index into it is drawn as ``below`` draws it, getrandbits(k) until
+    below n.  A row of 1 still draws (k = 1), and a power of two draws a bit
+    more than it needs and rejects (k = 3 for n = 4)."""
+    return tuple((row, len(row), len(row).bit_length()) for row in grid)
+
+
+def seeded(seed: int, *tags: str) -> random.Random:
+    """The generator of one named stream: ``seed`` in the high bits, the
+    running CRC-32 of the tags in the low 32."""
+    h = 0
+    for t in tags:
+        h = zlib.crc32(t.encode(), h)
+    return random.Random((seed << 32) ^ h)
 
 
 def require_positive(**counts) -> None:

@@ -30,8 +30,8 @@ from fractions import Fraction
 
 from ..core import FiniteInvSemigroup, tabulate
 from .base import (DEFAULT_DEPTH, ChainWitness, SymbolicFamily, family_scale, finite_chain,
-                   require_positive)
-from .rotation import _rows, rotation_wb_sigma
+                   grid_rows, require_positive)
+from .rotation import rotation_wb_sigma
 
 __all__ = ["OMEGA", "CexScale", "cex_op", "cex_inv", "cex_le", "cex_family", "cex_truncation"]
 
@@ -101,9 +101,9 @@ class CexScale:
         self.op, self.le, self.wb_s = _oracles(self.one)
         # The sampled interior points m/q (0 < m < q), stored, for q = 2..16,
         # as interior[q - 2][m - 1].  A draw picks q (getrandbits(4) until
-        # below 15), then m in its row, as ``rotation._rows`` says.
-        self.interior = _rows(tuple(m * (self.one // q) for m in range(1, q))
-                              for q in range(2, 17))
+        # below 15), then m in its row, as ``base.grid_rows`` says.
+        self.interior = grid_rows(tuple(m * (self.one // q) for m in range(1, q))
+                                  for q in range(2, 17))
 
     def value(self, x):
         """The rational that x encodes, or omega."""

@@ -26,8 +26,7 @@ import random
 from fractions import Fraction
 from itertools import product as iproduct
 
-from ..core import FiniteInvSemigroup
-from ..pbij import TooLarge
+from ..core import FiniteInvSemigroup, TooLarge
 from .base import DEFAULT_DEPTH, ChainWitness, SymbolicFamily, below, chain_to, finite_chain
 from .rotation import RotationScale, rotation_inv, rotation_le, rotation_op
 

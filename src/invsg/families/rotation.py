@@ -30,7 +30,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .base import DEFAULT_DEPTH, ChainWitness, SymbolicFamily, chain_to, family_scale, finite_chain
+from .base import (DEFAULT_DEPTH, ChainWitness, SymbolicFamily, chain_to, family_scale,
+                   finite_chain, grid_rows)
 
 __all__ = ["OutOfRange", "RotationScale", "rotation_op", "rotation_inv", "rotation_le",
            "rotation_wb_sigma", "rotation_family"]
@@ -74,17 +75,9 @@ def _wb_sigma(e, d) -> bool:
     return rotation_wb_sigma(e[0], d[0])
 
 
-def _rows(grid) -> tuple:
-    """Each row of a sample grid with its length n and k = n.bit_length():
-    an index into it is drawn as ``below`` draws it, getrandbits(k) until
-    below n.  A row of 1 still draws (k = 1), and a power of two draws a bit
-    more than it needs and rejects (k = 3 for n = 4)."""
-    return tuple((row, len(row), len(row).bit_length()) for row in grid)
-
-
 # The sampled angles m/q (m < q), stored, for q = 1..12: _ANGLES[q - 1][m].
 # A draw picks q (getrandbits(4) until below 12), then m in its row.
-_ANGLES = _rows(tuple(m * (_TURN // q) for m in range(q)) for q in range(1, 13))
+_ANGLES = grid_rows(tuple(m * (_TURN // q) for m in range(q)) for q in range(1, 13))
 
 
 def _rand_angle(rng: random.Random) -> int:
@@ -116,8 +109,8 @@ class RotationScale:
         self.one = (self.unit, 0)
         # The sampled radii m/q (m <= q), stored, for q = 1..12: radii[q - 1][m].
         # A draw picks q, then m, as an angle is drawn.
-        self.radii = _rows(tuple(m * (self.unit // q) for m in range(q + 1))
-                           for q in range(1, 13))
+        self.radii = grid_rows(tuple(m * (self.unit // q) for m in range(q + 1))
+                               for q in range(1, 13))
 
     def canonical(self, r, theta):
         """The encoded element of radius r in [0, 1] and angle theta in turns

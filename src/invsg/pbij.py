@@ -16,11 +16,10 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import core
-from .core import FiniteInvSemigroup, bits
+from .core import FiniteInvSemigroup, TooLarge, bits, mask_of
 
 __all__ = [
     "GroundMismatch",
-    "TooLarge",
     "NotATopology",
     "NotInverseClosed",
     "PartialBijection",
@@ -40,18 +39,17 @@ class GroundMismatch(Exception):
     pass
 
 
-class TooLarge(Exception):
-    def __init__(self, what: str, limit: int, remedy: str = ""):
-        super().__init__(f"{what} exceeds the desk-scale limit {limit}"
-                         + (f"; {remedy}" if remedy else ""))
-
-
 class NotATopology(Exception):
     pass
 
 
 class NotInverseClosed(Exception):
     """Unreachable for closure-built sets; guards table construction."""
+
+
+def _compose(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+    """The mapping of ``f * g``: apply ``g`` first, then ``f``."""
+    return tuple(-1 if v == -1 else f[v] for v in g)
 
 
 class PartialBijection:
@@ -86,18 +84,10 @@ class PartialBijection:
     # -- structure --
 
     def dom_mask(self) -> int:
-        m = 0
-        for i, v in enumerate(self.mapping):
-            if v != -1:
-                m |= 1 << i
-        return m
+        return mask_of(i for i, v in enumerate(self.mapping) if v != -1)
 
     def image_mask(self) -> int:
-        m = 0
-        for v in self.mapping:
-            if v != -1:
-                m |= 1 << v
-        return m
+        return mask_of(v for v in self.mapping if v != -1)
 
     def inverse(self) -> "PartialBijection":
         out = [-1] * self.ground
@@ -107,14 +97,9 @@ class PartialBijection:
         return PartialBijection(self.ground, out)
 
     def __mul__(self, other: "PartialBijection") -> "PartialBijection":
-        # self * other: apply other first, then self
         if self.ground != other.ground:
             raise GroundMismatch(f"ground sizes {self.ground} != {other.ground}")
-        out = [-1] * self.ground
-        for x, v in enumerate(other.mapping):
-            if v != -1 and self.mapping[v] != -1:
-                out[x] = self.mapping[v]
-        return PartialBijection(self.ground, out)
+        return PartialBijection(self.ground, _compose(self.mapping, other.mapping))
 
     def le(self, other: "PartialBijection") -> bool:
         """Natural order: restriction of the bigger map."""
@@ -159,6 +144,14 @@ class GeneratedSemigroup:
         return True
 
 
+def _partial(n: int, dom: Iterable[int], img: Iterable[int]) -> PartialBijection:
+    """The partial bijection sending ``dom`` to ``img``, point by point."""
+    mp = [-1] * n
+    for d, i in zip(dom, img):
+        mp[d] = i
+    return PartialBijection(n, mp)
+
+
 def _sorted_elements(elems: Iterable[PartialBijection]) -> list[PartialBijection]:
     return sorted(set(elems), key=lambda f: ((dom := f.dom_mask()).bit_count(),
                                              dom, f.mapping))
@@ -181,10 +174,8 @@ def _build(elems: Iterable[PartialBijection]) -> GeneratedSemigroup:
     index = {m: i for i, m in enumerate(maps)}
 
     def mul(x: int, y: int) -> int:
-        f = maps[x]
-        p = tuple(-1 if v == -1 else f[v] for v in maps[y])
         try:
-            return index[p]
+            return index[_compose(maps[x], maps[y])]
         except KeyError:
             raise NotInverseClosed(f"{rep[x]} * {rep[y]} escapes the element set") from None
 
@@ -206,16 +197,9 @@ def symmetric_inverse_monoid(n: int) -> GeneratedSemigroup:
         raise ValueError(f"symmetric inverse monoid ground must be positive, got {n}")
     if n > 5:
         raise TooLarge("symmetric inverse monoid ground", 5)
-    pts = list(range(n))
-    elems = []
-    for k in range(n + 1):
-        for dom in combinations(pts, k):
-            for img in permutations(pts, k):
-                mp = [-1] * n
-                for d, i in zip(dom, img):
-                    mp[d] = i
-                elems.append(PartialBijection(n, mp))
-    return _build(elems)
+    pts = range(n)
+    return _build(_partial(n, dom, img) for k in range(n + 1)
+                  for dom in combinations(pts, k) for img in permutations(pts, k))
 
 
 def closure(ground: int, gens: Iterable[PartialBijection]) -> GeneratedSemigroup:
@@ -272,18 +256,16 @@ def _iso_fingerprints(table: Sequence[Sequence[int]]) -> list[tuple]:
     return refined
 
 
-def canonical_table(table: Sequence[Sequence[int]], fps: Sequence[tuple] | None = None
-                    ) -> tuple[tuple[int, ...], ...]:
+def canonical_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Minimal relabeling of the table over all element permutations.
 
     Permutations are restricted to fingerprint-preserving ones, which is
     sound (isomorphisms preserve the fingerprints) and keeps the search
     feasible for carriers of order <= 10; past 5,000,000 permutations it
-    raises ``TooLarge``.  ``fps``, when given, is ``_iso_fingerprints(table)``.
+    raises ``TooLarge``.
     """
     n = len(table)
-    if fps is None:
-        fps = _iso_fingerprints(table)
+    fps = _iso_fingerprints(table)
     blocks: dict[tuple, list[int]] = {}
     for x in range(n):
         blocks.setdefault(fps[x], []).append(x)
@@ -329,22 +311,20 @@ def enumerate_inverse_subsemigroups(n: int, max_order: int) -> Iterator[FiniteIn
     conj = []
     for p in permutations(range(n)):
         q = sorted(range(n), key=p.__getitem__)     # p^-1
-        # p f p^-1 sends y to p(f(q(y)))
-        conj.append([index[tuple(-1 if f[x] == -1 else p[f[x]] for x in q)] for f in maps])
-    first: dict[tuple, tuple] = {}      # bucket -> (table, fps) of its first
+        conj.append([index[_compose(p, _compose(f, q))] for f in maps])
+    first: dict[tuple, tuple] = {}      # bucket -> the table of its first
     keys: dict[tuple, set] = {}         # bucket -> its canonical tables so far
     for m in sorted(core.inverse_subsemigroups(C, max_order, conj),
                     key=lambda v: (bin(v).count("1"), v)):
         sub = core.restrict(C, list(bits(m)))
-        fps = _iso_fingerprints(sub.table)
-        bucket = tuple(sorted(fps))
+        bucket = tuple(sorted(_iso_fingerprints(sub.table)))
         if bucket not in first:
-            first[bucket] = (sub.table, fps)
+            first[bucket] = sub.table
             yield sub
             continue
         if bucket not in keys:
-            keys[bucket] = {canonical_table(*first[bucket])}
-        key = canonical_table(sub.table, fps)
+            keys[bucket] = {canonical_table(first[bucket])}
+        key = canonical_table(sub.table)
         if key not in keys[bucket]:
             keys[bucket].add(key)
             yield sub
@@ -402,18 +382,9 @@ def _is_partial_homeo(T: FiniteTopology, f: PartialBijection) -> bool:
     if U not in T.opens or V not in T.opens:
         return False
     inv = f.inverse()
-    for O in T.opens:
-        pre = 0
-        for x in bits(O & V):
-            pre |= 1 << inv.mapping[x]
-        if pre not in T.opens:
-            return False
-        img = 0
-        for x in bits(O & U):
-            img |= 1 << f.mapping[x]
-        if img not in T.opens:
-            return False
-    return True
+    return all(mask_of(map(inv.mapping.__getitem__, bits(O & V))) in T.opens
+               and mask_of(map(f.mapping.__getitem__, bits(O & U))) in T.opens
+               for O in T.opens)
 
 
 def pseudogroup_of_space(T: FiniteTopology) -> GeneratedSemigroup:
@@ -428,10 +399,7 @@ def pseudogroup_of_space(T: FiniteTopology) -> GeneratedSemigroup:
             if bin(U).count("1") != bin(V).count("1"):
                 continue
             for img in permutations(list(bits(V))):
-                mp = [-1] * T.points
-                for d, i in zip(upts, img):
-                    mp[d] = i
-                f = PartialBijection(T.points, mp)
+                f = _partial(T.points, upts, img)
                 if _is_partial_homeo(T, f):
                     elems.append(f)
     return _build(elems)

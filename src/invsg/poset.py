@@ -19,6 +19,7 @@ internally as Python-int bitmasks.
 
 from __future__ import annotations
 
+from itertools import compress, count
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import bits, mask_of
@@ -54,13 +55,9 @@ class FinitePoset:
         for row in rows:
             if len(row) != n:
                 raise NotAPartialOrder("relation matrix must be square")
-        up = [0] * n    # up[x] = mask of y with x <= y
-        down = [0] * n  # down[y] = mask of x with x <= y
-        for x in range(n):
-            for y in range(n):
-                if rows[x][y]:
-                    up[x] |= 1 << y
-                    down[y] |= 1 << x
+        # up[x] = mask of y with x <= y; down[y] = mask of x with x <= y
+        up = [mask_of(compress(count(), row)) for row in rows]
+        down = [mask_of(compress(count(), col)) for col in zip(*rows)]
         for x in range(n):
             if not rows[x][x]:
                 raise NotAPartialOrder(f"not reflexive at {x}")
@@ -123,10 +120,7 @@ def directed_subsets(P: FinitePoset, cost_limit: int = 1 << 16):
         rest = list(bits(below))
         k = len(rest)
         for pick in range(1 << k):
-            mask = 1 << m
-            for i in bits(pick):
-                mask |= 1 << rest[i]
-            yield mask, m
+            yield 1 << m | mask_of(rest[i] for i in bits(pick)), m
 
 
 def way_below_matrix(P: FinitePoset) -> list[int]:

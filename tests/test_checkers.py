@@ -179,6 +179,23 @@ def test_multiplicativity_tests_a_tuple_at_every_budget(budget):
     assert replay_counterexample(lying, r)
 
 
+@pytest.mark.parametrize("build", [bicyclic_dyadic, rotation_family])
+def test_a_side_that_is_not_continuous_fails_the_mirror_theorem(build):
+    # a copy whose way-below in S holds nowhere: no chain approximates any
+    # element of S, while Sigma stays continuous, and the order, hence
+    # mirror, is untouched
+    honest = build()
+    lying = dataclasses.replace(honest, wb_s=lambda s, t: False)
+    r = run_suite("mirror_theorem", lying, "lying", seed=0)
+    assert r.verdict == "fail" and r.counterexample["kind"] == "mirror-theorem"
+    assert r.counterexample["cont_S"] is False and r.counterexample["cont_Sigma"] is True
+    assert replay_counterexample(lying, r)
+    assert not replay_counterexample(honest, r)
+    r = run_suite("continuity_implies_ssc", lying, "lying", seed=0)
+    assert (r.verdict, r.notes) == ("not-applicable", "subject is not continuous")
+    assert run_suite("mirror", lying, "lying", seed=0).verdict == "pass"
+
+
 @pytest.mark.parametrize("bad", [{"budget": 0}, {"budget": -5}, {"depth": 0}, {"depth": -3}],
                          ids=["budget=0", "budget=-5", "depth=0", "depth=-3"])
 @pytest.mark.parametrize("subject", [rotation_family, lambda: cex_truncation(2)],

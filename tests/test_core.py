@@ -224,6 +224,21 @@ def test_the_right_zero_band_has_two_inverses_of_its_first_element():
     assert (ei.value.element, ei.value.witnesses) == (0, (0, 1))
 
 
+def test_a_failed_step_check_falls_back_to_the_exhaustive_scan():
+    # each generator is its own and only inverse, but the first step 0 = 3*2
+    # takes 0* = 2* 3* = 1, and 1*0*1 = 0 != 1; element 1 has no inverse
+    table = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 2, 1), (0, 0, 0, 3))
+    gens, steps = core._check_associative(table)
+    assert gens == [3, 2] and steps[0] == (0, 3, 2)
+    for a in gens:
+        assert [t for t in range(4)
+                if table[table[a][t]][a] == a and table[table[t][a]][t] == t] == [a]
+    assert core._inverses_along(table, gens, steps) is None
+    with pytest.raises(NoInverse) as ei:
+        FiniteInvSemigroup(table)
+    assert ei.value.element == 1
+
+
 @pytest.mark.parametrize("name", ["I2", "I3"])
 def test_validation_matches_the_reference_on_every_one_entry_tamper(name, request):
     table = request.getfixturevalue(name).carrier.table

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from invsg import core
 from invsg.checkers import classify, run_suites
 from invsg.cli import main
+from invsg.core import TooLarge
 from invsg.families import (FAMILY_BUILDERS, OMEGA, bicyclic_dyadic, bicyclic_nat,
                             cex_family, cex_le, cex_op, character_family,
                             rotation_family)
@@ -24,7 +25,6 @@ from invsg.families.base import (DEFAULT_DEPTH, MAX_DEPTH, chain_limit, chain_me
                                  family_scale)
 from invsg.families.cex import CexScale
 from invsg.families.rotation import RotationScale
-from invsg.pbij import TooLarge
 
 K = family_scale(DEFAULT_DEPTH).bits  # the scale of a family built at the default depth
 MAX_CHAIN_INDEX = chain_limit(MAX_DEPTH)  # the deepest chain index any check reads

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invsg import core, pbij
+from invsg.core import TooLarge
 from invsg.pbij import (FiniteTopology, GroundMismatch, NotATopology,
-                        NotInverseClosed, PartialBijection, TooLarge, _build,
+                        NotInverseClosed, PartialBijection, _build,
                         all_topologies, canonical_table, closed_set_adjunction,
                         closure, enumerate_inverse_subsemigroups,
                         pseudogroup_of_space, symmetric_inverse_monoid)
@@ -278,9 +279,9 @@ def test_enumeration_computes_canonical_tables_only_on_a_fingerprint_collision(m
     counts = []
     real = pbij.canonical_table
 
-    def counted(table, *args):
+    def counted(table):
         counts.append(permutation_count(table))
-        return real(table, *args)
+        return real(table)
 
     monkeypatch.setattr(pbij, "canonical_table", counted)
     subs = list(enumerate_inverse_subsemigroups(3, 10))
@@ -290,6 +291,17 @@ def test_enumeration_computes_canonical_tables_only_on_a_fingerprint_collision(m
     assert 4320 in map(permutation_count, (S.table for S in subs))
     assert len(counts) < 321
     assert 4320 not in counts
+
+
+def test_canonical_tables_split_a_bucket_that_holds_two_classes(monkeypatch):
+    # with the real fingerprints no bucket ever holds two isomorphism classes
+    # in the domain enumerate accepts; with constant ones a bucket is an
+    # order, so the canonical tables alone must tell its classes apart
+    grounds = [(2, 7), (3, 4), (3, 5)]
+    want = [[S.table for S in enumerate_inverse_subsemigroups(*g)] for g in grounds]
+    assert list(map(len, want)) == [10, 18, 27]
+    monkeypatch.setattr(pbij, "_iso_fingerprints", lambda table: [()] * len(table))
+    assert [[S.table for S in enumerate_inverse_subsemigroups(*g)] for g in grounds] == want
 
 
 def test_canonical_table_is_isomorphism_invariant(I2):

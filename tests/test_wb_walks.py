@@ -24,7 +24,7 @@ from invsg import checkers
 from invsg.checkers import CheckReport
 from invsg.core import NotIdempotent
 from invsg.families import FAMILY_BUILDERS, rotation_family
-from invsg.families.base import DEFAULT_DEPTH, ChainWitness, SymbolicFamily
+from invsg.families.base import DEFAULT_DEPTH, ChainWitness, SymbolicFamily, seeded
 from invsg.families.rotation import RotationScale
 
 SUITE = "wb_characterization"
@@ -32,7 +32,7 @@ SUITE = "wb_characterization"
 
 def _draws(fam, seed: int, budget: int = checkers.DEFAULT_BUDGET):
     """The pairs (s, t) the suite draws at the seed, in its order."""
-    rng = checkers._rng(seed, "wb_char", fam.name)
+    rng = seeded(seed, "wb_char", fam.name)
     for _ in range(budget):
         s, t = fam.sample(rng), fam.sample(rng)
         if rng.random() < 0.3:
