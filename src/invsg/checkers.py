@@ -14,9 +14,11 @@ laws on carriers are kept in the tests, as references.
 Families are checked exactly on sampled instances and at bounded depth along
 their canonical chains.  Each failure kind is declared once, in
 ``_VIOLATED``, as the test violated(fam, **instance) of the law it breaks:
-the scans test their instances through it (each cold one in the loop of
-``_scan``), ``_fail`` makes a violated instance a counterexample, and
-``replay_counterexample`` re-runs it.
+the scans test their instances through it, ``_fail`` makes a violated
+instance a counterexample, and ``replay_counterexample`` re-runs it.  Every
+cold scan of a law with a kind is a stage of ``_scan``; loops stay only in
+the three hot suites and in the continuity and algebraicity gates, whose
+evidence has no kind.
 
 ``classify`` gives the five mirror properties of a subject as one
 Classification of Flags, each with the evidence that produced it: on a
@@ -162,11 +164,11 @@ def _scan(fam: SymbolicFamily, *stages) -> tuple:
     loop's.  Each instance tested counts; the first violated one is the
     counterexample, None if none is.
 
-    Loops stay in the hot suites, where a generator step and a call per
-    instance would cost: basic_rules tests five kinds a pair, order
+    Loops stay only in the three hot suites, where a generator step and a
+    call per instance would cost: basic_rules tests five kinds a pair, order
     characterizations interleave two kinds per draw, and wb_characterization
-    refutes each side's answer; mirror-family and wb-char add fields, and a
-    refutation picks its kind."""
+    refutes each side's answer, a refutation picking its kind; and in the
+    continuity and algebraicity gates, whose evidence has no kind."""
     examined = 0
     for kind, instances in stages:
         violated = partial(_VIOLATED[kind], fam)
@@ -240,21 +242,6 @@ _SIGMA = _Side(lambda fam, rng: fam.sample_idempotent(rng), _idem_pool,
                 "sigma-refuter-sup-too-small", "sigma-refuter-does-not-kill"))
 
 
-def _verify_chain(fam: SymbolicFamily, cw: ChainWitness, depth: int) -> tuple:
-    """(instances tested, counterexample): depth-bounded verification of a
-    chain witness's structural claims, on its members up to ``depth``."""
-    ms = chain_members(cw, depth)
-    claims = [(name, sup) for name, sup in (("sup_in_sigma", cw.sup_in_sigma),
-                                            ("sup_in_s", cw.sup_in_s)) if sup is not None]
-    return _scan(
-        fam, ("chain-not-monotone", ((cw, a, b, depth) for a, b in zip(ms, ms[1:]))),
-        ("chain-not-idempotent", ((cw, a, depth) for a in ms)),
-        ("claimed-sup-not-upper-bound",
-         ((cw, name, a, sup, depth) for (name, sup), a in product(claims, ms))),
-        ("claimed-upper-bound-fails",
-         ((cw, a, u, depth) for u, a in product(cw.upper_bounds, ms))))
-
-
 def _on_chain(cw: ChainWitness, a, depth: int) -> bool:
     """a is a member of cw up to the depth."""
     return a in iter_chain(cw, depth)
@@ -283,51 +270,55 @@ def _hypothesis(family):
 def _family_mirror(fam: SymbolicFamily, rng: random.Random, depth: int, seed: int):
     """Chain-witness route plus the reduced sufficient condition, compared.
 
-    A sampled dominator is confirmed at the deepest index any check reads,
-    so a depth whose chains cannot be computed that far (``TooLarge``) is
-    refused before anything is scanned.
+    Each chain with a sup in Sigma is one scan: its claims on its members up
+    to ``depth``, then its listed bounds and sampled elements, each of which
+    must lie above the sup if it dominates the chain.  A sampled dominator
+    is confirmed at the deepest index any check reads, so a depth whose
+    chains cannot be computed that far (``TooLarge``) is refused before
+    anything is scanned.
     """
     deepest = chain_limit(depth)
     for cw in fam.witnesses:
         cw.member(deepest)
-    mirror_fails = _VIOLATED["mirror-family"]
     examined = 0
     failure = None
     chains = [*fam.witnesses, *(cw for eps in _idem_pool(fam, rng, 6)
                                 for cw in fam.sigma_chains_to(eps))]
     for cw in (cw for cw in chains if cw.sup_in_sigma is not None):
-        n, bad = _verify_chain(fam, cw, depth)
+        ms = chain_members(cw, depth)
+        claims = [(name, sup) for name, sup in (("sup_in_sigma", cw.sup_in_sigma),
+                                                ("sup_in_s", cw.sup_in_s)) if sup is not None]
+        n, failure = _scan(
+            fam, ("chain-not-monotone", ((cw, a, b, depth) for a, b in pairwise(ms))),
+            ("chain-not-idempotent", ((cw, a, depth) for a in ms)),
+            ("claimed-sup-not-upper-bound",
+             ((cw, name, a, sup, depth) for (name, sup), a in product(claims, ms))),
+            ("claimed-upper-bound-fails",
+             ((cw, a, u, depth) for u, a in product(cw.upper_bounds, ms))),
+            # the pool is drawn as the stage is built; a failure ends the
+            # gate's draws, so those that reach a verdict are a loop's
+            ("mirror-family", chain(((cw, u, DEFAULT_DEPTH) for u in cw.upper_bounds),
+                                    ((cw, u, deepest) for u in _elem_pool(fam, rng, 10)))))
         examined += n
-        if bad is not None:
-            return False, bad, examined
-        delta = cw.sup_in_sigma
-        for u in cw.upper_bounds:
-            examined += 1
-            if mirror_fails(fam, cw, u):
-                failure = _fail(fam, "mirror-family", chain=cw, sup_in_sigma=delta,
-                                upper_bounds=list(cw.upper_bounds), bad_bound=u,
-                                incomparable_with_sup=not fam.nat_le(u, delta),
-                                why="upper bound in S not above the sigma-sup; no sup in S")
-                break
-        else:
-            # sampled elements that dominate the chain must lie above the sup;
-            # confirm a sampled dominator no shallower than the replay depth
-            for u in _elem_pool(fam, rng, 10):
-                examined += 1
-                if _dominates(fam, u, cw, depth) and mirror_fails(fam, cw, u) \
-                        and _dominates(fam, u, cw, deepest):
-                    failure = _fail(fam, "mirror-family", chain=cw, sup_in_sigma=delta,
-                                    bad_bound=u,
-                                    why="sampled upper bound not above the sigma-sup")
-                    break
-        if failure:
+        if failure is not None:
             break
+    if failure is not None and failure["kind"] != "mirror-family":
+        return False, failure, examined
     reduced_ok, _red_ce, red_n = _family_reduced(fam, depth, seed)
-    if failure is not None and reduced_ok:
-        # the two routes disagree: reduced implies mirror (it is only
-        # sufficient, so a failed reduced test concludes nothing)
-        failure = _fail(fam, "mirror-family", **failure["_raw"],
-                        route_disagreement="reduced test passed but a chain refutes mirror")
+    if failure is not None:
+        # the two routes disagree when the reduced test passes: reduced
+        # implies mirror (it is only sufficient, so a failed reduced test
+        # concludes nothing)
+        cw, u, at = failure["_raw"].values()  # chain, bad_bound, _depth
+        listed = u in cw.upper_bounds
+        failure = _fail(
+            fam, "mirror-family", chain=cw, sup_in_sigma=cw.sup_in_sigma,
+            upper_bounds=list(cw.upper_bounds) if listed else None, bad_bound=u,
+            incomparable_with_sup=not fam.nat_le(u, cw.sup_in_sigma) if listed else None,
+            why=("upper bound in S not above the sigma-sup; no sup in S" if listed
+                 else "sampled upper bound not above the sigma-sup"),
+            route_disagreement=("reduced test passed but a chain refutes mirror"
+                                if reduced_ok else None), _depth=at)
     return (failure is None), failure, examined + red_n
 
 
@@ -413,16 +404,10 @@ def _algebraic(fam: SymbolicFamily, side: _Side, rng: random.Random, *_):
     return True, None, examined
 
 
-def _unmultiplicative(fam: SymbolicFamily, side: _Side, s, t, s2, t2) -> bool:
-    """s << t and s2 << t2 on one side, yet not s s2 << t t2."""
-    wb = getattr(fam, side.wb)
-    return not wb(fam.op(s, s2), fam.op(t, t2)) and wb(s, t) and wb(s2, t2)
-
-
 @_hypothesis
 def _multiplicative(fam: SymbolicFamily, side: _Side, budget: int, rng: random.Random, *_):
-    """(ok, 4-tuple witness, examined): s << t and s2 << t2 give s s2 << t t2 on
-    one side, in ceil(budget / 4) rounds over sampled pairs s = t eps."""
+    """(ok, counterexample, examined): s << t and s2 << t2 give s s2 << t t2
+    on one side, in ceil(budget / 4) rounds over sampled pairs s = t eps."""
     wb, rounds = getattr(fam, side.wb), -(-budget // 4)
     pairs, examined = [], 0
     while len(pairs) < 40 and examined < 4000:
@@ -431,13 +416,11 @@ def _multiplicative(fam: SymbolicFamily, side: _Side, budget: int, rng: random.R
         examined += 1
         if wb(s, t):
             pairs.append((s, t))
-    for _ in range(rounds if pairs else 0):
-        s, t = pairs[below(rng, len(pairs))]
-        s2, t2 = pairs[below(rng, len(pairs))]
-        examined += 1
-        if _unmultiplicative(fam, side, s, t, s2, t2):
-            return False, (s, t, s2, t2), examined
-    return True, None, examined
+    n, ce = _scan(fam, ("not-multiplicative", (
+        (side, s, t, s2, t2) for _ in range(rounds if pairs else 0)
+        for s, t in [pairs[below(rng, len(pairs))]]
+        for s2, t2 in [pairs[below(rng, len(pairs))]])))
+    return ce is None, ce, examined + n
 
 
 def _wb_refutation(fam: SymbolicFamily, side: _Side, x, y, depth: int,
@@ -509,12 +492,6 @@ def _wb_law(fam: SymbolicFamily, s, t, es, et) -> tuple:
     return lhs != bool(claim), lhs, claim
 
 
-def _inseparable(fam: SymbolicFamily, eps, a, b, tried: list) -> bool:
-    """a != b, and no candidate way below eps separates them: a phi = b phi."""
-    return a != b and all(fam.op(a, p) == fam.op(b, p) for p in tried
-                          if fam.wb_sigma(p, eps))
-
-
 def _order_forms(fam: SymbolicFamily, s, t) -> list:
     """s <= t, s* <= t*, t s* s = s and s s* t = s: equivalent forms of the order."""
     return [fam.nat_le(s, t), fam.nat_le(fam.inv(s), fam.inv(t)),
@@ -538,8 +515,9 @@ _BASIC_KINDS = ("ss*-not-idempotent", "s*s-not-idempotent", "star-not-involution
 # by the scans and by replay.  The identities are those of every inverse
 # semigroup (Lawson, 1998, 1.4).  A law whose scan meets a hypothesis by
 # construction (eps idempotent, a <= t, a maximum in _D, a member on its chain
-# up to _depth, a pair consecutive on it, a bound it lists) tests it after the
-# conclusion, so that a replay outside it is False at no cost to a scan.  A
+# up to _depth, a pair consecutive on it, a bound it lists or one above its
+# members up to _depth, s << t and s2 << t2) tests it after the conclusion,
+# so that a replay outside it is False at no cost to a scan.  A
 # biconditional kind's instance is the failing side's witness: the side that
 # holds is sampled evidence, and it is not replayed.
 _VIOLATED: dict[str, Callable[..., bool]] = {
@@ -578,8 +556,8 @@ _VIOLATED: dict[str, Callable[..., bool]] = {
     "claimed-upper-bound-fails": lambda fam, chain, member, upper_bound, _depth: (
         not fam.nat_le(member, upper_bound) and upper_bound in chain.upper_bounds
         and _on_chain(chain, member, _depth)),
-    "mirror-family": lambda fam, chain, bad_bound, **_: not fam.nat_le(
-        chain.sup_in_sigma, bad_bound) and _dominates(fam, bad_bound, chain, DEFAULT_DEPTH),
+    "mirror-family": lambda fam, chain, bad_bound, _depth, **_: not fam.nat_le(
+        chain.sup_in_sigma, bad_bound) and _dominates(fam, bad_bound, chain, _depth),
     "not-reduced": lambda fam, eps, s: (fam.is_idempotent(eps) and eps != fam.zero
                                         and fam.nat_le(eps, s) and not fam.is_idempotent(s)),
     "bounded-chain-without-sup": lambda fam, chain: (chain in fam.witnesses and bool(
@@ -592,14 +570,17 @@ _VIOLATED: dict[str, Callable[..., bool]] = {
         chain.sup_in_sigma is not None
         and not fam.nat_le(fam.op(eps, a), fam.op(eps, chain.sup_in_sigma))
         and fam.is_idempotent(eps) and _on_chain(chain, a, _depth)),
+    "not-multiplicative": lambda fam, _side, s, t, s2, t2: (
+        not getattr(fam, _side.wb)(fam.op(s, s2), fam.op(t, t2))
+        and getattr(fam, _side.wb)(s, t) and getattr(fam, _side.wb)(s2, t2)),
+    "inseparable": lambda fam, eps, a, b, tried: a != b and all(
+        fam.op(a, p) == fam.op(b, p) for p in tried if fam.wb_sigma(p, eps)),
     "wb-char": lambda fam, s, t, **_: _wb_law(fam, s, t, fam.sigma(s), fam.sigma(t))[0],
     **{kind: _refuted(side, kind) for side in (_S, _SIGMA) for kind in side.kinds},
-    "meet-cont-biconditional": lambda fam, _witness, **_: _violated(fam, _witness),
-    "mult-biconditional": lambda fam, mult_S, _witness, **_: _unmultiplicative(
-        fam, _SIGMA if mult_S else _S, *_witness),
+    **dict.fromkeys(("meet-cont-biconditional", "mult-biconditional",
+                     "separation-biconditional"),
+                    lambda fam, _witness, **_: _violated(fam, _witness)),
     "mirror-theorem": _mirror_theorem_violated,
-    "separation-biconditional": lambda fam, criterion, _witness, **_: (
-        _violated(fam, _witness) if criterion else _inseparable(fam, *_witness)),
 }
 
 
@@ -873,22 +854,14 @@ def check_separation_criterion(fam: SymbolicFamily, depth, seed, budget):
     if fam.wb_sigma is None:
         return _na("no sigma way-below oracle installed")
     rng = seeded(seed, "separation", fam.name)
-    wit, examined = None, 0
-    for eps in _idem_pool(fam, rng, 12):
-        # a sampled H-class of eps, and candidate separators: the canonical
-        # approximants of eps and sampled idempotents
-        H = fam.h_class_sample(eps, rng, 6)
-        tried = [a for cw in fam.sigma_chains_to(eps) for a in chain_members(cw, depth)]
-        tried += _idem_pool(fam, rng, 10)
-        for a, b in combinations(H, 2):
-            if a == b:
-                continue
-            examined += 1
-            if _inseparable(fam, eps, a, b, tried):
-                wit = (eps, a, b, tried)
-                break
-        if wit:
-            break
+    # a sampled H-class of each eps, and candidate separators: the canonical
+    # approximants of eps and sampled idempotents
+    examined, wit = _scan(fam, ("inseparable", (
+        (eps, a, b, tried) for eps in _idem_pool(fam, rng, 12)
+        for H, tried in [(fam.h_class_sample(eps, rng, 6),
+                          [m for cw in fam.sigma_chains_to(eps) for m in chain_members(cw, depth)]
+                          + _idem_pool(fam, rng, 10))]
+        for a, b in combinations(H, 2) if a != b)))
     criterion = wit is None
     mirror_ok, mirror_ce, n0 = _family_mirror(fam, depth, seed)
     ce = None if criterion == mirror_ok else _fail(

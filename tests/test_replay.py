@@ -27,7 +27,8 @@ import pytest
 from invsg import checkers
 from invsg.checkers import CheckReport, classify, replay_counterexample
 from invsg.families import bicyclic_dyadic, bicyclic_nat, cex_family, rotation_family
-from invsg.families.base import DEFAULT_DEPTH, ChainWitness, family_scale, finite_chain, seeded
+from invsg.families.base import (DEFAULT_DEPTH, ChainWitness, chain_limit, family_scale,
+                                 finite_chain, seeded)
 from invsg.families.cex import OMEGA
 
 ONE = 1 << family_scale(DEFAULT_DEPTH).bits  # the dyadic coordinate 1 at the default depth
@@ -40,9 +41,19 @@ def _calls_to(tree, name):
 
 
 def _stages(tree) -> list:
-    """(kind, instances) of each stage of each ``_scan`` call, as nodes."""
-    return [(stage.elts[0].value, stage.elts[1]) for call in _calls_to(tree, "_scan")
-            for stage in call.args[1:]]
+    """(kind, instances) of each stage of each ``_scan`` call, as nodes.  A
+    stage is written as a literal tuple (kind, instances) whose kind is a
+    string, so that the kinds a scan reports can be read off its call."""
+    stages = []
+    for call in _calls_to(tree, "_scan"):
+        for stage in call.args[1:]:
+            assert (isinstance(stage, ast.Tuple) and len(stage.elts) == 2
+                    and isinstance(stage.elts[0], ast.Constant)
+                    and isinstance(stage.elts[0].value, str)), (
+                f"line {stage.lineno}: a _scan stage must be a literal tuple "
+                f"(kind, instances) with the kind as a string, not {ast.unparse(stage)}")
+            stages.append((stage.elts[0].value, stage.elts[1]))
+    return stages
 
 
 def _strings(node) -> set:
@@ -76,7 +87,7 @@ def test_every_emitted_kind_is_declared_and_fits_its_law():
         assert instances, kind
         for elt in instances:
             law.bind(None, *elt.elts)  # raises TypeError on a mismatch
-    assert len({kind for kind, _ in stages}) == len(stages) == 16
+    assert len({kind for kind, _ in stages}) == len(stages) == 19
     # the three sites that pass a kind by name take it from these declarations
     # or, in ``_scan``, from its caller
     assert by_name == 3
@@ -87,7 +98,7 @@ def test_every_emitted_kind_is_declared_and_fits_its_law():
     for call in _calls_to(tree, "_Side"):
         emitted |= _strings(call.args[-1])
     assert emitted == set(checkers._VIOLATED)
-    assert len(checkers._VIOLATED) == 37
+    assert len(checkers._VIOLATED) == 39
 
 
 def test_fail_raises_on_an_undeclared_kind():
@@ -196,7 +207,7 @@ CASES = {
     # the chain k -> (1 + 2^-k, 1 + 2^-k) has sigma-sup (1,1) and never reaches it
     "mirror-family": (bicyclic_dyadic, lambda f: dict(chain=f.witnesses[0],
                                                       sup_in_sigma=(ONE, ONE),
-                                                      bad_bound=(HALF, HALF)),
+                                                      bad_bound=(HALF, HALF), _depth=64),
                       lambda f: flip(f, "nat_le", (ONE, ONE), (HALF, HALF))),
     "not-reduced": (bicyclic_nat, lambda f: dict(eps=(1, 1), s=(2, 1)),
                     lambda f: flip(f, "nat_le", (1, 1), (2, 1))),
@@ -210,6 +221,13 @@ CASES = {
     "meet-cont-chain": (bicyclic_nat, lambda f: dict(chain=to_00(f), eps=(0, 0), a=(3, 3),
                                                      _depth=64),
                         lambda f: flip(f, "nat_le", (3, 3), (0, 0))),
+    # (2,1) << (1,0) twice, and the copy denies (3,1) << (2,0), their product
+    "not-multiplicative": (bicyclic_nat, lambda f: dict(_side=checkers._S, s=(2, 1), t=(1, 0),
+                                                        s2=(2, 1), t2=(1, 0)),
+                           lambda f: flip(f, "wb_s", (3, 1), (2, 0))),
+    # (0,0) separates (0,0) from (1,0)
+    "inseparable": (bicyclic_nat, lambda f: dict(eps=(0, 0), a=(0, 0), b=(1, 0), tried=[(0, 0)]),
+                    lambda f: flip(f, "wb_sigma", (0, 0), (0, 0))),
     "wb-char": (bicyclic_nat, lambda f: dict(s=(3, 2), t=(1, 0)),
                 lambda f: flip(f, "wb_s", (3, 2), (1, 0))),
     "wb-claim-refuted": (bicyclic_dyadic, lambda f: DYADIC_S,
@@ -231,18 +249,17 @@ CASES = {
             f, "ssc-family", to_53(f), (0, 0), (8, 6), 64)),
         lambda f: flip(f, "nat_le", (8, 6), (5, 3))),
     "mult-biconditional": (
-        bicyclic_nat, lambda f: dict(mult_S=False, mult_Sigma=True,
-                                     _witness=((2, 1), (1, 0), (2, 1), (1, 0))),
+        bicyclic_nat, lambda f: dict(mult_S=False, mult_Sigma=True, _witness=checkers._fail(
+            f, "not-multiplicative", checkers._S, (2, 1), (1, 0), (2, 1), (1, 0))),
         lambda f: flip(f, "wb_s", (3, 1), (2, 0))),
     # (1,0) is the sup of (4,3), (3,2), (2,1), (1,0), each way below it
     "mirror-theorem": (
         bicyclic_nat, lambda f: dict(cont_S=False, cont_Sigma=True, alg_S=True,
                                      alg_Sigma=True, _witness=(1, 0), _depth=64),
         lambda f: flip(f, "wb_s", (4, 3), (1, 0))),
-    # (0,0) separates (0,0) from (1,0)
     "separation-biconditional": (
-        bicyclic_nat, lambda f: dict(criterion=False, mirror=True,
-                                     _witness=((0, 0), (0, 0), (1, 0), [(0, 0)])),
+        bicyclic_nat, lambda f: dict(criterion=False, mirror=True, _witness=checkers._fail(
+            f, "inseparable", (0, 0), (0, 0), (1, 0), [(0, 0)])),
         lambda f: flip(f, "wb_sigma", (0, 0), (0, 0))),
 }
 
@@ -277,10 +294,12 @@ def _dyadic_idem(x):
 # (kind, family, the suite whose scan reports it, the perturbation).  Each
 # perturbation is one point that the scan of that kind reaches before any
 # other check of the suite, at seed 0 and budget 300, and that an instance
-# with two of its arguments swapped does not reach.  Reducedness is reported
-# by ``classify`` alone, as the mirror suite reads a reducedness failure as
-# no evidence; a meet-continuity chain only as the witness of the
-# meet-continuity biconditional.
+# with two of its arguments swapped does not reach; that of ``inseparable``
+# denies every separator of one idempotent, as each pair the scan draws has
+# several.  Reducedness is reported by ``classify`` alone, as the mirror
+# suite reads a reducedness failure as no evidence; a meet-continuity chain,
+# an unmultiplicative quadruple and an inseparable pair only as the witness
+# of their suite's biconditional.
 SCANS = [
     ("chain-not-monotone", bicyclic_nat, "mirror",
      lambda f: flip(f, "nat_le", (3, 3), (2, 2))),
@@ -327,6 +346,14 @@ SCANS = [
     # bound is its sup
     ("mirror-family", bicyclic_dyadic, "mirror",
      lambda f: flip(f, "nat_le", _dyadic_idem(3 * ONE), _dyadic_idem(2 * ONE))),
+    # the first round on S: (8,6) << (2,0) and (9,7) << (6,4), with product
+    # pair (11,7), (8,4)
+    ("not-multiplicative", bicyclic_nat, "multiplicativity_mirror",
+     lambda f: flip(f, "wb_s", (11, 7), (8, 4))),
+    # the first pair drawn, (1,1) and (8,1) below (1,1), which each
+    # idempotent below (1,1) separates: a copy denies them all way below it
+    ("inseparable", bicyclic_nat, "separation_criterion",
+     lambda f: {"wb_sigma": lambda p, eps: eps != (1, 1) and f.wb_sigma(p, eps)}),
 ]
 
 
@@ -410,6 +437,21 @@ def test_a_member_off_its_chain_does_not_replay(kind, instance, member):
                            sup_in_s=(5, 3), length=2)
     assert replay_counterexample(honest, _fabricated(kind, dict(
         chain=listing, **instance, _depth=64)))
+
+
+def test_a_mirror_bound_is_dominant_up_to_its_depth_only():
+    # member 65 of the approach chain to (1,1) lies above members 0 to 65,
+    # and not above the sigma-sup (1,1): a dominator at depth 64, not at
+    # the depth 192 at which the mirror gate confirms a sampled one
+    honest = bicyclic_dyadic()
+    chain = honest.witnesses[0]
+    assert chain.name == "dyadic-approach-(1,1)"
+    report = _fabricated("mirror-family", dict(chain=chain, bad_bound=chain.member(65),
+                                               _depth=chain_limit(64)))
+    assert chain_limit(64) == 192
+    assert not replay_counterexample(honest, report)
+    report.counterexample["_raw"]["_depth"] = 64
+    assert replay_counterexample(honest, report)
 
 
 def test_a_member_past_the_depth_is_off_an_omega_chain():
