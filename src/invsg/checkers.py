@@ -17,8 +17,7 @@ their canonical chains.  Each failure kind is declared once, in
 the scans test their instances through it, ``_fail`` makes a violated
 instance a counterexample, and ``replay_counterexample`` re-runs it.  Every
 cold scan of a law with a kind is a stage of ``_scan``; loops stay only in
-the three hot suites and in the continuity and algebraicity gates, whose
-evidence has no kind.
+the three hot suites.
 
 ``classify`` gives the five mirror properties of a subject as one
 Classification of Flags, each with the evidence that produced it: on a
@@ -167,8 +166,7 @@ def _scan(fam: SymbolicFamily, *stages) -> tuple:
     Loops stay only in the three hot suites, where a generator step and a
     call per instance would cost: basic_rules tests five kinds a pair, order
     characterizations interleave two kinds per draw, and wb_characterization
-    refutes each side's answer, a refutation picking its kind; and in the
-    continuity and algebraicity gates, whose evidence has no kind."""
+    refutes each side's answer, a refutation picking its kind."""
     examined = 0
     for kind, instances in stages:
         violated = partial(_VIOLATED[kind], fam)
@@ -349,29 +347,20 @@ def _family_ssc(fam: SymbolicFamily, rng: random.Random, depth: int, *_):
     return ce is None, ce, examined
 
 
-def _approximated(fam: SymbolicFamily, side: _Side, x, depth: int):
-    """(ok, examined): some canonical chain with sup x has every member below
-    and way below x."""
-    wb, examined = getattr(fam, side.wb), 0
-    for cw in (cw for cw in getattr(fam, side.chains_to)(x) if getattr(cw, side.sup) == x):
-        ms = chain_members(cw, depth)
-        examined += len(ms)
-        if all(wb(a, x) and fam.nat_le(a, x) for a in ms):
-            return True, examined
-    return False, examined
+def _approximated(fam: SymbolicFamily, side: _Side, x, depth: int) -> bool:
+    """Some canonical chain with sup x has every member below and way below x."""
+    wb = getattr(fam, side.wb)
+    return any(all(wb(a, x) and fam.nat_le(a, x) for a in chain_members(cw, depth))
+               for cw in getattr(fam, side.chains_to)(x) if getattr(cw, side.sup) == x)
 
 
 @_hypothesis
 def _continuity(fam: SymbolicFamily, side: _Side, rng: random.Random, depth: int, *_):
-    """(ok, witness, examined) for 'one side is continuous': each pooled x is
-    approximated; the witness is the first x that is not."""
-    examined = 0
-    for x in side.pool(fam, rng, 20):
-        ok, n = _approximated(fam, side, x, depth)
-        examined += n
-        if not ok:
-            return False, x, examined
-    return True, None, examined
+    """(ok, counterexample, examined) for 'one side is continuous': each pooled
+    x is approximated; the counterexample is the first x that is not."""
+    examined, ce = _scan(fam, ("not-approximated",
+                               ((side, x, depth) for x in side.pool(fam, rng, 20))))
+    return ce is None, ce, examined
 
 
 def _compacts_below(fam: SymbolicFamily, side: _Side, x, tried: list) -> list:
@@ -383,25 +372,14 @@ def _compacts_below(fam: SymbolicFamily, side: _Side, x, tried: list) -> list:
 
 @_hypothesis
 def _algebraic(fam: SymbolicFamily, side: _Side, rng: random.Random, *_):
-    """(ok, witness, examined) for 'every element of one side is a sup of
-    compacts below it', against sampled compacts x eps below each pooled x.
-    The witness keeps x and the compacts tried as ``_raw``."""
+    """(ok, counterexample, examined) for 'every element of one side is a sup
+    of compacts below it', against sampled compacts x eps below each pooled
+    x; a compact x is the sup of {x}, and nothing is drawn for it."""
     wb = getattr(fam, side.wb)
-    examined = 0
-    for x in side.pool(fam, rng, 25):
-        examined += 1
-        if wb(x, x):
-            continue  # x itself is compact: it is the sup of {x}
-        tried = [fam.op(x, fam.sample_idempotent(rng)) for _ in range(40)]
-        compacts = _compacts_below(fam, side, x, tried)
-        if len(compacts) <= 1:  # x is not compact, so one compact is not x
-            why = ("no compact element below the witness" if not compacts else
-                   f"the only compact below is {fam.describe(compacts[0])}, "
-                   "whose sup misses the witness")
-            return False, {"witness": fam.describe(x), "why": why,
-                           "_raw": (x, tried)}, examined
-        # inconclusive for this x; keep scanning
-    return True, None, examined
+    examined, ce = _scan(fam, ("not-algebraic", (
+        (side, x, [] if wb(x, x) else [fam.op(x, fam.sample_idempotent(rng)) for _ in range(40)])
+        for x in side.pool(fam, rng, 25))))
+    return ce is None, ce, examined
 
 
 @_hypothesis
@@ -498,16 +476,6 @@ def _order_forms(fam: SymbolicFamily, s, t) -> list:
             fam.op(t, fam.sigma(s)) == s, fam.op(fam.op(s, fam.inv(s)), t) == s]
 
 
-def _mirror_theorem_violated(fam, cont_S, cont_Sigma, alg_S, _witness, _depth, **_) -> bool:
-    """The failing side's witness: an element that no canonical chain
-    approximates, or one whose compacts tried below it cannot reach it."""
-    if cont_S != cont_Sigma:
-        return not _approximated(fam, _SIGMA if cont_S else _S, _witness, _depth)[0]
-    side = _SIGMA if alg_S else _S
-    x, tried = _witness["_raw"]
-    return not getattr(fam, side.wb)(x, x) and len(_compacts_below(fam, side, x, tried)) <= 1
-
-
 _BASIC_KINDS = ("ss*-not-idempotent", "s*s-not-idempotent", "star-not-involution",
                 "antihomomorphism", "idempotent-not-self-inverse")
 
@@ -575,12 +543,15 @@ _VIOLATED: dict[str, Callable[..., bool]] = {
         and getattr(fam, _side.wb)(s, t) and getattr(fam, _side.wb)(s2, t2)),
     "inseparable": lambda fam, eps, a, b, tried: a != b and all(
         fam.op(a, p) == fam.op(b, p) for p in tried if fam.wb_sigma(p, eps)),
+    "not-approximated": lambda fam, _side, x, _depth: not _approximated(fam, _side, x, _depth),
+    # x is not compact, so no one compact below x is its sup
+    "not-algebraic": lambda fam, _side, x, _tried: (
+        not getattr(fam, _side.wb)(x, x) and len(_compacts_below(fam, _side, x, _tried)) <= 1),
     "wb-char": lambda fam, s, t, **_: _wb_law(fam, s, t, fam.sigma(s), fam.sigma(t))[0],
     **{kind: _refuted(side, kind) for side in (_S, _SIGMA) for kind in side.kinds},
-    **dict.fromkeys(("meet-cont-biconditional", "mult-biconditional",
+    **dict.fromkeys(("meet-cont-biconditional", "mult-biconditional", "mirror-theorem",
                      "separation-biconditional"),
                     lambda fam, _witness, **_: _violated(fam, _witness)),
-    "mirror-theorem": _mirror_theorem_violated,
 }
 
 
@@ -835,11 +806,10 @@ def check_mirror_theorem(fam: SymbolicFamily, depth, seed, budget):
     contE, xE, n2 = _continuity(fam, depth, seed, _SIGMA)
     algS, wS, n3 = _algebraic(fam, depth, seed, _S)
     algE, wE, n4 = _algebraic(fam, depth, seed, _SIGMA)
-    # the failing side's witness: of continuity if the sides disagree on it
-    witness = (xE if contS else xS) if contS != contE else (wE if algS else wS)
+    # the failing side's counterexample: of continuity if the sides disagree on it
     ce = None if contS == contE and algS == algE else _fail(
         fam, "mirror-theorem", cont_S=contS, cont_Sigma=contE, alg_S=algS, alg_Sigma=algE,
-        _witness=witness, _depth=depth)
+        _witness=(xS or xE) if contS != contE else (wS or wE))
     return _verdict(n0 + n1 + n2 + n3 + n4, ce, f"continuous={contS}, algebraic={algS}")
 
 
@@ -941,6 +911,19 @@ def _classify_finite(S: FiniteInvSemigroup, subject_id: str, depth: int,
     )
 
 
+def _algebraic_witness(fam: SymbolicFamily, ce: Optional[dict]) -> Optional[dict]:
+    """The ``algebraic`` witness of a not-algebraic counterexample: its x,
+    and why the compacts tried below x miss it."""
+    if ce is None:
+        return None
+    side, x, tried = ce["_raw"].values()
+    compacts = _compacts_below(fam, side, x, tried)
+    return {"witness": fam.describe(x),
+            "why": "no compact element below the witness" if not compacts else
+                   f"the only compact below is {fam.describe(compacts[0])}, "
+                   "whose sup misses the witness"}
+
+
 def _classify_family(fam: SymbolicFamily, subject_id: str, depth: int, seed: int,
                      budget) -> Classification:
     """The flags as the suites' gates give them; a family without way-below
@@ -958,12 +941,12 @@ def _classify_family(fam: SymbolicFamily, subject_id: str, depth: int, seed: int
     else:
         contS, _x, nS = _continuity(fam, depth, seed, _S)
         contE, _xE, nE = _continuity(fam, depth, seed, _SIGMA)
-        algS, alg_wit, alg_n = _algebraic(fam, depth, seed, _S)
+        algS, alg_ce, alg_n = _algebraic(fam, depth, seed, _S)
         mult_ok, _wit, mult_n = _multiplicative(fam, depth, seed, _S, budget or DEFAULT_BUDGET)
         cont = Flag(contS, f"approximation chains at depth {depth}; "
                            f"sigma side agrees ({contE})", nS + nE)
         alg = Flag(algS, "compact approximants sampled against the way-below oracle",
-                   alg_n, alg_wit)
+                   alg_n, _algebraic_witness(fam, alg_ce))
         stably = Flag(bool(contS) and mult_ok,
                       "continuity plus sampled way-below multiplicativity", nS + mult_n)
     return Classification(

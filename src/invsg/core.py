@@ -370,10 +370,13 @@ def tabulate(elems: Sequence, mul: Callable, names: Optional[Iterable] = None
              ) -> FiniteInvSemigroup:
     """The validated carrier of a product-closed list: id i is ``elems[i]``.
 
-    Elements are told apart by ``==`` and hash.  A product that is not in
-    the list raises ValueError.
+    Elements are told apart by ``==`` and hash.  A repeated element, or a
+    product that is not in the list, raises ValueError.
     """
     index = {x: i for i, x in enumerate(elems)}
+    if len(index) < len(elems):
+        repeated = next(x for i, x in enumerate(elems) if index[x] != i)
+        raise ValueError(f"element {repeated} is listed twice")
     table = [[index.get(mul(s, t)) for t in elems] for s in elems]
     for s, row in zip(elems, table):
         if None in row:

@@ -77,8 +77,12 @@ class PartialBijection:
 
     @classmethod
     def on_set(cls, n: int, points: Iterable[int]) -> "PartialBijection":
-        """The partial identity on a subset of the ground set."""
+        """The partial identity on a subset of the ground set; a point outside
+        ``0..n-1`` raises ValueError."""
         pts = set(points)
+        outside = pts.difference(range(n))
+        if outside:
+            raise ValueError(f"point {min(outside)} out of range")
         return cls(n, tuple(i if i in pts else -1 for i in range(n)))
 
     # -- structure --

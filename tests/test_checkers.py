@@ -191,6 +191,10 @@ def test_a_side_that_is_not_continuous_fails_the_mirror_theorem(build):
     assert r.counterexample["cont_S"] is False and r.counterexample["cont_Sigma"] is True
     assert replay_counterexample(lying, r)
     assert not replay_counterexample(honest, r)
+    # the witness is the S side's own counterexample, and replays as one
+    witness = r.counterexample["_raw"]["_witness"]
+    assert witness["kind"] == "not-approximated"
+    assert replay_counterexample(lying, CheckReport("mirror_theorem", "lying", "fail", witness))
     r = run_suite("continuity_implies_ssc", lying, "lying", seed=0)
     assert (r.verdict, r.notes) == ("not-applicable", "subject is not continuous")
     assert run_suite("mirror", lying, "lying", seed=0).verdict == "pass"

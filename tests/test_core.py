@@ -514,6 +514,16 @@ def test_restrict_rejects_unclosed_subset(I2):
         core.restrict(S, [f])
 
 
+def test_restrict_rejects_a_repeated_element(I2):
+    # {0} is an inverse subsemigroup, but listed twice it would make two ids
+    S = I2.carrier
+    with pytest.raises(ValueError, match="element 0 is listed twice"):
+        core.restrict(S, [0, 0])
+    with pytest.raises(ValueError, match="is listed twice"):
+        core.tabulate([1, 0, 1], lambda s, t: s * t)
+    assert core.restrict(S, [0]).n == 1
+
+
 def test_json_roundtrip(I2):
     S = I2.carrier
     blob = json.dumps(core.to_json(S))

@@ -31,17 +31,17 @@ BUDGET = 400
 # name: (the budget of each suite in registry order, of each classify flag in
 # Classification.flags() order)
 EXAMINED = {
-    "bicyclic-nat": ((10000, 20000, 4012, 686, 960, 2904, 4268, 14140, 9220, 3279, 3310, 4312,
+    "bicyclic-nat": ((10000, 20000, 4012, 686, 960, 2904, 4268, 14140, 9220, 3060, 3310, 4183,
                       2907),
-                     (2004, 2904, 292, 48, 2712)),
-    "bicyclic-dyadic": ((10000, 20000, 4198, 5013, 1824, 11130, 22392, 29752, 24889, 16852, 11673,
-                         23262, 11136),
-                        (2066, 11130, 5720, 1, 6084)),
-    "rotation": ((10000, 20000, 4198, 4023, 1824, 9706, 21166, 28526, 23644, 14341, 10108, 21397,
+                     (2004, 2904, 73, 48, 2583)),
+    "bicyclic-dyadic": ((10000, 20000, 4198, 5013, 1824, 11130, 22392, 29752, 24889, 11220, 11673,
+                         19806, 11136),
+                        (2066, 11130, 88, 1, 2628)),
+    "rotation": ((10000, 20000, 4198, 4023, 1824, 9706, 21166, 28526, 23644, 9797, 10108, 18581,
                   9712),
-                 (2066, 9706, 4633, 1, 5429)),
+                 (2066, 9706, 89, 1, 2613)),
     "cex": ((10000, 20000, 4067, 1702, 1518, 339, 0, 0, 0, 0, 340, 0, 0),
-            (13, 339, 3286, 2, 4209)),
+            (13, 339, 73, 2, 2596)),
 }
 
 

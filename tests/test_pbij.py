@@ -97,6 +97,12 @@ def test_invert_examples():
     assert f.inverse().inverse() == f
 
 
+@pytest.mark.parametrize("point", [2, 5, -1])
+def test_a_partial_identity_off_the_ground_set_is_refused(point):
+    with pytest.raises(ValueError, match=f"point {point} out of range"):
+        PartialBijection.on_set(2, [0, point])
+
+
 def test_symmetric_inverse_monoid_counts():
     assert symmetric_inverse_monoid(1).carrier.n == 2
     assert symmetric_inverse_monoid(2).carrier.n == 7

@@ -65,8 +65,6 @@ ALLOWLIST = {
     # Hypothesis tails: a law tests its hypothesis after its conclusion, so
     # only a violated conclusion reaches them; tests/test_replay.py covers them.
     "checkers._on_chain": "hypothesis tail, reached by a violated chain law",
-    "checkers._mirror_theorem_violated":
-        "the law of a mirror-theorem failure, reached only when one replays",
 }
 
 

@@ -87,7 +87,7 @@ def test_every_emitted_kind_is_declared_and_fits_its_law():
         assert instances, kind
         for elt in instances:
             law.bind(None, *elt.elts)  # raises TypeError on a mismatch
-    assert len({kind for kind, _ in stages}) == len(stages) == 19
+    assert len({kind for kind, _ in stages}) == len(stages) == 21
     # the three sites that pass a kind by name take it from these declarations
     # or, in ``_scan``, from its caller
     assert by_name == 3
@@ -98,7 +98,7 @@ def test_every_emitted_kind_is_declared_and_fits_its_law():
     for call in _calls_to(tree, "_Side"):
         emitted |= _strings(call.args[-1])
     assert emitted == set(checkers._VIOLATED)
-    assert len(checkers._VIOLATED) == 39
+    assert len(checkers._VIOLATED) == 41
 
 
 def test_fail_raises_on_an_undeclared_kind():
@@ -228,6 +228,13 @@ CASES = {
     # (0,0) separates (0,0) from (1,0)
     "inseparable": (bicyclic_nat, lambda f: dict(eps=(0, 0), a=(0, 0), b=(1, 0), tried=[(0, 0)]),
                     lambda f: flip(f, "wb_sigma", (0, 0), (0, 0))),
+    # (1,0) is the sup of (4,3), (3,2), (2,1), (1,0), each way below it
+    "not-approximated": (bicyclic_nat, lambda f: dict(_side=checkers._S, x=(1, 0), _depth=64),
+                         lambda f: flip(f, "wb_s", (4, 3), (1, 0))),
+    # every element of bicyclic-nat is compact; a copy denies (1,0) << (1,0),
+    # with no compact tried below it
+    "not-algebraic": (bicyclic_nat, lambda f: dict(_side=checkers._S, x=(1, 0), _tried=[]),
+                      lambda f: flip(f, "wb_s", (1, 0), (1, 0))),
     "wb-char": (bicyclic_nat, lambda f: dict(s=(3, 2), t=(1, 0)),
                 lambda f: flip(f, "wb_s", (3, 2), (1, 0))),
     "wb-claim-refuted": (bicyclic_dyadic, lambda f: DYADIC_S,
@@ -252,10 +259,10 @@ CASES = {
         bicyclic_nat, lambda f: dict(mult_S=False, mult_Sigma=True, _witness=checkers._fail(
             f, "not-multiplicative", checkers._S, (2, 1), (1, 0), (2, 1), (1, 0))),
         lambda f: flip(f, "wb_s", (3, 1), (2, 0))),
-    # (1,0) is the sup of (4,3), (3,2), (2,1), (1,0), each way below it
     "mirror-theorem": (
         bicyclic_nat, lambda f: dict(cont_S=False, cont_Sigma=True, alg_S=True,
-                                     alg_Sigma=True, _witness=(1, 0), _depth=64),
+                                     alg_Sigma=True, _witness=checkers._fail(
+                                         f, "not-approximated", checkers._S, (1, 0), 64)),
         lambda f: flip(f, "wb_s", (4, 3), (1, 0))),
     "separation-biconditional": (
         bicyclic_nat, lambda f: dict(criterion=False, mirror=True, _witness=checkers._fail(
@@ -279,10 +286,10 @@ def test_mirror_theorem_replays_an_algebraic_witness():
     # with no compact tried below it, makes (1,0) the failing side's witness
     honest = bicyclic_nat()
     lying = dataclasses.replace(honest, **flip(honest, "wb_s", (1, 0), (1, 0)))
-    witness = {"witness": "(1,0)", "_raw": ((1, 0), [])}
+    witness = checkers._fail(honest, "not-algebraic", checkers._S, (1, 0), [])
     report = CheckReport("mirror_theorem", "x", "fail", checkers._fail(
         honest, "mirror-theorem", cont_S=True, cont_Sigma=True, alg_S=False,
-        alg_Sigma=True, _witness=witness, _depth=64))
+        alg_Sigma=True, _witness=witness))
     assert replay_counterexample(lying, report)
     assert not replay_counterexample(honest, report)
 
@@ -354,6 +361,14 @@ SCANS = [
     # idempotent below (1,1) separates: a copy denies them all way below it
     ("inseparable", bicyclic_nat, "separation_criterion",
      lambda f: {"wb_sigma": lambda p, eps: eps != (1, 1) and f.wb_sigma(p, eps)}),
+    # way-below in S holds nowhere, so no chain approximates the first pooled
+    # element, while Sigma stays continuous
+    ("not-approximated", bicyclic_dyadic, "mirror_theorem",
+     lambda f: {"wb_s": lambda s, t: False}),
+    # the copy denies x << x for each x <= (1,8): the pooled (1,8) is not
+    # compact, and no compact is tried below it
+    ("not-algebraic", bicyclic_nat, "mirror_theorem",
+     lambda f: {"wb_s": lambda s, t: not (s == t and f.nat_le(s, (1, 8))) and f.wb_s(s, t)}),
 ]
 
 
