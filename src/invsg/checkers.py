@@ -425,27 +425,29 @@ def _wb_refutation(fam: SymbolicFamily, side: _Side, x, y, depth: int,
     if not claim and not fam.nat_le(x, y):
         return None  # a denial with x not below y: the singleton {y} bears it out
     claim_refuted, missing, too_small, no_kill = side.kinds
-
-    def found(kind, cw=None):
-        return _fail(fam, kind, chain=cw, **dict(zip(side.keys, (x, y))), _depth=depth)
-
     chains, above_x = getattr(fam, side.chains_to), partial(fam.nat_le, x)
+    kind = None
     if claim:
+        deep = depth if depth > DEFAULT_DEPTH else DEFAULT_DEPTH
         for cw in chains(y):
             sup = getattr(cw, side.sup)
             if sup is None or not fam.nat_le(y, sup):
                 continue
-            if not any(map(above_x, iter_chain(cw, max(depth, DEFAULT_DEPTH)))):
-                return found(claim_refuted, cw)
+            if not any(map(above_x, iter_chain(cw, deep))):
+                kind = claim_refuted
+                break
     else:
         cw = next(iter(chains(y)), None)
         if cw is None:
-            return found(missing)
-        sup = getattr(cw, side.sup)
-        if sup is None or not fam.nat_le(y, sup):
-            return found(too_small, cw)
-        if any(map(above_x, iter_chain(cw, depth))):
-            return found(no_kill, cw)
+            kind = missing
+        else:
+            sup = getattr(cw, side.sup)
+            if sup is None or not fam.nat_le(y, sup):
+                kind = too_small
+            elif any(map(above_x, iter_chain(cw, depth))):
+                kind = no_kill
+    if kind is not None:
+        return _fail(fam, kind, chain=cw, **dict(zip(side.keys, (x, y))), _depth=depth)
     if cleared is not None:
         cleared.add((x, y))
     return None

@@ -217,7 +217,9 @@ def chain_members(cw: ChainWitness, depth: int) -> list:
 
 def iter_chain(cw: ChainWitness, depth: int):
     """Lazily yield members up to the depth (cheap when callers exit early)."""
-    n = depth + 1 if cw.length is None else min(cw.length, depth + 1)
+    n = depth + 1
+    if cw.length is not None and cw.length < n:
+        n = cw.length
     return map(cw.member, range(n))
 
 
@@ -236,4 +238,5 @@ def finite_chain(label: Union[str, Callable[[], str]], items, in_sigma: bool) ->
     its last item as maximum, hence as sup (Gierz et al., 2003)."""
     items = list(items)
     last = len(items) - 1
-    return chain_to(items[last], in_sigma, label, lambda k: items[min(k, last)], len(items))
+    return chain_to(items[last], in_sigma, label, lambda k: items[k if k < last else last],
+                    len(items))

@@ -19,7 +19,7 @@ from invsg.checkers import classify, run_suites
 from invsg.cli import main
 from invsg.core import TooLarge
 from invsg.families import (FAMILY_BUILDERS, OMEGA, bicyclic_dyadic, bicyclic_nat,
-                            cex_family, cex_le, cex_op, character_family,
+                            bicyclic_op, cex_family, cex_le, cex_op, character_family,
                             rotation_family)
 from invsg.families.base import (DEFAULT_DEPTH, MAX_DEPTH, chain_limit, chain_members,
                                  family_scale)
@@ -144,6 +144,16 @@ REFERENCES = {
                  ref_rot_le, ref_rot_wb_s, ref_rot_wb_sigma, radius_member),
 }
 CHAIN_INDICES = (0, 1, 2, 63, 192)
+# encoded elements whose pairs meet the ties of the products' comparisons:
+# b == c across the first two dyadic elements and in the idempotent's square,
+# r == r1 across the first two rotations, and a zero radius on either side
+_ONE, _HALF, _THIRD = 1 << K, Fraction(1, 2), Fraction(1, 3)
+TIES = {
+    "bicyclic-dyadic": [(3 * _ONE // 8, 5 * _ONE // 8), (5 * _ONE // 8, _ONE // 4),
+                        (_ONE // 2, _ONE // 2)],
+    "rotation": [rot_canonical(_HALF, _THIRD), rot_canonical(_HALF, 2 * _THIRD),
+                 rot_canonical(0, 0)],
+}
 
 
 def mixed3():
@@ -176,7 +186,7 @@ def families():
 def test_oracles_agree_with_the_fraction_reference(families, name, seed):
     _build, decoder, op, inv, le, wb_s, wb_sigma, _member = REFERENCES[name]
     fam, value = families[name], decoder(DEFAULT_DEPTH)
-    pool = _pool(fam, random.Random(seed), 4)
+    pool = _pool(fam, random.Random(seed), 4) + TIES[name]
     values = [value(s) for s in pool]
     for s, vs in zip(pool, values):
         assert value(fam.inv(s)) == inv(vs)
@@ -187,6 +197,12 @@ def test_oracles_agree_with_the_fraction_reference(families, name, seed):
             assert fam.nat_le(s, t) == le(vs, vt)
             assert fam.wb_s(s, t) == wb_s(vs, vt)
             assert fam.wb_sigma(e, fam.sigma(t)) == wb_sigma(ve, value(fam.sigma(t)))
+
+
+@pytest.mark.parametrize("x, y", [((2, 1), (3, 0)), ((2, 3), (3, 4)), ((4, 3), (1, 2))],
+                         ids=["b<c", "b==c", "b>c"])
+def test_the_nat_product_agrees_with_the_reference_around_its_tie(x, y):
+    assert bicyclic_op(x, y) == ref_bicyclic_op(x, y)
 
 
 @pytest.mark.parametrize("name", REFERENCES)

@@ -14,7 +14,8 @@ from invsg.families import (OMEGA, bicyclic_dyadic, bicyclic_le, bicyclic_nat,
                             cex_op, cex_truncation,
                             rotation_family, rotation_le, rotation_op,
                             rotation_wb_sigma)
-from invsg.families.base import DEFAULT_DEPTH, chain_members, family_scale, finite_chain
+from invsg.families.base import (DEFAULT_DEPTH, chain_members, family_scale, finite_chain,
+                                 iter_chain)
 from invsg.families.cex import CexScale
 from invsg.families.rotation import OutOfRange, RotationScale
 
@@ -239,6 +240,13 @@ def test_finite_chain_claims_its_last_item():
     assert (cw.sup_in_s, cw.sup_in_sigma, cw.upper_bounds) == (y, y, (y,))
     assert [cw.member(k) for k in range(4)] == [x, y, y, y] and cw.length == 2
     assert finite_chain("pair", [x, y], False).sup_in_sigma is None
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])  # depth + 1 below, at and above the length 3
+def test_iter_chain_stops_at_a_finite_chain_or_at_the_depth(depth):
+    items = [(3, 3), (2, 2), (1, 1)]
+    cw = finite_chain("triple", items, True)
+    assert list(iter_chain(cw, depth)) == items[:min(len(items), depth + 1)]
 
 
 @pytest.mark.parametrize("make", [bicyclic_nat, bicyclic_dyadic, rotation_family,

@@ -3,13 +3,13 @@
 ``golden_reports.jsonl`` holds one compact JSON line per subject, keys
 sorted: the verdict, counterexample and notes of every suite under
 ``run_suites(..., budget=400)`` for each carrier of the acceptance corpus and
-each registry family, and for the families also the value, evidence and
-witness of every ``classify(..., budget=400)`` flag.  A refactor must leave
-the file byte-identical.  Re-record it, when a verdict is meant to change,
-with ``PYTHONPATH=src python tests/test_golden.py``.
+each registry family and one ``characters:`` subject, and for those families
+also the value, evidence and witness of every ``classify(..., budget=400)``
+flag.  A refactor must leave the file byte-identical.  Re-record it, when a
+verdict is meant to change, with ``PYTHONPATH=src python tests/test_golden.py``.
 
 The budgets, the examined counts, are pinned apart: ``EXAMINED`` holds every
-suite's and every classify flag's count on the registry families at the
+suite's and every classify flag's count on the same families at the
 default budget and seed 3, so a draw sequence that drifts while the verdicts
 hold still fails.  When a count is meant to change, print the literal as the
 code computes it with ``PYTHONPATH=src python tests/test_golden.py --examined``.
@@ -23,10 +23,21 @@ from pathlib import Path
 import pytest
 
 from invsg.checkers import classify, run_suites
-from invsg.families import FAMILY_BUILDERS
+from invsg.core import FiniteInvSemigroup
+from invsg.families import FAMILY_BUILDERS, character_family
 
 GOLDEN = Path(__file__).with_name("golden_reports.jsonl")
 BUDGET = 400
+
+
+def _semilattice_characters():
+    """The character monoid of the 2-element semilattice: the one family
+    beside rotation whose product is ``rotation_op``."""
+    return character_family(FiniteInvSemigroup([[0, 0], [0, 1]]))
+
+
+# the registry families and one characters: subject, by family name
+FAMILIES = {**FAMILY_BUILDERS, "characters:2": _semilattice_characters}
 
 # name: (the budget of each suite in registry order, of each classify flag in
 # Classification.flags() order)
@@ -42,6 +53,8 @@ EXAMINED = {
                  (2066, 9706, 89, 1, 2613)),
     "cex": ((10000, 20000, 4067, 1702, 1518, 339, 0, 0, 0, 0, 340, 0, 0),
             (13, 339, 73, 2, 2596)),
+    "characters:2": ((10000, 20000, 4131, 2339, 1514, 9726, 16521, 0, 0, 0, 0, 0, 9729),
+                     (2000, 9726, 0, 0, 0)),
 }
 
 
@@ -56,14 +69,15 @@ def _reports(subject, sid) -> list:
 
 def golden_lines(corpus) -> list[str]:
     records = [{"subject": sid, "reports": _reports(S, sid)} for sid, S in corpus]
-    for name, build in FAMILY_BUILDERS.items():
+    for name, build in FAMILIES.items():
         fam = build()
         flags = classify(fam, budget=BUDGET).to_json()
         for key in ("subject", "depth", "seed"):
             del flags[key]
         for flag in flags.values():
             del flag["budget"]
-        records.append({"subject": f"family:{name}", "reports": _reports(fam, name),
+        subject = name if name.startswith("characters:") else f"family:{name}"
+        records.append({"subject": subject, "reports": _reports(fam, name),
                         "classify": flags})
     return [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in records]
 
@@ -78,8 +92,8 @@ def test_reports_match_the_golden_file(finite_corpus):
 
 
 def examined(name) -> tuple:
-    """A registry family's entry of ``EXAMINED`` as the code computes it."""
-    fam = FAMILY_BUILDERS[name]()
+    """A family's entry of ``EXAMINED`` as the code computes it."""
+    fam = FAMILIES[name]()
     return (tuple(r.budget for r in run_suites(fam, name, seed=3)),
             tuple(f.budget for f in classify(fam, seed=3).flags().values()))
 
@@ -92,7 +106,7 @@ def test_family_examined_counts_at_seed_3(name):
 def examined_literal() -> str:
     """The source of ``EXAMINED``, wrapped as in this file."""
     lines = ["EXAMINED = {"]
-    for name in FAMILY_BUILDERS:
+    for name in FAMILIES:
         suites, flags = examined(name)
         head = f'    "{name}": (('
         lines += textwrap.wrap(", ".join(map(str, suites)) + "),", 99, initial_indent=head,

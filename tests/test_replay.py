@@ -403,6 +403,26 @@ def test_scan_counterexamples_replay():
         assert not replay_counterexample(honest, report), kind
 
 
+# ROADMAP item 2's known survivors: two single-point flips of the dyadic order,
+# at ((5/8,3/8), (7/8,5/8)) on the sampler's grid and at ((3/16,1/16),
+# (5/16,3/16)) off it, where no sampler draws a denominator of 16.  Each copy
+# passes all 13 suites at seeds 0 and 3; the day a suite catches one, its
+# test passes and, being strict, fails.  The pairs are given in sixteenths.
+SIXTEENTH = ONE >> 4
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="a flip of the dyadic order survives every suite")
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("x, y", [((10, 6), (14, 10)), ((3, 1), (5, 3))],
+                         ids=["on-grid", "off-grid"])
+def test_a_flipped_dyadic_order_fails_some_suite(x, y, seed):
+    honest = bicyclic_dyadic()
+    at = [tuple(c * SIXTEENTH for c in v) for v in (x, y)]
+    lying = dataclasses.replace(honest, **flip(honest, "nat_le", *at))
+    assert any(r.verdict == "fail" for r in checkers.run_suites(lying, seed=seed))
+
+
 # -- fabricated reports -------------------------------------------------------
 
 
