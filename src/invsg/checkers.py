@@ -30,7 +30,7 @@ import random
 import weakref
 from dataclasses import dataclass
 from functools import partial, wraps
-from itertools import chain, combinations, pairwise, product
+from itertools import chain, combinations, pairwise, product, repeat
 from typing import Callable, Optional, Union
 
 from .core import FiniteInvSemigroup, is_reduced
@@ -164,9 +164,10 @@ def _scan(fam: SymbolicFamily, *stages) -> tuple:
     counterexample, None if none is.
 
     Loops stay only in the three hot suites, where a generator step and a
-    call per instance would cost: basic_rules tests five kinds a pair, order
-    characterizations interleave two kinds per draw, and wb_characterization
-    refutes each side's answer, a refutation picking its kind."""
+    call per instance would cost: basic_rules reads five kinds a pair off one
+    law, order characterizations interleave two kinds per draw, and
+    wb_characterization refutes each side's answer, a refutation picking its
+    kind."""
     examined = 0
     for kind, instances in stages:
         violated = partial(_VIOLATED[kind], fam)
@@ -425,15 +426,15 @@ def _wb_refutation(fam: SymbolicFamily, side: _Side, x, y, depth: int,
     if not claim and not fam.nat_le(x, y):
         return None  # a denial with x not below y: the singleton {y} bears it out
     claim_refuted, missing, too_small, no_kill = side.kinds
-    chains, above_x = getattr(fam, side.chains_to), partial(fam.nat_le, x)
+    chains, nat_le = getattr(fam, side.chains_to), fam.nat_le
     kind = None
     if claim:
         deep = depth if depth > DEFAULT_DEPTH else DEFAULT_DEPTH
         for cw in chains(y):
             sup = getattr(cw, side.sup)
-            if sup is None or not fam.nat_le(y, sup):
+            if sup is None or not nat_le(y, sup):
                 continue
-            if not any(map(above_x, iter_chain(cw, deep))):
+            if not any(map(nat_le, repeat(x), iter_chain(cw, deep))):
                 kind = claim_refuted
                 break
     else:
@@ -442,9 +443,9 @@ def _wb_refutation(fam: SymbolicFamily, side: _Side, x, y, depth: int,
             kind = missing
         else:
             sup = getattr(cw, side.sup)
-            if sup is None or not fam.nat_le(y, sup):
+            if sup is None or not nat_le(y, sup):
                 kind = too_small
-            elif any(map(above_x, iter_chain(cw, depth))):
+            elif any(map(nat_le, repeat(x), iter_chain(cw, depth))):
                 kind = no_kill
     if kind is not None:
         return _fail(fam, kind, chain=cw, **dict(zip(side.keys, (x, y))), _depth=depth)
@@ -474,12 +475,27 @@ def _wb_law(fam: SymbolicFamily, s, t, es, et) -> tuple:
 
 def _order_forms(fam: SymbolicFamily, s, t) -> list:
     """s <= t, s* <= t*, t s* s = s and s s* t = s: equivalent forms of the order."""
-    return [fam.nat_le(s, t), fam.nat_le(fam.inv(s), fam.inv(t)),
-            fam.op(t, fam.sigma(s)) == s, fam.op(fam.op(s, fam.inv(s)), t) == s]
+    si, op = fam.inv(s), fam.op
+    return [fam.nat_le(s, t), fam.nat_le(si, fam.inv(t)),
+            op(t, op(si, s)) == s, op(op(s, si), t) == s]
 
 
 _BASIC_KINDS = ("ss*-not-idempotent", "s*s-not-idempotent", "star-not-involution",
                 "antihomomorphism", "idempotent-not-self-inverse")
+
+
+def _basic_violations(fam: SymbolicFamily, s, t) -> tuple:
+    """Whether each basic identity fails at (s, t), in ``_BASIC_KINDS`` order:
+    s s* and s* s idempotent, (s*)* = s, (s t)* = t* s*, s* = s on idempotents."""
+    si, op, inv, idem = fam.inv(s), fam.op, fam.inv, fam.is_idempotent
+    return (not idem(op(s, si)), not idem(op(si, s)), inv(si) != s,
+            inv(op(s, t)) != op(inv(t), si), idem(s) and si != s)
+
+
+def _basic_law(i: int):
+    """The law of the i-th basic kind: position i of ``_basic_violations``."""
+    return lambda fam, s, t: _basic_violations(fam, s, t)[i]
+
 
 # kind -> violated(fam, **instance): the one test of each failure kind, shared
 # by the scans and by replay.  The identities are those of every inverse
@@ -491,12 +507,7 @@ _BASIC_KINDS = ("ss*-not-idempotent", "s*s-not-idempotent", "star-not-involution
 # biconditional kind's instance is the failing side's witness: the side that
 # holds is sampled evidence, and it is not replayed.
 _VIOLATED: dict[str, Callable[..., bool]] = {
-    "ss*-not-idempotent": lambda fam, s, t: not fam.is_idempotent(fam.op(s, fam.inv(s))),
-    "s*s-not-idempotent": lambda fam, s, t: not fam.is_idempotent(fam.op(fam.inv(s), s)),
-    "star-not-involution": lambda fam, s, t: fam.inv(fam.inv(s)) != s,
-    "antihomomorphism": lambda fam, s, t: fam.inv(fam.op(s, t)) != fam.op(fam.inv(t),
-                                                                         fam.inv(s)),
-    "idempotent-not-self-inverse": lambda fam, s, t: fam.is_idempotent(s) and fam.inv(s) != s,
+    **{kind: _basic_law(i) for i, kind in enumerate(_BASIC_KINDS)},
     "characterizations-disagree": lambda fam, s, t, **_: len(set(_order_forms(fam, s, t))) > 1,
     "teps-not-below-t": lambda fam, t, eps: (
         not fam.nat_le(fam.op(t, eps), t) and fam.is_idempotent(eps)),
@@ -599,19 +610,20 @@ def check_basic_rules(fam: SymbolicFamily, depth, seed, budget):
     Semigroups, 1998, 1.4).
     """
     rng, sample = seeded(seed, "basic_rules", fam.name), fam.sample
-    laws = [(kind, _VIOLATED[kind]) for kind in _BASIC_KINDS]
     for examined in range(1, budget + 1):
         s, t = sample(rng), sample(rng)
-        for kind, violated in laws:
-            if violated(fam, s, t):
-                return _verdict(examined, _fail(fam, kind, s, t))
+        violated = _basic_violations(fam, s, t)
+        if True in violated:  # the first broken identity, in _BASIC_KINDS order
+            kind = _BASIC_KINDS[violated.index(True)]
+            return _verdict(examined, _fail(fam, kind, s, t))
     return _verdict(budget)
 
 
 @_lemma()
 def check_order_characterizations(fam: SymbolicFamily, depth, seed, budget):
-    """The five equivalent forms of the intrinsic order agree pairwise: s in tE,
-    t* s s* = s*, t s* s = s, s in Et and s s* t = s.
+    """Four equivalent forms of the intrinsic order agree pairwise: s <= t,
+    s* <= t*, t s* s = s and s s* t = s (the five forms of the finite
+    reference are ``order_values`` in ``tests/test_lemmas.py``).
 
     Lemma: the forms of the natural partial order are equivalent in every
     inverse semigroup (Lawson, 1998, 1.4).
@@ -765,7 +777,8 @@ def check_wb_characterization(fam: SymbolicFamily, depth, seed, budget):
         violated, lhs, claim = _wb_law(fam, s, t, es, et)
         if violated:
             return _verdict(examined, _fail(fam, "wb-char", s, t, lhs=lhs, rhs=not lhs))
-        bad = (_wb_refutation(fam, _S, s, t, depth, lhs, cleared_s)
+        # no claim means s is not below t: the singleton {t} bears out the denial
+        bad = ((claim is not None and _wb_refutation(fam, _S, s, t, depth, lhs, cleared_s))
                or _wb_refutation(fam, _SIGMA, es, et, depth, claim, cleared_sigma))
         if bad is not None:
             return _verdict(examined, bad)

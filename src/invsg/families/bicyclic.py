@@ -54,7 +54,8 @@ def bicyclic_inv(x):
 def bicyclic_le(x, y) -> bool:
     a, b = x
     c, d = y
-    return c == d + a - b and d <= b
+    # d <= b first: it settles each member of a denial's chain scan without the wide sum
+    return d <= b and c == d + a - b
 
 
 def _wb_sigma(describe, wb):

@@ -9,12 +9,14 @@ property, computed once.  The order characterizations of ``test_lemmas``
 read masks of tE and Et; a test-local reference scans the idempotents for
 each pair, as the definition does.  The basic-rule and characterization
 kinds of the references re-check their one instance, and the family kinds
-replay theirs.
+replay theirs.  On a family, the hot suites ask each oracle value once per
+draw, and each basic kind reads its own identity off the one basic law.
 """
 
 import copy
 import dataclasses
 import gc
+import random
 import weakref
 
 import pytest
@@ -22,7 +24,9 @@ import pytest
 from invsg import checkers, poset
 from invsg.checkers import classify, replay_counterexample, run_suites
 from invsg.core import idempotents
-from invsg.families import FAMILY_BUILDERS, coset_monoid, get_family, group_by_name
+from invsg.families import (FAMILY_BUILDERS, bicyclic_nat, coset_monoid, get_family,
+                            group_by_name)
+from invsg.families.base import seeded
 
 import test_lemmas as lemmas
 from test_collapse import tampered, with_entry
@@ -202,3 +206,102 @@ def test_family_basic_kinds_replay_their_instance():
     assert replay_counterexample(lying, report)
     assert not replay_counterexample(honest, report)
     assert checkers.check_basic_rules(honest, budget=200).verdict == "pass"
+
+
+# -- each oracle value once per draw on the hot suites -------------------------
+
+
+ORACLES = ("inv", "op", "nat_le", "is_idempotent")
+
+
+def _counting_copy(name):
+    """(copy of the family ``name`` whose four oracles count their calls, counts)."""
+    fam, counts = get_family(name), {}
+    return dataclasses.replace(fam, **{o: _counting(getattr(fam, o), counts, o)
+                                       for o in ORACLES}), counts
+
+
+@pytest.mark.parametrize("name", ["bicyclic-nat", "rotation"])
+@pytest.mark.parametrize("suite, per_draw", [
+    (checkers.check_basic_rules, {"inv": 4, "op": 4, "is_idempotent": 3}),
+    (checkers.check_order_characterizations, {"inv": 2, "op": 5, "nat_le": 3}),
+])
+def test_a_hot_suite_asks_each_oracle_value_once_per_draw(name, suite, per_draw):
+    # s* is computed once a draw, and t s* s reuses it: the basic identities
+    # ask 4 inverses, not 7 or more, and the order forms 2, not 4
+    fam, counts = _counting_copy(name)
+    assert suite(fam, budget=50, seed=3).verdict == "pass"
+    assert counts == {o: 50 * n for o, n in per_draw.items()}
+
+
+@pytest.mark.parametrize("name", ["bicyclic-nat", "rotation"])
+def test_the_s_side_refutation_runs_only_on_comparable_draws(monkeypatch, name):
+    # a pair with s not below t gets no claim from the law, and the singleton
+    # {t} bears out its denial: the S-side refutation is not entered
+    honest, draws, entered = get_family(name), [], []
+
+    def law(fam, s, t, es, et):
+        draws.append((s, t))
+        return wb_law(fam, s, t, es, et)
+
+    def refutation(fam, side, x, y, *args):
+        if side is checkers._S:
+            entered.append((x, y))
+        return wb_refutation(fam, side, x, y, *args)
+
+    wb_law, wb_refutation = checkers._wb_law, checkers._wb_refutation
+    monkeypatch.setattr(checkers, "_wb_law", law)
+    monkeypatch.setattr(checkers, "_wb_refutation", refutation)
+    fam = dataclasses.replace(honest)  # a fresh copy: no gate cached
+    assert checkers.check_wb_characterization(fam, budget=50, seed=3).verdict == "pass"
+    comparable = [(s, t) for s, t in draws if honest.nat_le(s, t)]
+    assert len(draws) == 50 and 0 < len(comparable) < 50
+    assert entered == comparable
+
+
+def ref_basic_identities(fam, s, t):
+    """The five basic identities, each transcribed on its own, in
+    ``_BASIC_KINDS`` order: True where the identity fails at (s, t)."""
+    op, inv, idem = fam.op, fam.inv, fam.is_idempotent
+    return {"ss*-not-idempotent": not idem(op(s, inv(s))),
+            "s*s-not-idempotent": not idem(op(inv(s), s)),
+            "star-not-involution": inv(inv(s)) != s,
+            "antihomomorphism": inv(op(s, t)) != op(inv(t), inv(s)),
+            "idempotent-not-self-inverse": bool(idem(s) and inv(s) != s)}
+
+
+BASIC_LIES = {
+    # s* = s breaks ss*, s*s and the antihomomorphism at most pairs
+    "inv-is-identity": {"inv": lambda s: s},
+    # every element idempotent: only s* = s on idempotents breaks
+    "all-idempotent": {"is_idempotent": lambda s: True},
+}
+
+
+@pytest.mark.parametrize("lie", BASIC_LIES)
+def test_each_basic_kind_replays_its_own_identity(lie):
+    honest = bicyclic_nat()
+    lying = dataclasses.replace(honest, **BASIC_LIES[lie])
+    assert list(ref_basic_identities(lying, (0, 0), (0, 0))) == list(checkers._BASIC_KINDS)
+    rng, broken = random.Random(0), set()
+    for _ in range(300):
+        s, t = lying.sample(rng), lying.sample(rng)
+        for fam in (honest, lying):
+            want = ref_basic_identities(fam, s, t)
+            assert {k: checkers._VIOLATED[k](fam, s=s, t=t) for k in want} == want, (s, t)
+            broken |= {k for k, bad in want.items() if bad and fam is lying}
+    assert broken == ({"ss*-not-idempotent", "s*s-not-idempotent", "antihomomorphism"}
+                      if lie == "inv-is-identity" else {"idempotent-not-self-inverse"})
+    for seed in (0, 3):
+        # the reference loop: the identities in _BASIC_KINDS order, draw by draw
+        rng = seeded(seed, "basic_rules", lying.name)
+        for examined in range(1, 201):
+            s, t = lying.sample(rng), lying.sample(rng)
+            kind = next((k for k, bad in ref_basic_identities(lying, s, t).items() if bad), None)
+            if kind is not None:
+                break
+        report = checkers.check_basic_rules(lying, budget=200, seed=seed)
+        assert (report.counterexample["kind"], report.budget) == (kind, examined)
+        assert report.counterexample["_raw"] == {"s": s, "t": t}
+        if lie == "inv-is-identity":
+            assert (kind, examined) == ("ss*-not-idempotent", 1)

@@ -223,6 +223,24 @@ def test_chain_members_agree_with_the_fraction_reference(families, name, seed):
             assert value(cw.member(k)) == member(sup, k), (cw.name, k)
 
 
+@pytest.mark.parametrize("name", REFERENCES)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_the_order_against_own_chain_members_agrees_with_the_fraction_reference(
+        families, name, seed):
+    # the pairs a way-below denial's chain scan asks: x against the members
+    # of its own canonical chains, both ways round
+    _build, decoder, _op, _inv, le, *_rest = REFERENCES[name]
+    fam, value = families[name], decoder(DEFAULT_DEPTH)
+    for x in _pool(fam, random.Random(seed), 3) + TIES[name]:
+        vx = value(x)
+        for cw in fam.chains_to(x):
+            for k in CHAIN_INDICES:
+                m = cw.member(k)
+                assert fam.nat_le(x, m) == le(vx, value(m)), (cw.name, k)
+                assert fam.nat_le(m, x) == le(value(m), vx), (cw.name, k)
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_character_oracles_agree_with_the_fraction_reference(seed):
